@@ -35,7 +35,6 @@ from .errors import (
     NonConvergence,
     NoSignChange,
     NoSolution,
-    NotPositiveDefinite,
     OutOfDomain,
     QuadratureFailure,
     StagnationAtAmplitude,
@@ -56,7 +55,6 @@ from .numerics import (
     RootSpec,
     adaptive_quad,
     bracketed_root,
-    smallest_generalized_eigenpair,
 )
 from .reconstruct import (
     WaveField,

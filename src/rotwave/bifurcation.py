@@ -12,7 +12,7 @@ outcome, not an error).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -24,10 +24,16 @@ from .laminar import (
     lambda_of_min_head,
 )
 from .numerics import RootSpec, bracketed_root
-from .spectral import ModeSolution, principal_eigen, _element_integrals
-from .vorticity import FlowParameters, GammaProfile, VorticityDistribution, holder_seminorm
+from .spectral import ModeSolution, principal_eigen
+from .vorticity import (
+    ElementRule,
+    FlowParameters,
+    GammaProfile,
+    VorticityDistribution,
+    holder_seminorm,
+)
 
-_DEFAULT_MARGINS = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)
+DEFAULT_MARGINS = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)
 
 
 @dataclass(frozen=True)
@@ -60,7 +66,7 @@ def find_lambda_star(
     flow: FlowParameters,
     mesh_points: int = 2001,
     root_tol: float = 1e-10,
-    margin_schedule: Sequence[float] = _DEFAULT_MARGINS,
+    margin_schedule: Sequence[float] = DEFAULT_MARGINS,
 ) -> Union[BifurcationPoint, NoBifurcation]:
     """Solve mu(lambda*) = -1 on (floor, lambda0), or report NoBifurcation.
 
@@ -103,8 +109,6 @@ def find_lambda_star(
     spec = RootSpec(x_tol=root_tol * max(1.0, lam0), f_tol=1e-10, max_iter=200)
     lam_star = bracketed_root(lambda lam: mu_of(lam) + 1.0, lam_lo, lam0, spec)
     mode = principal_eigen(profile, flow, lam_star, mesh_points=mesh_points)
-    from dataclasses import replace
-
     mode = replace(mode, k=1)
     return BifurcationPoint(
         lambda_star=lam_star,
@@ -149,7 +153,7 @@ def check_general_sufficient(
         return False, -math.inf
     rhs = theta**1.5 * p0**2 * p1**e1 / (6.0 * alpha * d**3)
     rhs += theta**0.5 * p0**2 * p1**e2 / ((2.0 + 0.5 * alpha) * d)
-    return flow.g > rhs, flow.g - rhs
+    return bool(flow.g > rhs), flow.g - rhs
 
 
 def check_continuous_sufficient(profile: GammaProfile, flow: FlowParameters):
@@ -218,43 +222,18 @@ def transversality_integral(
     """
     profile = profile if profile is not None else point.profile
     flow = flow if flow is not None else point.flow
-    mode = point.mode
     lam = point.lambda_star
-    nodes = mode.nodes
-    h = np.diff(nodes)
-    slope = np.diff(mode.M) / h
+    nodes = point.mode.nodes
+    M = point.mode.M
+    slope = np.diff(M) / np.diff(nodes)
 
-    # Reuse the a-weighted element integrals; the a^-1 weight needs its own
-    # pass with the same substituted quadrature near minimizers.
-    _, m00, m01, m11 = _element_integrals(profile, lam, nodes)
-    del m00, m01, m11
-    lo, hi = nodes[:-1], nodes[1:]
-    gx, gw = np.polynomial.legendre.leggauss(8)
-    X = 0.5 * (lo + hi)[:, None] + 0.5 * h[:, None] * gx[None, :]
-    W = 0.5 * h[:, None] * gw[None, :]
-    aval = np.sqrt(lam + profile.primitive(X.ravel()).reshape(X.shape))
-    n0 = (hi[:, None] - X) / h[:, None]
-    m_at = mode.M[:-1, None] * n0 + mode.M[1:, None] * (1.0 - n0)
-    int_inv = np.sum(W * m_at * m_at / aval, axis=1)
-    int_a = np.sum(W * aval, axis=1)
+    def weighted(q):
+        a = np.sqrt(lam + q.gamma)
+        m = M[:-1][q.elements, None] * q.n0 + M[1:][q.elements, None] * (1.0 - q.n0)
+        yield q.w * m * m / a
+        yield q.w * a
 
-    mins = profile.minimizers or (profile.p1,)
-    gxs, gws = np.polynomial.legendre.leggauss(12)
-    for e in range(len(h)):
-        left = any(abs(lo[e] - m) < 1e-14 for m in mins)
-        right = any(abs(hi[e] - m) < 1e-14 for m in mins)
-        if not (left or right):
-            continue
-        width = math.sqrt(h[e])
-        t = 0.5 * width * (gxs + 1.0)
-        xs = lo[e] + t * t if left else hi[e] - t * t
-        ws = 0.5 * width * gws * 2.0 * t
-        av = np.sqrt(lam + profile.primitive(xs))
-        n0v = (hi[e] - xs) / h[e]
-        mv = mode.M[e] * n0v + mode.M[e + 1] * (1.0 - n0v)
-        int_inv[e] = np.sum(ws * mv * mv / av)
-        int_a[e] = np.sum(ws * av)
-
+    int_inv, int_a = ElementRule(profile, nodes).integrate(weighted)
     i1 = float(np.sum(int_inv))
     i2 = float(np.sum(int_a * slope * slope))
     return -0.5 * math.pi * i1 - 3.0 * math.pi * i2 / flow.d**2

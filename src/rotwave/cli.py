@@ -25,6 +25,7 @@ import scipy
 
 from . import __version__
 from .bifurcation import (
+    DEFAULT_MARGINS,
     BifurcationPoint,
     NoBifurcation,
     check_bed_layer,
@@ -48,7 +49,6 @@ from .reconstruct import (
 from .spectral import principal_eigen
 from .vorticity import FlowParameters, GammaProfile, VorticityDistribution, holder_seminorm
 
-_DEFAULT_MARGINS = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)
 _SWEEP_PARAMS = ("gamma", "d", "g", "p0", "depth_frak", "lambda")
 
 
@@ -57,7 +57,7 @@ class NumericsOptions:
     mesh_points: int = 2001
     quad_abs_tol: float = 1e-12
     root_tol: float = 1e-10
-    lambda_margin_schedule: tuple = _DEFAULT_MARGINS
+    lambda_margin_schedule: tuple = DEFAULT_MARGINS
 
 
 @dataclass(frozen=True)
@@ -279,7 +279,7 @@ def parse_config(text) -> RunConfig:
     )
     schedule = _opt(num_raw, "lambda_margin_schedule", "/numerics", list, None)
     if schedule is None:
-        schedule = _DEFAULT_MARGINS
+        schedule = DEFAULT_MARGINS
     else:
         schedule = tuple(_float_list(schedule, "/numerics/lambda_margin_schedule"))
         if not schedule or any(x <= 0 for x in schedule) or any(
@@ -342,14 +342,16 @@ def parse_config(text) -> RunConfig:
 
 def _fmt(value) -> str:
     """Shortest round-trip text for one CSV cell."""
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
+    # Floats, numpy.float64 among them, are nearly every cell: test them first.
+    if not isinstance(value, float):
+        if value is None:
+            return ""
+        if isinstance(value, (bool, np.bool_)):
+            return "true" if value else "false"
+        if isinstance(value, str):
+            return value
+        if isinstance(value, (int, np.integer)):
+            return str(int(value))
     x = float(value)
     if math.isnan(x):
         return "nan"
@@ -365,6 +367,8 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, (bool, type(None), str, int)):
         return obj
+    if isinstance(obj, np.bool_):
+        return bool(obj)
     if isinstance(obj, (float, np.floating)):
         x = float(obj)
         if math.isnan(x) or math.isinf(x):
@@ -380,6 +384,10 @@ def _atomic_write(path: str, text: str):
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_", suffix=".part")
     try:
+        # mkstemp creates the file 0600; give it the mode open() would.
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)
@@ -450,9 +458,7 @@ def build_criteria_report(config: RunConfig, profile: GammaProfile) -> dict:
 
 
 def _analysis(config: RunConfig):
-    profile = GammaProfile.from_distribution(
-        config.vorticity, config.flow, holder_alpha=config.criteria.alpha
-    )
+    profile = GammaProfile.from_distribution(config.vorticity, config.flow)
     result = find_lambda_star(
         profile,
         config.flow,
@@ -680,6 +686,10 @@ def run_sweep(config: RunConfig, param_specs: Sequence[str], quantity: Optional[
         raise ConfigError(f"unknown quantity {quantity!r}", "/sweep/quantity")
     if quantity in ("mu", "onset") and "lambda" not in names:
         raise ConfigError(f"quantity {quantity!r} requires a lambda sweep", "/sweep/param")
+    if quantity == "onset" and "p0" in names:
+        raise ConfigError(
+            "onset calibrates p0 for each lambda; it cannot be swept", "/sweep/param"
+        )
 
     if quantity == "mu":
         value_cols = ["mu"]
@@ -712,9 +722,7 @@ def run_sweep(config: RunConfig, param_specs: Sequence[str], quantity: Optional[
 def _sweep_values(row_cfg: RunConfig, quantity: str, lam):
     flow = row_cfg.flow
     if quantity == "criteria":
-        profile = GammaProfile.from_distribution(
-            row_cfg.vorticity, flow, holder_alpha=row_cfg.criteria.alpha
-        )
+        profile = GammaProfile.from_distribution(row_cfg.vorticity, flow)
         rep = build_criteria_report(row_cfg, profile)
         const = rep["constant_vorticity"]
         depth_frak = row_cfg.criteria.depth_frak
@@ -770,9 +778,7 @@ def _sweep_values(row_cfg: RunConfig, quantity: str, lam):
 
 def run_criteria(config: RunConfig) -> int:
     """Print the criteria report as JSON on stdout."""
-    profile = GammaProfile.from_distribution(
-        config.vorticity, config.flow, holder_alpha=config.criteria.alpha
-    )
+    profile = GammaProfile.from_distribution(config.vorticity, config.flow)
     report = build_criteria_report(config, profile)
     sys.stdout.write(json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n")
     return 0

@@ -22,10 +22,6 @@ class NoSignChange(Error):
     """Root bracketing requires f(lo) and f(hi) of opposite sign."""
 
 
-class NotPositiveDefinite(Error):
-    """The mass matrix of a generalized eigenproblem failed a Cholesky check."""
-
-
 class EigenFailure(Error):
     """An eigenpair could not be computed to the requested residual."""
 

@@ -20,22 +20,11 @@ from .errors import (
     DegenerateConstraint,
     InvalidWavelength,
     NonAdmissibleLambda,
+    NonConvergence,
     NoSolution,
 )
 from .numerics import QuadratureSpec, RootSpec, adaptive_quad, bracketed_root
-from .vorticity import FlowParameters, GammaProfile, VorticityDistribution
-
-_GAUSS_N = 8
-_GX, _GW = np.polynomial.legendre.leggauss(_GAUSS_N)
-_GXS, _GWS = np.polynomial.legendre.leggauss(12)
-
-
-def _require_admissible(profile: GammaProfile, lam: float, margin: float = 0.0):
-    floor = profile.min_lambda
-    if not lam > floor + margin:
-        raise NonAdmissibleLambda(
-            f"lambda={lam!r} not above admissibility floor {floor!r}"
-        )
+from .vorticity import ElementRule, FlowParameters, GammaProfile, VorticityDistribution
 
 
 def _integral_of_power(
@@ -72,7 +61,7 @@ def _integral_of_power(
 
 def laminar_height(profile: GammaProfile, lam: float, p: float) -> float:
     """H(p; lambda) = integral_{-1}^p (lambda + Gamma)^(-1/2) ds - (p + 1)."""
-    _require_admissible(profile, lam)
+    profile.require_admissible(lam)
     p = float(p)
     if p <= -1.0:
         return 0.0
@@ -80,45 +69,17 @@ def laminar_height(profile: GammaProfile, lam: float, p: float) -> float:
 
 
 def height_on_mesh(profile: GammaProfile, lam: float, nodes: np.ndarray) -> np.ndarray:
-    """H at every mesh node via cumulative per-element Gauss quadrature.
-
-    Elements adjacent to p1 are integrated in the substituted variable
-    t = sqrt(|s - p1|), which keeps the near-singular integrand tame.
-    """
-    _require_admissible(profile, lam)
+    """H at every mesh node via cumulative per-element quadrature."""
+    profile.require_admissible(lam)
     nodes = np.asarray(nodes, dtype=float)
-    lo = nodes[:-1]
-    hi = nodes[1:]
-    h = hi - lo
-    mid = 0.5 * (lo + hi)
-    x = mid[:, None] + 0.5 * h[:, None] * _GX[None, :]
-    w = 0.5 * h[:, None] * _GW[None, :]
-    vals = (lam + profile.primitive(x.ravel()).reshape(x.shape)) ** (-0.5)
-    seg = np.sum(w * vals, axis=1)
-
-    mins = profile.minimizers or (profile.p1,)
-    for e in range(len(lo)):
-        left = any(abs(lo[e] - m) < 1e-14 for m in mins)
-        right = any(abs(hi[e] - m) < 1e-14 for m in mins)
-        if left or right:
-            seg[e] = _substituted_segment(profile, lam, -0.5, lo[e], hi[e], left)
+    rule = ElementRule(profile, nodes)
+    (seg,) = rule.integrate(lambda q: [q.w * (lam + q.gamma) ** (-0.5)])
     return np.concatenate([[0.0], np.cumsum(seg)]) - (nodes + 1.0)
-
-
-def _substituted_segment(profile, lam, expo, a, b, singular_left):
-    """Gauss integral of (lambda+Gamma)^expo over [a, b] in t = sqrt(|s - s*|),
-    where s* is the singular endpoint."""
-    width = math.sqrt(b - a)
-    t = 0.5 * width * (_GXS + 1.0)
-    s = a + t * t if singular_left else b - t * t
-    w = 0.5 * width * _GWS * 2.0 * t
-    vals = (lam + profile.primitive(s)) ** expo
-    return float(np.sum(w * vals))
 
 
 def hydraulic_head(profile: GammaProfile, flow: FlowParameters, lam: float) -> float:
     """Q(lambda) = 2 g d * integral (lambda+Gamma)^(-1/2) + p0^2 lambda / d^2."""
-    _require_admissible(profile, lam)
+    profile.require_admissible(lam)
     integral = _integral_of_power(profile, lam, -0.5)
     return 2.0 * flow.g * flow.d * integral + flow.p0**2 * lam / flow.d**2
 
@@ -245,7 +206,12 @@ def calibrate_mass_flux(
     prev_b = prev_f = None
     bracket = None
     for b in b_vals:
-        val = phi(b)
+        try:
+            val = phi(b)
+        except NonConvergence:
+            # Probes hugging b_min can defeat the quadrature; like a
+            # non-admissible probe, such a probe only breaks the scan.
+            val = math.nan
         if math.isnan(val):
             prev_b = prev_f = None
             continue

@@ -1,4 +1,4 @@
-"""Scalar numerics: adaptive quadrature, bracketed roots, small eigenpairs.
+"""Scalar numerics: adaptive quadrature, bracketed roots, tridiagonal eigenpairs.
 
 The quadrature is a 15-point Gauss-Kronrod rule with global bisection
 refinement.  Declared breakpoints are never straddled by a panel: interior
@@ -17,12 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.linalg
 
-from .errors import (
-    EigenFailure,
-    NonConvergence,
-    NoSignChange,
-    NotPositiveDefinite,
-)
+from .errors import EigenFailure, NonConvergence, NoSignChange
 
 _EPS = float(np.finfo(float).eps)
 
@@ -280,44 +275,6 @@ def _normalize_surface(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def smallest_generalized_eigenpair(
-    A: np.ndarray,
-    B: np.ndarray,
-    residual_tol: float = 1e-8,
-):
-    """Smallest eigenpair of A v = mu B v for symmetric A, SPD B.
-
-    Dense symmetric-definite reduction (Cholesky of B, tridiagonalization)
-    via LAPACK.  Returns (mu, v) with v normalized so its last component
-    (the surface node in FEM use) equals 1 when nonzero.
-    """
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape != B.shape:
-        raise ValueError("A and B must be square matrices of equal size")
-    if not np.allclose(A, A.T, rtol=1e-12, atol=1e-12 * max(1.0, np.abs(A).max())):
-        raise ValueError("A must be symmetric")
-    try:
-        np.linalg.cholesky(B)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite("B failed the Cholesky factorization check") from exc
-    if A.shape[0] == 1:
-        mu = float(A[0, 0] / B[0, 0])
-        return mu, np.array([1.0])
-    w, v = scipy.linalg.eigh(A, B, subset_by_index=[0, 0], driver="gvx")
-    mu = float(w[0])
-    vec = v[:, 0]
-    res = np.linalg.norm(A @ vec - mu * (B @ vec))
-    # Attainable residual scales with the matrix norms, not with ||A v||,
-    # which cancels to O(eps * ||A||) at an eigenpair.
-    scale = (
-        np.linalg.norm(A, np.inf) + abs(mu) * np.linalg.norm(B, np.inf)
-    ) * np.linalg.norm(vec) + 1e-300
-    if res > residual_tol * scale:
-        raise EigenFailure(f"eigen residual {res!r} exceeds tolerance")
-    return mu, _normalize_surface(vec)
-
-
 def _tridiag_matvec(d: np.ndarray, e: np.ndarray, v: np.ndarray) -> np.ndarray:
     y = d * v
     y[:-1] += e * v[1:]
@@ -366,7 +323,7 @@ def smallest_eigenpair_tridiagonal(
     ``sigma0`` (and optionally ``v0``) must come from a trustworthy coarse
     approximation of the smallest eigenvalue; the result is verified by a
     residual test and a Sylvester inertia count, and EigenFailure is raised
-    when either check fails so callers can fall back to a dense solve.
+    when either check fails so callers can restart from a sharper shift.
     """
     n = len(dA)
     v = np.ones(n) / np.sqrt(n) if v0 is None else np.asarray(v0, float)
@@ -404,8 +361,8 @@ def smallest_eigenpair_tridiagonal(
     av = _tridiag_matvec(dA, eA, v)
     bv = _tridiag_matvec(dB, eB, v)
     res = np.linalg.norm(av - sigma * bv)
-    norm_a = np.max(np.abs(dA)) + 2.0 * np.max(np.abs(eA))
-    norm_b = np.max(np.abs(dB)) + 2.0 * np.max(np.abs(eB))
+    norm_a = np.max(np.abs(dA)) + 2.0 * np.max(np.abs(eA), initial=0.0)
+    norm_b = np.max(np.abs(dB)) + 2.0 * np.max(np.abs(eB), initial=0.0)
     scale = (norm_a + abs(sigma) * norm_b) + 1e-300
     if res > residual_tol * scale:
         raise EigenFailure(f"RQI residual {res!r} exceeds tolerance")

@@ -8,7 +8,8 @@ Two independent routes to the principal eigenvalue mu(lambda) of
 * a piecewise-linear finite element discretization of the variational
   quotient, with every vorticity jump and every minimizer of Gamma placed
   on the mesh, Richardson extrapolation over a nested refinement, and a
-  tridiagonal Rayleigh-quotient iteration seeded by a coarse dense solve;
+  tridiagonal Rayleigh-quotient iteration seeded by Sylvester-count
+  bisection on a coarse mesh;
 
 * a Pruefer-angle shooting method integrating theta' = cos^2(theta)/a^3 +
   mu d^2 a sin^2(theta) from theta(-1) = 0.  The surface condition pins
@@ -34,7 +35,6 @@ from .errors import (
     BracketFailure,
     EigenFailure,
     NoModeSolution,
-    NonAdmissibleLambda,
     ZeroDenominator,
 )
 from .numerics import (
@@ -44,13 +44,8 @@ from .numerics import (
     bracketed_root,
     count_pencil_eigenvalues_below,
     smallest_eigenpair_tridiagonal,
-    smallest_generalized_eigenpair,
 )
-from .vorticity import FlowParameters, GammaProfile
-
-_GQ_N = 8
-_GQ_X, _GQ_W = np.polynomial.legendre.leggauss(_GQ_N)
-_GQS_X, _GQS_W = np.polynomial.legendre.leggauss(12)
+from .vorticity import ElementRule, FlowParameters, GammaProfile
 
 _COARSE_POINTS = 201
 
@@ -75,18 +70,13 @@ class ModeSolution:
     flux: np.ndarray
 
 
-def _check_admissible(profile: GammaProfile, lam: float):
-    if not lam > profile.min_lambda:
-        raise NonAdmissibleLambda(
-            f"lambda={lam!r} not above floor {profile.min_lambda!r}"
-        )
-
-
 def build_mesh(profile: GammaProfile, lam: float, n_points: int) -> np.ndarray:
     """Mesh on [-1, 0] containing every jump and minimizer of Gamma.
 
     When lambda sits close to the admissibility floor the segments touching
-    a minimizer are graded quadratically toward it.
+    a minimizer are graded quadratically toward it.  Every segment starts
+    and ends exactly on its anchors, so no round-off sliver element can
+    appear next to a jump.
     """
     anchors = sorted({-1.0, 0.0, *profile.jump_points, *profile.minimizers})
     margin = lam - profile.min_lambda
@@ -101,18 +91,17 @@ def build_mesh(profile: GammaProfile, lam: float, n_points: int) -> np.ndarray:
             half = np.linspace(0.0, 1.0, (n_seg + 1) // 2 + 1)
             left = aL + 0.5 * (aR - aL) * half**2
             right = aR - 0.5 * (aR - aL) * half[::-1] ** 2
-            x = np.unique(np.concatenate([left, right]))
+            x = np.concatenate([left[:-1], right])
         elif grade and aL in mins:
             x = aL + (aR - aL) * u**2
         elif grade and aR in mins:
             x = aR - (aR - aL) * (1.0 - u) ** 2
         else:
             x = aL + (aR - aL) * u
+        x[0] = aL
+        x[-1] = aR
         pieces.append(x)
-    nodes = np.unique(np.concatenate(pieces))
-    nodes[0] = -1.0
-    nodes[-1] = 0.0
-    return nodes
+    return np.unique(np.concatenate(pieces))
 
 
 def refine_mesh(nodes: np.ndarray) -> np.ndarray:
@@ -120,44 +109,22 @@ def refine_mesh(nodes: np.ndarray) -> np.ndarray:
     return np.sort(np.concatenate([nodes, mids]))
 
 
-def _element_integrals(profile: GammaProfile, lam: float, nodes: np.ndarray):
+def _element_integrals(rule: ElementRule, lam: float):
     """Per-element integrals of a^3 and of a against the P1 basis products.
 
-    Returns (s1, m00, m01, m11) with s1 = int a^3, m.. = int a N_i N_j on
-    each element; elements touching a minimizer of Gamma are integrated in
-    the substituted variable t = sqrt(|p - p*|).
+    Returns the rows (s1, m00, m01, m11) with s1 = int a^3 and
+    m.. = int a N_i N_j on each element.
     """
-    nodes = np.asarray(nodes, dtype=float)
-    lo, hi = nodes[:-1], nodes[1:]
-    h = hi - lo
-    X = 0.5 * (lo + hi)[:, None] + 0.5 * h[:, None] * _GQ_X[None, :]
-    W = 0.5 * h[:, None] * _GQ_W[None, :]
-    aval = np.sqrt(lam + profile.primitive(X.ravel()).reshape(X.shape))
-    a3 = aval**3
-    n0 = (hi[:, None] - X) / h[:, None]
-    n1 = (X - lo[:, None]) / h[:, None]
-    s1 = np.sum(W * a3, axis=1)
-    m00 = np.sum(W * aval * n0 * n0, axis=1)
-    m01 = np.sum(W * aval * n0 * n1, axis=1)
-    m11 = np.sum(W * aval * n1 * n1, axis=1)
 
-    mins = np.asarray(profile.minimizers if profile.minimizers else (profile.p1,))
-    left_hit = np.min(np.abs(lo[:, None] - mins[None, :]), axis=1) < 1e-14
-    right_hit = np.min(np.abs(hi[:, None] - mins[None, :]), axis=1) < 1e-14
-    for e in np.nonzero(left_hit | right_hit)[0]:
-        width = math.sqrt(h[e])
-        t = 0.5 * width * (_GQS_X + 1.0)
-        xs = lo[e] + t * t if left_hit[e] else hi[e] - t * t
-        ws = 0.5 * width * _GQS_W * 2.0 * t
-        av = np.sqrt(lam + profile.primitive(xs))
-        a3v = av**3
-        n0v = (hi[e] - xs) / h[e]
-        n1v = (xs - lo[e]) / h[e]
-        s1[e] = np.sum(ws * a3v)
-        m00[e] = np.sum(ws * av * n0v * n0v)
-        m01[e] = np.sum(ws * av * n0v * n1v)
-        m11[e] = np.sum(ws * av * n1v * n1v)
-    return s1, m00, m01, m11
+    def weighted(q):
+        a = np.sqrt(lam + q.gamma)
+        w_a = q.w * a
+        yield q.w * a**3
+        yield w_a * q.n0 * q.n0
+        yield w_a * q.n0 * q.n1
+        yield w_a * q.n1 * q.n1
+
+    return rule.integrate(weighted)
 
 
 def _bands_from_integrals(ints, h: np.ndarray, flow: FlowParameters):
@@ -193,7 +160,7 @@ def assemble(
 ):
     """Tridiagonal (A, B) bands of the quotient on the given mesh."""
     nodes = np.asarray(nodes, dtype=float)
-    ints = _element_integrals(profile, lam, nodes)
+    ints = _element_integrals(ElementRule(profile, nodes), lam)
     return _bands_from_integrals(ints, np.diff(nodes), flow)
 
 
@@ -216,29 +183,13 @@ def _quotient_from_integrals(ints, h, M, flow) -> float:
     return num / (p0sq * flow.d**2 * mass)
 
 
-def _energy_quotient(
-    profile: GammaProfile,
-    flow: FlowParameters,
-    lam: float,
-    nodes: np.ndarray,
-    M: np.ndarray,
-) -> float:
-    ints = _element_integrals(profile, lam, nodes)
-    return _quotient_from_integrals(ints, np.diff(nodes), M, flow)
-
-
-def _bands_to_dense(d, e):
-    m = np.diag(d)
-    m += np.diag(e, 1)
-    m += np.diag(e, -1)
-    return m
-
-
 def _bisect_smallest(dA, eA, dB, eB, rel_tol=1e-3):
-    """Rough smallest pencil eigenvalue by Sylvester-count bisection.
+    """Smallest pencil eigenvalue by Sylvester-count bisection.
 
-    Cheap O(n) per step and BLAS-free, used only to seed the Rayleigh
-    quotient iteration inside its basin of attraction.
+    O(n) per step and BLAS-free.  The default tolerance seeds the Rayleigh
+    quotient iteration inside its basin of attraction; a tight one places
+    the shift next to the smallest eigenvalue when a seed from a coarser
+    mesh led the iteration to a larger one.
     """
     def count(tau):
         return count_pencil_eigenvalues_below(dA, eA, dB, eB, tau)
@@ -268,37 +219,44 @@ def _bisect_smallest(dA, eA, dB, eB, rel_tol=1e-3):
     return 0.5 * (lo + hi)
 
 
-def _solve_level(profile, flow, lam, nodes, sigma0, v0):
-    """One mesh level: banded RQI with dense fallback.
+def _solve_level(profile, flow, lam, nodes, seed=None):
+    """One mesh level: banded Rayleigh-quotient iteration on its pencil.
 
-    Returns (mu, M_full) where mu is the element-energy quotient of the
+    ``seed`` is (sigma0, v0) from a coarser level.  Without one, the shift
+    comes from a rough bisection of this level's pencil.  When the
+    iteration fails its residual or inertia check, it is restarted from a
+    bisection of this level's pencil to 1e-12 relative.  Returns (mu,
+    M_full) where mu is the element-energy quotient of the
     surface-normalized eigenfunction (the value whose Rayleigh identity is
     exact) and M_full includes the bed node M(-1) = 0.
     """
     nodes = np.asarray(nodes, dtype=float)
     h = np.diff(nodes)
-    ints = _element_integrals(profile, lam, nodes)
-    dA, eA, dB, eB = _bands_from_integrals(ints, h, flow)
+    ints = _element_integrals(ElementRule(profile, nodes), lam)
+    pencil = [band[1:] for band in _bands_from_integrals(ints, h, flow)]
+    if seed is None:
+        seed = (_bisect_smallest(*pencil), None)
     try:
-        _, v = smallest_eigenpair_tridiagonal(
-            dA[1:], eA[1:], dB[1:], eB[1:], sigma0, v0
-        )
+        _, v = smallest_eigenpair_tridiagonal(*pencil, *seed)
     except EigenFailure:
-        _, v = smallest_generalized_eigenpair(
-            _bands_to_dense(dA[1:], eA[1:]), _bands_to_dense(dB[1:], eB[1:])
-        )
+        sigma = _bisect_smallest(*pencil, rel_tol=1e-12)
+        _, v = smallest_eigenpair_tridiagonal(*pencil, sigma, None)
     M = np.concatenate([[0.0], v])
     if abs(M[-1]) > 1e-9 * np.max(np.abs(M)):
         M = M / M[-1]
     return _quotient_from_integrals(ints, h, M, flow), M
 
 
-def _nodal_flux(profile, lam, nodes, M):
-    """a^3 M_p at the nodes from element fluxes, averaged at interior nodes."""
-    h = np.diff(nodes)
+def _element_flux(profile, lam, nodes, M):
+    """a^3 M_p on each element, with a taken at the element midpoint."""
     mid = 0.5 * (nodes[:-1] + nodes[1:])
     a_mid = np.sqrt(lam + profile.primitive(mid))
-    w_el = a_mid**3 * np.diff(M) / h
+    return a_mid**3 * np.diff(M) / np.diff(nodes)
+
+
+def _nodal_flux(profile, lam, nodes, M):
+    """a^3 M_p at the nodes from element fluxes, averaged at interior nodes."""
+    w_el = _element_flux(profile, lam, nodes, M)
     w = np.empty(len(nodes))
     w[0] = w_el[0]
     w[-1] = w_el[-1]
@@ -319,19 +277,17 @@ def principal_eigen(
     levels give a Richardson-extrapolated ``mu_refined`` while the stored M
     and ``mu`` come from the finer level.  M is normalized to M(0) = 1.
     """
-    _check_admissible(profile, lam)
+    profile.require_admissible(lam)
     coarse = build_mesh(profile, lam, min(_COARSE_POINTS, mesh_points))
-    dA, eA, dB, eB = assemble(profile, flow, lam, coarse)
-    sigma0 = _bisect_smallest(dA[1:], eA[1:], dB[1:], eB[1:])
-    mu_c, m_c = _solve_level(profile, flow, lam, coarse, sigma0, None)
+    mu_c, m_c = _solve_level(profile, flow, lam, coarse)
 
     fine = build_mesh(profile, lam, mesh_points)
     mu_f, m_f = _solve_level(
-        profile, flow, lam, fine, mu_c, np.interp(fine[1:], coarse, m_c)
+        profile, flow, lam, fine, (mu_c, np.interp(fine[1:], coarse, m_c))
     )
     finer = refine_mesh(fine)
     mu_2, m_2 = _solve_level(
-        profile, flow, lam, finer, mu_f, np.interp(finer[1:], fine, m_f)
+        profile, flow, lam, finer, (mu_f, np.interp(finer[1:], fine, m_f))
     )
     mu_refined = mu_2 + (mu_2 - mu_f) / 3.0
 
@@ -361,12 +317,13 @@ def rayleigh_quotient(
     round-off) or a callable with optional analytic derivative ``phi_p``
     (central differences otherwise).
     """
-    _check_admissible(profile, lam)
+    profile.require_admissible(lam)
     d = flow.d
     g = flow.g
     p0sq = flow.p0**2
     if isinstance(phi, ModeSolution):
-        return _energy_quotient(profile, flow, lam, phi.nodes, phi.M)
+        ints = _element_integrals(ElementRule(profile, phi.nodes), lam)
+        return _quotient_from_integrals(ints, np.diff(phi.nodes), phi.M, flow)
 
     if phi_p is None:
         def phi_p(p, _h=1e-6):
@@ -471,7 +428,7 @@ def shooting_mu(
     atan(p0^2/(g d^3)) + k pi exactly at the index-k eigenvalue, which also
     certifies that the eigenfunction has k interior zeros.
     """
-    _check_admissible(profile, lam)
+    profile.require_admissible(lam)
     if k < 0:
         raise ValueError("k must be >= 0")
     c_surf = flow.g * flow.d**3 / flow.p0**2
@@ -578,9 +535,7 @@ def flux_jump_defect(mode: ModeSolution, profile: GammaProfile):
     """
     nodes = mode.nodes
     h = np.diff(nodes)
-    mid = 0.5 * (nodes[:-1] + nodes[1:])
-    a_mid = np.sqrt(mode.lam + profile.primitive(mid))
-    w_el = a_mid**3 * np.diff(mode.M) / h
+    w_el = _element_flux(profile, mode.lam, nodes, mode.M)
     worst = 0.0
     width = 0.0
     for j in profile.jump_points:

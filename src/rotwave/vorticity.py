@@ -17,6 +17,12 @@ from .errors import NonAdmissibleLambda, OutOfDomain
 
 _DOMAIN_SLACK = 1e-12
 
+# Element quadrature: 8-point Gauss on every element, and 12-point Gauss in
+# t = sqrt(|p - p*|) on an element with an end within _TOUCH of a minimizer p*.
+_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(8)
+_SUB_X, _SUB_W = np.polynomial.legendre.leggauss(12)
+_TOUCH = 1e-14
+
 
 @dataclass(frozen=True)
 class FlowParameters:
@@ -131,8 +137,7 @@ def _check_domain(p):
 class GammaProfile:
     """Closed-form evaluator for gamma, Gamma, and a = sqrt(Gamma + lambda).
 
-    gamma_min is min Gamma over [-1, 0] and p1 the largest minimizer;
-    holder_theta is the alpha-Hoelder seminorm of Gamma centred at p1.
+    gamma_min is min Gamma over [-1, 0] and p1 the largest minimizer.
     """
 
     source: VorticityDistribution
@@ -140,8 +145,6 @@ class GammaProfile:
     gamma_min: float
     p1: float
     jump_points: tuple
-    holder_alpha: float
-    holder_theta: float
     minimizers: tuple = ()
     # Knot tables: gamma(p) = g0[j] + g1[j] * (p - knots[j]) on interval j,
     # J(p) = integral_{-1}^p gamma, Gamma = scale * (J(p) - J(0)).
@@ -156,7 +159,6 @@ class GammaProfile:
         cls,
         dist: VorticityDistribution,
         flow: FlowParameters,
-        holder_alpha: float = 1.0,
     ) -> "GammaProfile":
         knots, g0, g1 = _poly_tables(dist)
         h = np.diff(knots)
@@ -169,8 +171,6 @@ class GammaProfile:
             gamma_min=0.0,
             p1=0.0,
             jump_points=dist.jump_points(),
-            holder_alpha=float(holder_alpha),
-            holder_theta=0.0,
             _knots=knots,
             _g0=g0,
             _g1=g1,
@@ -181,8 +181,6 @@ class GammaProfile:
         object.__setattr__(profile, "gamma_min", gmin)
         object.__setattr__(profile, "p1", p1)
         object.__setattr__(profile, "minimizers", minimizers)
-        theta = holder_seminorm(profile, holder_alpha)
-        object.__setattr__(profile, "holder_theta", theta)
         return profile
 
     # -- evaluation ---------------------------------------------------------
@@ -225,6 +223,81 @@ class GammaProfile:
     def min_lambda(self) -> float:
         """Admissibility floor: lambda must exceed -gamma_min."""
         return -self.gamma_min
+
+    def require_admissible(self, lam: float):
+        if not lam > self.min_lambda:
+            raise NonAdmissibleLambda(
+                f"lambda={lam!r} not above admissibility floor {self.min_lambda!r}"
+            )
+
+
+@dataclass(frozen=True)
+class QuadraturePoints:
+    """Quadrature points of some elements, one row per element.
+
+    ``w`` holds the weights (Jacobian included), ``gamma`` Gamma at the
+    points, ``n0`` and ``n1`` the P1 basis functions of the element's left
+    and right node.
+    """
+
+    elements: np.ndarray
+    w: np.ndarray
+    gamma: np.ndarray
+    n0: np.ndarray
+    n1: np.ndarray
+
+
+class ElementRule:
+    """The quadrature for every per-element integral on a mesh of [-1, 0].
+
+    Integrands depend on lambda only through lambda + Gamma, whose square
+    root a has a kink at every vorticity jump (a mesh node) and behaves like
+    sqrt(|p - p*|) at a minimizer p* of Gamma as lambda nears the floor.
+    Each element gets 8-point Gauss; an element that ends at a minimizer
+    gets 12-point Gauss in t = sqrt(|p - p*|) instead.  Nothing stored
+    depends on lambda.
+    """
+
+    def __init__(self, profile: GammaProfile, nodes):
+        nodes = np.asarray(nodes, dtype=float)
+        lo, hi = nodes[:-1], nodes[1:]
+        h = hi - lo
+        mins = np.asarray(profile.minimizers or (profile.p1,))
+        left = np.min(np.abs(lo[:, None] - mins), axis=1) < _TOUCH
+        right = np.min(np.abs(hi[:, None] - mins), axis=1) < _TOUCH
+        sub = np.nonzero(left | right)[0]
+
+        x = 0.5 * (lo + hi)[:, None] + 0.5 * h[:, None] * _GAUSS_X
+        w = 0.5 * h[:, None] * _GAUSS_W
+        self.regular = _points(profile, np.arange(len(h)), x, w, lo, hi, h)
+
+        width = np.sqrt(h[sub])[:, None]
+        t = 0.5 * width * (_SUB_X + 1.0)
+        x = np.where(left[sub, None], lo[sub, None] + t * t, hi[sub, None] - t * t)
+        w = 0.5 * width * _SUB_W * 2.0 * t
+        self.substituted = _points(profile, sub, x, w, lo[sub], hi[sub], h[sub])
+
+    def integrate(self, weighted) -> np.ndarray:
+        """Per-element integrals, one row per integrand.
+
+        ``weighted(q)`` yields, integrand by integrand, weight times
+        integrand at the points of a QuadraturePoints ``q``.
+        """
+        out = np.array([np.sum(v, axis=-1) for v in weighted(self.regular)])
+        sub = self.substituted
+        if len(sub.elements):
+            out[:, sub.elements] = [np.sum(v, axis=-1) for v in weighted(sub)]
+        return out
+
+
+def _points(profile, elements, x, w, lo, hi, h) -> QuadraturePoints:
+    return QuadraturePoints(
+        elements=elements,
+        w=w,
+        gamma=profile.primitive(x),
+        n0=(hi[:, None] - x) / h[:, None],
+        n1=(x - lo[:, None]) / h[:, None],
+    )
 
 
 def _poly_tables(dist: VorticityDistribution):

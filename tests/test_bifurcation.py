@@ -101,6 +101,14 @@ def test_general_sufficient_zero_theta():
     assert margin == pytest.approx(1.7)
 
 
+def test_general_sufficient_returns_plain_bool():
+    # theta comes from a one-sided slope at p1 here, a numpy float.
+    dist = VorticityDistribution.tabulated([-1.0, -0.5, 0.0], [-1.2, -0.3, -1.5])
+    prof, flow = make_profile(dist, g=9.81, p0=-2.0)
+    holds, _ = check_general_sufficient(prof, flow, 1.0)
+    assert type(holds) is bool
+
+
 def test_continuous_sufficient_examples():
     prof, flow = make_profile(-1.0)
     holds, margin = check_continuous_sufficient(prof, flow)

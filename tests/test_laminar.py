@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.optimize
 
 from rotwave import (
@@ -191,6 +192,36 @@ def test_calibrate_near_family_endpoint():
     c = -2.0 / p0
     residual = (2.0 / c) * (math.sqrt(3.9) - math.sqrt(3.9 - c)) - 1.0
     assert abs(residual) <= 1e-10
+
+
+def test_calibrate_skips_probes_the_quadrature_cannot_take():
+    # Gamma is least between nodes, at the zero of gamma in (-0.3, 0).  The
+    # scan probe next to b_min defeats the quadrature; later probes bracket
+    # the root.
+    nodes = [-1.0, -0.6, -0.3, 0.0]
+    values = [1.0, -0.5, 0.8, -1.0]
+    lam = 1.5
+    p0 = calibrate_mass_flux(VorticityDistribution.tabulated(nodes, values), 1.0, lam)
+    assert p0 == pytest.approx(-0.127, abs=5e-4)
+
+    def gamma_integral(p):
+        xs = [x for x in nodes if x < p] + [p]
+        return np.trapezoid(np.interp(xs, nodes, values), xs)
+
+    def Gamma(p):
+        return (2.0 / p0) * (gamma_integral(p) - gamma_integral(0.0))
+
+    p_min = -0.3 + 0.3 * 0.8 / 1.8
+    depth, _ = scipy.integrate.quad(
+        lambda p: (lam + Gamma(p)) ** -0.5,
+        -1.0,
+        0.0,
+        points=[-0.6, -0.3, p_min],
+        limit=200,
+        epsabs=1e-13,
+        epsrel=1e-13,
+    )
+    assert depth == pytest.approx(1.0, abs=1e-8)
 
 
 # -- scale_to_unit_wavenumber ----------------------------------------------------------

@@ -6,7 +6,7 @@ import scipy.integrate
 import scipy.linalg
 import scipy.optimize
 
-from rotwave.errors import NonConvergence, NoSignChange, NotPositiveDefinite
+from rotwave.errors import NonConvergence, NoSignChange
 from rotwave.numerics import (
     QuadratureSpec,
     RootSpec,
@@ -14,7 +14,6 @@ from rotwave.numerics import (
     bracketed_root,
     count_pencil_eigenvalues_below,
     smallest_eigenpair_tridiagonal,
-    smallest_generalized_eigenpair,
 )
 
 
@@ -131,17 +130,29 @@ def test_root_spec_validation():
         RootSpec(max_iter=0)
 
 
-# -- smallest_generalized_eigenpair ------------------------------------------
+# -- smallest_eigenpair_tridiagonal ------------------------------------------
+
+
+def _bands(m):
+    return np.diag(m).copy(), np.diag(m, 1).copy()
+
+
+def _dense(d, e):
+    return np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
 
 
 def test_eigen_1x1():
-    mu, v = smallest_generalized_eigenpair(np.array([[2.0]]), np.array([[1.0]]))
+    mu, v = smallest_eigenpair_tridiagonal(
+        np.array([2.0]), np.zeros(0), np.array([1.0]), np.zeros(0), 1.9
+    )
     assert mu == pytest.approx(2.0)
     assert v == pytest.approx([1.0])
 
 
 def test_eigen_diagonal():
-    mu, v = smallest_generalized_eigenpair(np.diag([1.0, 5.0]), np.eye(2))
+    mu, v = smallest_eigenpair_tridiagonal(
+        np.array([1.0, 5.0]), np.zeros(1), np.ones(2), np.zeros(1), 0.9
+    )
     assert mu == pytest.approx(1.0)
     assert abs(v[0]) == pytest.approx(1.0)
     assert v[1] == pytest.approx(0.0, abs=1e-12)
@@ -149,7 +160,8 @@ def test_eigen_diagonal():
 
 def _p2_pair_dirichlet():
     """3x3 stiffness/mass of -u'' = mu u on (0, 1), u(0) = u(1) = 0,
-    discretized with two quadratic elements (3 interior nodes)."""
+    discretized with two quadratic elements (3 interior nodes); both
+    matrices are tridiagonal."""
     h = 0.5
     k_loc = np.array([[7.0, -8.0, 1.0], [-8.0, 16.0, -8.0], [1.0, -8.0, 7.0]]) / (3.0 * h)
     m_loc = np.array([[4.0, 2.0, -1.0], [2.0, 16.0, 2.0], [-1.0, 2.0, 4.0]]) * h / 30.0
@@ -163,7 +175,7 @@ def _p2_pair_dirichlet():
 
 def test_eigen_dirichlet_laplacian_vs_pi_squared():
     K, M = _p2_pair_dirichlet()
-    mu, v = smallest_generalized_eigenpair(K, M)
+    mu, v = smallest_eigenpair_tridiagonal(*_bands(K), *_bands(M), 9.0)
     # independent oracle: dense solve of the same pencil
     ref = np.min(scipy.linalg.eigh(K, M, eigvals_only=True))
     assert mu == pytest.approx(ref, rel=1e-12)
@@ -172,28 +184,23 @@ def test_eigen_dirichlet_laplacian_vs_pi_squared():
 
 def test_eigen_scaling_invariance():
     K, M = _p2_pair_dirichlet()
-    mu1, _ = smallest_generalized_eigenpair(K, M)
-    mu2, _ = smallest_generalized_eigenpair(4.0 * K, 4.0 * M)
+    mu1, _ = smallest_eigenpair_tridiagonal(*_bands(K), *_bands(M), 9.0)
+    mu2, _ = smallest_eigenpair_tridiagonal(*_bands(4.0 * K), *_bands(4.0 * M), 9.0)
     assert mu1 == pytest.approx(mu2, rel=1e-12)
-
-
-def test_eigen_not_positive_definite():
-    with pytest.raises(NotPositiveDefinite):
-        smallest_generalized_eigenpair(np.eye(2), np.diag([1.0, -1.0]))
 
 
 def test_eigen_surface_normalization():
     rng = np.random.default_rng(7)
-    q = rng.standard_normal((6, 6))
-    A = q + q.T
-    B = np.eye(6)
-    mu, v = smallest_generalized_eigenpair(A, B)
+    dA = rng.standard_normal(6)
+    eA = rng.standard_normal(5)
+    dB = np.ones(6)
+    eB = np.zeros(5)
+    A = _dense(dA, eA)
+    ref = scipy.linalg.eigh(A, eigvals_only=True)[0]
+    mu, v = smallest_eigenpair_tridiagonal(dA, eA, dB, eB, ref + 1e-3)
     assert v[-1] == pytest.approx(1.0)
-    res = np.linalg.norm(A @ v - mu * (B @ v))
+    res = np.linalg.norm(A @ v - mu * v)
     assert res <= 1e-8 * np.linalg.norm(A, np.inf) * np.linalg.norm(v)
-
-
-# -- tridiagonal fast path -----------------------------------------------------
 
 
 def test_tridiagonal_matches_dense():
@@ -203,9 +210,9 @@ def test_tridiagonal_matches_dense():
     eA = rng.uniform(-0.5, 0.5, n - 1)
     dB = rng.uniform(0.5, 1.5, n)
     eB = np.zeros(n - 1)
-    A = np.diag(dA) + np.diag(eA, 1) + np.diag(eA, -1)
-    B = np.diag(dB)
-    ref, _ = smallest_generalized_eigenpair(A, B)
+    ref = scipy.linalg.eigh(
+        _dense(dA, eA), np.diag(dB), eigvals_only=True, subset_by_index=[0, 0]
+    )[0]
     mu, v = smallest_eigenpair_tridiagonal(dA, eA, dB, eB, ref + 1e-3)
     assert mu == pytest.approx(ref, rel=1e-10)
     below = count_pencil_eigenvalues_below(dA, eA, dB, eB, mu - 1e-8)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from rotwave import (
     FlowParameters,
@@ -13,9 +14,9 @@ from rotwave import (
     rayleigh_quotient,
     shooting_mu,
 )
-from rotwave.errors import NoModeSolution, NonAdmissibleLambda, ZeroDenominator
-from rotwave.numerics import RootSpec, bracketed_root
-from rotwave.spectral import flux_jump_defect
+from rotwave.errors import EigenFailure, NoModeSolution, NonAdmissibleLambda, ZeroDenominator
+from rotwave.numerics import RootSpec, bracketed_root, smallest_eigenpair_tridiagonal
+from rotwave.spectral import _solve_level, assemble, build_mesh, flux_jump_defect, refine_mesh
 
 from conftest import make_profile
 
@@ -222,3 +223,40 @@ def test_flux_continuity_at_jumps():
     assert defect <= 10.0 * width
     # stored nodal flux stays close to the element fluxes
     assert sol.flux.shape == sol.nodes.shape
+
+
+# -- mesh and level solve ------------------------------------------------------------
+
+
+def test_mesh_segments_end_on_jumps():
+    # -1 + (-0.4701 - -1) is one ulp away from -0.4701: the segment used to
+    # end there and leave a sliver element next to the jump.
+    dist = VorticityDistribution.piecewise_constant([-0.4701], [0.5837, -1.6481])
+    prof, _ = make_profile(dist, p0=-1.0)
+    for margin in (1.0, 1e-6):  # uniform and graded segments
+        nodes = refine_mesh(build_mesh(prof, prof.min_lambda + margin, 201))
+        assert -0.4701 in nodes
+        assert np.min(np.diff(nodes)) > 1e-6
+
+
+@pytest.mark.parametrize("mesh_points", [1001, 2001])
+def test_level_solve_matches_dense_near_floor(mesh_points):
+    # Irrotational C0 at lambda = 0.01: seeded from the coarse level, the
+    # iteration settles on a larger eigenvalue, and the level solve has to
+    # restart from a bisection of its own pencil.
+    prof, flow = make_profile(0.0, d=1.0, g=9.81, p0=-2.0)
+    lam = 0.01
+    coarse = build_mesh(prof, lam, 201)
+    mu_c, m_c = _solve_level(prof, flow, lam, coarse)
+    nodes = build_mesh(prof, lam, mesh_points)
+    seed = (mu_c, np.interp(nodes[1:], coarse, m_c))
+    dA, eA, dB, eB = (band[1:] for band in assemble(prof, flow, lam, nodes))
+    with pytest.raises(EigenFailure):
+        smallest_eigenpair_tridiagonal(dA, eA, dB, eB, *seed)
+
+    mu, M = _solve_level(prof, flow, lam, nodes, seed)
+    A = np.diag(dA) + np.diag(eA, 1) + np.diag(eA, -1)
+    B = np.diag(dB) + np.diag(eB, 1) + np.diag(eB, -1)
+    ref = scipy.linalg.eigh(A, B, eigvals_only=True, subset_by_index=[0, 0])[0]
+    assert mu == pytest.approx(ref, rel=1e-9)
+    assert M[0] == 0.0 and M[-1] == 1.0

@@ -135,6 +135,18 @@ def test_min_no_sample_below_random_piecewise():
         assert prof.primitive(p1) == pytest.approx(gmin, abs=1e-13)
 
 
+def test_profile_build_does_no_holder_work(monkeypatch):
+    import rotwave.vorticity
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("holder_seminorm called")
+
+    monkeypatch.setattr(rotwave.vorticity, "holder_seminorm", forbidden)
+    dist = VorticityDistribution.tabulated([-1.0, -0.5, 0.0], [-1.2, -0.3, -1.5])
+    prof = GammaProfile.from_distribution(dist, FlowParameters(d=1.0, g=9.81, p0=-2.0))
+    assert prof.p1 == -1.0
+
+
 # -- holder_seminorm -------------------------------------------------------------
 
 
