@@ -29,6 +29,7 @@ from .errors import (
     DegenerateConstraint,
     EigenFailure,
     Error,
+    InvalidParameter,
     InvalidWavelength,
     NoModeSolution,
     NonAdmissibleLambda,
@@ -36,7 +37,6 @@ from .errors import (
     NoSignChange,
     NoSolution,
     OutOfDomain,
-    QuadratureFailure,
     StagnationAtAmplitude,
     ZeroDenominator,
 )
@@ -79,9 +79,6 @@ from .vorticity import (
     FlowParameters,
     GammaProfile,
     VorticityDistribution,
-    coefficient_a,
     gamma_eval,
-    gamma_min,
-    gamma_primitive,
     holder_seminorm,
 )

@@ -209,19 +209,13 @@ def check_bed_layer(gamma: float, d: float, depth_frak: float, g: float):
     return abs(gamma) < rhs, rhs - abs(gamma)
 
 
-def transversality_integral(
-    point: BifurcationPoint,
-    profile: Optional[GammaProfile] = None,
-    flow: Optional[FlowParameters] = None,
-) -> float:
+def transversality_integral(point: BifurcationPoint) -> float:
     """Crossing diagnostic at the bifurcation point; strictly negative.
 
     T = -(pi/2) int a^-1 M^2 dp - (3 pi / d^2) int a M_p^2 dp, the
     quadratic form certifying that the eigenvalue crosses -1 transversally
     (the factors pi are the q-averages of cos^2 and sin^2 over a period).
     """
-    profile = profile if profile is not None else point.profile
-    flow = flow if flow is not None else point.flow
     lam = point.lambda_star
     nodes = point.mode.nodes
     M = point.mode.M
@@ -233,10 +227,10 @@ def transversality_integral(
         yield q.w * m * m / a
         yield q.w * a
 
-    int_inv, int_a = ElementRule(profile, nodes).integrate(weighted)
+    int_inv, int_a = ElementRule(point.profile, nodes).integrate(weighted)
     i1 = float(np.sum(int_inv))
     i2 = float(np.sum(int_a * slope * slope))
-    return -0.5 * math.pi * i1 - 3.0 * math.pi * i2 / flow.d**2
+    return -0.5 * math.pi * i1 - 3.0 * math.pi * i2 / point.flow.d**2
 
 
 # -- normalized-family onset sweep ------------------------------------------

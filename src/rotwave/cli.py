@@ -17,7 +17,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -37,7 +37,7 @@ from .bifurcation import (
     onset_curve,
     transversality_integral,
 )
-from .errors import ConfigError, Error, StagnationAtAmplitude
+from .errors import ConfigError, Error, InvalidParameter, StagnationAtAmplitude
 from .reconstruct import (
     build_wave,
     physical_map,
@@ -46,7 +46,7 @@ from .reconstruct import (
     velocity_field,
     weak_residual,
 )
-from .spectral import principal_eigen
+from .spectral import mu_curve, principal_eigen
 from .vorticity import FlowParameters, GammaProfile, VorticityDistribution, holder_seminorm
 
 _SWEEP_PARAMS = ("gamma", "d", "g", "p0", "depth_frak", "lambda")
@@ -55,9 +55,22 @@ _SWEEP_PARAMS = ("gamma", "d", "g", "p0", "depth_frak", "lambda")
 @dataclass(frozen=True)
 class NumericsOptions:
     mesh_points: int = 2001
-    quad_abs_tol: float = 1e-12
     root_tol: float = 1e-10
     lambda_margin_schedule: tuple = DEFAULT_MARGINS
+
+    def __post_init__(self):
+        if not (self.mesh_points >= 201 and self.mesh_points % 2 == 1):
+            raise InvalidParameter("mesh_points must be an odd integer >= 201", "mesh_points")
+        if not self.root_tol > 0.0:
+            raise InvalidParameter("root_tol must be > 0", "root_tol")
+        margins = self.lambda_margin_schedule
+        if not margins or any(not m > 0.0 for m in margins) or any(
+            b >= a for a, b in zip(margins, margins[1:])
+        ):
+            raise InvalidParameter(
+                "lambda_margin_schedule must be a decreasing list of positive margins",
+                "lambda_margin_schedule",
+            )
 
 
 @dataclass(frozen=True)
@@ -65,17 +78,44 @@ class ReconstructOptions:
     amplitude: float = 0.0
     n_q: int = 256
 
+    def __post_init__(self):
+        if not self.amplitude >= 0.0:
+            raise InvalidParameter("amplitude must be >= 0", "amplitude")
+        if not self.n_q >= 16:
+            raise InvalidParameter("n_q must be >= 16", "n_q")
+
 
 @dataclass(frozen=True)
 class CriteriaOptions:
     alpha: float = 1.0
     depth_frak: Optional[float] = None
 
+    def __post_init__(self):
+        if not 0.0 < self.alpha <= 1.0:
+            raise InvalidParameter("alpha must be in (0, 1]", "alpha")
+        if self.depth_frak is not None and not self.depth_frak > 0.0:
+            raise InvalidParameter("depth_frak must be > 0", "depth_frak")
 
-@dataclass(frozen=True)
-class OutputOptions:
-    directory: Optional[str] = None
-    formats: tuple = ("json", "csv")
+
+# The JSON type of every config key, by section and by vorticity kind; a
+# list is a list of numbers.  The value rules live in the constructors.
+_SECTIONS = {
+    "flow": (FlowParameters, {"d": float, "g": float, "p0": float}),
+    "numerics": (
+        NumericsOptions,
+        {"mesh_points": int, "root_tol": float, "lambda_margin_schedule": list},
+    ),
+    "reconstruct": (ReconstructOptions, {"amplitude": float, "n_q": int}),
+    "criteria": (CriteriaOptions, {"alpha": float, "depth_frak": float}),
+}
+_VORTICITY = {
+    "constant": (VorticityDistribution.const, {"gamma": float}),
+    "piecewise_constant": (
+        VorticityDistribution.piecewise_constant,
+        {"breakpoints": list, "values": list},
+    ),
+    "tabulated": (VorticityDistribution.tabulated, {"nodes": list, "values": list}),
+}
 
 
 @dataclass(frozen=True)
@@ -85,105 +125,93 @@ class RunConfig:
     numerics: NumericsOptions = NumericsOptions()
     reconstruct: ReconstructOptions = ReconstructOptions()
     criteria: CriteriaOptions = CriteriaOptions()
-    outputs: OutputOptions = OutputOptions()
 
     def resolved(self) -> dict:
         """Full config echo with defaults applied, for provenance."""
-        flow = {"d": self.flow.d, "g": self.flow.g, "p0": self.flow.p0}
-        if self.flow.c is not None:
-            flow["c"] = self.flow.c
+        out = {
+            name: {k: v for k, v in asdict(getattr(self, name)).items() if v is not None}
+            for name in _SECTIONS
+        }
         v = self.vorticity
         if v.kind == "constant":
-            vort = {"kind": "constant", "gamma": v.constant}
-        elif v.kind == "piecewise_constant":
-            vort = {
-                "kind": "piecewise_constant",
-                "breakpoints": list(v.breakpoints),
-                "values": list(v.values),
-            }
+            out["vorticity"] = {"kind": v.kind, "gamma": v.constant}
         else:
-            vort = {"kind": "tabulated", "nodes": list(v.nodes), "values": list(v.values)}
-        out = {
-            "flow": flow,
-            "vorticity": vort,
-            "numerics": {
-                "mesh_points": self.numerics.mesh_points,
-                "quad_abs_tol": self.numerics.quad_abs_tol,
-                "root_tol": self.numerics.root_tol,
-                "lambda_margin_schedule": list(self.numerics.lambda_margin_schedule),
-            },
-            "reconstruct": {
-                "amplitude": self.reconstruct.amplitude,
-                "n_q": self.reconstruct.n_q,
-            },
-            "criteria": {"alpha": self.criteria.alpha},
-            "outputs": {
-                "formats": list(self.outputs.formats),
-            },
-        }
-        if self.criteria.depth_frak is not None:
-            out["criteria"]["depth_frak"] = self.criteria.depth_frak
-        if self.outputs.directory is not None:
-            out["outputs"]["directory"] = self.outputs.directory
+            out["vorticity"] = {"kind": v.kind, **{k: getattr(v, k) for k in _VORTICITY[v.kind][1]}}
         return out
 
 
 # -- strict config parsing ---------------------------------------------------
 
 
-def _need(obj, key, path, typ, check=None, message=None):
-    if key not in obj:
-        raise ConfigError("missing required field", f"{path}/{key}")
-    return _coerce(obj[key], f"{path}/{key}", typ, check, message)
-
-
-def _opt(obj, key, path, typ, default, check=None, message=None):
-    if key not in obj:
-        return default
-    return _coerce(obj[key], f"{path}/{key}", typ, check, message)
-
-
-def _coerce(val, path, typ, check, message):
+def _coerce(val, path, typ):
+    """val as a value of JSON type typ, or a ConfigError at path."""
     if typ is float:
-        if not isinstance(val, (int, float)) or isinstance(val, bool):
-            raise ConfigError("must be a number", path)
-        val = float(val)
-    elif typ is int:
-        if not isinstance(val, int) or isinstance(val, bool):
-            raise ConfigError("must be an integer", path)
-    elif typ is str:
-        if not isinstance(val, str):
-            raise ConfigError("must be a string", path)
-    elif typ is list:
+        number = isinstance(val, (int, float)) and not isinstance(val, bool)
+        if not (number and abs(val) <= sys.float_info.max):  # NaN fails too
+            raise ConfigError("must be a finite number", path)
+        return float(val)
+    if typ is list:
         if not isinstance(val, list):
             raise ConfigError("must be an array", path)
-    elif typ is dict:
-        if not isinstance(val, dict):
-            raise ConfigError("must be an object", path)
-    if check is not None and not check(val):
-        raise ConfigError(message or "invalid value", path)
+        return tuple(_coerce(x, f"{path}/{i}", float) for i, x in enumerate(val))
+    if not isinstance(val, typ) or isinstance(val, bool):
+        kind = {int: "an integer", str: "a string", dict: "an object"}[typ]
+        raise ConfigError(f"must be {kind}", path)
     return val
 
 
-def _reject_unknown(obj, allowed, path):
+def _fields(obj, path, types, required=()):
+    """The keys of one config object, each of its JSON type."""
     for key in obj:
-        if key not in allowed:
+        if key not in types:
             raise ConfigError("unknown key", f"{path}/{key}")
-
-
-def _float_list(val, path):
-    out = []
-    for i, x in enumerate(val):
-        if not isinstance(x, (int, float)) or isinstance(x, bool):
-            raise ConfigError("must be a number", f"{path}/{i}")
-        out.append(float(x))
+    out = {}
+    for key, typ in types.items():
+        if key in obj:
+            out[key] = _coerce(obj[key], f"{path}/{key}", typ)
+        elif key in required:
+            raise ConfigError("missing required field", f"{path}/{key}")
     return out
+
+
+def _build(make, path, fields):
+    """make(**fields), with a broken value rule as a ConfigError at its key."""
+    try:
+        return make(**fields)
+    except InvalidParameter as exc:
+        raise ConfigError(str(exc), f"{path}/{exc.field}") from exc
 
 
 def parse_config(text) -> RunConfig:
     """Strict JSON config parser; unknown keys are fatal.
 
-    Raises ConfigError carrying a JSON-pointer path to the offending field.
+    The accepted keys, with their defaults and ranges; every number must be
+    finite:
+
+    flow (required)
+        d, g    mean depth and gravity, > 0
+        p0      relative mass flux, < 0
+    vorticity (required), by its kind
+        constant            gamma: any number
+        piecewise_constant  breakpoints: strictly increasing inside (-1, 0);
+                            values: one more than the breakpoints
+        tabulated           nodes: at least two, strictly increasing from -1
+                            to 0; values: one per node
+    numerics
+        mesh_points             2001; odd, >= 201
+        root_tol                1e-10; > 0
+        lambda_margin_schedule  [1e-2, 1e-3, ..., 1e-8]; positive, strictly
+                                decreasing
+    reconstruct
+        amplitude   0.0; >= 0, used when no --amplitude is given
+        n_q         256; >= 16
+    criteria
+        alpha       1.0; in (0, 1]
+        depth_frak  unset; > 0
+
+    The parser checks the JSON shape; the ranges are the rules of the
+    constructors it calls.  Raises ConfigError carrying a JSON-pointer path
+    to the offending field.
     """
     if isinstance(text, bytes):
         try:
@@ -196,145 +224,24 @@ def parse_config(text) -> RunConfig:
         raise ConfigError(f"not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object", "")
-    _reject_unknown(
-        raw, {"flow", "vorticity", "numerics", "reconstruct", "criteria", "outputs"}, ""
-    )
+    top = _fields(raw, "", dict.fromkeys(["vorticity", *_SECTIONS], dict), ("flow", "vorticity"))
 
-    flow_raw = _need(raw, "flow", "", dict)
-    _reject_unknown(flow_raw, {"d", "g", "p0", "c"}, "/flow")
-    d = _need(flow_raw, "d", "/flow", float, lambda x: x > 0, "must be positive")
-    g = _need(flow_raw, "g", "/flow", float, lambda x: x > 0, "must be positive")
-    p0 = _need(flow_raw, "p0", "/flow", float, lambda x: x < 0, "must be negative")
-    c = _opt(flow_raw, "c", "/flow", float, None, lambda x: x > 0, "must be positive")
-    flow = FlowParameters(d=d, g=g, p0=p0, c=c)
+    built = {}
+    for name, (make, types) in _SECTIONS.items():
+        required = types if name == "flow" else ()
+        fields = _fields(top.get(name, {}), f"/{name}", types, required)
+        built[name] = _build(make, f"/{name}", fields)
 
-    vort_raw = _need(raw, "vorticity", "", dict)
-    kind = _need(vort_raw, "kind", "/vorticity", str)
-    if kind == "constant":
-        _reject_unknown(vort_raw, {"kind", "gamma"}, "/vorticity")
-        gamma = _need(vort_raw, "gamma", "/vorticity", float)
-        vorticity = VorticityDistribution.const(gamma)
-    elif kind == "piecewise_constant":
-        _reject_unknown(vort_raw, {"kind", "breakpoints", "values"}, "/vorticity")
-        bps = _float_list(
-            _need(vort_raw, "breakpoints", "/vorticity", list), "/vorticity/breakpoints"
-        )
-        vals = _float_list(
-            _need(vort_raw, "values", "/vorticity", list), "/vorticity/values"
-        )
-        if len(vals) != len(bps) + 1:
-            raise ConfigError(
-                "values length must be breakpoints length + 1", "/vorticity/values"
-            )
-        if any(b2 <= b1 for b1, b2 in zip(bps, bps[1:])) or (
-            bps and not (-1.0 < bps[0] and bps[-1] < 0.0)
-        ):
-            raise ConfigError(
-                "breakpoints must be strictly increasing inside (-1, 0)",
-                "/vorticity/breakpoints",
-            )
-        vorticity = VorticityDistribution.piecewise_constant(bps, vals)
-    elif kind == "tabulated":
-        _reject_unknown(vort_raw, {"kind", "nodes", "values"}, "/vorticity")
-        nodes = _float_list(
-            _need(vort_raw, "nodes", "/vorticity", list), "/vorticity/nodes"
-        )
-        vals = _float_list(
-            _need(vort_raw, "values", "/vorticity", list), "/vorticity/values"
-        )
-        if len(nodes) != len(vals) or len(nodes) < 2:
-            raise ConfigError("nodes and values must have equal length >= 2", "/vorticity/nodes")
-        if nodes[0] != -1.0 or nodes[-1] != 0.0 or any(
-            n2 <= n1 for n1, n2 in zip(nodes, nodes[1:])
-        ):
-            raise ConfigError(
-                "nodes must increase strictly from -1 to 0", "/vorticity/nodes"
-            )
-        vorticity = VorticityDistribution.tabulated(nodes, vals)
-    else:
-        raise ConfigError(
-            "must be one of constant, piecewise_constant, tabulated", "/vorticity/kind"
-        )
-
-    num_raw = _opt(raw, "numerics", "", dict, {})
-    _reject_unknown(
-        num_raw,
-        {"mesh_points", "quad_abs_tol", "root_tol", "lambda_margin_schedule"},
-        "/numerics",
-    )
-    mesh_points = _opt(
-        num_raw,
-        "mesh_points",
-        "/numerics",
-        int,
-        2001,
-        lambda x: x >= 201 and x % 2 == 1,
-        "must be an odd integer >= 201",
-    )
-    quad_abs_tol = _opt(
-        num_raw, "quad_abs_tol", "/numerics", float, 1e-12, lambda x: x > 0, "must be positive"
-    )
-    root_tol = _opt(
-        num_raw, "root_tol", "/numerics", float, 1e-10, lambda x: x > 0, "must be positive"
-    )
-    schedule = _opt(num_raw, "lambda_margin_schedule", "/numerics", list, None)
-    if schedule is None:
-        schedule = DEFAULT_MARGINS
-    else:
-        schedule = tuple(_float_list(schedule, "/numerics/lambda_margin_schedule"))
-        if not schedule or any(x <= 0 for x in schedule) or any(
-            b >= a for a, b in zip(schedule, schedule[1:])
-        ):
-            raise ConfigError(
-                "must be a decreasing list of positive margins",
-                "/numerics/lambda_margin_schedule",
-            )
-    numerics = NumericsOptions(
-        mesh_points=mesh_points,
-        quad_abs_tol=quad_abs_tol,
-        root_tol=root_tol,
-        lambda_margin_schedule=tuple(schedule),
-    )
-
-    rec_raw = _opt(raw, "reconstruct", "", dict, {})
-    _reject_unknown(rec_raw, {"amplitude", "n_q"}, "/reconstruct")
-    amplitude = _opt(
-        rec_raw, "amplitude", "/reconstruct", float, 0.0, lambda x: x >= 0, "must be >= 0"
-    )
-    n_q = _opt(rec_raw, "n_q", "/reconstruct", int, 256, lambda x: x >= 16, "must be >= 16")
-    rec = ReconstructOptions(amplitude=amplitude, n_q=n_q)
-
-    crit_raw = _opt(raw, "criteria", "", dict, {})
-    _reject_unknown(crit_raw, {"alpha", "depth_frak"}, "/criteria")
-    alpha = _opt(
-        crit_raw, "alpha", "/criteria", float, 1.0, lambda x: 0 < x <= 1, "must be in (0, 1]"
-    )
-    depth_frak = _opt(
-        crit_raw, "depth_frak", "/criteria", float, None, lambda x: x > 0, "must be positive"
-    )
-    crit = CriteriaOptions(alpha=alpha, depth_frak=depth_frak)
-
-    out_raw = _opt(raw, "outputs", "", dict, {})
-    _reject_unknown(out_raw, {"directory", "formats"}, "/outputs")
-    directory = _opt(out_raw, "directory", "/outputs", str, None)
-    formats = _opt(out_raw, "formats", "/outputs", list, None)
-    if formats is None:
-        formats = ("json", "csv")
-    else:
-        for i, f in enumerate(formats):
-            if f not in ("json", "csv"):
-                raise ConfigError("must be 'json' or 'csv'", f"/outputs/formats/{i}")
-        formats = tuple(formats)
-    outputs = OutputOptions(directory=directory, formats=formats)
-
-    return RunConfig(
-        flow=flow,
-        vorticity=vorticity,
-        numerics=numerics,
-        reconstruct=rec,
-        criteria=crit,
-        outputs=outputs,
-    )
+    vort_raw = top["vorticity"]
+    if "kind" not in vort_raw:
+        raise ConfigError("missing required field", "/vorticity/kind")
+    kind = _coerce(vort_raw["kind"], "/vorticity/kind", str)
+    if kind not in _VORTICITY:  # the constructor names the kinds and raises
+        _build(VorticityDistribution, "/vorticity", {"kind": kind})
+    make, types = _VORTICITY[kind]
+    fields = _fields(vort_raw, "/vorticity", {"kind": str, **types}, ["kind", *types])
+    del fields["kind"]
+    return RunConfig(vorticity=_build(make, "/vorticity", fields), **built)
 
 
 # -- deterministic serialization ---------------------------------------------
@@ -484,13 +391,12 @@ def run_analyze(config: RunConfig, out_dir: str) -> int:
     """Locate the crossing, evaluate criteria, emit report.json + mu_curve.csv."""
     profile, result = _analysis(config)
     criteria = build_criteria_report(config, profile)
-    grid = _mu_grid(profile, config, result)
-    curve = []
-    for lam in grid:
-        sol = principal_eigen(
-            profile, config.flow, lam, mesh_points=config.numerics.mesh_points
-        )
-        curve.append((lam, sol.mu_refined))
+    curve = mu_curve(
+        profile,
+        config.flow,
+        _mu_grid(profile, config, result),
+        mesh_points=config.numerics.mesh_points,
+    )
 
     report = {
         "status": "bifurcation" if isinstance(result, BifurcationPoint) else "no_bifurcation",
@@ -523,11 +429,7 @@ def run_analyze(config: RunConfig, out_dir: str) -> int:
             }
         )
     write_json(os.path.join(out_dir, "report.json"), report)
-    write_csv(
-        os.path.join(out_dir, "mu_curve.csv"),
-        ["lambda", "mu"],
-        [(lam, mu) for lam, mu in curve],
-    )
+    write_csv(os.path.join(out_dir, "mu_curve.csv"), ["lambda", "mu"], curve.points)
     return 0 if isinstance(result, BifurcationPoint) else 2
 
 
@@ -612,6 +514,8 @@ def _parse_param(spec_text: str):
         n = int(n)
     except ValueError as exc:
         raise ConfigError(f"bad numeric field: {exc}", "/sweep/param") from exc
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError("bounds must be finite numbers", "/sweep/param")
     if n < 0:
         raise ConfigError("point count must be >= 0", "/sweep/param")
     if n == 0:
@@ -640,12 +544,7 @@ _CRITERIA_COLUMNS = [
 
 
 def _sweep_row_config(config: RunConfig, overrides: dict) -> RunConfig:
-    flow_kw = {
-        "d": overrides.get("d", config.flow.d),
-        "g": overrides.get("g", config.flow.g),
-        "p0": overrides.get("p0", config.flow.p0),
-        "c": config.flow.c,
-    }
+    flow = replace(config.flow, **{k: v for k, v in overrides.items() if k in ("d", "g", "p0")})
     vorticity = config.vorticity
     if "gamma" in overrides:
         if vorticity.kind != "constant":
@@ -655,17 +554,8 @@ def _sweep_row_config(config: RunConfig, overrides: dict) -> RunConfig:
         vorticity = VorticityDistribution.const(overrides["gamma"])
     criteria = config.criteria
     if "depth_frak" in overrides:
-        criteria = CriteriaOptions(
-            alpha=config.criteria.alpha, depth_frak=overrides["depth_frak"]
-        )
-    return RunConfig(
-        flow=FlowParameters(**flow_kw),
-        vorticity=vorticity,
-        numerics=config.numerics,
-        reconstruct=config.reconstruct,
-        criteria=criteria,
-        outputs=config.outputs,
-    )
+        criteria = replace(criteria, depth_frak=overrides["depth_frak"])
+    return replace(config, flow=flow, vorticity=vorticity, criteria=criteria)
 
 
 def run_sweep(config: RunConfig, param_specs: Sequence[str], quantity: Optional[str], out_dir: str) -> int:
@@ -725,12 +615,8 @@ def _sweep_values(row_cfg: RunConfig, quantity: str, lam):
         profile = GammaProfile.from_distribution(row_cfg.vorticity, flow)
         rep = build_criteria_report(row_cfg, profile)
         const = rep["constant_vorticity"]
-        depth_frak = row_cfg.criteria.depth_frak
-        surface = bed = (None, None)
-        if row_cfg.vorticity.kind == "constant" and depth_frak is not None:
-            gamma = row_cfg.vorticity.constant
-            surface = check_surface_layer(gamma, depth_frak, flow.g)
-            bed = check_bed_layer(gamma, flow.d, depth_frak, flow.g)
+        surface = rep["surface_layer"] or {"holds": None, "margin": None}
+        bed = rep["bed_layer"] or {"holds": None, "margin": None, "undefined_radicand": False}
         return [
             rep["theta"],
             rep["p1"],
@@ -740,10 +626,10 @@ def _sweep_values(row_cfg: RunConfig, quantity: str, lam):
             rep["continuous_sufficient"]["margin"],
             None if const is None else const["holds"],
             None if const is None else const["margin"],
-            surface[0],
-            surface[1],
-            "undefined" if (bed[0] is None and bed[1] is not None and math.isnan(bed[1])) else bed[0],
-            bed[1],
+            surface["holds"],
+            surface["margin"],
+            "undefined" if bed["undefined_radicand"] else bed["holds"],
+            bed["margin"],
         ]
     if quantity == "mu":
         profile = GammaProfile.from_distribution(row_cfg.vorticity, flow)
@@ -763,14 +649,7 @@ def _sweep_values(row_cfg: RunConfig, quantity: str, lam):
         if pt.error is not None:
             raise Error(pt.error)
         return [pt.p0, pt.mu]
-    profile = GammaProfile.from_distribution(row_cfg.vorticity, flow)
-    result = find_lambda_star(
-        profile,
-        flow,
-        mesh_points=row_cfg.numerics.mesh_points,
-        root_tol=row_cfg.numerics.root_tol,
-        margin_schedule=row_cfg.numerics.lambda_margin_schedule,
-    )
+    _profile, result = _analysis(row_cfg)
     if isinstance(result, NoBifurcation):
         return [None, result.lambda0, None]
     return [result.lambda_star, result.lambda0, result.mu_residual]

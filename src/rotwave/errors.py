@@ -14,10 +14,6 @@ class NonConvergence(Error):
         self.error = error
 
 
-# Alias used by the laminar-flow integrals.
-QuadratureFailure = NonConvergence
-
-
 class NoSignChange(Error):
     """Root bracketing requires f(lo) and f(hi) of opposite sign."""
 
@@ -79,6 +75,14 @@ class StagnationAtAmplitude(Error):
 
 class InvalidWavelength(Error):
     """Wavelength must be a positive finite number."""
+
+
+class InvalidParameter(ValueError):
+    """A flow or vorticity value breaks its rule; ``field`` names the value."""
+
+    def __init__(self, message, field):
+        super().__init__(message)
+        self.field = field
 
 
 class ConfigError(Error):

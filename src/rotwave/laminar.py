@@ -158,7 +158,6 @@ def calibrate_mass_flux(
     dist: VorticityDistribution,
     d: float,
     lam: float,
-    residual_tol: float = 1e-10,
 ) -> float:
     """p0 < 0 enforcing the unit-depth normalization of the laminar flow.
 
@@ -223,8 +222,8 @@ def calibrate_mass_flux(
         raise NoSolution("no p0 produces the unit-depth laminar flow")
     spec = RootSpec(x_tol=1e-13 * max(1.0, bracket[1]), f_tol=1e-13, max_iter=300)
     b_root = bracketed_root(phi, bracket[0], bracket[1], spec)
-    if abs(phi(b_root)) > residual_tol:
-        raise NoSolution(f"calibration residual above {residual_tol!r}")
+    if abs(phi(b_root)) > 1e-10:
+        raise NoSolution("calibration residual above 1e-10")
     return -b_root
 
 
@@ -236,7 +235,6 @@ class ScaledParameters:
     d: float
     g: float
     vorticity: Optional[VorticityDistribution]
-    c: Optional[float]
     p0: Optional[float]
 
 
@@ -245,14 +243,13 @@ def scale_to_unit_wavenumber(
     d: float,
     g: float,
     dist: Optional[VorticityDistribution] = None,
-    c: Optional[float] = None,
     p0: Optional[float] = None,
 ) -> ScaledParameters:
     """Rescale physical inputs of wavelength L to the unit-wavenumber frame.
 
     With kappa = 2 pi / L: lengths scale by kappa, gravity and vorticity by
-    1/kappa, velocities are unchanged; the mass flux (an integral of velocity
-    over depth) scales by kappa.
+    1/kappa; the mass flux (an integral of velocity over depth) scales by
+    kappa.
     """
     if not (isinstance(wavelength, (int, float)) and math.isfinite(wavelength) and wavelength > 0.0):
         raise InvalidWavelength(f"wavelength {wavelength!r} must be positive and finite")
@@ -274,6 +271,5 @@ def scale_to_unit_wavenumber(
         d=kappa * d,
         g=g / kappa,
         vorticity=scaled_dist,
-        c=c,
         p0=None if p0 is None else kappa * p0,
     )

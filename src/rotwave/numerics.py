@@ -323,7 +323,10 @@ def smallest_eigenpair_tridiagonal(
     ``sigma0`` (and optionally ``v0``) must come from a trustworthy coarse
     approximation of the smallest eigenvalue; the result is verified by a
     residual test and a Sylvester inertia count, and EigenFailure is raised
-    when either check fails so callers can restart from a sharper shift.
+    when either check fails so callers can restart from a sharper shift.  A
+    shifted solve that divides by zero or overflows ends the iteration: the
+    shift is then an eigenvalue to working precision, and the same checks
+    judge the pair.
     """
     n = len(dA)
     v = np.ones(n) / np.sqrt(n) if v0 is None else np.asarray(v0, float)
@@ -340,14 +343,19 @@ def smallest_eigenpair_tridiagonal(
         ab[2, :-1] = ab[0, 1:]
         rhs = _tridiag_matvec(dB, eB, v)
         try:
-            x = scipy.linalg.solve_banded((1, 1), ab, rhs)
+            with np.errstate(divide="raise", invalid="raise"):
+                x = scipy.linalg.solve_banded((1, 1), ab, rhs)
         except np.linalg.LinAlgError:
+            # An exactly zero pivot in LAPACK: nudge the shift and iterate
+            # on.  Stopping here instead moves mu in its last bits, which
+            # belongs with a stopping rule that states its tolerance.
             sigma += 1e-12 * max(1.0, abs(sigma))
             continue
+        except FloatingPointError:
+            break  # a 1x1 pencil shifted onto its eigenvalue
         xn = np.linalg.norm(x)
         if not np.isfinite(xn) or xn == 0.0:
-            sigma += 1e-12 * max(1.0, abs(sigma))
-            continue
+            break  # sigma is an eigenvalue to working precision
         v = x / xn
         av = _tridiag_matvec(dA, eA, v)
         bv = _tridiag_matvec(dB, eB, v)

@@ -29,7 +29,7 @@ class WaveField:
     """Grid arrays of the reconstructed wave, shape (n_q, n_p).
 
     h is even in q and 2*pi-periodic by construction; h(q, -1) = 0 exactly
-    and psi = p0 p is constant along every p row.  x, y, u_rel, v, u_abs
+    and psi = p0 p is constant along every p row.  x, y, eta, u_rel and v
     are filled by physical_map and velocity_field.
     """
 
@@ -49,7 +49,6 @@ class WaveField:
     eta: Optional[np.ndarray] = None
     u_rel: Optional[np.ndarray] = None
     v: Optional[np.ndarray] = None
-    u_abs: Optional[np.ndarray] = None
 
 
 def _critical_amplitude(H_p: np.ndarray, M_p: np.ndarray) -> float:
@@ -122,8 +121,7 @@ def velocity_field(field: WaveField, flow: FlowParameters) -> WaveField:
     """Fill u_rel = u - c and v from the height gradients.
 
     u - c = p0 / (d (1 + h_p)) < 0 under non-stagnation, and
-    v = p0 h_q / (1 + h_p) = (u - c) d h_q.  With a wave speed available
-    the absolute velocity u = u_rel + c is emitted too.
+    v = p0 h_q / (1 + h_p) = (u - c) d h_q.
     """
     denom = 1.0 + field.h_p
     floor = float(np.min(denom))
@@ -134,8 +132,6 @@ def velocity_field(field: WaveField, flow: FlowParameters) -> WaveField:
         )
     field.u_rel = flow.p0 / (flow.d * denom)
     field.v = flow.p0 * field.h_q / denom
-    if flow.c is not None:
-        field.u_abs = field.u_rel + flow.c
     return field
 
 

@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import NonAdmissibleLambda, OutOfDomain
+from .errors import InvalidParameter, NonAdmissibleLambda, OutOfDomain
 
 _DOMAIN_SLACK = 1e-12
 
@@ -28,25 +28,21 @@ _TOUCH = 1e-14
 class FlowParameters:
     """Scaled physical constants of the flow.
 
-    d: mean depth (> 0); g: gravity (> 0); p0: relative mass flux (< 0);
-    c: optional wave speed used only to convert relative to absolute
-    velocity.  Units assume the 2*pi-periodic scaling (wavenumber 1).
+    d: mean depth (> 0); g: gravity (> 0); p0: relative mass flux (< 0).
+    Units assume the 2*pi-periodic scaling (wavenumber 1).
     """
 
     d: float
     g: float
     p0: float
-    c: Optional[float] = None
 
     def __post_init__(self):
         if not self.d > 0.0:
-            raise ValueError("d must be > 0")
+            raise InvalidParameter("d must be > 0", "d")
         if not self.g > 0.0:
-            raise ValueError("g must be > 0")
+            raise InvalidParameter("g must be > 0", "g")
         if not self.p0 < 0.0:
-            raise ValueError("p0 must be < 0")
-        if self.c is not None and not self.c > 0.0:
-            raise ValueError("c must be > 0 when given")
+            raise InvalidParameter("p0 must be < 0", "p0")
 
 
 @dataclass(frozen=True)
@@ -55,7 +51,8 @@ class VorticityDistribution:
 
     Piecewise-constant values are right-continuous at the breakpoints.
     Tabulated profiles interpolate linearly between strictly increasing
-    nodes running from -1 to 0.
+    nodes running from -1 to 0.  A broken rule raises InvalidParameter
+    naming the field.
     """
 
     kind: str
@@ -91,25 +88,27 @@ class VorticityDistribution:
     def __post_init__(self):
         if self.kind == "constant":
             if self.constant is None:
-                raise ValueError("constant profile needs a gamma value")
+                raise InvalidParameter("constant profile needs a gamma value", "gamma")
         elif self.kind == "piecewise_constant":
             bps = self.breakpoints
             if len(self.values) != len(bps) + 1:
-                raise ValueError("need len(values) == len(breakpoints) + 1")
+                raise InvalidParameter("need len(values) == len(breakpoints) + 1", "values")
             if any(b2 <= b1 for b1, b2 in zip(bps, bps[1:])):
-                raise ValueError("breakpoints must be strictly increasing")
+                raise InvalidParameter("breakpoints must be strictly increasing", "breakpoints")
             if bps and not (-1.0 < bps[0] and bps[-1] < 0.0):
-                raise ValueError("breakpoints must lie inside (-1, 0)")
+                raise InvalidParameter("breakpoints must lie inside (-1, 0)", "breakpoints")
         elif self.kind == "tabulated":
             nds = self.nodes
             if len(nds) < 2 or len(self.values) != len(nds):
-                raise ValueError("tabulated profile needs matching nodes/values")
+                raise InvalidParameter("tabulated profile needs matching nodes/values", "nodes")
             if any(n2 <= n1 for n1, n2 in zip(nds, nds[1:])):
-                raise ValueError("nodes must be strictly increasing")
+                raise InvalidParameter("nodes must be strictly increasing", "nodes")
             if nds[0] != -1.0 or nds[-1] != 0.0:
-                raise ValueError("tabulated nodes must run from -1 to 0")
+                raise InvalidParameter("tabulated nodes must run from -1 to 0", "nodes")
         else:
-            raise ValueError(f"unknown vorticity kind {self.kind!r}")
+            raise InvalidParameter(
+                "kind must be one of constant, piecewise_constant, tabulated", "kind"
+            )
 
     def sup_norm(self) -> float:
         """sup over [-1, 0] of |gamma|; exact for all three kinds."""
@@ -135,7 +134,7 @@ def _check_domain(p):
 
 @dataclass(frozen=True)
 class GammaProfile:
-    """Closed-form evaluator for gamma, Gamma, and a = sqrt(Gamma + lambda).
+    """Closed-form evaluator for Gamma and a = sqrt(Gamma + lambda).
 
     gamma_min is min Gamma over [-1, 0] and p1 the largest minimizer.
     """
@@ -184,18 +183,6 @@ class GammaProfile:
         return profile
 
     # -- evaluation ---------------------------------------------------------
-
-    def gamma(self, p):
-        """gamma(p); right limit at jump points."""
-        p = _check_domain(p)
-        idx = np.clip(
-            np.searchsorted(self._knots, p, side="right") - 1,
-            0,
-            len(self._g0) - 1,
-        )
-        dp = p - self._knots[idx]
-        out = self._g0[idx] + self._g1[idx] * dp
-        return float(out) if out.ndim == 0 else out
 
     def primitive(self, p):
         """Gamma(p) = (2 d^2 / p0) * integral_0^p gamma; Gamma(0) = 0 exactly."""
@@ -356,18 +343,6 @@ def gamma_eval(dist: VorticityDistribution, p):
         out = np.interp(p, dist.nodes, dist.values)
     out = np.asarray(out)
     return float(out) if out.ndim == 0 else out
-
-
-def gamma_primitive(profile: GammaProfile, p):
-    return profile.primitive(p)
-
-
-def gamma_min(profile: GammaProfile):
-    return profile.gamma_min, profile.p1
-
-
-def coefficient_a(profile: GammaProfile, lam: float, p):
-    return profile.a(lam, p)
 
 
 def holder_seminorm(profile: GammaProfile, alpha: float) -> float:

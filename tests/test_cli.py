@@ -1,6 +1,7 @@
 """The command-line contract: exit codes, config errors, deterministic files."""
 
 import json
+import math
 import os
 import stat
 
@@ -101,7 +102,38 @@ def test_sweep_with_every_row_failing_exits_4(tmp_path):
             dict(C1, numerics={"lambda_margin_schedule": [1e-3, 1e-2]}),
             "/numerics/lambda_margin_schedule",
         ),
-        (dict(C1, outputs={"formats": ["json", "xml"]}), "/outputs/formats/1"),
+        (dict(C1, outputs={"formats": ["json", "csv"]}), "/outputs"),
+        (dict(C1, flow={"d": 0, "g": 9.81, "p0": -2}), "/flow/d"),
+        (dict(C1, flow={"d": 1, "g": -1, "p0": -2}), "/flow/g"),
+        (
+            dict(C1, vorticity={"kind": "piecewise_constant", "breakpoints": [-0.5], "values": [1]}),
+            "/vorticity/values",
+        ),
+        (
+            dict(C1, vorticity={
+                "kind": "piecewise_constant", "breakpoints": [-0.2, -0.5], "values": [1, 2, 3],
+            }),
+            "/vorticity/breakpoints",
+        ),
+        (
+            dict(C1, vorticity={"kind": "piecewise_constant", "breakpoints": [-1.0], "values": [1, 2]}),
+            "/vorticity/breakpoints",
+        ),
+        (
+            dict(C1, vorticity={"kind": "tabulated", "nodes": [-1, -0.5], "values": [1, 2]}),
+            "/vorticity/nodes",
+        ),
+        (dict(C1, numerics={"quad_abs_tol": 1e-12}), "/numerics/quad_abs_tol"),
+        (dict(C1, flow={"d": 1, "g": 9.81, "p0": -2, "c": 2}), "/flow/c"),
+        (dict(C1, numerics={"root_tol": math.inf}), "/numerics/root_tol"),
+        (dict(C1, vorticity={"kind": "constant", "gamma": math.nan}), "/vorticity/gamma"),
+        (dict(C1, flow={"d": 1, "g": math.inf, "p0": -2}), "/flow/g"),
+        (
+            dict(C1, vorticity={
+                "kind": "piecewise_constant", "breakpoints": [-0.5], "values": [math.nan, -1],
+            }),
+            "/vorticity/values/0",
+        ),
     ],
 )
 def test_config_error_pointers(config, pointer):
@@ -116,6 +148,8 @@ def test_config_error_pointers(config, pointer):
         (("bogus:0:1:2",), "/sweep/param"),
         (("g:1:2",), "/sweep/param"),
         (("g:1:2:2", "g:1:2:2"), "/sweep/param"),
+        (("gamma:nan:-1:2",), "/sweep/param"),
+        (("g:1:inf:2",), "/sweep/param"),
     ],
 )
 def test_sweep_param_errors_exit_3(tmp_path, capsys, params, pointer):
@@ -190,3 +224,38 @@ def test_criteria_sweep_writes_booleans(tmp_path):
     rows = _read_csv(out / "sweep.csv")
     assert [row["general_holds"] for row in rows] == ["false", "true"]
     assert [row["continuous_holds"] for row in rows] == ["false", "true"]
+
+
+# -- every config key changes an output file -------------------------------------------
+
+
+def _with(config, section, key, value):
+    changed = json.loads(json.dumps(config))
+    changed.setdefault(section, {})[key] = value
+    return changed
+
+
+ANALYZE = ("analyze",)
+RECONSTRUCT = ("reconstruct",)
+CRITERIA_SWEEP = ("sweep", "--param", "g:1:9:2", "--quantity", "criteria")
+
+
+@pytest.mark.parametrize(
+    "config, argv, section, key, value",
+    [
+        (C1, ANALYZE, "numerics", "mesh_points", 203),
+        (C1, ANALYZE, "numerics", "root_tol", 1e-3),
+        (WEAK, ANALYZE, "numerics", "lambda_margin_schedule", [0.1]),
+        (C1, RECONSTRUCT, "reconstruct", "amplitude", 0.01),
+        (dict(C1, reconstruct={"amplitude": 0.01}), RECONSTRUCT, "reconstruct", "n_q", 16),
+        (dict(TABULATED, numerics={"mesh_points": 201}), CRITERIA_SWEEP, "criteria", "alpha", 0.5),
+        (C1, CRITERIA_SWEEP, "criteria", "depth_frak", 0.5),
+    ],
+)
+def test_config_key_changes_an_output(tmp_path, config, argv, section, key, value):
+    base, changed = tmp_path / "base", tmp_path / "changed"
+    _run(tmp_path, config, *argv, "--out", str(base))
+    _run(tmp_path, _with(config, section, key, value), *argv, "--out", str(changed))
+    first, second = _files(base), _files(changed)
+    assert first.keys() == second.keys() and first
+    assert any(first[name] != second[name] for name in first)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -147,6 +148,25 @@ def test_eigen_1x1():
     )
     assert mu == pytest.approx(2.0)
     assert v == pytest.approx([1.0])
+
+
+def test_eigen_1x1_stops_at_a_singular_shift(monkeypatch):
+    solves = []
+    solve = scipy.linalg.solve_banded
+
+    def counted(*args, **kwargs):
+        solves.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "solve_banded", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mu, v = smallest_eigenpair_tridiagonal(
+            np.array([2.0]), np.zeros(0), np.array([1.0]), np.zeros(0), 2.0
+        )
+    assert mu == 2.0
+    assert v == pytest.approx([1.0])
+    assert len(solves) == 1
 
 
 def test_eigen_diagonal():

@@ -144,17 +144,6 @@ def test_velocity_streamline_duality():
     assert field.v == pytest.approx(field.u_rel * flow.d * field.h_q, abs=1e-14)
 
 
-def test_velocity_absolute_frame():
-    from rotwave import FlowParameters, GammaProfile
-
-    p0 = -math.sqrt(math.tanh(1.0))
-    flow_c = FlowParameters(d=1.0, g=1.0, p0=p0, c=2.0)
-    prof = GammaProfile.from_distribution(VorticityDistribution.const(0.0), flow_c)
-    pt = find_lambda_star(prof, flow_c)
-    field = velocity_field(build_wave(pt, 0.02, 32), flow_c)
-    assert field.u_abs == pytest.approx(field.u_rel + 2.0)
-
-
 def test_kinematic_surface_condition_first_order():
     pt, prof, flow = _pinned_point()
     s = 0.02

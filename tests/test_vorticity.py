@@ -7,13 +7,10 @@ from rotwave import (
     FlowParameters,
     GammaProfile,
     VorticityDistribution,
-    coefficient_a,
     gamma_eval,
-    gamma_min,
-    gamma_primitive,
     holder_seminorm,
 )
-from rotwave.errors import NonAdmissibleLambda, OutOfDomain
+from rotwave.errors import InvalidParameter, NonAdmissibleLambda, OutOfDomain
 
 from conftest import make_profile
 
@@ -52,19 +49,35 @@ def test_distribution_validation():
         VorticityDistribution.tabulated([-1.0, 0.5], [0.0, 1.0])
 
 
-# -- gamma_primitive -------------------------------------------------------------
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: FlowParameters(d=1.0, g=0.0, p0=-1.0), "g"),
+        (lambda: VorticityDistribution.piecewise_constant([-1.0], [1.0, 2.0]), "breakpoints"),
+        (lambda: VorticityDistribution.piecewise_constant([], [1.0, 2.0]), "values"),
+        (lambda: VorticityDistribution.tabulated([-1.0, -0.5], [0.0, 1.0]), "nodes"),
+        (lambda: VorticityDistribution(kind="spiral"), "kind"),
+    ],
+)
+def test_value_errors_name_their_field(build, field):
+    with pytest.raises(InvalidParameter) as info:
+        build()
+    assert info.value.field == field
+
+
+# -- GammaProfile.primitive -----------------------------------------------------
 
 
 def test_primitive_constant():
     # gamma = -1, d = 1, p0 = -1: Gamma(p) = 2p
     prof, _ = make_profile(-1.0)
-    assert gamma_primitive(prof, -0.5) == pytest.approx(-1.0, abs=1e-14)
+    assert prof.primitive(-0.5) == pytest.approx(-1.0, abs=1e-14)
 
 
 def test_primitive_zero_at_surface():
     for gamma in (-1.0, 0.0, 2.5):
         prof, _ = make_profile(gamma)
-        assert gamma_primitive(prof, 0.0) == 0.0
+        assert prof.primitive(0.0) == 0.0
 
 
 def test_primitive_piecewise_by_hand():
@@ -72,8 +85,8 @@ def test_primitive_piecewise_by_hand():
     # int_0^{-1} gamma = +0.5, Gamma(-1) = (2/-1) * 0.5 = -1
     dist = VorticityDistribution.piecewise_constant([-0.5], [-1.0, 0.0])
     prof, _ = make_profile(dist)
-    assert gamma_primitive(prof, -1.0) == pytest.approx(-1.0, abs=1e-14)
-    assert gamma_primitive(prof, -0.5) == pytest.approx(0.0, abs=1e-14)
+    assert prof.primitive(-1.0) == pytest.approx(-1.0, abs=1e-14)
+    assert prof.primitive(-0.5) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_primitive_tabulated_quadratic():
@@ -82,27 +95,27 @@ def test_primitive_tabulated_quadratic():
     prof, _ = make_profile(dist)
     p = np.linspace(-1.0, 0.0, 11)
     expected = -2.0 * (p * p + 2.0 * p)
-    assert gamma_primitive(prof, p) == pytest.approx(expected, abs=1e-14)
+    assert prof.primitive(p) == pytest.approx(expected, abs=1e-14)
 
 
-# -- gamma_min -------------------------------------------------------------------
+# -- GammaProfile.gamma_min and p1 -----------------------------------------------
 
 
 def test_min_increasing():
     prof, _ = make_profile(-1.0)  # Gamma = 2p
-    assert gamma_min(prof) == (pytest.approx(-2.0), pytest.approx(-1.0))
+    assert (prof.gamma_min, prof.p1) == (pytest.approx(-2.0), pytest.approx(-1.0))
 
 
 def test_min_flat():
     prof, _ = make_profile(0.0)
-    gmin, p1 = gamma_min(prof)
+    gmin, p1 = prof.gamma_min, prof.p1
     assert gmin == 0.0
     assert p1 == 0.0  # largest point of the flat argmin set
 
 
 def test_min_decreasing():
     prof, _ = make_profile(1.0)  # Gamma = -2p, minimum at p = 0
-    assert gamma_min(prof) == (pytest.approx(0.0), pytest.approx(0.0))
+    assert (prof.gamma_min, prof.p1) == (pytest.approx(0.0), pytest.approx(0.0))
 
 
 def test_min_interior_tabulated():
@@ -113,7 +126,7 @@ def test_min_interior_tabulated():
     # Gamma(-1) = Gamma(0) = 0, so p1 = 0.
     dist = VorticityDistribution.tabulated([-1.0, 0.0], [-1.0, 1.0])
     prof, _ = make_profile(dist)
-    gmin, p1 = gamma_min(prof)
+    gmin, p1 = prof.gamma_min, prof.p1
     assert gmin == pytest.approx(0.0, abs=1e-14)
     assert p1 == 0.0
     # sampled values never undercut the reported minimum
@@ -129,7 +142,7 @@ def test_min_no_sample_below_random_piecewise():
         vals = rng.uniform(-2.0, 2.0, k + 1)
         dist = VorticityDistribution.piecewise_constant(bps, vals)
         prof, _ = make_profile(dist, p0=-float(rng.uniform(0.5, 2.0)))
-        gmin, p1 = gamma_min(prof)
+        gmin, p1 = prof.gamma_min, prof.p1
         samples = prof.primitive(np.linspace(-1.0, 0.0, 4001))
         assert np.min(samples) >= gmin - 1e-12
         assert prof.primitive(p1) == pytest.approx(gmin, abs=1e-13)
@@ -175,28 +188,28 @@ def test_holder_alpha_validation():
         holder_seminorm(prof, 1.5)
 
 
-# -- coefficient_a ---------------------------------------------------------------
+# -- GammaProfile.a --------------------------------------------------------------
 
 
 def test_coefficient_examples():
     prof, _ = make_profile(-1.0)  # Gamma = 2p
-    assert coefficient_a(prof, 3.0, -1.0) == pytest.approx(1.0)
-    assert coefficient_a(prof, 2.5, -0.5) == pytest.approx(math.sqrt(1.5))
+    assert prof.a(3.0, -1.0) == pytest.approx(1.0)
+    assert prof.a(2.5, -0.5) == pytest.approx(math.sqrt(1.5))
     prof0, _ = make_profile(0.0)
-    assert coefficient_a(prof0, 4.0, -0.77) == pytest.approx(2.0)
+    assert prof0.a(4.0, -0.77) == pytest.approx(2.0)
 
 
 def test_coefficient_non_admissible():
     prof, _ = make_profile(-1.0)
     with pytest.raises(NonAdmissibleLambda):
-        coefficient_a(prof, 1.5, -1.0)  # 1.5 + Gamma(-1) = -0.5
+        prof.a(1.5, -1.0)  # 1.5 + Gamma(-1) = -0.5
 
 
 def test_coefficient_identity_a_squared():
     prof, _ = make_profile(-0.7, d=1.3, p0=-0.8)
     p = np.linspace(-1.0, 0.0, 57)
     lam = prof.min_lambda + 0.9
-    a = coefficient_a(prof, lam, p)
+    a = prof.a(lam, p)
     assert a * a - lam == pytest.approx(prof.primitive(p), abs=1e-12)
 
 
@@ -235,5 +248,3 @@ def test_flow_parameter_validation():
         FlowParameters(d=1.0, g=-1.0, p0=-1.0)
     with pytest.raises(ValueError):
         FlowParameters(d=1.0, g=1.0, p0=1.0)
-    with pytest.raises(ValueError):
-        FlowParameters(d=1.0, g=1.0, p0=-1.0, c=-2.0)
