@@ -73,7 +73,8 @@ def find_lambda_star(
     mu is probed at floor + eps for the decreasing margin schedule; the
     first probe with mu <= -1 gives the lower bracket end (monotonicity of
     mu where negative makes the left edge the infimum, so deeper probes
-    cannot be missed).
+    cannot be missed).  A probe that fails raises its error: a numerical
+    failure is never reported as NoBifurcation.
     """
     lam0 = lambda_of_min_head(profile, flow, root_tol=root_tol)
     floor = profile.min_lambda
@@ -88,10 +89,7 @@ def find_lambda_star(
     lam_at_inf = lam0
     for eps in margin_schedule:
         cand = floor + min(eps, 0.5 * (lam0 - floor))
-        try:
-            mu_lo = mu_of(cand)
-        except Error:
-            break
+        mu_lo = mu_of(cand)
         if mu_lo < inf_mu:
             inf_mu = mu_lo
             lam_at_inf = cand

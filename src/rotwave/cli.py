@@ -79,8 +79,8 @@ class ReconstructOptions:
     n_q: int = 256
 
     def __post_init__(self):
-        if not self.amplitude >= 0.0:
-            raise InvalidParameter("amplitude must be >= 0", "amplitude")
+        if not 0.0 <= self.amplitude < math.inf:
+            raise InvalidParameter("amplitude must be finite and >= 0", "amplitude")
         if not self.n_q >= 16:
             raise InvalidParameter("n_q must be >= 16", "n_q")
 
@@ -203,7 +203,7 @@ def parse_config(text) -> RunConfig:
         lambda_margin_schedule  [1e-2, 1e-3, ..., 1e-8]; positive, strictly
                                 decreasing
     reconstruct
-        amplitude   0.0; >= 0, used when no --amplitude is given
+        amplitude   0.0; >= 0; the default and the rule for --amplitude
         n_q         256; >= 16
     criteria
         alpha       1.0; in (0, 1]
@@ -248,7 +248,7 @@ def parse_config(text) -> RunConfig:
 
 
 def _fmt(value) -> str:
-    """Shortest round-trip text for one CSV cell."""
+    """Shortest round-trip text for one CSV cell; repr writes nan, inf and -0.0."""
     # Floats, numpy.float64 among them, are nearly every cell: test them first.
     if not isinstance(value, float):
         if value is None:
@@ -259,12 +259,7 @@ def _fmt(value) -> str:
             return value
         if isinstance(value, (int, np.integer)):
             return str(int(value))
-    x = float(value)
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return repr(x)
+    return repr(float(value))
 
 
 def _jsonable(obj):
@@ -433,6 +428,23 @@ def run_analyze(config: RunConfig, out_dir: str) -> int:
     return 0 if isinstance(result, BifurcationPoint) else 2
 
 
+class _FieldRows:
+    """field.csv rows, counted by len() and built one q-column at a time."""
+
+    def __init__(self, fld):
+        self.fld = fld
+
+    def __len__(self):
+        return self.fld.h.size
+
+    def __iter__(self):
+        fld = self.fld
+        p = fld.p_nodes.tolist()
+        for i, q in enumerate(fld.q_nodes.tolist()):
+            columns = (fld.x, fld.y, fld.h, fld.u_rel, fld.v, fld.psi)
+            yield from zip(itertools.repeat(q), p, *(c[i].tolist() for c in columns))
+
+
 def run_reconstruct(config: RunConfig, amplitudes: Sequence[float], out_dir: str) -> int:
     """Build first-order fields and emit field.csv, surface.csv, residuals.json.
 
@@ -440,11 +452,14 @@ def run_reconstruct(config: RunConfig, amplitudes: Sequence[float], out_dir: str
     residuals.json lists the weak-form defect norms for every amplitude and
     a log-log slope fit when several positive amplitudes are given.
     """
+    n_q = config.reconstruct.n_q
+    amplitudes = [
+        _build(ReconstructOptions, "/reconstruct", {"amplitude": s, "n_q": n_q}).amplitude
+        for s in amplitudes or [config.reconstruct.amplitude]
+    ]
     profile, result = _analysis(config)
     if isinstance(result, NoBifurcation):
         return 2
-    amplitudes = list(amplitudes) if amplitudes else [config.reconstruct.amplitude]
-    n_q = config.reconstruct.n_q
     flow = config.flow
 
     entries = []
@@ -471,25 +486,10 @@ def run_reconstruct(config: RunConfig, amplitudes: Sequence[float], out_dir: str
         }
 
     fld = first_field
-    rows = []
-    for i, q in enumerate(fld.q_nodes):
-        for j, p in enumerate(fld.p_nodes):
-            rows.append(
-                (
-                    q,
-                    p,
-                    fld.x[i, j],
-                    fld.y[i, j],
-                    fld.h[i, j],
-                    fld.u_rel[i, j],
-                    fld.v[i, j],
-                    fld.psi[i, j],
-                )
-            )
     write_csv(
         os.path.join(out_dir, "field.csv"),
         ["q", "p", "x", "y", "h", "u_rel", "v", "psi"],
-        rows,
+        _FieldRows(fld),
     )
     eta, _mean = surface_profile(fld, flow)
     write_csv(

@@ -21,6 +21,12 @@ from .errors import EigenFailure, NonConvergence, NoSignChange
 
 _EPS = float(np.finfo(float).eps)
 
+# Rayleigh quotient iteration: stop and accept on the residual relative to
+# ||A|| + |sigma| ||B||, and give up after a fixed number of shifted solves.
+_RQI_STOP_TOL = 1e-14
+_RQI_ACCEPT_TOL = 1e-9
+_RQI_MAX_SOLVES = 30
+
 # 15-point Kronrod nodes (positive half) and weights, with the embedded
 # 7-point Gauss weights interleaved at the even Kronrod positions.
 _XGK = np.array([
@@ -314,19 +320,19 @@ def smallest_eigenpair_tridiagonal(
     eB: np.ndarray,
     sigma0: float,
     v0: np.ndarray | None = None,
-    residual_tol: float = 1e-9,
-    max_iter: int = 30,
 ):
     """Smallest eigenpair of a symmetric tridiagonal pencil by Rayleigh
     quotient iteration.
 
     ``sigma0`` (and optionally ``v0``) must come from a trustworthy coarse
-    approximation of the smallest eigenvalue; the result is verified by a
-    residual test and a Sylvester inertia count, and EigenFailure is raised
-    when either check fails so callers can restart from a sharper shift.  A
-    shifted solve that divides by zero or overflows ends the iteration: the
-    shift is then an eigenvalue to working precision, and the same checks
-    judge the pair.
+    approximation of the smallest eigenvalue.  The iteration stops at the
+    first unit iterate v with ||A v - sigma B v|| <= 1e-14 (||A|| + |sigma|
+    ||B||), where round-off sits near 4e-17, or when a shifted solve fails
+    (a zero pivot, a division by zero, a non-finite or zero solution), since
+    sigma is then an eigenvalue to working precision; it gives up after 30
+    solves.  EigenFailure is raised unless the residual is within 1e-9 of
+    that scale and two Sylvester inertia counts confirm that sigma is the
+    smallest eigenvalue, so callers can restart from a sharper shift.
     """
     n = len(dA)
     v = np.ones(n) / np.sqrt(n) if v0 is None else np.asarray(v0, float)
@@ -335,45 +341,38 @@ def smallest_eigenpair_tridiagonal(
         raise ValueError("v0 must be nonzero")
     v = v / nrm
     sigma = float(sigma0)
+    norm_a = np.max(np.abs(dA)) + 2.0 * np.max(np.abs(eA), initial=0.0)
+    norm_b = np.max(np.abs(dB)) + 2.0 * np.max(np.abs(eB), initial=0.0)
+
+    def residual(sigma, av, bv):
+        """||A v - sigma B v|| relative to ||A|| + |sigma| ||B||."""
+        return np.linalg.norm(av - sigma * bv) / (norm_a + abs(sigma) * norm_b + 1e-300)
+
+    bv = _tridiag_matvec(dB, eB, v)
+    res = residual(sigma, _tridiag_matvec(dA, eA, v), bv)
     ab = np.zeros((3, n))
-    last = None
-    for _ in range(max_iter):
+    for _ in range(_RQI_MAX_SOLVES):
         ab[0, 1:] = eA - sigma * eB
         ab[1, :] = dA - sigma * dB
         ab[2, :-1] = ab[0, 1:]
-        rhs = _tridiag_matvec(dB, eB, v)
         try:
             with np.errstate(divide="raise", invalid="raise"):
-                x = scipy.linalg.solve_banded((1, 1), ab, rhs)
-        except np.linalg.LinAlgError:
-            # An exactly zero pivot in LAPACK: nudge the shift and iterate
-            # on.  Stopping here instead moves mu in its last bits, which
-            # belongs with a stopping rule that states its tolerance.
-            sigma += 1e-12 * max(1.0, abs(sigma))
-            continue
-        except FloatingPointError:
-            break  # a 1x1 pencil shifted onto its eigenvalue
+                x = scipy.linalg.solve_banded((1, 1), ab, bv)
+        except (np.linalg.LinAlgError, FloatingPointError):
+            break  # sigma is an eigenvalue to working precision
         xn = np.linalg.norm(x)
         if not np.isfinite(xn) or xn == 0.0:
-            break  # sigma is an eigenvalue to working precision
+            break  # likewise
         v = x / xn
         av = _tridiag_matvec(dA, eA, v)
         bv = _tridiag_matvec(dB, eB, v)
-        sigma_new = float(v @ av) / float(v @ bv)
-        if last is not None and abs(sigma_new - sigma) <= 1e-15 * max(1.0, abs(sigma_new)):
-            sigma = sigma_new
+        sigma = float(v @ av) / float(v @ bv)
+        res = residual(sigma, av, bv)
+        if res <= _RQI_STOP_TOL:
             break
-        last = sigma
-        sigma = sigma_new
 
-    av = _tridiag_matvec(dA, eA, v)
-    bv = _tridiag_matvec(dB, eB, v)
-    res = np.linalg.norm(av - sigma * bv)
-    norm_a = np.max(np.abs(dA)) + 2.0 * np.max(np.abs(eA), initial=0.0)
-    norm_b = np.max(np.abs(dB)) + 2.0 * np.max(np.abs(eB), initial=0.0)
-    scale = (norm_a + abs(sigma) * norm_b) + 1e-300
-    if res > residual_tol * scale:
-        raise EigenFailure(f"RQI residual {res!r} exceeds tolerance")
+    if res > _RQI_ACCEPT_TOL:
+        raise EigenFailure(f"RQI relative residual {res!r} exceeds tolerance")
     delta = 1e-6 * max(1.0, abs(sigma))
     if count_pencil_eigenvalues_below(dA, eA, dB, eB, sigma - delta) != 0:
         raise EigenFailure("RQI converged above the smallest eigenvalue")

@@ -242,8 +242,6 @@ def _solve_level(profile, flow, lam, nodes, seed=None):
         sigma = _bisect_smallest(*pencil, rel_tol=1e-12)
         _, v = smallest_eigenpair_tridiagonal(*pencil, sigma, None)
     M = np.concatenate([[0.0], v])
-    if abs(M[-1]) > 1e-9 * np.max(np.abs(M)):
-        M = M / M[-1]
     return _quotient_from_integrals(ints, h, M, flow), M
 
 
@@ -448,10 +446,10 @@ def shooting_mu(
             f_hi = mismatch(hi)
             if f_hi >= 0.0:
                 break
-            lo, f_lo = hi, f_hi
-            step *= 4.0
             if step > 1e9:
                 raise BracketFailure("no eigenvalue bracket below mu = 1e9")
+            lo, f_lo = hi, f_hi
+            step *= 4.0
     else:
         hi, f_hi = 0.0, r0
         step = -1.0
@@ -460,10 +458,10 @@ def shooting_mu(
             f_lo = mismatch(lo)
             if f_lo <= 0.0:
                 break
-            hi, f_hi = lo, f_lo
-            step *= 4.0
             if step < -1e9:
                 raise BracketFailure("no eigenvalue bracket above mu = -1e9")
+            hi, f_hi = lo, f_lo
+            step *= 4.0
     spec = RootSpec(x_tol=1e-12 * max(1.0, abs(lo), abs(hi)), f_tol=1e-10, max_iter=300)
     mu = bracketed_root(mismatch, lo, hi, spec)
     zeros = int(math.floor((_prufer_angle(profile, flow, lam, mu) + 1e-9) / math.pi))

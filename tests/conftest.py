@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from rotwave import FlowParameters, GammaProfile, VorticityDistribution
+from rotwave import FlowParameters, GammaProfile, VorticityDistribution, bifurcation
+from rotwave.errors import EigenFailure
 
 
 @pytest.fixture
@@ -23,3 +24,16 @@ def make_profile(gamma=-1.0, d=1.0, g=1.0, p0=-1.0, **kwargs):
     else:
         dist = VorticityDistribution.const(gamma)
     return GammaProfile.from_distribution(dist, flow, **kwargs), flow
+
+
+@pytest.fixture
+def failing_probes(monkeypatch):
+    """Make every principal_eigen solve within 0.05 of the admissibility floor fail."""
+    solve = bifurcation.principal_eigen
+
+    def failing(profile, flow, lam, **kwargs):
+        if lam < profile.min_lambda + 0.05:
+            raise EigenFailure("solve failed near the floor")
+        return solve(profile, flow, lam, **kwargs)
+
+    monkeypatch.setattr(bifurcation, "principal_eigen", failing)

@@ -20,6 +20,8 @@ from rotwave import (
     transversality_integral,
 )
 
+from rotwave.errors import EigenFailure
+
 from conftest import make_profile
 
 
@@ -43,6 +45,13 @@ def test_pinned_crossing():
     assert pt.mode.k == 1
     m_mid = np.interp(-0.5, pt.mode.nodes, pt.mode.M)
     assert m_mid == pytest.approx(math.sinh(0.5) / math.sinh(1.0), abs=1e-5)
+
+
+def test_failed_probe_raises(failing_probes):
+    # At the parent a failed probe ended the search as NoBifurcation.
+    prof, flow = make_profile(-1.0, d=1.0, g=9.81, p0=-2.0)
+    with pytest.raises(EigenFailure):
+        find_lambda_star(prof, flow, mesh_points=201)
 
 
 def test_crossing_below_head_minimizer():

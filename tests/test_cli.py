@@ -5,9 +5,10 @@ import math
 import os
 import stat
 
+import numpy as np
 import pytest
 
-from rotwave.cli import main, parse_config, write_json
+from rotwave.cli import main, parse_config, write_csv, write_json
 from rotwave.errors import ConfigError
 
 C1 = {
@@ -170,6 +171,20 @@ def test_onset_sweep_rejects_p0(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("amplitude", ["nan", "-0.5", "inf"])
+def test_reconstruct_amplitude_flag_is_checked(tmp_path, capsys, amplitude):
+    argv = ("reconstruct", "--amplitude", "0.01", "--amplitude", amplitude)
+    assert _run(tmp_path, C1, *argv, "--out", str(tmp_path / "out")) == 3
+    assert "/reconstruct/amplitude" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_failed_probe_exits_4(tmp_path, capsys, failing_probes):
+    # A probe that fails is a numerical failure, not a flow without waves.
+    assert _run(tmp_path, C1, "analyze", "--out", str(tmp_path / "out")) == 4
+    assert "numerical failure" in capsys.readouterr().err
+
+
 # -- deterministic, atomic files ------------------------------------------------------
 
 
@@ -179,6 +194,14 @@ def test_reruns_are_byte_identical(tmp_path):
     assert _run(tmp_path, C1, "analyze", "--out", str(second)) == 0
     assert _files(first) == _files(second)
     assert set(_files(first)) == {"report.json", "mu_curve.csv"}
+
+
+def test_csv_cells(tmp_path):
+    path = tmp_path / "cells.csv"
+    row = [math.nan, math.inf, -math.inf, -0.0, np.float64(0.1), None]
+    row += [True, np.bool_(False), 3, np.int64(4), "s"]
+    write_csv(str(path), ["c"] * len(row), [row])
+    assert path.read_text().splitlines()[1] == "nan,inf,-inf,-0.0,0.1,,true,false,3,4,s"
 
 
 def test_failed_write_leaves_no_part_file(tmp_path):

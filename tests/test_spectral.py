@@ -14,6 +14,7 @@ from rotwave import (
     rayleigh_quotient,
     shooting_mu,
 )
+from rotwave import spectral
 from rotwave.errors import EigenFailure, NoModeSolution, NonAdmissibleLambda, ZeroDenominator
 from rotwave.numerics import RootSpec, bracketed_root, smallest_eigenpair_tridiagonal
 from rotwave.spectral import _solve_level, assemble, build_mesh, flux_jump_defect, refine_mesh
@@ -155,6 +156,17 @@ def test_shooting_index_one():
     assert lhs == pytest.approx(rhs, abs=1e-6)
 
 
+def test_shooting_tries_the_step_past_the_cap(monkeypatch):
+    # C0 at lambda = 1e-4 has mu = -6.01e8 in closed form; a fake angle with
+    # its root at -6e8 stands in for the slow integration there.
+    prof, flow = make_profile(0.0, d=1.0, g=9.81, p0=-2.0)
+    target = math.atan2(1.0, flow.g * flow.d**3 / flow.p0**2)
+    monkeypatch.setattr(
+        spectral, "_prufer_angle", lambda profile, flow, lam, mu: target + (mu + 6e8) * 1e-9
+    )
+    assert shooting_mu(prof, flow, 1e-4) == pytest.approx(-6e8, rel=1e-12)
+
+
 # -- mode_k_solution ----------------------------------------------------------------
 
 
@@ -226,6 +238,25 @@ def test_flux_continuity_at_jumps():
 
 
 # -- mesh and level solve ------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "gamma, lam, most",
+    [(-1.0, 1.01, 6), (0.0, 0.01, 20)],  # 90 and 43 before the residual stop
+)
+def test_principal_eigen_banded_solves(monkeypatch, gamma, lam, most):
+    # The iteration stops at the first iterate whose residual is at round-off.
+    prof, flow = make_profile(gamma, d=1.0, g=9.81, p0=-2.0)
+    solves = []
+    solve = scipy.linalg.solve_banded
+
+    def counted(*args, **kwargs):
+        solves.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "solve_banded", counted)
+    principal_eigen(prof, flow, lam, mesh_points=2001)
+    assert len(solves) <= most
 
 
 def test_mesh_segments_end_on_jumps():
