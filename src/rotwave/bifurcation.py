@@ -49,6 +49,7 @@ class BifurcationPoint:
     mu_at_lambda0: float
     profile: GammaProfile
     flow: FlowParameters
+    mu_samples: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -59,6 +60,7 @@ class NoBifurcation:
     inf_mu: float
     lambda_at_inf: float
     mu_at_lambda0: float
+    mu_samples: tuple = ()
 
 
 def find_lambda_star(
@@ -74,13 +76,20 @@ def find_lambda_star(
     first probe with mu <= -1 gives the lower bracket end (monotonicity of
     mu where negative makes the left edge the infimum, so deeper probes
     cannot be missed).  A probe that fails raises its error: a numerical
-    failure is never reported as NoBifurcation.
+    failure is never reported as NoBifurcation.  No lambda is solved twice;
+    ``mu_samples`` on the result holds every (lambda, mu) solved.
     """
     lam0 = lambda_of_min_head(profile, flow, root_tol=root_tol)
     floor = profile.min_lambda
+    solved = {}
+
+    def solve(lam):
+        if lam not in solved:
+            solved[lam] = principal_eigen(profile, flow, lam, mesh_points=mesh_points)
+        return solved[lam]
 
     def mu_of(lam):
-        return principal_eigen(profile, flow, lam, mesh_points=mesh_points).mu_refined
+        return solve(lam).mu_refined
 
     mu_at_lam0 = mu_of(lam0)
 
@@ -102,12 +111,12 @@ def find_lambda_star(
             inf_mu=min(inf_mu, mu_at_lam0),
             lambda_at_inf=lam_at_inf,
             mu_at_lambda0=mu_at_lam0,
+            mu_samples=_samples(solved),
         )
 
     spec = RootSpec(x_tol=root_tol * max(1.0, lam0), f_tol=1e-10, max_iter=200)
     lam_star = bracketed_root(lambda lam: mu_of(lam) + 1.0, lam_lo, lam0, spec)
-    mode = principal_eigen(profile, flow, lam_star, mesh_points=mesh_points)
-    mode = replace(mode, k=1)
+    mode = replace(solve(lam_star), k=1)
     return BifurcationPoint(
         lambda_star=lam_star,
         lambda0=lam0,
@@ -118,7 +127,12 @@ def find_lambda_star(
         mu_at_lambda0=mu_at_lam0,
         profile=profile,
         flow=flow,
+        mu_samples=_samples(solved),
     )
+
+
+def _samples(solved: dict) -> tuple:
+    return tuple((lam, sol.mu_refined) for lam, sol in solved.items())
 
 
 # -- closed-form onset criteria ---------------------------------------------

@@ -391,6 +391,7 @@ def run_analyze(config: RunConfig, out_dir: str) -> int:
         config.flow,
         _mu_grid(profile, config, result),
         mesh_points=config.numerics.mesh_points,
+        known=result.mu_samples,
     )
 
     report = {

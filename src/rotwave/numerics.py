@@ -294,23 +294,37 @@ def count_pencil_eigenvalues_below(
     """Number of eigenvalues of the tridiagonal pencil (A, B) below tau.
 
     Sylvester inertia of A - tau B through an LDL^T sweep; B must be SPD.
+    The sweep runs on Python floats, the same IEEE arithmetic as numpy
+    scalars at a third of the cost.
     """
-    d = dA - tau * dB
-    e = eA - tau * eB
+    d = (dA - tau * dB).tolist()
+    e = (eA - tau * eB).tolist()
     count = 0
     prev = d[0]
     if prev == 0.0:
         prev = 1e-300
     if prev < 0.0:
         count += 1
-    for i in range(1, len(d)):
-        cur = d[i] - e[i - 1] * e[i - 1] / prev
+    for di, ei in zip(d[1:], e):
+        cur = di - ei * ei / prev
         if cur == 0.0:
             cur = 1e-300
         if cur < 0.0:
             count += 1
         prev = cur
     return count
+
+
+def _m_matrix_certificate(eA, eB, sigma, delta, v, av, bv) -> bool:
+    """Whether (sigma, v) passes the three tests of the M-matrix certificate
+    stated in smallest_eigenpair_tridiagonal."""
+    if v[-1] < 0.0:
+        v, av, bv = -v, -av, -bv
+    return bool(
+        np.all(eA - (sigma - delta) * eB < 0.0)
+        and np.all(v > 0.0)
+        and np.all(np.abs(av - sigma * bv) < delta * bv)
+    )
 
 
 def smallest_eigenpair_tridiagonal(
@@ -331,8 +345,21 @@ def smallest_eigenpair_tridiagonal(
     (a zero pivot, a division by zero, a non-finite or zero solution), since
     sigma is then an eigenvalue to working precision; it gives up after 30
     solves.  EigenFailure is raised unless the residual is within 1e-9 of
-    that scale and two Sylvester inertia counts confirm that sigma is the
-    smallest eigenvalue, so callers can restart from a sharper shift.
+    that scale and sigma is certified to be the smallest eigenvalue, so
+    callers can restart from a sharper shift.
+
+    The certificate is that no eigenvalue lies below sigma - delta and at
+    least one below sigma + delta, with delta = 1e-6 max(1, |sigma|).  With
+    v signed so that v[-1] > 0 and r = A v - sigma B v, it holds when three
+    entry-wise tests pass: (i) every off-diagonal of A - (sigma - delta) B
+    is < 0, (ii) v > 0 and (iii) |r| < delta B v.  Then A - (sigma - delta) B
+    is a Z-matrix that maps v > 0 to r + delta B v > 0, hence a nonsingular
+    M-matrix, and being symmetric it is positive definite (Berman and
+    Plemmons, Nonnegative Matrices in the Mathematical Sciences, 1994,
+    ch. 6); and v^T (A - (sigma + delta) B) v = sum v_i (r_i - delta (B v)_i)
+    < 0.  The tests are as exact in floating point as the LDL^T inertia
+    counts they stand in for.  When one fails, as for a converged higher
+    eigenpair, whose v changes sign, the two inertia counts decide.
     """
     n = len(dA)
     v = np.ones(n) / np.sqrt(n) if v0 is None else np.asarray(v0, float)
@@ -348,8 +375,9 @@ def smallest_eigenpair_tridiagonal(
         """||A v - sigma B v|| relative to ||A|| + |sigma| ||B||."""
         return np.linalg.norm(av - sigma * bv) / (norm_a + abs(sigma) * norm_b + 1e-300)
 
+    av = _tridiag_matvec(dA, eA, v)
     bv = _tridiag_matvec(dB, eB, v)
-    res = residual(sigma, _tridiag_matvec(dA, eA, v), bv)
+    res = residual(sigma, av, bv)
     ab = np.zeros((3, n))
     for _ in range(_RQI_MAX_SOLVES):
         ab[0, 1:] = eA - sigma * eB
@@ -374,6 +402,8 @@ def smallest_eigenpair_tridiagonal(
     if res > _RQI_ACCEPT_TOL:
         raise EigenFailure(f"RQI relative residual {res!r} exceeds tolerance")
     delta = 1e-6 * max(1.0, abs(sigma))
+    if _m_matrix_certificate(eA, eB, sigma, delta, v, av, bv):
+        return sigma, _normalize_surface(v)
     if count_pencil_eigenvalues_below(dA, eA, dB, eB, sigma - delta) != 0:
         raise EigenFailure("RQI converged above the smallest eigenvalue")
     if count_pencil_eigenvalues_below(dA, eA, dB, eB, sigma + delta) < 1:

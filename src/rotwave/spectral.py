@@ -29,7 +29,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import (
     BracketFailure,
@@ -70,6 +69,12 @@ class ModeSolution:
     flux: np.ndarray
 
 
+def _graded(profile: GammaProfile, lam: float) -> bool:
+    """Whether build_mesh grades toward the minimizers at this lambda, the
+    one way in which the mesh depends on lambda."""
+    return lam - profile.min_lambda < 1e-3 * max(1.0, abs(profile.gamma_min))
+
+
 def build_mesh(profile: GammaProfile, lam: float, n_points: int) -> np.ndarray:
     """Mesh on [-1, 0] containing every jump and minimizer of Gamma.
 
@@ -79,8 +84,7 @@ def build_mesh(profile: GammaProfile, lam: float, n_points: int) -> np.ndarray:
     appear next to a jump.
     """
     anchors = sorted({-1.0, 0.0, *profile.jump_points, *profile.minimizers})
-    margin = lam - profile.min_lambda
-    grade = margin < 1e-3 * max(1.0, abs(profile.gamma_min))
+    grade = _graded(profile, lam)
     mins = set(profile.minimizers)
     total = anchors[-1] - anchors[0]
     pieces = []
@@ -107,6 +111,27 @@ def build_mesh(profile: GammaProfile, lam: float, n_points: int) -> np.ndarray:
 def refine_mesh(nodes: np.ndarray) -> np.ndarray:
     mids = 0.5 * (nodes[:-1] + nodes[1:])
     return np.sort(np.concatenate([nodes, mids]))
+
+
+def _mesh_levels(profile: GammaProfile, lam: float, mesh_points: int):
+    """The (nodes, ElementRule) pairs of the coarse, working and refined
+    levels of principal_eigen.
+
+    They depend on lambda only through the grading of build_mesh, so they
+    are built once per (mesh_points, grading) and kept on the profile.  The
+    node arrays are shared by every ModeSolution on them, so read-only.
+    """
+    key = (mesh_points, _graded(profile, lam))
+    levels = profile._mesh_levels.get(key)
+    if levels is None:
+        coarse = build_mesh(profile, lam, min(_COARSE_POINTS, mesh_points))
+        fine = build_mesh(profile, lam, mesh_points)
+        levels = []
+        for nodes in (coarse, fine, refine_mesh(fine)):
+            nodes.setflags(write=False)
+            levels.append((nodes, ElementRule(profile, nodes)))
+        profile._mesh_levels[key] = levels
+    return levels
 
 
 def _element_integrals(rule: ElementRule, lam: float):
@@ -219,7 +244,7 @@ def _bisect_smallest(dA, eA, dB, eB, rel_tol=1e-3):
     return 0.5 * (lo + hi)
 
 
-def _solve_level(profile, flow, lam, nodes, seed=None):
+def _solve_level(flow, lam, nodes, rule, seed=None):
     """One mesh level: banded Rayleigh-quotient iteration on its pencil.
 
     ``seed`` is (sigma0, v0) from a coarser level.  Without one, the shift
@@ -230,9 +255,8 @@ def _solve_level(profile, flow, lam, nodes, seed=None):
     surface-normalized eigenfunction (the value whose Rayleigh identity is
     exact) and M_full includes the bed node M(-1) = 0.
     """
-    nodes = np.asarray(nodes, dtype=float)
     h = np.diff(nodes)
-    ints = _element_integrals(ElementRule(profile, nodes), lam)
+    ints = _element_integrals(rule, lam)
     pencil = [band[1:] for band in _bands_from_integrals(ints, h, flow)]
     if seed is None:
         seed = (_bisect_smallest(*pencil), None)
@@ -274,18 +298,17 @@ def principal_eigen(
     iteration on the working mesh and its uniform refinement; the two
     levels give a Richardson-extrapolated ``mu_refined`` while the stored M
     and ``mu`` come from the finer level.  M is normalized to M(0) = 1.
+    The three mesh levels and their element quadrature are built once per
+    profile (and grading near the floor), not once per lambda.
     """
     profile.require_admissible(lam)
-    coarse = build_mesh(profile, lam, min(_COARSE_POINTS, mesh_points))
-    mu_c, m_c = _solve_level(profile, flow, lam, coarse)
-
-    fine = build_mesh(profile, lam, mesh_points)
+    (coarse, rule_c), (fine, rule_f), (finer, rule_2) = _mesh_levels(profile, lam, mesh_points)
+    mu_c, m_c = _solve_level(flow, lam, coarse, rule_c)
     mu_f, m_f = _solve_level(
-        profile, flow, lam, fine, (mu_c, np.interp(fine[1:], coarse, m_c))
+        flow, lam, fine, rule_f, (mu_c, np.interp(fine[1:], coarse, m_c))
     )
-    finer = refine_mesh(fine)
     mu_2, m_2 = _solve_level(
-        profile, flow, lam, finer, (mu_f, np.interp(finer[1:], fine, m_f))
+        flow, lam, finer, rule_2, (mu_f, np.interp(finer[1:], fine, m_f))
     )
     mu_refined = mu_2 + (mu_2 - mu_f) / 3.0
 
@@ -382,6 +405,8 @@ def _prufer_angle(profile, flow, lam, mu) -> float:
     Integration restarts at every vorticity jump and Gamma minimizer so the
     one-step method never crosses a kink of the coefficients.
     """
+    from scipy.integrate import solve_ivp  # only shooting needs it; keeps CLI start-up light
+
     gamma_of = _scalar_gamma_primitive(profile)
     d2 = flow.d**2
     stops = sorted(
@@ -511,12 +536,21 @@ def mu_curve(
     flow: FlowParameters,
     lambda_grid: Sequence[float],
     mesh_points: int = 2001,
+    known: Sequence[tuple] = (),
 ) -> MuCurve:
-    """mu(lambda) on a grid; flags non-monotone steps where mu < 0."""
+    """mu(lambda) on a grid; flags non-monotone steps where mu < 0.
+
+    ``known`` holds (lambda, mu) pairs already solved on this profile and
+    mesh, such as a search's ``mu_samples``; grid points among them are not
+    solved again.
+    """
+    known = dict(known)
     pts = []
     for lam in lambda_grid:
-        sol = principal_eigen(profile, flow, lam, mesh_points=mesh_points)
-        pts.append((float(lam), sol.mu_refined))
+        mu = known.get(lam)
+        if mu is None:
+            mu = principal_eigen(profile, flow, lam, mesh_points=mesh_points).mu_refined
+        pts.append((float(lam), mu))
     pts.sort(key=lambda t: t[0])
     violations = []
     for (l1, m1), (l2, m2) in zip(pts[:-1], pts[1:]):

@@ -152,6 +152,9 @@ class GammaProfile:
     _g1: np.ndarray = field(repr=False, default=None)
     _jknots: np.ndarray = field(repr=False, default=None)
     _scale: float = field(repr=False, default=0.0)
+    # Mesh levels of spectral.principal_eigen, which do not depend on lambda;
+    # they live and die with the profile.
+    _mesh_levels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def from_distribution(

@@ -21,6 +21,7 @@ from rotwave import (
 )
 
 from rotwave.errors import EigenFailure
+from rotwave.vorticity import ElementRule
 
 from conftest import make_profile
 
@@ -52,6 +53,31 @@ def test_failed_probe_raises(failing_probes):
     prof, flow = make_profile(-1.0, d=1.0, g=9.81, p0=-2.0)
     with pytest.raises(EigenFailure):
         find_lambda_star(prof, flow, mesh_points=201)
+
+
+def test_search_builds_each_mesh_level_once(monkeypatch):
+    # Three levels, each at most once graded toward the floor and once not.
+    built = []
+    init = ElementRule.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(ElementRule, "__init__", counted)
+    prof, flow = make_profile(-1.0, d=1.0, g=9.81, p0=-2.0)
+    pt = find_lambda_star(prof, flow)
+    assert isinstance(pt, BifurcationPoint)
+    assert len(built) <= 6
+
+
+def test_search_returns_every_mu_it_solved():
+    prof, flow = make_profile(-1.0, d=1.0, g=9.81, p0=-2.0)
+    pt = find_lambda_star(prof, flow, mesh_points=201)
+    samples = dict(pt.mu_samples)
+    assert samples[pt.lambda0] == pt.mu_at_lambda0
+    assert samples[pt.lambda_star] == pt.mode.mu_refined
+    assert pt.bracket[0] in samples
 
 
 def test_crossing_below_head_minimizer():

@@ -4,10 +4,14 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from rotwave import bifurcation, cli, spectral
 from rotwave.cli import main, parse_config, write_csv, write_json
 from rotwave.errors import ConfigError
 
@@ -282,3 +286,44 @@ def test_config_key_changes_an_output(tmp_path, config, argv, section, key, valu
     first, second = _files(base), _files(changed)
     assert first.keys() == second.keys() and first
     assert any(first[name] != second[name] for name in first)
+
+
+# -- work done once --------------------------------------------------------------------
+
+
+@pytest.fixture
+def eigen_solves(monkeypatch):
+    """Count principal_eigen solves by (vorticity, lambda) at every module that binds it."""
+    solves = Counter()
+    solve = spectral.principal_eigen
+
+    def counted(profile, flow, lam, **kwargs):
+        solves[profile.source, float(lam)] += 1
+        return solve(profile, flow, lam, **kwargs)
+
+    for module in (spectral, bifurcation, cli):
+        monkeypatch.setattr(module, "principal_eigen", counted)
+    return solves
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [ANALYZE, ("sweep", "--param", "gamma:-1:1:3", "--quantity", "lambda_star")],
+)
+def test_no_lambda_is_solved_twice(tmp_path, eigen_solves, argv):
+    assert _run(tmp_path, C1, *argv, "--out", str(tmp_path / "out")) == 0
+    assert eigen_solves
+    assert max(eigen_solves.values()) == 1
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    # Only the shooting route integrates ODEs; no command needs it at start-up.
+    code = "import sys, rotwave.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))},
+    )
+    assert out.stdout.strip() == "False"

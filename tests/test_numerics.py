@@ -7,7 +7,8 @@ import scipy.integrate
 import scipy.linalg
 import scipy.optimize
 
-from rotwave.errors import NonConvergence, NoSignChange
+from rotwave import VorticityDistribution, find_lambda_star, lambda_of_min_head, numerics, spectral
+from rotwave.errors import EigenFailure, NonConvergence, NoSignChange
 from rotwave.numerics import (
     QuadratureSpec,
     RootSpec,
@@ -16,6 +17,8 @@ from rotwave.numerics import (
     count_pencil_eigenvalues_below,
     smallest_eigenpair_tridiagonal,
 )
+
+from conftest import make_profile
 
 
 # -- adaptive_quad -----------------------------------------------------------
@@ -247,3 +250,87 @@ def test_count_pencil_eigenvalues():
     assert count_pencil_eigenvalues_below(dA, eA, dB, eB, 0.5) == 0
     assert count_pencil_eigenvalues_below(dA, eA, dB, eB, 2.5) == 2
     assert count_pencil_eigenvalues_below(dA, eA, dB, eB, 10.0) == 3
+
+
+# -- the M-matrix certificate ---------------------------------------------------
+
+
+@pytest.fixture
+def certificates(monkeypatch):
+    """(accepted, sigma) of every certificate the eigen solver asks for."""
+    seen = []
+    certify = numerics._m_matrix_certificate
+
+    def recorded(eA, eB, sigma, *rest):
+        ok = certify(eA, eB, sigma, *rest)
+        seen.append((ok, sigma))
+        return ok
+
+    monkeypatch.setattr(numerics, "_m_matrix_certificate", recorded)
+    return seen
+
+
+def _c1_pencil():
+    prof, flow = make_profile(-1.0, d=1.0, g=9.81, p0=-2.0)
+    lam = 1.5
+    nodes = spectral.build_mesh(prof, lam, 201)
+    return [band[1:] for band in spectral.assemble(prof, flow, lam, nodes)]
+
+
+@pytest.mark.parametrize("pencil", ["p2", "c1"])
+def test_certificate_declines_a_second_eigenpair(pencil, certificates):
+    if pencil == "p2":
+        K, M = _p2_pair_dirichlet()
+        bands = [*_bands(K), *_bands(M)]
+    else:
+        bands = _c1_pencil()
+    w, vecs = scipy.linalg.eigh(_dense(bands[0], bands[1]), _dense(bands[2], bands[3]))
+    second, v0 = w[1], vecs[:, 1] / np.linalg.norm(vecs[:, 1])
+    with pytest.raises(EigenFailure, match="converged above the smallest eigenvalue"):
+        smallest_eigenpair_tridiagonal(*bands, second * (1.0 + 1e-6), v0 + 1e-3)
+    [(ok, sigma)] = certificates
+    assert not ok
+    assert sigma == pytest.approx(second, rel=1e-10)
+
+
+_PROFILES = {
+    "C1": (-1.0, dict(d=1.0, g=9.81, p0=-2.0)),
+    "C0": (0.0, dict(d=1.0, g=9.81, p0=-2.0)),
+    "P": (
+        VorticityDistribution.piecewise_constant([-0.5], [0.5, -2.0]),
+        dict(d=1.0, g=1.0, p0=-1.0),
+    ),
+    "T": (
+        VorticityDistribution.tabulated([-1.0, -0.5, 0.0], [-1.2, -0.3, -1.5]),
+        dict(d=1.0, g=9.81, p0=-2.0),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PROFILES))
+def test_certificate_agrees_with_inertia_counts(name, monkeypatch, certificates):
+    # Every principal_eigen solve runs levels of 201, 2001 and 4001 nodes.
+    gamma, flow_kwargs = _PROFILES[name]
+    prof, flow = make_profile(gamma, **flow_kwargs)
+    result = find_lambda_star(prof, flow)
+    lambdas = (prof.min_lambda + 1e-3, result.lambda_star, lambda_of_min_head(prof, flow))
+
+    pencils = []
+    solve = spectral.smallest_eigenpair_tridiagonal
+
+    def solving(*args):
+        pencils.append(args[:4])
+        return solve(*args)
+
+    monkeypatch.setattr(spectral, "smallest_eigenpair_tridiagonal", solving)
+    certificates.clear()
+    for lam in lambdas:
+        spectral.principal_eigen(prof, flow, lam)
+    assert len(pencils) == len(certificates)
+    accepted = [(p, sigma) for p, (ok, sigma) in zip(pencils, certificates) if ok]
+    assert len(accepted) >= len(pencils) // 2
+    assert {len(p[0]) for p, _ in accepted} == {200, 2000, 4000}
+    for pencil, sigma in accepted:
+        delta = 1e-6 * max(1.0, abs(sigma))
+        assert count_pencil_eigenvalues_below(*pencil, sigma - delta) == 0
+        assert count_pencil_eigenvalues_below(*pencil, sigma + delta) >= 1

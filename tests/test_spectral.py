@@ -18,6 +18,7 @@ from rotwave import spectral
 from rotwave.errors import EigenFailure, NoModeSolution, NonAdmissibleLambda, ZeroDenominator
 from rotwave.numerics import RootSpec, bracketed_root, smallest_eigenpair_tridiagonal
 from rotwave.spectral import _solve_level, assemble, build_mesh, flux_jump_defect, refine_mesh
+from rotwave.vorticity import ElementRule
 
 from conftest import make_profile
 
@@ -278,14 +279,14 @@ def test_level_solve_matches_dense_near_floor(mesh_points):
     prof, flow = make_profile(0.0, d=1.0, g=9.81, p0=-2.0)
     lam = 0.01
     coarse = build_mesh(prof, lam, 201)
-    mu_c, m_c = _solve_level(prof, flow, lam, coarse)
+    mu_c, m_c = _solve_level(flow, lam, coarse, ElementRule(prof, coarse))
     nodes = build_mesh(prof, lam, mesh_points)
     seed = (mu_c, np.interp(nodes[1:], coarse, m_c))
     dA, eA, dB, eB = (band[1:] for band in assemble(prof, flow, lam, nodes))
     with pytest.raises(EigenFailure):
         smallest_eigenpair_tridiagonal(dA, eA, dB, eB, *seed)
 
-    mu, M = _solve_level(prof, flow, lam, nodes, seed)
+    mu, M = _solve_level(flow, lam, nodes, ElementRule(prof, nodes), seed)
     A = np.diag(dA) + np.diag(eA, 1) + np.diag(eA, -1)
     B = np.diag(dB) + np.diag(eB, 1) + np.diag(eB, -1)
     ref = scipy.linalg.eigh(A, B, eigvals_only=True, subset_by_index=[0, 0])[0]
