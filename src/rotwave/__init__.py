@@ -50,12 +50,7 @@ from .laminar import (
     scale_to_unit_wavenumber,
     surface_relative_speed,
 )
-from .numerics import (
-    QuadratureSpec,
-    RootSpec,
-    adaptive_quad,
-    bracketed_root,
-)
+from .numerics import RootSpec, bracketed_root
 from .reconstruct import (
     WaveField,
     build_wave,

@@ -8,10 +8,9 @@ class Error(Exception):
 class NonConvergence(Error):
     """An iterative scheme exhausted its budget before reaching tolerance."""
 
-    def __init__(self, message, best=None, error=None):
+    def __init__(self, message, best=None):
         super().__init__(message)
         self.best = best
-        self.error = error
 
 
 class NoSignChange(Error):

@@ -1,10 +1,26 @@
 """Laminar (wave-free) flows: height profile H(p), head Q, and calibrations.
 
-All integrals involve (lambda + Gamma(s))^(-1/2) or ^(-3/2), which develop a
-kink at every vorticity jump and an integrable endpoint singularity at p1,
-the last minimizer of Gamma, as lambda approaches -Gamma_min.  Quadratures
-therefore split at p1 and at the jumps, and declare p1 as a singular
-endpoint so adaptive_quad applies its square-root substitution there.
+Every laminar integral is built from exact integrals of (lambda + Gamma)^(-1/2)
+and (lambda + Gamma)^(-3/2) over the pieces between break points (knots and
+interior zeros of gamma).  On a piece of width h, Gamma is one monotone
+polynomial of degree <= 2; with R = r^2 = lambda + Gamma and u = Gamma' =
+(2 d^2 / p0) gamma at its two ends, oriented so that u >= 0, and
+a = Gamma'' / 2 = (d^2 / p0) gamma' (Gradshteyn and Ryzhik 2.261, 2.264),
+the forms used are free of cancellation:
+
+* linear pieces (a = 0): 2h / (r1 + r2) for the -1/2 power and
+  2h / (r1 r2 (r1 + r2)) for the -3/2 power;
+* quadratic pieces, -3/2 power: h (u1 + u2) / (r1 r2 (u2 r1 + u1 r2));
+* quadratic pieces, -1/2 power, a > 0:
+  log1p(h sqrt(a) ((u1 + u2)/(r1 + r2) + 2 sqrt(a)) / (2 sqrt(a) r1 + u1)) / sqrt(a);
+* quadratic pieces, -1/2 power, a < 0:
+  -atan2(2 sqrt(-a) X, 4 (-a) r1 r2 + u1 u2) / sqrt(-a), where
+  X = u2 r1 - u1 r2 = (4 a R1 - u1^2) h (u1 + u2) / (2 (u2 r1 + u1 r2)).
+
+Near the admissibility floor r is small at a minimizer of Gamma.  These
+forms keep full relative accuracy there, given R at the ends with full
+relative accuracy, which is why R is lambda + Gamma(p1) plus the rises of
+Gamma summed outward from p1, not lambda + Gamma(p).
 """
 
 from __future__ import annotations
@@ -20,67 +36,94 @@ from .errors import (
     DegenerateConstraint,
     InvalidWavelength,
     NonAdmissibleLambda,
-    NonConvergence,
     NoSolution,
 )
-from .numerics import QuadratureSpec, RootSpec, adaptive_quad, bracketed_root
-from .vorticity import ElementRule, FlowParameters, GammaProfile, VorticityDistribution
+from .numerics import RootSpec, bracketed_root
+from .vorticity import FlowParameters, GammaProfile, VorticityDistribution, _check_domain
 
 
-def _integral_of_power(
-    profile: GammaProfile,
-    lam: float,
-    expo: float,
-    lo: float = -1.0,
-    hi: float = 0.0,
-    abs_tol: float = 1e-12,
-    rel_tol: float = 1e-10,
-) -> float:
-    """integral_lo^hi (lambda + Gamma(s))^expo ds with breakpoint handling."""
-    if hi <= lo:
-        return 0.0
+def _piece_integrals(profile: GammaProfile, lam: float, expo: float, points=()):
+    """(edges, integrals): the break points of the profile merged with
+    ``points``, and the exact integral of (lambda + Gamma)^expo over each
+    piece between consecutive edges, for expo = -1/2 or -3/2.
 
-    def f(s):
-        return (lam + profile.primitive(s)) ** expo
+    lambda must be admissible.  The forms are those of the module docstring.
+    """
+    edges = np.union1d(profile._breaks, points)
+    lo, hi, h = edges[:-1], edges[1:], np.diff(edges)
+    knots, g0, g1 = profile._knots, profile._g0, profile._g1
+    j = np.searchsorted(knots, lo, side="right") - 1
 
-    mins = profile.minimizers or (profile.p1,)
-    edges = sorted({lo, hi, *(m for m in mins if lo < m < hi)})
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        bps = {j for j in profile.jump_points if a < j < b}
-        if any(abs(a - m) < 1e-14 for m in mins):
-            bps.add(a)
-        if any(abs(b - m) < 1e-14 for m in mins):
-            bps.add(b)
-        spec = QuadratureSpec(
-            abs_tol=abs_tol, rel_tol=rel_tol, breakpoints=tuple(sorted(bps))
+    def slope(p):
+        """Gamma' on the piece's interval, from its nearer knot, so that it is
+        exact at knots: next to a minimizer, where R is tiny, the integrals
+        are sensitive to it."""
+        left, right = p - knots[j], knots[j + 1] - p
+        gamma = np.where(left <= right, g0[j] + g1[j] * left, profile._g_end[j] - g1[j] * right)
+        return profile._scale * gamma
+
+    u1, u2 = slope(lo), slope(hi)
+    a = 0.5 * profile._scale * g1[j]
+    # R at the edges from the exact rises h (u1 + u2) / 2 of the pieces,
+    # never below its least value lambda + Gamma_min.
+    rise = 0.5 * h * (u1 + u2)
+    k = np.searchsorted(edges, profile.p1)
+    above = np.concatenate([-np.cumsum(rise[:k][::-1])[::-1], [0.0], np.cumsum(rise[k:])])
+    R = np.maximum((lam + profile.primitive(profile.p1)) + above, lam + profile.gamma_min)
+    r = np.sqrt(R)
+    # Orient every piece so that Gamma rises along it.  At a zero of gamma
+    # u is round-off and may keep either sign.
+    flip = u1 + u2 < 0.0
+    R1 = np.where(flip, R[1:], R[:-1])
+    r1, r2 = np.where(flip, r[1:], r[:-1]), np.where(flip, r[:-1], r[1:])
+    u1, u2 = np.where(flip, -u2, u1), np.where(flip, -u1, u2)
+
+    out = 2.0 * h / (r1 + r2)
+    if expo == -1.5:
+        out /= r1 * r2
+    # The linear forms are exact to round-off where |a| h^2 <= eps R1, and
+    # the quadratic ones could underflow there.  A genuine quadratic piece
+    # has u1 + u2 >= 2 |a| h > 0; one narrower than round-off may not.
+    q = (np.abs(a) * h * h > np.finfo(float).eps * R1) & (u1 + u2 > 0.0)
+    h, R1, r1, r2, u1, u2, a = (x[q] for x in (h, R1, r1, r2, u1, u2, a))
+    if expo == -1.5:
+        out[q] = h * (u1 + u2) / (r1 * r2 * (u2 * r1 + u1 * r2))
+    else:
+        s = np.sqrt(np.abs(a))
+        rising = np.log1p(h * s * ((u1 + u2) / (r1 + r2) + 2.0 * s) / (2.0 * s * r1 + u1)) / s
+        x = np.where(
+            u1 * u2 < 0.0,
+            u2 * r1 - u1 * r2,
+            (4.0 * a * R1 - u1 * u1) * h * (u1 + u2) / (2.0 * (u2 * r1 + u1 * r2)),
         )
-        total += adaptive_quad(f, a, b, spec)
-    return total
+        falling = -np.arctan2(2.0 * s * x, 4.0 * s * s * r1 * r2 + u1 * u2) / s
+        out[q] = np.where(a > 0.0, rising, falling)
+    return edges, out
+
+
+def _integral(profile: GammaProfile, lam: float, expo: float) -> float:
+    """integral_{-1}^0 (lambda + Gamma)^expo exactly, for expo = -1/2 or -3/2."""
+    return float(np.sum(_piece_integrals(profile, lam, expo)[1]))
 
 
 def laminar_height(profile: GammaProfile, lam: float, p: float) -> float:
     """H(p; lambda) = integral_{-1}^p (lambda + Gamma)^(-1/2) ds - (p + 1)."""
-    profile.require_admissible(lam)
-    p = float(p)
-    if p <= -1.0:
-        return 0.0
-    return _integral_of_power(profile, lam, -0.5, -1.0, p) - (p + 1.0)
+    return float(height_on_mesh(profile, lam, [max(float(p), -1.0)])[0])
 
 
 def height_on_mesh(profile: GammaProfile, lam: float, nodes: np.ndarray) -> np.ndarray:
-    """H at every mesh node via cumulative per-element quadrature."""
+    """H at every node, by a cumulative sum of exact pieces."""
     profile.require_admissible(lam)
-    nodes = np.asarray(nodes, dtype=float)
-    rule = ElementRule(profile, nodes)
-    (seg,) = rule.integrate(lambda q: [q.w * (lam + q.gamma) ** (-0.5)])
-    return np.concatenate([[0.0], np.cumsum(seg)]) - (nodes + 1.0)
+    nodes = _check_domain(nodes)
+    edges, pieces = _piece_integrals(profile, lam, -0.5, nodes)
+    cumulative = np.concatenate([[0.0], np.cumsum(pieces)])
+    return cumulative[np.searchsorted(edges, nodes)] - (nodes + 1.0)
 
 
 def hydraulic_head(profile: GammaProfile, flow: FlowParameters, lam: float) -> float:
     """Q(lambda) = 2 g d * integral (lambda+Gamma)^(-1/2) + p0^2 lambda / d^2."""
     profile.require_admissible(lam)
-    integral = _integral_of_power(profile, lam, -0.5)
+    integral = _integral(profile, lam, -0.5)
     return 2.0 * flow.g * flow.d * integral + flow.p0**2 * lam / flow.d**2
 
 
@@ -98,7 +141,7 @@ def lambda_of_min_head(
     floor = profile.min_lambda
 
     def f(lam):
-        return _integral_of_power(profile, lam, -1.5, abs_tol=1e-13) - target
+        return _integral(profile, lam, -1.5) - target
 
     lo = None
     eps = 1e-2 * max(1.0, abs(floor))
@@ -185,7 +228,7 @@ def calibrate_mass_flux(
         prof = GammaProfile.from_distribution(dist, flow)
         if lam <= prof.min_lambda:
             return math.nan
-        return _integral_of_power(prof, lam, -0.5) - 1.0
+        return _integral(prof, lam, -0.5) - 1.0
 
     # Gamma scales as 1/b, so admissibility requires b > b_min with
     # b_min = -Gamma_min(b=1)/lambda; phi often changes sign in a thin shell
@@ -205,12 +248,7 @@ def calibrate_mass_flux(
     prev_b = prev_f = None
     bracket = None
     for b in b_vals:
-        try:
-            val = phi(b)
-        except NonConvergence:
-            # Probes hugging b_min can defeat the quadrature; like a
-            # non-admissible probe, such a probe only breaks the scan.
-            val = math.nan
+        val = phi(b)
         if math.isnan(val):
             prev_b = prev_f = None
             continue

@@ -37,9 +37,7 @@ from .errors import (
     ZeroDenominator,
 )
 from .numerics import (
-    QuadratureSpec,
     RootSpec,
-    adaptive_quad,
     bracketed_root,
     count_pencil_eigenvalues_below,
     smallest_eigenpair_tridiagonal,
@@ -335,13 +333,11 @@ def rayleigh_quotient(
 
     ``phi`` may be a ModeSolution (evaluated through the same element
     quadrature as the solver, so the identity F(M) == mu is exact to
-    round-off) or a callable with optional analytic derivative ``phi_p``
-    (central differences otherwise).
+    round-off) or a scalar callable with optional analytic derivative
+    ``phi_p`` (central differences otherwise), evaluated at the points of
+    the element quadrature on build_mesh(profile, lam, 2001).
     """
     profile.require_admissible(lam)
-    d = flow.d
-    g = flow.g
-    p0sq = flow.p0**2
     if isinstance(phi, ModeSolution):
         ints = _element_integrals(ElementRule(profile, phi.nodes), lam)
         return _quotient_from_integrals(ints, np.diff(phi.nodes), phi.M, flow)
@@ -351,30 +347,22 @@ def rayleigh_quotient(
             x = min(max(p, -1.0 + _h), -_h)
             return (phi(x + _h) - phi(x - _h)) / (2.0 * _h)
 
-    bps = tuple(
-        sorted(
-            {j for j in profile.jump_points}
-            | {m for m in profile.minimizers if -1.0 < m < 0.0}
-        )
-    )
-    spec = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-11, breakpoints=bps)
+    nodes = build_mesh(profile, lam, 2001)
+    lo, h = nodes[:-1], np.diff(nodes)
 
-    def num_int(p):
-        a = np.sqrt(lam + profile.primitive(p))
-        dphi = np.asarray([phi_p(x) for x in np.atleast_1d(p)])
-        return (a**3 * dphi.reshape(np.shape(p))) * dphi.reshape(np.shape(p))
+    def weighted(q):
+        x = lo[q.elements, None] + q.n1 * h[q.elements, None]
+        a = np.sqrt(lam + q.gamma)
+        dphi = np.vectorize(phi_p, otypes=[float])(x)
+        val = np.vectorize(phi, otypes=[float])(x)
+        return [q.w * a**3 * dphi * dphi, q.w * a * val * val]
 
-    def den_int(p):
-        a = np.sqrt(lam + profile.primitive(p))
-        val = np.asarray([phi(x) for x in np.atleast_1d(p)]).reshape(np.shape(p))
-        return a * val * val
-
-    stiff = adaptive_quad(num_int, -1.0, 0.0, spec)
-    mass = adaptive_quad(den_int, -1.0, 0.0, spec)
+    stiff, mass = ElementRule(profile, nodes).integrate(weighted).sum(axis=1)
     if mass <= 1e-30:
         raise ZeroDenominator("integral of a*phi^2 is numerically zero")
-    num = -g * d**3 * float(phi(0.0)) ** 2 + p0sq * stiff
-    return num / (p0sq * d**2 * mass)
+    p0sq = flow.p0**2
+    num = -flow.g * flow.d**3 * float(phi(0.0)) ** 2 + p0sq * stiff
+    return num / (p0sq * flow.d**2 * mass)
 
 
 def _scalar_gamma_primitive(profile: GammaProfile):

@@ -146,12 +146,17 @@ class GammaProfile:
     jump_points: tuple
     minimizers: tuple = ()
     # Knot tables: gamma(p) = g0[j] + g1[j] * (p - knots[j]) on interval j,
+    # with the exact value g_end[j] at its right end,
     # J(p) = integral_{-1}^p gamma, Gamma = scale * (J(p) - J(0)).
     _knots: np.ndarray = field(repr=False, default=None)
     _g0: np.ndarray = field(repr=False, default=None)
     _g1: np.ndarray = field(repr=False, default=None)
+    _g_end: np.ndarray = field(repr=False, default=None)
     _jknots: np.ndarray = field(repr=False, default=None)
     _scale: float = field(repr=False, default=0.0)
+    # Knots and interior zeros of gamma: between two consecutive ones Gamma
+    # is a single monotone polynomial piece.
+    _breaks: np.ndarray = field(repr=False, default=None)
     # Mesh levels of spectral.principal_eigen, which do not depend on lambda;
     # they live and die with the profile.
     _mesh_levels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -162,7 +167,7 @@ class GammaProfile:
         dist: VorticityDistribution,
         flow: FlowParameters,
     ) -> "GammaProfile":
-        knots, g0, g1 = _poly_tables(dist)
+        knots, g0, g1, g_end = _poly_tables(dist)
         h = np.diff(knots)
         increments = g0 * h + 0.5 * g1 * h * h
         jknots = np.concatenate([[0.0], np.cumsum(increments)])
@@ -176,10 +181,12 @@ class GammaProfile:
             _knots=knots,
             _g0=g0,
             _g1=g1,
+            _g_end=g_end,
             _jknots=jknots,
             _scale=scale,
         )
-        gmin, p1, minimizers = _exact_minimum(profile)
+        gmin, p1, minimizers, breaks = _exact_minimum(profile)
+        object.__setattr__(profile, "_breaks", breaks)
         object.__setattr__(profile, "gamma_min", gmin)
         object.__setattr__(profile, "p1", p1)
         object.__setattr__(profile, "minimizers", minimizers)
@@ -196,7 +203,8 @@ class GammaProfile:
             len(self._g0) - 1,
         )
         dp = p - self._knots[idx]
-        j = self._jknots[idx] + self._g0[idx] * dp + 0.5 * self._g1[idx] * dp * dp
+        # Summed as the increments of _jknots are, so that Gamma(0) is 0.
+        j = self._jknots[idx] + (self._g0[idx] * dp + 0.5 * self._g1[idx] * dp * dp)
         out = self._scale * (j - self._jknots[-1])
         return float(out) if out.ndim == 0 else out
 
@@ -291,7 +299,8 @@ def _points(profile, elements, x, w, lo, hi, h) -> QuadraturePoints:
 
 
 def _poly_tables(dist: VorticityDistribution):
-    """Per-interval polynomial coefficients of gamma on its knot grid."""
+    """Per-interval polynomial coefficients of gamma on its knot grid, and
+    the exact value of gamma at the right end of each interval."""
     if dist.kind == "constant":
         knots = np.array([-1.0, 0.0])
         g0 = np.array([dist.constant])
@@ -305,20 +314,23 @@ def _poly_tables(dist: VorticityDistribution):
         vals = np.asarray(dist.values, dtype=float)
         g0 = vals[:-1]
         g1 = np.diff(vals) / np.diff(knots)
-    return knots, g0, g1
+        return knots, g0, g1, vals[1:]
+    return knots, g0, g1, g0
 
 
 def _exact_minimum(profile: GammaProfile):
-    """(Gamma_min, p1, all minimizers) from exact candidates.
+    """(Gamma_min, p1, all minimizers, break points) from exact candidates.
 
     Gamma is piecewise polynomial of degree <= 2 with Gamma' = scale * gamma,
-    so the minimum sits at a knot or at an interior zero of gamma.  p1 is
-    the largest minimizer; the full minimizer tuple drives singularity
-    handling in the laminar integrals.
+    so the minimum sits at a break point: a knot or an interior zero of
+    gamma.  p1 is the largest minimizer; the full minimizer tuple drives
+    singularity handling in the element quadrature.
     """
     candidates = list(profile._knots)
     for j in range(len(profile._g0)):
-        if profile._g1[j] != 0.0:
+        # Strict sign change: a zero at a knot adds no round-off neighbour.
+        ends = (profile._g0[j], profile._g_end[j])
+        if min(ends) < 0.0 < max(ends):
             z = profile._knots[j] - profile._g0[j] / profile._g1[j]
             if profile._knots[j] < z < profile._knots[j + 1]:
                 candidates.append(z)
@@ -328,7 +340,7 @@ def _exact_minimum(profile: GammaProfile):
     tol = 1e-14 * max(1.0, abs(gmin))
     mins = cand[vals <= gmin + tol]
     p1 = float(np.max(mins))
-    return gmin, p1, tuple(float(p) for p in mins)
+    return gmin, p1, tuple(float(p) for p in mins), cand
 
 
 # -- module-level operations (spec surface) ---------------------------------

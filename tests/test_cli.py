@@ -69,6 +69,33 @@ def test_analyze_no_bifurcation_exits_2(tmp_path):
     assert report["no_bifurcation"]["inf_mu"] > -1.0
 
 
+def test_analyze_near_the_floor_exits_2(tmp_path):
+    # lambda0 sits 2.5e-9 above the floor; the constant-vorticity criterion,
+    # necessary and sufficient here, does not hold.
+    config = dict(C1, flow={"d": 1, "g": 1e-4, "p0": -2})
+    out = tmp_path / "out"
+    assert _run(tmp_path, config, "analyze", "--out", str(out)) == 2
+    report = json.loads((out / "report.json").read_text())
+    assert report["status"] == "no_bifurcation"
+    assert not bifurcation.check_constant_vorticity(-1.0, 1.0, 1e-4)[0]
+    assert not report["criteria"]["constant_vorticity"]["holds"]
+
+
+def test_analyze_with_a_zero_at_a_knot_exits_0(tmp_path):
+    # gamma is 0 at the surface knot; no round-off neighbour of that knot
+    # joins the mesh anchors as a second minimizer.
+    config = dict(
+        C1,
+        flow={"d": 1, "g": 9.81, "p0": -1},
+        vorticity={
+            "kind": "tabulated",
+            "nodes": [-1.0, -0.5, -0.05687337765627676, 0.0],
+            "values": [0.0, 0.0, 1.0625, 0.0],
+        },
+    )
+    assert _run(tmp_path, config, "analyze", "--out", str(tmp_path / "out")) == 0
+
+
 def test_config_error_exits_3(tmp_path, capsys):
     bad = dict(C1, flow={"d": 1, "g": 9.81, "p0": 2})
     assert _run(tmp_path, bad, "analyze", "--out", str(tmp_path / "out")) == 3

@@ -1,0 +1,170 @@
+"""Exact laminar integrals against mpmath at 40 digits, down to 1e-13 above
+the admissibility floor, on random profiles of all three kinds."""
+
+import mpmath as mp
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rotwave import (
+    FlowParameters,
+    GammaProfile,
+    VorticityDistribution,
+    calibrate_mass_flux,
+    hydraulic_head,
+    lambda_of_min_head,
+)
+from rotwave.laminar import _integral, _piece_integrals
+
+mp.mp.dps = 40
+
+PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+
+
+def _mp_primitive(dist, d, p0):
+    """Gamma(p) = (2 d^2 / p0) integral_0^p gamma in mpmath, from the exact
+    inputs, with the interior zeros of gamma."""
+    if dist.kind == "constant":
+        knots, g0, g1 = [-1, 0], [dist.constant], [0]
+    elif dist.kind == "piecewise_constant":
+        knots, g0, g1 = [-1, *dist.breakpoints, 0], list(dist.values), [0] * len(dist.values)
+    else:
+        knots, v = list(dist.nodes), [mp.mpf(x) for x in dist.values]
+        g0 = v[:-1]
+        g1 = [(v[i + 1] - v[i]) / (mp.mpf(knots[i + 1]) - knots[i]) for i in range(len(g0))]
+    knots = [mp.mpf(k) for k in knots]
+    g0 = [mp.mpf(x) for x in g0]
+    jk = [mp.mpf(0)]
+    for i in range(len(g0)):
+        h = knots[i + 1] - knots[i]
+        jk.append(jk[-1] + g0[i] * h + g1[i] * h * h / 2)
+    scale = 2 * mp.mpf(d) ** 2 / mp.mpf(p0)
+
+    def gamma_of(p):
+        i = max(0, min(len(g0) - 1, sum(1 for k in knots if k <= p) - 1))
+        dp = p - knots[i]
+        return scale * (jk[i] + g0[i] * dp + g1[i] * dp * dp / 2 - jk[-1])
+
+    zeros = [
+        knots[i] - g0[i] / g1[i]
+        for i in range(len(g0))
+        if g1[i] != 0 and knots[i] < knots[i] - g0[i] / g1[i] < knots[i + 1]
+    ]
+    return gamma_of, knots + zeros
+
+
+def _reference(prof, lam, expo):
+    """integral_{-1}^0 (lambda + Gamma)^expo in mpmath, conditioned as the
+    code is: lambda + Gamma(p1) is taken in floating point and only
+    Gamma - Gamma(p1) in mpmath."""
+    gamma_of, _ = _mp_primitive(prof.source, prof.flow.d, prof.flow.p0)
+    base = mp.mpf(lam + prof.primitive(prof.p1))
+    at_p1 = gamma_of(mp.mpf(prof.p1))
+    edges = [mp.mpf(float(e)) for e in prof._breaks]
+    return mp.quad(lambda p: (base + gamma_of(p) - at_p1) ** mp.mpf(expo), edges)
+
+
+@st.composite
+def profiles(draw):
+    values = st.floats(-3.0, 3.0, allow_subnormal=False)
+    interior = st.floats(-0.95, -0.05, allow_subnormal=False)
+    kind = draw(st.sampled_from(["constant", "piecewise_constant", "tabulated"]))
+    if kind == "constant":
+        dist = VorticityDistribution.const(draw(values))
+    elif kind == "piecewise_constant":
+        bps = sorted(draw(st.lists(interior, min_size=1, max_size=3, unique=True)))
+        dist = VorticityDistribution.piecewise_constant(
+            bps, draw(st.lists(values, min_size=len(bps) + 1, max_size=len(bps) + 1))
+        )
+    else:
+        nodes = [-1.0, *sorted(draw(st.lists(interior, max_size=4, unique=True))), 0.0]
+        dist = VorticityDistribution.tabulated(
+            nodes, draw(st.lists(values, min_size=len(nodes), max_size=len(nodes)))
+        )
+    flow = FlowParameters(d=draw(st.floats(0.5, 1.5)), g=1.0, p0=-draw(st.floats(0.5, 2.0)))
+    return GammaProfile.from_distribution(dist, flow)
+
+
+margins = st.floats(-13.0, 0.0).map(lambda e: 10.0**e)
+
+
+@PROPERTY
+@given(profiles(), margins)
+def test_both_powers_match_mpmath(prof, margin):
+    lam = prof.min_lambda + margin
+    for expo in (-0.5, -1.5):
+        ref = _reference(prof, lam, expo)
+        assert abs(_integral(prof, lam, expo) - ref) <= 1e-14 * abs(ref)
+
+
+@PROPERTY
+@given(profiles(), margins, st.floats(-1.0, 0.0))
+def test_integrals_add_up_over_a_split(prof, margin, p):
+    lam = prof.min_lambda + margin
+    for expo in (-0.5, -1.5):
+        edges, pieces = _piece_integrals(prof, lam, expo, [p])
+        below = np.sum(pieces[edges[1:] <= p])
+        above = np.sum(pieces[edges[:-1] >= p])
+        whole = _integral(prof, lam, expo)
+        assert below + above == pytest.approx(whole, rel=1e-14)
+
+
+@PROPERTY
+@given(profiles())
+def test_surface_value_and_minimizers_are_exact(prof):
+    assert prof.primitive(0.0) == 0.0
+    gamma_of, candidates = _mp_primitive(prof.source, prof.flow.d, prof.flow.p0)
+    true_min = min(gamma_of(c) for c in candidates)
+    tol = 1e-14 * max(1.0, abs(float(true_min)))
+    assert abs(prof.gamma_min - true_min) <= tol
+    assert prof.p1 in prof.minimizers
+    for m in prof.minimizers:
+        assert gamma_of(mp.mpf(m)) - true_min <= tol
+    grid = np.linspace(-1.0, 0.0, 2001)
+    assert np.all(prof.primitive(grid) >= prof.gamma_min - tol)
+
+
+# -- fixed cases near the floor --------------------------------------------------
+
+
+def _c1(g):
+    flow = FlowParameters(d=1.0, g=g, p0=-2.0)
+    return GammaProfile.from_distribution(VorticityDistribution.const(-1.0), flow), flow
+
+
+def test_lambda0_near_the_floor_matches_closed_form():
+    # Gamma = p: 2 (1/sqrt(lambda0 - 1) - 1/sqrt(lambda0)) = p0^2 / g = 4/g
+    # puts lambda0 = 1 + x^2 2.5e-9 above the floor.
+    g = 1e-4
+    prof, flow = _c1(g)
+    root = mp.findroot(
+        lambda x: 2 * (1 / x - 1 / mp.sqrt(1 + x * x)) - 4 / mp.mpf(g), (4e-5, 6e-5), solver="anderson"
+    )
+    assert abs(lambda_of_min_head(prof, flow) - (1 + root**2)) <= 1e-9
+
+
+def test_head_at_1e13_above_the_floor_matches_closed_form():
+    prof, flow = _c1(9.81)
+    lam = 1.0 + 1e-13
+    m = mp.mpf(lam)
+    exact = 2 * mp.mpf(flow.g) * 2 * (mp.sqrt(m) - mp.sqrt(m - 1)) + 4 * m
+    assert abs(hydraulic_head(prof, flow, lam) - exact) <= 1e-15 * exact
+
+
+ONSET_SEED_0 = VorticityDistribution.tabulated(
+    [k / 8.0 - 1.0 for k in range(9)],
+    [-0.5206, -0.8277, -0.6773, -0.5629, -1.2663, -0.4984, -1.0659, -1.4152, -0.5376],
+)
+INTERIOR_MINIMUM = VorticityDistribution.tabulated([-1.0, -0.6, -0.3, 0.0], [1.0, -0.5, 0.8, -1.0])
+
+
+@pytest.mark.parametrize(
+    "dist, lam",
+    [(ONSET_SEED_0, lam) for lam in np.linspace(1.2, 2.0, 9)] + [(INTERIOR_MINIMUM, 1.5)],
+)
+def test_calibrated_p0_meets_the_unit_depth_constraint(dist, lam):
+    p0 = calibrate_mass_flux(dist, 1.0, lam)
+    gamma_of, candidates = _mp_primitive(dist, 1.0, p0)
+    depth = mp.quad(lambda p: (mp.mpf(lam) + gamma_of(p)) ** -0.5, sorted(candidates))
+    assert abs(depth - 1) <= 1e-13

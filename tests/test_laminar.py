@@ -196,8 +196,9 @@ def test_calibrate_near_family_endpoint():
 
 def test_calibrate_skips_probes_the_quadrature_cannot_take():
     # Gamma is least between nodes, at the zero of gamma in (-0.3, 0).  The
-    # scan probe next to b_min defeats the quadrature; later probes bracket
-    # the root.
+    # scan starts with probes just above b_min, where lambda + Gamma nearly
+    # vanishes at that zero; the exact integrals take every probe, and the
+    # scan brackets the root.
     nodes = [-1.0, -0.6, -0.3, 0.0]
     values = [1.0, -0.5, 0.8, -1.0]
     lam = 1.5

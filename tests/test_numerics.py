@@ -3,84 +3,19 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.integrate
 import scipy.linalg
 import scipy.optimize
 
 from rotwave import VorticityDistribution, find_lambda_star, lambda_of_min_head, numerics, spectral
-from rotwave.errors import EigenFailure, NonConvergence, NoSignChange
+from rotwave.errors import EigenFailure, NoSignChange
 from rotwave.numerics import (
-    QuadratureSpec,
     RootSpec,
-    adaptive_quad,
     bracketed_root,
     count_pencil_eigenvalues_below,
     smallest_eigenpair_tridiagonal,
 )
 
 from conftest import make_profile
-
-
-# -- adaptive_quad -----------------------------------------------------------
-
-
-def test_quad_linear_exact():
-    assert adaptive_quad(lambda x: x, 0.0, 1.0) == pytest.approx(0.5, abs=1e-14)
-
-
-def test_quad_constant_with_breakpoint():
-    spec = QuadratureSpec(breakpoints=(0.3,))
-    val = adaptive_quad(lambda x: np.ones_like(x), 0.0, 1.0, spec)
-    assert val == pytest.approx(1.0, abs=1e-14)
-
-
-def test_quad_inverse_sqrt_closed_form():
-    # antiderivative of (1 + 2s)^(-1/2) is sqrt(1 + 2s)
-    exact = 1.0 - math.sqrt(0.002)
-    val = adaptive_quad(lambda s: (1.0 + 2.0 * s) ** -0.5, -0.499, 0.0)
-    assert val == pytest.approx(exact, abs=1e-11)
-    ref, _ = scipy.integrate.quad(lambda s: (1.0 + 2.0 * s) ** -0.5, -0.499, 0.0)
-    assert val == pytest.approx(ref, abs=1e-10)
-
-
-@pytest.mark.parametrize("degree", [13, 22])
-def test_quad_polynomial_exactness(degree):
-    # Gauss-7 is exact through degree 13, Kronrod-15 through degree 22.
-    coeffs = np.arange(1, degree + 2, dtype=float)
-
-    def poly(x):
-        return np.polyval(coeffs, x)
-
-    exact = np.polyval(np.polyint(coeffs), 1.0) - np.polyval(np.polyint(coeffs), -1.0)
-    val = adaptive_quad(poly, -1.0, 1.0, QuadratureSpec(abs_tol=1e-10))
-    assert val == pytest.approx(exact, rel=1e-13)
-
-
-def test_quad_redundant_breakpoints_invariance():
-    f = lambda x: np.exp(x) * np.sin(3 * x)
-    base = adaptive_quad(f, 0.0, 2.0)
-    spread = adaptive_quad(f, 0.0, 2.0, QuadratureSpec(breakpoints=(0.3, 0.7, 1.1, 1.9)))
-    assert abs(base - spread) <= 1e-12
-
-
-def test_quad_declared_endpoint_singularity():
-    # integrand ~ (x - a)^(-1/2): exact integral 2 sqrt(b - a)
-    spec = QuadratureSpec(breakpoints=(0.0,))
-    val = adaptive_quad(lambda x: x**-0.5, 0.0, 4.0, spec)
-    assert val == pytest.approx(4.0, rel=1e-10)
-
-
-def test_quad_nonconvergence():
-    spec = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-14, max_subdivisions=8)
-    with pytest.raises(NonConvergence):
-        adaptive_quad(lambda x: np.abs(x - 0.123456789) ** -0.5, 0.0, 1.0, spec)
-
-
-def test_quad_spec_validation():
-    with pytest.raises(ValueError):
-        QuadratureSpec(abs_tol=0.0)
-    with pytest.raises(ValueError):
-        QuadratureSpec(breakpoints=(0.5, 0.2))
 
 
 # -- bracketed_root ----------------------------------------------------------

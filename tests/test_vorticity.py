@@ -134,6 +134,21 @@ def test_min_interior_tabulated():
     assert np.min(samples) >= gmin - 1e-12
 
 
+@pytest.mark.parametrize(
+    "nodes, values, minimizers",
+    [
+        ([-1.0, -0.5, -0.05687337765627676, 0.0], [0.0, 0.0, 1.0625, 0.0], (0.0,)),
+        ([-1.0, -0.05, 0.0], [1e-10, 0.0, 0.0], (-0.05, 0.0)),
+    ],
+)
+def test_zero_at_a_knot_adds_no_round_off_minimizer(nodes, values, minimizers):
+    # The zero of the linear piece ending at a zero value rounds to a point
+    # a few ulps inside the interval; it is not a second break point.
+    prof, _ = make_profile(VorticityDistribution.tabulated(nodes, values))
+    assert prof.minimizers == minimizers
+    assert list(prof._breaks) == nodes
+
+
 def test_min_no_sample_below_random_piecewise():
     rng = np.random.default_rng(11)
     for _ in range(20):
