@@ -30,7 +30,8 @@ class WaveField:
 
     h is even in q and 2*pi-periodic by construction; h(q, -1) = 0 exactly
     and psi = p0 p is constant along every p row.  x, y, eta, u_rel and v
-    are filled by physical_map and velocity_field.
+    are filled by physical_map and velocity_field.  psi and x are read-only
+    broadcast views of one row and one column.
     """
 
     s: float
@@ -83,7 +84,7 @@ def build_wave(point: BifurcationPoint, s: float, n_q: int = 256) -> WaveField:
     h[:, 0] = 0.0
     h_q = -s * sinq * M[None, :]
     h_p = H_p[None, :] + s * cosq * M_p[None, :]
-    psi = np.broadcast_to(point.flow.p0 * nodes[None, :], h.shape).copy()
+    psi = np.broadcast_to(point.flow.p0 * nodes[None, :], h.shape)
 
     field = WaveField(
         s=s,
@@ -110,7 +111,7 @@ def build_wave(point: BifurcationPoint, s: float, n_q: int = 256) -> WaveField:
 def physical_map(field: WaveField, flow: FlowParameters) -> WaveField:
     """Fill physical coordinates: x = q, y = d (h + p), eta = d h(q, 0)."""
     d = flow.d
-    field.x = np.broadcast_to(field.q_nodes[:, None], field.h.shape).copy()
+    field.x = np.broadcast_to(field.q_nodes[:, None], field.h.shape)
     field.y = d * (field.h + field.p_nodes[None, :])
     field.y[:, 0] = -d
     field.eta = d * field.h[:, -1].copy()

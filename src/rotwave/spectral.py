@@ -382,7 +382,8 @@ def _scalar_gamma_primitive(profile: GammaProfile):
         elif j > nmax:
             j = nmax
         dp = p - knots[j]
-        return scale * (jk[j] + g0[j] * dp + 0.5 * g1[j] * dp * dp - j_end)
+        # Summed as GammaProfile.primitive sums, so both give the same floats.
+        return scale * (jk[j] + (g0[j] * dp + 0.5 * g1[j] * dp * dp) - j_end)
 
     return gamma_of
 

@@ -14,10 +14,17 @@ import pytest
 from rotwave import bifurcation, cli, spectral
 from rotwave.cli import main, parse_config, write_csv, write_json
 from rotwave.errors import ConfigError
+from rotwave.reconstruct import build_wave, physical_map, velocity_field
 
 C1 = {
     "flow": {"d": 1, "g": 9.81, "p0": -2},
     "vorticity": {"kind": "constant", "gamma": -1},
+    "numerics": {"mesh_points": 201},
+}
+# One vorticity jump at mid-depth.
+PIECEWISE = {
+    "flow": {"d": 1, "g": 1, "p0": -1},
+    "vorticity": {"kind": "piecewise_constant", "breakpoints": [-0.5], "values": [0.5, -2]},
     "numerics": {"mesh_points": 201},
 }
 # Gravity too weak for mu to reach -1: no bifurcation.
@@ -227,6 +234,16 @@ def test_reruns_are_byte_identical(tmp_path):
     assert set(_files(first)) == {"report.json", "mu_curve.csv"}
 
 
+def test_reconstruct_reruns_are_byte_identical(tmp_path):
+    first, second = tmp_path / "first", tmp_path / "second"
+    config = dict(C1, reconstruct={"n_q": 16})
+    argv = ("reconstruct", "--amplitude", "0.01", "--amplitude", "0.02")
+    assert _run(tmp_path, config, *argv, "--out", str(first)) == 0
+    assert _run(tmp_path, config, *argv, "--out", str(second)) == 0
+    assert _files(first) == _files(second)
+    assert set(_files(first)) == {"field.csv", "surface.csv", "residuals.json"}
+
+
 def test_csv_cells(tmp_path):
     path = tmp_path / "cells.csv"
     row = [math.nan, math.inf, -math.inf, -0.0, np.float64(0.1), None]
@@ -240,6 +257,47 @@ def test_failed_write_leaves_no_part_file(tmp_path):
     with pytest.raises(OSError):
         write_json(str(tmp_path / "report.json"), {"a": 1})
     assert sorted(os.listdir(tmp_path)) == ["report.json"]
+
+    # A row that fails after the first has been streamed to the staged file.
+    def rows():
+        yield [1.0]
+        raise RuntimeError("row failed")
+
+    (tmp_path / "field.csv").write_text("old\n")
+    with pytest.raises(RuntimeError):
+        write_csv(str(tmp_path / "field.csv"), ["c"], rows())
+    assert sorted(os.listdir(tmp_path)) == ["field.csv", "report.json"]
+    assert (tmp_path / "field.csv").read_text() == "old\n"
+
+
+@pytest.mark.parametrize("config", [C1, PIECEWISE], ids=["C1", "P"])
+def test_field_csv_is_the_field_cell_by_cell(tmp_path, monkeypatch, config):
+    rows_counted = {}
+
+    def counting(path, header, rows):
+        rows_counted[os.path.basename(path)] = len(rows)
+        return write_csv(path, header, rows)
+
+    monkeypatch.setattr(cli, "write_csv", counting)
+    config = dict(config, reconstruct={"n_q": 16})
+    out = tmp_path / "out"
+    argv = ("reconstruct", "--amplitude", "0.02", "--amplitude", "0.01", "--out", str(out))
+    assert _run(tmp_path, config, *argv) == 0
+
+    # The first amplitude's field, built apart from run_reconstruct.
+    _profile, result = cli._analysis(parse_config(json.dumps(config)))
+    flow = result.flow
+    fld = velocity_field(physical_map(build_wave(result, 0.02, 16), flow), flow)
+    columns = (fld.x, fld.y, fld.h, fld.u_rel, fld.v, fld.psi)
+    expected = [
+        ",".join(cli._fmt(v) for v in (q, p, *(c[i, j] for c in columns)))
+        for i, q in enumerate(fld.q_nodes)
+        for j, p in enumerate(fld.p_nodes)
+    ]
+    header, *lines, last = (out / "field.csv").read_text().split("\n")
+    assert header == "q,p,x,y,h,u_rel,v,psi" and last == ""
+    assert lines == expected
+    assert rows_counted["field.csv"] == len(lines)
 
 
 def test_outputs_follow_the_umask(tmp_path):

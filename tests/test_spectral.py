@@ -168,6 +168,27 @@ def test_shooting_tries_the_step_past_the_cap(monkeypatch):
     assert shooting_mu(prof, flow, 1e-4) == pytest.approx(-6e8, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "dist, g, p0",
+    [
+        (VorticityDistribution.const(-1.0), 9.81, -2.0),
+        (VorticityDistribution.piecewise_constant([-0.5], [0.5, -2.0]), 1.0, -1.0),
+        (VorticityDistribution.tabulated([-1.0, -0.5, 0.0], [-1.2, -0.3, -1.5]), 9.81, -2.0),
+    ],
+    ids=["C1", "P", "T"],
+)
+def test_shooting_gamma_is_the_primitive_bit_for_bit(dist, g, p0):
+    prof, _flow = make_profile(dist, g=g, p0=p0)
+    knots = np.asarray(prof._knots, dtype=float)
+    ulp_off = np.concatenate([np.nextafter(knots, -2.0), np.nextafter(knots, 1.0)])
+    p = np.concatenate(
+        [[-1.0, 0.0], knots, ulp_off, np.random.default_rng(0).uniform(-1.0, 0.0, 20003)]
+    )
+    p = p[(p >= -1.0) & (p <= 0.0)]
+    gamma_of = spectral._scalar_gamma_primitive(prof)
+    assert [gamma_of(x) for x in p.tolist()] == prof.primitive(p).tolist()
+
+
 # -- mode_k_solution ----------------------------------------------------------------
 
 
