@@ -55,10 +55,9 @@ from .reconstruct import (
     WaveField,
     build_wave,
     nonstagnation_check,
-    physical_map,
+    physical_fields,
     residual_slope,
     surface_profile,
-    velocity_field,
     weak_residual,
 )
 from .spectral import (

@@ -40,10 +40,9 @@ from .bifurcation import (
 from .errors import ConfigError, Error, InvalidParameter, StagnationAtAmplitude
 from .reconstruct import (
     build_wave,
-    physical_map,
+    physical_fields,
     residual_slope,
     surface_profile,
-    velocity_field,
     weak_residual,
 )
 from .spectral import mu_curve, principal_eigen
@@ -448,27 +447,31 @@ def run_analyze(config: RunConfig, out_dir: str) -> int:
 class _FieldRows:
     """field.csv rows as finished text, one q-block of n_p lines at a time.
 
-    Cells are the shortest round-trip text of _fmt, formatted by column:
-    q and x are constant within a block (physical_map broadcasts q_nodes),
-    so each is formatted once per block; p and psi are the same row in every
-    block, so each is formatted once per file.  len() is the row count:
-    perfbench's tracer counts the rows given to write_csv with len(), and
-    a block of text does not say how many rows it holds.
+    Cells are the shortest round-trip text of _fmt, formatted by column from
+    one call of physical_fields.  q is constant within a block, so its text
+    is formatted once per block and written in both the q and the x cell
+    (x = q); p and psi = p0 p are the same row in every block, so each is
+    formatted once per file.  len() is the row count: perfbench's tracer
+    counts the rows given to write_csv with len(), and a block of text does
+    not say how many rows it holds.
     """
 
-    def __init__(self, fld):
+    def __init__(self, fld, flow):
         self.fld = fld
+        self.p0 = flow.p0
+        self.columns = physical_fields(fld, flow)
 
     def __len__(self):
         return self.fld.h.size
 
     def __iter__(self):
         fld = self.fld
+        y, u_rel, v = self.columns
         p = list(map(repr, fld.p_nodes.tolist()))
-        psi = list(map(repr, fld.psi[0].tolist()))
-        for i, (q, x) in enumerate(zip(fld.q_nodes.tolist(), fld.x[:, 0].tolist())):
-            varying = (map(repr, c[i].tolist()) for c in (fld.y, fld.h, fld.u_rel, fld.v))
-            cells = zip(itertools.repeat(repr(q)), p, itertools.repeat(repr(x)), *varying, psi)
+        psi = list(map(repr, (self.p0 * fld.p_nodes).tolist()))
+        for i, q in enumerate(map(repr, fld.q_nodes.tolist())):
+            varying = (map(repr, c[i].tolist()) for c in (y, fld.h, u_rel, v))
+            cells = zip(itertools.repeat(q), p, itertools.repeat(q), *varying, psi)
             yield "\n".join(map(",".join, cells)) + "\n"
 
 
@@ -511,17 +514,16 @@ def run_reconstruct(config: RunConfig, amplitudes: Sequence[float], out_dir: str
             ),
         }
 
-    fld = velocity_field(physical_map(first_field, flow), flow)
     write_csv(
         os.path.join(out_dir, "field.csv"),
         ["q", "p", "x", "y", "h", "u_rel", "v", "psi"],
-        _FieldRows(fld),
+        _FieldRows(first_field, flow),
     )
-    eta, _mean = surface_profile(fld, flow)
+    eta, _mean = surface_profile(first_field, flow)
     write_csv(
         os.path.join(out_dir, "surface.csv"),
         ["x", "eta"],
-        list(zip(fld.q_nodes, eta)),
+        list(zip(first_field.q_nodes, eta)),
     )
     write_json(os.path.join(out_dir, "residuals.json"), residuals)
     return 0

@@ -3,18 +3,19 @@
 The reconstruction lives on the flattened rectangle [-pi, pi] x [-1, 0]:
 q is a uniform periodic grid (the +pi column is identified with -pi and
 omitted), p is inherited from the eigenfunction mesh so M is never
-interpolated.  Physical coordinates follow from the inverse semi-hodograph
-map x = q, y = d (h + p); velocities from u - c = p0 / (d (1 + h_p)) and
+interpolated.  A WaveField is a frozen value holding h and its two
+derivatives; everything physical is derived from it, not stored.  Physical
+coordinates follow from the inverse semi-hodograph map x = q,
+y = d (h + p); velocities from u - c = p0 / (d (1 + h_p)) and
 v = p0 h_q / (1 + h_p), which satisfy v = (u - c) d h_q exactly (the
 streamline-slope identity) and the kinematic surface condition to first
-order.
+order.  The stream function is psi = p0 p on every row.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -24,14 +25,13 @@ from .laminar import height_on_mesh
 from .vorticity import FlowParameters, GammaProfile
 
 
-@dataclass
+@dataclass(frozen=True)
 class WaveField:
     """Grid arrays of the reconstructed wave, shape (n_q, n_p).
 
-    h is even in q and 2*pi-periodic by construction; h(q, -1) = 0 exactly
-    and psi = p0 p is constant along every p row.  x, y, eta, u_rel and v
-    are filled by physical_map and velocity_field.  psi and x are read-only
-    broadcast views of one row and one column.
+    h is 2*pi-periodic and even in q, and h(q, -1) = 0 exactly.  Nothing
+    else is stored: x = q and psi = p0 p are the grid itself, and
+    physical_fields derives y, u - c and v.
     """
 
     s: float
@@ -41,15 +41,6 @@ class WaveField:
     h: np.ndarray
     h_q: np.ndarray
     h_p: np.ndarray
-    psi: np.ndarray
-    H_p_nodes: np.ndarray
-    M_nodes: np.ndarray
-    M_p_nodes: np.ndarray
-    x: Optional[np.ndarray] = None
-    y: Optional[np.ndarray] = None
-    eta: Optional[np.ndarray] = None
-    u_rel: Optional[np.ndarray] = None
-    v: Optional[np.ndarray] = None
 
 
 def _critical_amplitude(H_p: np.ndarray, M_p: np.ndarray) -> float:
@@ -84,21 +75,7 @@ def build_wave(point: BifurcationPoint, s: float, n_q: int = 256) -> WaveField:
     h[:, 0] = 0.0
     h_q = -s * sinq * M[None, :]
     h_p = H_p[None, :] + s * cosq * M_p[None, :]
-    psi = np.broadcast_to(point.flow.p0 * nodes[None, :], h.shape)
-
-    field = WaveField(
-        s=s,
-        lam=lam,
-        q_nodes=q,
-        p_nodes=nodes.copy(),
-        h=h,
-        h_q=h_q,
-        h_p=h_p,
-        psi=psi,
-        H_p_nodes=H_p,
-        M_nodes=M.copy(),
-        M_p_nodes=M_p,
-    )
+    field = WaveField(s=s, lam=lam, q_nodes=q, p_nodes=nodes.copy(), h=h, h_q=h_q, h_p=h_p)
     floor = nonstagnation_check(field)
     if floor <= 0.0:
         raise StagnationAtAmplitude(
@@ -108,32 +85,18 @@ def build_wave(point: BifurcationPoint, s: float, n_q: int = 256) -> WaveField:
     return field
 
 
-def physical_map(field: WaveField, flow: FlowParameters) -> WaveField:
-    """Fill physical coordinates: x = q, y = d (h + p), eta = d h(q, 0)."""
-    d = flow.d
-    field.x = np.broadcast_to(field.q_nodes[:, None], field.h.shape)
-    field.y = d * (field.h + field.p_nodes[None, :])
-    field.y[:, 0] = -d
-    field.eta = d * field.h[:, -1].copy()
-    return field
+def physical_fields(field: WaveField, flow: FlowParameters):
+    """(y, u - c, v) on the grid of field, each of shape (n_q, n_p).
 
-
-def velocity_field(field: WaveField, flow: FlowParameters) -> WaveField:
-    """Fill u_rel = u - c and v from the height gradients.
-
-    u - c = p0 / (d (1 + h_p)) < 0 under non-stagnation, and
-    v = p0 h_q / (1 + h_p) = (u - c) d h_q.
+    y = d (h + p) with the bed row exactly -d; u - c = p0 / (d (1 + h_p)),
+    which is < 0 since build_wave rejected stagnation; v = p0 h_q / (1 + h_p)
+    = (u - c) d h_q.
     """
+    d = flow.d
+    y = d * (field.h + field.p_nodes[None, :])
+    y[:, 0] = -d
     denom = 1.0 + field.h_p
-    floor = float(np.min(denom))
-    if floor <= 0.0:
-        raise StagnationAtAmplitude(
-            f"min(h_p + 1) = {floor!r} <= 0",
-            critical_s=_critical_amplitude(field.H_p_nodes, field.M_p_nodes),
-        )
-    field.u_rel = flow.p0 / (flow.d * denom)
-    field.v = flow.p0 * field.h_q / denom
-    return field
+    return y, flow.p0 / (d * denom), flow.p0 * field.h_q / denom
 
 
 def surface_profile(field: WaveField, flow: FlowParameters):

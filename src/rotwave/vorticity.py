@@ -8,7 +8,7 @@ exact coefficient values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -186,11 +186,9 @@ class GammaProfile:
             _scale=scale,
         )
         gmin, p1, minimizers, breaks = _exact_minimum(profile)
-        object.__setattr__(profile, "_breaks", breaks)
-        object.__setattr__(profile, "gamma_min", gmin)
-        object.__setattr__(profile, "p1", p1)
-        object.__setattr__(profile, "minimizers", minimizers)
-        return profile
+        return replace(
+            profile, gamma_min=gmin, p1=p1, minimizers=minimizers, _breaks=breaks
+        )
 
     # -- evaluation ---------------------------------------------------------
 

@@ -14,7 +14,7 @@ import pytest
 from rotwave import bifurcation, cli, spectral
 from rotwave.cli import main, parse_config, write_csv, write_json
 from rotwave.errors import ConfigError
-from rotwave.reconstruct import build_wave, physical_map, velocity_field
+from rotwave.reconstruct import build_wave, physical_fields
 
 C1 = {
     "flow": {"d": 1, "g": 9.81, "p0": -2},
@@ -287,10 +287,13 @@ def test_field_csv_is_the_field_cell_by_cell(tmp_path, monkeypatch, config):
     # The first amplitude's field, built apart from run_reconstruct.
     _profile, result = cli._analysis(parse_config(json.dumps(config)))
     flow = result.flow
-    fld = velocity_field(physical_map(build_wave(result, 0.02, 16), flow), flow)
-    columns = (fld.x, fld.y, fld.h, fld.u_rel, fld.v, fld.psi)
+    fld = build_wave(result, 0.02, 16)
+    y, u_rel, v = physical_fields(fld, flow)
     expected = [
-        ",".join(cli._fmt(v) for v in (q, p, *(c[i, j] for c in columns)))
+        ",".join(
+            cli._fmt(c)
+            for c in (q, p, q, y[i, j], fld.h[i, j], u_rel[i, j], v[i, j], flow.p0 * p)
+        )
         for i, q in enumerate(fld.q_nodes)
         for j, p in enumerate(fld.p_nodes)
     ]
@@ -298,6 +301,14 @@ def test_field_csv_is_the_field_cell_by_cell(tmp_path, monkeypatch, config):
     assert header == "q,p,x,y,h,u_rel,v,psi" and last == ""
     assert lines == expected
     assert rows_counted["field.csv"] == len(lines)
+
+    # surface.csv: x = q and eta = d h(q, 0), one row per q.
+    expected = [
+        f"{cli._fmt(q)},{cli._fmt(flow.d * h)}" for q, h in zip(fld.q_nodes, fld.h[:, -1])
+    ]
+    header, *lines, last = (out / "surface.csv").read_text().split("\n")
+    assert header == "x,eta" and last == ""
+    assert lines == expected
 
 
 def test_outputs_follow_the_umask(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,10 +11,9 @@ from rotwave import (
     find_lambda_star,
     hydraulic_head,
     nonstagnation_check,
-    physical_map,
+    physical_fields,
     residual_slope,
     surface_profile,
-    velocity_field,
     weak_residual,
 )
 from rotwave.errors import StagnationAtAmplitude
@@ -86,37 +86,31 @@ def test_nonstagnation_linear_amplitude_decay():
     assert nonstagnation_check(field) == pytest.approx(expected, abs=1e-6)
 
 
-# -- physical_map ---------------------------------------------------------------
+# -- physical_fields ---------------------------------------------------------------
 
 
 def test_physical_map_laminar_rows():
     pt, prof, flow = _pinned_point()
-    field = physical_map(build_wave(pt, 0.0, 32), flow)
+    field = build_wave(pt, 0.0, 32)
+    y, _u_rel, _v = physical_fields(field, flow)
     # H == 0 at lambda* = 1, so streamlines sit at y = d p
-    assert field.y == pytest.approx(
-        np.broadcast_to(field.p_nodes, field.y.shape), abs=1e-9
-    )
-    assert np.all(field.y[:, 0] == -flow.d)
+    assert y == pytest.approx(np.broadcast_to(field.p_nodes, y.shape), abs=1e-9)
+    assert np.all(y[:, 0] == -flow.d)
 
 
 def test_physical_map_surface_elevation():
     pt, prof, flow = _pinned_point()
-    field = physical_map(build_wave(pt, 0.05, 64), flow)
+    field = build_wave(pt, 0.05, 64)
+    eta, _mean = surface_profile(field, flow)
     iq0 = int(np.argmin(np.abs(field.q_nodes)))
-    assert field.eta[iq0] == pytest.approx(0.05, abs=1e-9)
-    assert field.x == pytest.approx(np.broadcast_to(field.q_nodes[:, None], field.x.shape))
-
-
-# -- velocity_field ---------------------------------------------------------------
+    assert eta[iq0] == pytest.approx(0.05, abs=1e-9)
 
 
 def test_velocity_laminar_uniform():
     pt, prof, flow = _pinned_point()
-    field = velocity_field(build_wave(pt, 0.0, 32), flow)
-    assert field.u_rel == pytest.approx(
-        np.full_like(field.u_rel, flow.p0), abs=1e-9
-    )
-    assert field.v == pytest.approx(np.zeros_like(field.v), abs=1e-15)
+    _y, u_rel, v = physical_fields(build_wave(pt, 0.0, 32), flow)
+    assert u_rel == pytest.approx(np.full_like(u_rel, flow.p0), abs=1e-9)
+    assert v == pytest.approx(np.zeros_like(v), abs=1e-15)
 
 
 def test_velocity_surface_dispersion_identity():
@@ -130,30 +124,40 @@ def test_velocity_surface_dispersion_identity():
 
 def test_velocity_first_order_sample():
     pt, prof, flow = _pinned_point()
-    field = velocity_field(build_wave(pt, 0.05, 128), flow)
+    field = build_wave(pt, 0.05, 128)
+    _y, _u_rel, v = physical_fields(field, flow)
     iq = int(np.argmin(np.abs(field.q_nodes - math.pi / 2.0)))
     # h_q = -s M(0) sin(q), h_p = s M_p(0) cos(q) ~ 0 at q = pi/2
     expected = flow.p0 * (-0.05) / 1.0
-    assert field.v[iq, -1] == pytest.approx(expected, abs=1e-6)
+    assert v[iq, -1] == pytest.approx(expected, abs=1e-6)
 
 
 def test_velocity_streamline_duality():
     pt, prof, flow = _pinned_point()
-    field = velocity_field(build_wave(pt, 0.06, 64), flow)
+    field = build_wave(pt, 0.06, 64)
+    _y, u_rel, v = physical_fields(field, flow)
     # v = (u - c) d h_q exactly, the streamline-slope identity
-    assert field.v == pytest.approx(field.u_rel * flow.d * field.h_q, abs=1e-14)
+    assert v == pytest.approx(u_rel * flow.d * field.h_q, abs=1e-14)
 
 
 def test_kinematic_surface_condition_first_order():
     pt, prof, flow = _pinned_point()
     s = 0.02
-    field = velocity_field(physical_map(build_wave(pt, s, 512), flow), flow)
-    eta = field.eta
+    field = build_wave(pt, s, 512)
+    _y, u_rel, v = physical_fields(field, flow)
+    eta, _mean = surface_profile(field, flow)
     dq = field.q_nodes[1] - field.q_nodes[0]
     eta_x = (np.roll(eta, -1) - np.roll(eta, 1)) / (2.0 * dq)
-    defect = field.v[:, -1] - field.u_rel[:, -1] * eta_x
+    defect = v[:, -1] - u_rel[:, -1] * eta_x
     # O(s^2) from the dropped branch remainder + O(dq^2) from differencing
     assert np.max(np.abs(defect)) <= 5.0 * (s * s + dq * dq)
+
+
+def test_wave_field_is_frozen():
+    pt, prof, flow = _pinned_point()
+    field = build_wave(pt, 0.01, 16)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        field.h = field.h_q
 
 
 # -- surface_profile ---------------------------------------------------------------
