@@ -29,7 +29,8 @@ from .vorticity import FlowParameters, GammaProfile
 class WaveField:
     """Grid arrays of the reconstructed wave, shape (n_q, n_p).
 
-    h is 2*pi-periodic and even in q, and h(q, -1) = 0 exactly.  Nothing
+    h is 2*pi-periodic, h(q, -1) = 0, and h and h_p are even in q and h_q
+    odd, all exactly: rows k and n_q - k agree bit for bit.  Nothing
     else is stored: x = q and psi = p0 p are the grid itself, and
     physical_fields derives y, u - c and v.
     """
@@ -68,9 +69,13 @@ def build_wave(point: BifurcationPoint, s: float, n_q: int = 256) -> WaveField:
     H = height_on_mesh(profile, lam, nodes)
     H_p = 1.0 / profile.a(lam, nodes) - 1.0
 
-    q = -math.pi + 2.0 * math.pi * np.arange(n_q) / n_q
-    cosq = np.cos(q)[:, None]
-    sinq = np.sin(q)[:, None]
+    k = np.arange(n_q)
+    q = -math.pi + 2.0 * math.pi * k / n_q
+    # q_{n_q - k} = -q_k, but not in floating point: cos and sin are taken at
+    # the mirror index, so h and h_p are exactly even in q and h_q exactly odd.
+    mirror = np.minimum(k, n_q - k)
+    cosq = np.cos(q[mirror])[:, None]
+    sinq = np.where(k > mirror, -1.0, 1.0)[:, None] * np.sin(q[mirror])[:, None]
     h = H[None, :] + s * cosq * M[None, :]
     h[:, 0] = 0.0
     h_q = -s * sinq * M[None, :]

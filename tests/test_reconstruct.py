@@ -56,12 +56,14 @@ def test_build_bed_row_zero():
 
 def test_build_even_and_periodic():
     pt, prof, flow = _pinned_point()
-    field = build_wave(pt, 0.03, 64)
-    # q grid is -pi + 2 pi i / n: index i and n - i mirror each other
-    n = len(field.q_nodes)
-    for i in range(1, n // 2):
-        assert field.h[i] == pytest.approx(field.h[n - i], abs=1e-15)
-    assert field.h[0] == pytest.approx(field.h[0], abs=0)  # -pi self-mirror
+    for n in (16, 64, 256):
+        field = build_wave(pt, 0.03, n)
+        # q grid is -pi + 2 pi i / n: index i and n - i mirror each other, and
+        # the -pi row is its own mirror; evenness holds bit for bit
+        for i in range(1, n // 2):
+            assert np.array_equal(field.h[i], field.h[n - i])
+            assert np.array_equal(field.h_p[i], field.h_p[n - i])
+            assert np.array_equal(field.h_q[i], -field.h_q[n - i])
 
 
 def test_build_rejects_small_grid():
