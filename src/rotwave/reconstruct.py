@@ -3,13 +3,13 @@
 The reconstruction lives on the flattened rectangle [-pi, pi] x [-1, 0]:
 q is a uniform periodic grid (the +pi column is identified with -pi and
 omitted), p is inherited from the eigenfunction mesh so M is never
-interpolated.  A WaveField is a frozen value holding h and its two
-derivatives; everything physical is derived from it, not stored.  Physical
-coordinates follow from the inverse semi-hodograph map x = q,
-y = d (h + p); velocities from u - c = p0 / (d (1 + h_p)) and
+interpolated.  A WaveField is a frozen value: h, h_q and h_p on that grid,
+exactly even (h, h_p) and odd (h_q) in q.  The rest is derived, not stored:
+the inverse semi-hodograph map x = q, y = d (h + p), the stream function
+psi = p0 p, and the velocities u - c = p0 / (d (1 + h_p)) and
 v = p0 h_q / (1 + h_p), which satisfy v = (u - c) d h_q exactly (the
 streamline-slope identity) and the kinematic surface condition to first
-order.  The stream function is psi = p0 p on every row.
+order.
 """
 
 from __future__ import annotations
@@ -44,14 +44,6 @@ class WaveField:
     h_p: np.ndarray
 
 
-def _critical_amplitude(H_p: np.ndarray, M_p: np.ndarray) -> float:
-    denom = np.abs(M_p)
-    mask = denom > 1e-300
-    if not np.any(mask):
-        return math.inf
-    return float(np.min((1.0 + H_p[mask]) / denom[mask]))
-
-
 def build_wave(point: BifurcationPoint, s: float, n_q: int = 256) -> WaveField:
     """First-order field h(q, p) = H(p) + s M(p) cos q at the crossing.
 
@@ -75,7 +67,7 @@ def build_wave(point: BifurcationPoint, s: float, n_q: int = 256) -> WaveField:
     # the mirror index, so h and h_p are exactly even in q and h_q exactly odd.
     mirror = np.minimum(k, n_q - k)
     cosq = np.cos(q[mirror])[:, None]
-    sinq = np.where(k > mirror, -1.0, 1.0)[:, None] * np.sin(q[mirror])[:, None]
+    sinq = (np.where(k > mirror, -1.0, 1.0) * np.sin(q[mirror]))[:, None]
     h = H[None, :] + s * cosq * M[None, :]
     h[:, 0] = 0.0
     h_q = -s * sinq * M[None, :]
@@ -83,9 +75,12 @@ def build_wave(point: BifurcationPoint, s: float, n_q: int = 256) -> WaveField:
     field = WaveField(s=s, lam=lam, q_nodes=q, p_nodes=nodes.copy(), h=h, h_q=h_q, h_p=h_p)
     floor = nonstagnation_check(field)
     if floor <= 0.0:
+        # 1 + H_p + s M_p cos q > 0 for all q needs s < (1 + H_p) / |M_p|.
+        slope = np.abs(M_p)
+        bound = (1.0 + H_p[slope > 1e-300]) / slope[slope > 1e-300]
         raise StagnationAtAmplitude(
             f"min(h_p + 1) = {floor!r} <= 0 at amplitude {s!r}",
-            critical_s=_critical_amplitude(H_p, M_p),
+            critical_s=float(np.min(bound, initial=math.inf)),
         )
     return field
 
