@@ -186,9 +186,7 @@ class GammaProfile:
             _scale=scale,
         )
         gmin, p1, minimizers, breaks = _exact_minimum(profile)
-        return replace(
-            profile, gamma_min=gmin, p1=p1, minimizers=minimizers, _breaks=breaks
-        )
+        return replace(profile, gamma_min=gmin, p1=p1, minimizers=minimizers, _breaks=breaks)
 
     # -- evaluation ---------------------------------------------------------
 
