@@ -4,8 +4,8 @@ Identical config bytes produce byte-identical outputs: floats are written
 in shortest round-trip form, line endings are '\\n', files are staged to a
 temporary path and atomically renamed, and reports carry no timestamps.
 
-Exit codes: 0 success, 2 no bifurcation, 3 config error, 4 numerical
-failure.
+Exit codes: 0 success, 2 no bifurcation, 3 config error or an output
+directory that cannot be created or written, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -288,7 +288,6 @@ def _atomic_write(path: str, chunks):
     removed and path keeps its old bytes.
     """
     directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_", suffix=".part")
     try:
         # mkstemp creates the file 0600; give it the mode open() would.
@@ -317,12 +316,11 @@ def write_csv(path: str, header: Sequence[str], rows):
     whole.
     """
 
-    def lines():
-        yield ",".join(header) + "\n"
-        for row in rows:
-            yield row if isinstance(row, str) else ",".join(map(_fmt, row)) + "\n"
+    def line(row):
+        return row if isinstance(row, str) else ",".join(map(_fmt, row)) + "\n"
 
-    _atomic_write(path, lines())
+    # map keeps no reference to a line once it is written.
+    _atomic_write(path, itertools.chain([",".join(header) + "\n"], map(line, rows)))
 
 
 # -- pipelines ----------------------------------------------------------------
@@ -399,6 +397,7 @@ def _mu_grid(profile, config, result) -> list:
 
 def run_analyze(config: RunConfig, out_dir: str) -> int:
     """Locate the crossing, evaluate criteria, emit report.json + mu_curve.csv."""
+    os.makedirs(out_dir, exist_ok=True)
     profile, result = _analysis(config)
     criteria = build_criteria_report(config, profile)
     curve = mu_curve(
@@ -451,14 +450,26 @@ class _FieldRows:
     one call of physical_fields.  q is constant within a block, so its text
     is formatted once per block and written in both the q and the x cell
     (x = q); p and psi = p0 p are the same row in every block, so each is
-    formatted once per file.  len() is the row count: perfbench's tracer
-    counts the rows given to write_csv with len(), and a block of text does
-    not say how many rows it holds.
+    formatted once per file.
+
+    Rows k and n_q - k mirror each other (q_{n_q - k} = -q_k), and
+    build_wave makes y, h and u - c even in q and v odd, bit for bit.  So
+    only rows 0 .. n_q // 2 are formatted: once a pair is checked bit for
+    bit, row n_q - k reuses row k's y, h and u_rel text and its v text with
+    the sign flipped.  A pair that fails the check, as in a hand-built
+    field, is formatted afresh.  The mirrored blocks are made in the order
+    n_q - 1, n_q - 2, ..., so they are staged in an unlinked temporary file
+    in directory and read back in reverse; memory stays at about one block.
+
+    len() is the row count: perfbench's tracer counts the rows given to
+    write_csv with len(), and a block of text does not say how many rows it
+    holds.
     """
 
-    def __init__(self, fld, flow):
+    def __init__(self, fld, flow, directory):
         self.fld = fld
         self.p0 = flow.p0
+        self.directory = directory
         self.columns = physical_fields(fld, flow)
 
     def __len__(self):
@@ -467,12 +478,57 @@ class _FieldRows:
     def __iter__(self):
         fld = self.fld
         y, u_rel, v = self.columns
+        even = (y, fld.h, u_rel)
         p = list(map(repr, fld.p_nodes.tolist()))
-        psi = list(map(repr, (self.p0 * fld.p_nodes).tolist()))
-        for i, q in enumerate(map(repr, fld.q_nodes.tolist())):
-            varying = (map(repr, c[i].tolist()) for c in (y, fld.h, u_rel, v))
-            cells = zip(itertools.repeat(q), p, itertools.repeat(q), *varying, psi)
-            yield "\n".join(map(",".join, cells)) + "\n"
+        # psi is the last cell, so its text carries the line end.
+        psi = [f"{t}\n" for t in map(repr, (self.p0 * fld.p_nodes).tolist())]
+        q = list(map(repr, fld.q_nodes.tolist()))
+        n_q = len(q)
+
+        def text(i):
+            # Held while row n_q - i is made from it.  The y, h and u_rel
+            # cells, which the two rows share, are one string a line: half
+            # as many objects held at once.
+            cells = zip(*(map(repr, c[i].tolist()) for c in even))
+            return list(map(",".join, cells)), list(map(repr, v[i].tolist()))
+
+        def mirror(k, m, columns):
+            """Row m's text: row k's, with v's sign flipped, where the pair checks out."""
+            if not _mirrors(even, v, k, m):
+                return text(m)
+            same, v_text = columns
+            return same, (t[1:] if t[0] == "-" else "-" + t for t in v_text)
+
+        def block(i, columns):
+            cells = zip(itertools.repeat(q[i]), p, itertools.repeat(q[i]), *columns, psi)
+            return "".join(map(",".join, cells))
+
+        with tempfile.TemporaryFile(dir=self.directory) as side:
+            offsets = [0]
+            for k in range(n_q // 2 + 1):
+                columns = text(k)
+                yield block(k, columns)
+                m = n_q - k
+                if 0 < k < m:
+                    side.write(block(m, mirror(k, m, columns)).encode())
+                    offsets.append(side.tell())
+            for start, end in reversed(list(itertools.pairwise(offsets))):
+                side.seek(start)
+                yield side.read(end - start).decode()
+
+
+def _mirrors(even, odd, k, m) -> bool:
+    """Whether row m of each even array equals row k bit for bit, and row m
+    of odd is row k negated bit for bit (no NaN: its text has no sign)."""
+
+    def same(a, b):
+        return np.array_equal(a.view(np.int64), b.view(np.int64))
+
+    return (
+        all(same(c[k], c[m]) for c in even)
+        and not np.isnan(odd[k]).any()
+        and same(odd[k], -odd[m])
+    )
 
 
 def run_reconstruct(config: RunConfig, amplitudes: Sequence[float], out_dir: str) -> int:
@@ -487,6 +543,7 @@ def run_reconstruct(config: RunConfig, amplitudes: Sequence[float], out_dir: str
         _build(ReconstructOptions, "/reconstruct", {"amplitude": s, "n_q": n_q}).amplitude
         for s in amplitudes or [config.reconstruct.amplitude]
     ]
+    os.makedirs(out_dir, exist_ok=True)
     profile, result = _analysis(config)
     if isinstance(result, NoBifurcation):
         return 2
@@ -517,7 +574,7 @@ def run_reconstruct(config: RunConfig, amplitudes: Sequence[float], out_dir: str
     write_csv(
         os.path.join(out_dir, "field.csv"),
         ["q", "p", "x", "y", "h", "u_rel", "v", "psi"],
-        _FieldRows(first_field, flow),
+        _FieldRows(first_field, flow, out_dir),
     )
     eta, _mean = surface_profile(first_field, flow)
     write_csv(
@@ -618,6 +675,7 @@ def run_sweep(config: RunConfig, param_specs: Sequence[str], quantity: Optional[
     else:
         value_cols = _CRITERIA_COLUMNS
     header = names + value_cols + ["error"]
+    os.makedirs(out_dir, exist_ok=True)
 
     rows = []
     n_ok = 0
@@ -732,13 +790,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _load_config(args.config)
-        if args.command == "analyze":
-            return run_analyze(config, args.out)
-        if args.command == "reconstruct":
-            return run_reconstruct(config, args.amplitude, args.out)
-        if args.command == "sweep":
+        if args.command == "criteria":
+            return run_criteria(config)
+        try:
+            if args.command == "analyze":
+                return run_analyze(config, args.out)
+            if args.command == "reconstruct":
+                return run_reconstruct(config, args.amplitude, args.out)
             return run_sweep(config, args.param, args.quantity, args.out)
-        return run_criteria(config)
+        except OSError as exc:
+            sys.stderr.write(f"output error: {args.out}: {exc}\n")
+            return 3
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 3

@@ -32,7 +32,9 @@ class WaveField:
     h is 2*pi-periodic, h(q, -1) = 0, and h and h_p are even in q and h_q
     odd, all exactly: rows k and n_q - k agree bit for bit.  Nothing
     else is stored: x = q and psi = p0 p are the grid itself, and
-    physical_fields derives y, u - c and v.
+    physical_fields derives y, u - c and v.  field.csv relies on the
+    symmetry to reuse the text of row k in row n_q - k, but checks it pair
+    by pair, so a field built by hand is written correctly too.
     """
 
     s: float

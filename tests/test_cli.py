@@ -6,7 +6,10 @@ import os
 import stat
 import subprocess
 import sys
+import tempfile
+import tracemalloc
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -108,6 +111,25 @@ def test_config_error_exits_3(tmp_path, capsys):
     assert _run(tmp_path, bad, "analyze", "--out", str(tmp_path / "out")) == 3
     assert "/flow/p0" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "reconstruct"])
+def test_unusable_out_exits_3(tmp_path, capsys, monkeypatch, command):
+    # A file where the output directory should be: refused before any solve.
+    (tmp_path / "file").write_text("")
+    out = str(tmp_path / "file" / "sub")
+    monkeypatch.setattr(cli, "_analysis", lambda config: pytest.fail("solved first"))
+    assert _run(tmp_path, C1, command, "--out", out) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"output error: {out}: ") and err.count("\n") == 1
+
+    # An output file that cannot be replaced: refused once it is written.
+    monkeypatch.undo()
+    out = tmp_path / "out"
+    (out / ("report.json" if command == "analyze" else "field.csv")).mkdir(parents=True)
+    assert _run(tmp_path, C1, command, "--out", str(out)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"output error: {out}: ") and err.count("\n") == 1
 
 
 def test_sweep_with_every_row_failing_exits_4(tmp_path):
@@ -252,7 +274,7 @@ def test_csv_cells(tmp_path):
     assert path.read_text().splitlines()[1] == "nan,inf,-inf,-0.0,0.1,,true,false,3,4,s"
 
 
-def test_failed_write_leaves_no_part_file(tmp_path):
+def test_failed_write_leaves_no_part_file(tmp_path, monkeypatch):
     (tmp_path / "report.json").mkdir()  # the rename onto it must fail
     with pytest.raises(OSError):
         write_json(str(tmp_path / "report.json"), {"a": 1})
@@ -269,6 +291,52 @@ def test_failed_write_leaves_no_part_file(tmp_path):
     assert sorted(os.listdir(tmp_path)) == ["field.csv", "report.json"]
     assert (tmp_path / "field.csv").read_text() == "old\n"
 
+    # field.csv rows that fail once a mirrored block is in the side file.
+    side_files = []
+
+    def recording(**kwargs):
+        side_files.append(make_side_file(**kwargs))
+        return side_files[-1]
+
+    make_side_file = tempfile.TemporaryFile
+    monkeypatch.setattr(tempfile, "TemporaryFile", recording)
+
+    class FailingRows(cli._FieldRows):
+        def __iter__(self):
+            for i, block in enumerate(super().__iter__()):
+                if i == 2:  # rows 0 and 1 written, row n_q - 1 staged
+                    assert side_files[0].tell() > 0
+                    raise RuntimeError("block failed")
+                yield block
+
+    fld, flow = _c1_wave(16)
+    with pytest.raises(RuntimeError, match="block failed"):
+        write_csv(str(tmp_path / "field.csv"), ["c"], FailingRows(fld, flow, str(tmp_path)))
+    assert sorted(os.listdir(tmp_path)) == ["field.csv", "report.json"]
+    assert (tmp_path / "field.csv").read_text() == "old\n"
+
+
+FIELD_HEADER = ["q", "p", "x", "y", "h", "u_rel", "v", "psi"]
+
+
+def _field_lines(fld, flow):
+    """field.csv's lines below the header, made cell by cell with _fmt."""
+    y, u_rel, v = physical_fields(fld, flow)
+    return [
+        ",".join(
+            cli._fmt(c)
+            for c in (q, p, q, y[i, j], fld.h[i, j], u_rel[i, j], v[i, j], flow.p0 * p)
+        )
+        for i, q in enumerate(fld.q_nodes)
+        for j, p in enumerate(fld.p_nodes)
+    ]
+
+
+def _read_lines(path, header):
+    first, *lines, last = path.read_text().split("\n")
+    assert first == header and last == ""
+    return lines
+
 
 @pytest.mark.parametrize("config", [C1, PIECEWISE], ids=["C1", "P"])
 def test_field_csv_is_the_field_cell_by_cell(tmp_path, monkeypatch, config):
@@ -279,36 +347,64 @@ def test_field_csv_is_the_field_cell_by_cell(tmp_path, monkeypatch, config):
         return write_csv(path, header, rows)
 
     monkeypatch.setattr(cli, "write_csv", counting)
-    config = dict(config, reconstruct={"n_q": 16})
-    out = tmp_path / "out"
-    argv = ("reconstruct", "--amplitude", "0.02", "--amplitude", "0.01", "--out", str(out))
-    assert _run(tmp_path, config, *argv) == 0
+    # Odd n_q has no q = 0 row; amplitude 0 makes every v cell 0.0 or -0.0.
+    for n_q, s in [(16, 0.02), (17, 0.0), (17, 0.02), (33, 0.02)]:
+        case = dict(config, reconstruct={"n_q": n_q})
+        out = tmp_path / f"out_{n_q}_{s}"
+        argv = ("reconstruct", "--amplitude", str(s), "--amplitude", "0.01", "--out", str(out))
+        assert _run(tmp_path, case, *argv) == 0
 
-    # The first amplitude's field, built apart from run_reconstruct.
+        # The first amplitude's field, built apart from run_reconstruct.
+        _profile, result = cli._analysis(parse_config(json.dumps(case)))
+        flow = result.flow
+        fld = build_wave(result, s, n_q)
+        lines = _read_lines(out / "field.csv", ",".join(FIELD_HEADER))
+        assert lines == _field_lines(fld, flow)
+        assert rows_counted["field.csv"] == len(lines)
+        if s == 0:
+            assert {line.split(",")[6] for line in lines} == {"0.0", "-0.0"}
+
+        # surface.csv: x = q and eta = d h(q, 0), one row per q.
+        expected = [
+            f"{cli._fmt(q)},{cli._fmt(flow.d * h)}" for q, h in zip(fld.q_nodes, fld.h[:, -1])
+        ]
+        assert _read_lines(out / "surface.csv", "x,eta") == expected
+
+    # A hand-built field one ulp off in row n_q - 3 only: the pair (3, n_q - 3)
+    # no longer mirrors, and row n_q - 3 must not reuse the text of row 3.
+    # The pair (5, n_q - 5) has v = nan and -nan, whose text is "nan" in both.
+    h = fld.h.copy()
+    h[n_q - 3] = np.nextafter(h[n_q - 3], np.inf)
+    h_q = fld.h_q.copy()
+    h_q[5, 1], h_q[n_q - 5, 1] = math.nan, -math.nan
+    fld = replace(fld, h=h, h_q=h_q)
+    path = tmp_path / "uneven.csv"
+    write_csv(str(path), FIELD_HEADER, cli._FieldRows(fld, flow, str(tmp_path)))
+    assert _read_lines(path, ",".join(FIELD_HEADER)) == _field_lines(fld, flow)
+
+
+def _c1_wave(n_q, mesh_points=201):
+    config = dict(C1, numerics={"mesh_points": mesh_points})
     _profile, result = cli._analysis(parse_config(json.dumps(config)))
-    flow = result.flow
-    fld = build_wave(result, 0.02, 16)
-    y, u_rel, v = physical_fields(fld, flow)
-    expected = [
-        ",".join(
-            cli._fmt(c)
-            for c in (q, p, q, y[i, j], fld.h[i, j], u_rel[i, j], v[i, j], flow.p0 * p)
-        )
-        for i, q in enumerate(fld.q_nodes)
-        for j, p in enumerate(fld.p_nodes)
-    ]
-    header, *lines, last = (out / "field.csv").read_text().split("\n")
-    assert header == "q,p,x,y,h,u_rel,v,psi" and last == ""
-    assert lines == expected
-    assert rows_counted["field.csv"] == len(lines)
+    return build_wave(result, 0.01, n_q), result.flow
 
-    # surface.csv: x = q and eta = d h(q, 0), one row per q.
-    expected = [
-        f"{cli._fmt(q)},{cli._fmt(flow.d * h)}" for q, h in zip(fld.q_nodes, fld.h[:, -1])
-    ]
-    header, *lines, last = (out / "surface.csv").read_text().split("\n")
-    assert header == "x,eta" and last == ""
-    assert lines == expected
+
+def test_field_csv_memory_is_about_one_block(tmp_path):
+    """Peak memory of writing field.csv stays within a few q-blocks of text."""
+    n_q = 64
+    fld, flow = _c1_wave(n_q, mesh_points=2001)
+    rows = cli._FieldRows(fld, flow, str(tmp_path))
+    path = tmp_path / "field.csv"
+    tracemalloc.start()
+    try:
+        write_csv(str(path), FIELD_HEADER, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = (os.path.getsize(path) - len(",".join(FIELD_HEADER)) - 1) / n_q
+    assert block > 0.5e6
+    # Holding the mirrored rows' text in memory, not in the side file, breaks this.
+    assert peak < 8 * block
 
 
 def test_outputs_follow_the_umask(tmp_path):
