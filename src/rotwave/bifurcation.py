@@ -76,7 +76,8 @@ def find_lambda_star(
     first probe with mu <= -1 gives the lower bracket end (monotonicity of
     mu where negative makes the left edge the infimum, so deeper probes
     cannot be missed).  A probe that fails raises its error: a numerical
-    failure is never reported as NoBifurcation.  No lambda is solved twice;
+    failure is never reported as NoBifurcation.  No lambda is solved twice,
+    and each solve is seeded from the nearest lambda solved before it;
     ``mu_samples`` on the result holds every (lambda, mu) solved.
     """
     lam0 = lambda_of_min_head(profile, flow, root_tol=root_tol)
@@ -85,7 +86,8 @@ def find_lambda_star(
 
     def solve(lam):
         if lam not in solved:
-            solved[lam] = principal_eigen(profile, flow, lam, mesh_points=mesh_points)
+            near = solved[min(solved, key=lambda x: abs(x - lam))] if solved else None
+            solved[lam] = principal_eigen(profile, flow, lam, mesh_points=mesh_points, near=near)
         return solved[lam]
 
     def mu_of(lam):
@@ -235,7 +237,7 @@ def transversality_integral(point: BifurcationPoint) -> float:
 
     def weighted(q):
         a = np.sqrt(lam + q.gamma)
-        m = M[:-1][q.elements, None] * q.n0 + M[1:][q.elements, None] * (1.0 - q.n0)
+        m = M[:-1][q.elements] * q.n0 + M[1:][q.elements] * (1.0 - q.n0)
         yield q.w * m * m / a
         yield q.w * a
 

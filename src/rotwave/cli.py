@@ -4,8 +4,9 @@ Identical config bytes produce byte-identical outputs: floats are written
 in shortest round-trip form, line endings are '\\n', files are staged to a
 temporary path and atomically renamed, and reports carry no timestamps.
 
-Exit codes: 0 success, 2 no bifurcation, 3 config error or an output
-directory that cannot be created or written, 4 numerical failure.
+Exit codes: 0 success, 2 no bifurcation, 3 config error, an output
+directory that cannot be created or written or, for criteria, a stdout that
+cannot be written, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -742,10 +743,12 @@ def _sweep_values(row_cfg: RunConfig, quantity: str, lam):
 
 
 def run_criteria(config: RunConfig) -> int:
-    """Print the criteria report as JSON on stdout."""
+    """Print the criteria report as JSON on stdout, flushed, so that a
+    stdout that cannot be written raises here."""
     profile = GammaProfile.from_distribution(config.vorticity, config.flow)
     report = build_criteria_report(config, profile)
     sys.stdout.write(json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n")
+    sys.stdout.flush()
     return 0
 
 
@@ -788,18 +791,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_cr.add_argument("--config", required=True)
 
     args = parser.parse_args(argv)
+    target = "stdout" if args.command == "criteria" else args.out
     try:
         config = _load_config(args.config)
-        if args.command == "criteria":
-            return run_criteria(config)
         try:
+            if args.command == "criteria":
+                return run_criteria(config)
             if args.command == "analyze":
                 return run_analyze(config, args.out)
             if args.command == "reconstruct":
                 return run_reconstruct(config, args.amplitude, args.out)
             return run_sweep(config, args.param, args.quantity, args.out)
         except OSError as exc:
-            sys.stderr.write(f"output error: {args.out}: {exc}\n")
+            sys.stderr.write(f"output error: {target}: {exc}\n")
             return 3
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")

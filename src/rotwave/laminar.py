@@ -26,7 +26,7 @@ Gamma summed outward from p1, not lambda + Gamma(p).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -223,17 +223,20 @@ def calibrate_mass_flux(
             f"gamma == 0: constraint residual {residual!r} for every p0"
         )
 
+    # Gamma scales as 1/b, so admissibility requires b > b_min with
+    # b_min = -Gamma_min(b=1)/lambda; phi often changes sign in a thin shell
+    # just above b_min, so the scan starts with relative offsets from it.
+    # The knot tables, minimizers and break points do not depend on b, so
+    # each probe rescales ref rather than building a profile.
+    ref = GammaProfile.from_distribution(dist, FlowParameters(d=d, g=1.0, p0=-1.0))
+
     def phi(b):
         flow = FlowParameters(d=d, g=1.0, p0=-b)
-        prof = GammaProfile.from_distribution(dist, flow)
+        prof = replace(ref, flow=flow, _scale=2.0 * d**2 / flow.p0, gamma_min=ref.gamma_min / b)
         if lam <= prof.min_lambda:
             return math.nan
         return _integral(prof, lam, -0.5) - 1.0
 
-    # Gamma scales as 1/b, so admissibility requires b > b_min with
-    # b_min = -Gamma_min(b=1)/lambda; phi often changes sign in a thin shell
-    # just above b_min, so the scan starts with relative offsets from it.
-    ref = GammaProfile.from_distribution(dist, FlowParameters(d=d, g=1.0, p0=-1.0))
     b_min = max(ref.min_lambda / lam, 0.0)
     b_vals = []
     if b_min > 0.0:

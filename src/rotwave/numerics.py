@@ -1,5 +1,13 @@
 """Scalar numerics: bracketed roots and tridiagonal eigenpairs.
 
+The shifted solves of the Rayleigh quotient iteration use odd-even cyclic
+reduction (Hockney, J. ACM 12, 1965; Buzbee, Golub and Nielson, SIAM J.
+Numer. Anal. 7, 1970), vectorised in numpy, so no command imports
+scipy.linalg.  The reduction does not pivot: a zero pivot, an overflow or a
+non-finite entry raises FloatingPointError, and the iteration then stops as
+it does at an exact eigenvalue; the M-matrix certificate and the inertia
+counts judge every result.
+
 Integrals are not computed here: the laminar integrals have exact piecewise
 forms (laminar.py) and every per-element integral goes through
 vorticity.ElementRule.
@@ -11,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from .errors import EigenFailure, NonConvergence, NoSignChange
 
@@ -115,6 +122,45 @@ def _normalize_surface(v: np.ndarray) -> np.ndarray:
     return v
 
 
+def _solve_tridiagonal(d: np.ndarray, e: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Solve T x = f for the symmetric tridiagonal T with diagonal d and
+    off-diagonal e, by odd-even cyclic reduction without pivoting.
+
+    The system is padded with identity rows to 2^k - 1 unknowns, so that
+    every level keeps the odd-numbered unknowns of the one before and has
+    2^j - 1 of them; eliminating the even-numbered ones keeps T symmetric.
+    Call under np.errstate(divide="raise", invalid="raise", over="raise")
+    to turn a zero pivot into FloatingPointError.
+    """
+    n = len(d)
+    m = (1 << n.bit_length()) - 1
+    d = np.concatenate([d, np.ones(m - n)])
+    e = np.concatenate([e, np.zeros(m - n)])
+    f = np.concatenate([f, np.zeros(m - n)])
+    levels = []
+    while len(d) > 1:
+        # Unknown 2i + 1 couples to 2i through el[i] and to 2i + 2 through er[i].
+        el, er = e[0::2], e[1::2]
+        d_even, f_even = d[0::2], f[0::2]
+        rl = el / d_even[:-1]
+        rr = er / d_even[1:]
+        levels.append((d_even, f_even, el, er))
+        d = d[1::2] - rl * el - rr * er
+        f = f[1::2] - rl * f_even[:-1] - rr * f_even[1:]
+        e = -rr[:-1] * el[1:]
+    x = f / d
+    for d_even, f_even, el, er in reversed(levels):
+        x_even = f_even.copy()
+        x_even[:-1] -= el * x
+        x_even[1:] -= er * x
+        x_even /= d_even
+        out = np.empty(2 * len(x) + 1)
+        out[0::2] = x_even
+        out[1::2] = x
+        x = out
+    return x[:n]
+
+
 def _tridiag_matvec(d: np.ndarray, e: np.ndarray, v: np.ndarray) -> np.ndarray:
     y = d * v
     y[:-1] += e * v[1:]
@@ -166,18 +212,22 @@ def smallest_eigenpair_tridiagonal(
     eA: np.ndarray,
     dB: np.ndarray,
     eB: np.ndarray,
-    sigma0: float,
+    sigma0: float | None,
     v0: np.ndarray | None = None,
 ):
     """Smallest eigenpair of a symmetric tridiagonal pencil by Rayleigh
     quotient iteration.
 
     ``sigma0`` (and optionally ``v0``) must come from a trustworthy coarse
-    approximation of the smallest eigenvalue.  The iteration stops at the
-    first unit iterate v with ||A v - sigma B v|| <= 1e-14 (||A|| + |sigma|
-    ||B||), where round-off sits near 4e-17, or when a shifted solve fails
-    (a zero pivot, a division by zero, a non-finite or zero solution), since
-    sigma is then an eigenvalue to working precision; it gives up after 30
+    approximation of the smallest eigenvalue; with ``sigma0`` None the
+    first shift is the Rayleigh quotient of ``v0``.  Each shifted system
+    A - sigma B is solved by _solve_tridiagonal, odd-even cyclic reduction
+    without pivoting.  The iteration stops at the first unit iterate v with
+    ||A v - sigma B v|| <= 1e-14 (||A|| + |sigma| ||B||), where round-off
+    sits near 4e-17, or when a shifted solve fails (a zero pivot, an
+    overflow or a non-finite entry raises FloatingPointError; or the
+    solution is non-finite or zero), since sigma is then an eigenvalue to
+    working precision and the last iterate is kept; it gives up after 30
     solves.  EigenFailure is raised unless the residual is within 1e-9 of
     that scale and sigma is certified to be the smallest eigenvalue, so
     callers can restart from a sharper shift.
@@ -201,7 +251,6 @@ def smallest_eigenpair_tridiagonal(
     if nrm == 0.0:
         raise ValueError("v0 must be nonzero")
     v = v / nrm
-    sigma = float(sigma0)
     norm_a = np.max(np.abs(dA)) + 2.0 * np.max(np.abs(eA), initial=0.0)
     norm_b = np.max(np.abs(dB)) + 2.0 * np.max(np.abs(eB), initial=0.0)
 
@@ -211,17 +260,14 @@ def smallest_eigenpair_tridiagonal(
 
     av = _tridiag_matvec(dA, eA, v)
     bv = _tridiag_matvec(dB, eB, v)
+    sigma = float(v @ av) / float(v @ bv) if sigma0 is None else float(sigma0)
     res = residual(sigma, av, bv)
-    ab = np.zeros((3, n))
     for _ in range(_RQI_MAX_SOLVES):
-        ab[0, 1:] = eA - sigma * eB
-        ab[1, :] = dA - sigma * dB
-        ab[2, :-1] = ab[0, 1:]
         try:
-            with np.errstate(divide="raise", invalid="raise"):
-                x = scipy.linalg.solve_banded((1, 1), ab, bv)
-        except (np.linalg.LinAlgError, FloatingPointError):
-            break  # sigma is an eigenvalue to working precision
+            with np.errstate(divide="raise", invalid="raise", over="raise"):
+                x = _solve_tridiagonal(dA - sigma * dB, eA - sigma * eB, bv)
+        except FloatingPointError:
+            break  # a zero pivot: sigma is an eigenvalue to working precision
         xn = np.linalg.norm(x)
         if not np.isfinite(xn) or xn == 0.0:
             break  # likewise

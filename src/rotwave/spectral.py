@@ -8,8 +8,9 @@ Two independent routes to the principal eigenvalue mu(lambda) of
 * a piecewise-linear finite element discretization of the variational
   quotient, with every vorticity jump and every minimizer of Gamma placed
   on the mesh, Richardson extrapolation over a nested refinement, and a
-  tridiagonal Rayleigh-quotient iteration seeded by Sylvester-count
-  bisection on a coarse mesh;
+  tridiagonal Rayleigh-quotient iteration seeded by the solution at a
+  neighbouring lambda, or else by Sylvester-count bisection on a coarse
+  mesh;
 
 * a Pruefer-angle shooting method integrating theta' = cos^2(theta)/a^3 +
   mu d^2 a sin^2(theta) from theta(-1) = 0.  The surface condition pins
@@ -136,16 +137,14 @@ def _element_integrals(rule: ElementRule, lam: float):
     """Per-element integrals of a^3 and of a against the P1 basis products.
 
     Returns the rows (s1, m00, m01, m11) with s1 = int a^3 and
-    m.. = int a N_i N_j on each element.
+    m.. = int a N_i N_j on each element; the rule's lambda-free mass
+    weights need only be multiplied by a.
     """
 
     def weighted(q):
         a = np.sqrt(lam + q.gamma)
-        w_a = q.w * a
-        yield q.w * a**3
-        yield w_a * q.n0 * q.n0
-        yield w_a * q.n0 * q.n1
-        yield w_a * q.n1 * q.n1
+        yield q.w * (a * a * a)
+        yield from q.mass * a
 
     return rule.integrate(weighted)
 
@@ -242,13 +241,15 @@ def _bisect_smallest(dA, eA, dB, eB, rel_tol=1e-3):
     return 0.5 * (lo + hi)
 
 
-def _solve_level(flow, lam, nodes, rule, seed=None):
+def _solve_level(flow, lam, nodes, rule, seed=None, restart=True):
     """One mesh level: banded Rayleigh-quotient iteration on its pencil.
 
-    ``seed`` is (sigma0, v0) from a coarser level.  Without one, the shift
-    comes from a rough bisection of this level's pencil.  When the
-    iteration fails its residual or inertia check, it is restarted from a
-    bisection of this level's pencil to 1e-12 relative.  Returns (mu,
+    ``seed`` is (sigma0, v0) from a coarser level or a neighbouring lambda;
+    sigma0 None starts from the Rayleigh quotient of v0 on this pencil.
+    Without a seed, the shift comes from a rough bisection of this level's
+    pencil.  When the iteration fails its residual or inertia check, it is
+    restarted from a bisection of this level's pencil to 1e-12 relative,
+    or, with ``restart`` false, its EigenFailure is raised.  Returns (mu,
     M_full) where mu is the element-energy quotient of the
     surface-normalized eigenfunction (the value whose Rayleigh identity is
     exact) and M_full includes the bed node M(-1) = 0.
@@ -261,6 +262,8 @@ def _solve_level(flow, lam, nodes, rule, seed=None):
     try:
         _, v = smallest_eigenpair_tridiagonal(*pencil, *seed)
     except EigenFailure:
+        if not restart:
+            raise
         sigma = _bisect_smallest(*pencil, rel_tol=1e-12)
         _, v = smallest_eigenpair_tridiagonal(*pencil, sigma, None)
     M = np.concatenate([[0.0], v])
@@ -289,6 +292,7 @@ def principal_eigen(
     flow: FlowParameters,
     lam: float,
     mesh_points: int = 2001,
+    near: ModeSolution | None = None,
 ) -> ModeSolution:
     """Principal eigenpair (mu(lambda), M) of the mode-equation quotient.
 
@@ -298,13 +302,28 @@ def principal_eigen(
     and ``mu`` come from the finer level.  M is normalized to M(0) = 1.
     The three mesh levels and their element quadrature are built once per
     profile (and grading near the floor), not once per lambda.
+
+    ``near`` is a solution at a neighbouring lambda, on this profile or
+    another.  With one, the coarse level is skipped: the working level
+    starts from near.M interpolated to its nodes and that vector's Rayleigh
+    quotient.  Should that iteration fail its residual or inertia check,
+    the coarse level seeds the working level as without ``near``.  The
+    coarse level only ever seeds, so ``near`` changes the result by no more
+    than the iteration's stopping tolerance.
     """
     profile.require_admissible(lam)
     (coarse, rule_c), (fine, rule_f), (finer, rule_2) = _mesh_levels(profile, lam, mesh_points)
-    mu_c, m_c = _solve_level(flow, lam, coarse, rule_c)
-    mu_f, m_f = _solve_level(
-        flow, lam, fine, rule_f, (mu_c, np.interp(fine[1:], coarse, m_c))
-    )
+    level = None
+    if near is not None:
+        seed = (None, np.interp(fine[1:], near.nodes, near.M))
+        try:
+            level = _solve_level(flow, lam, fine, rule_f, seed, restart=False)
+        except EigenFailure:
+            pass
+    if level is None:
+        mu_c, m_c = _solve_level(flow, lam, coarse, rule_c)
+        level = _solve_level(flow, lam, fine, rule_f, (mu_c, np.interp(fine[1:], coarse, m_c)))
+    mu_f, m_f = level
     mu_2, m_2 = _solve_level(
         flow, lam, finer, rule_2, (mu_f, np.interp(finer[1:], fine, m_f))
     )
@@ -351,7 +370,7 @@ def rayleigh_quotient(
     lo, h = nodes[:-1], np.diff(nodes)
 
     def weighted(q):
-        x = lo[q.elements, None] + q.n1 * h[q.elements, None]
+        x = lo[q.elements] + q.n1 * h[q.elements]
         a = np.sqrt(lam + q.gamma)
         dphi = np.vectorize(phi_p, otypes=[float])(x)
         val = np.vectorize(phi, otypes=[float])(x)
@@ -531,14 +550,16 @@ def mu_curve(
 
     ``known`` holds (lambda, mu) pairs already solved on this profile and
     mesh, such as a search's ``mu_samples``; grid points among them are not
-    solved again.
+    solved again.  Each solve is seeded from the one before it.
     """
     known = dict(known)
     pts = []
+    near = None
     for lam in lambda_grid:
         mu = known.get(lam)
         if mu is None:
-            mu = principal_eigen(profile, flow, lam, mesh_points=mesh_points).mu_refined
+            near = principal_eigen(profile, flow, lam, mesh_points=mesh_points, near=near)
+            mu = near.mu_refined
         pts.append((float(lam), mu))
     pts.sort(key=lambda t: t[0])
     violations = []

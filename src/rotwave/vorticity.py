@@ -227,11 +227,13 @@ class GammaProfile:
 
 @dataclass(frozen=True)
 class QuadraturePoints:
-    """Quadrature points of some elements, one row per element.
+    """Quadrature points of some elements, one row per point and one column
+    per element, so that summing over the points adds whole rows.
 
     ``w`` holds the weights (Jacobian included), ``gamma`` Gamma at the
     points, ``n0`` and ``n1`` the P1 basis functions of the element's left
-    and right node.
+    and right node, all of shape (points, elements).  ``mass`` stacks the
+    lambda-free mass weights w n0 n0, w n0 n1 and w n1 n1.
     """
 
     elements: np.ndarray
@@ -239,6 +241,7 @@ class QuadraturePoints:
     gamma: np.ndarray
     n0: np.ndarray
     n1: np.ndarray
+    mass: np.ndarray
 
 
 class ElementRule:
@@ -249,7 +252,8 @@ class ElementRule:
     sqrt(|p - p*|) at a minimizer p* of Gamma as lambda nears the floor.
     Each element gets 8-point Gauss; an element that ends at a minimizer
     gets 12-point Gauss in t = sqrt(|p - p*|) instead.  Nothing stored
-    depends on lambda.
+    depends on lambda: the weights, Gamma and the mass weights are built
+    once per rule, one row per quadrature point.
     """
 
     def __init__(self, profile: GammaProfile, nodes):
@@ -261,36 +265,40 @@ class ElementRule:
         right = np.min(np.abs(hi[:, None] - mins), axis=1) < _TOUCH
         sub = np.nonzero(left | right)[0]
 
-        x = 0.5 * (lo + hi)[:, None] + 0.5 * h[:, None] * _GAUSS_X
-        w = 0.5 * h[:, None] * _GAUSS_W
+        x = 0.5 * (lo + hi) + 0.5 * h * _GAUSS_X[:, None]
+        w = 0.5 * h * _GAUSS_W[:, None]
         self.regular = _points(profile, np.arange(len(h)), x, w, lo, hi, h)
 
-        width = np.sqrt(h[sub])[:, None]
-        t = 0.5 * width * (_SUB_X + 1.0)
-        x = np.where(left[sub, None], lo[sub, None] + t * t, hi[sub, None] - t * t)
-        w = 0.5 * width * _SUB_W * 2.0 * t
+        width = np.sqrt(h[sub])
+        t = 0.5 * width * (_SUB_X[:, None] + 1.0)
+        x = np.where(left[sub], lo[sub] + t * t, hi[sub] - t * t)
+        w = 0.5 * width * _SUB_W[:, None] * 2.0 * t
         self.substituted = _points(profile, sub, x, w, lo[sub], hi[sub], h[sub])
 
     def integrate(self, weighted) -> np.ndarray:
         """Per-element integrals, one row per integrand.
 
         ``weighted(q)`` yields, integrand by integrand, weight times
-        integrand at the points of a QuadraturePoints ``q``.
+        integrand at the points of a QuadraturePoints ``q``, each of shape
+        (points, elements).
         """
-        out = np.array([np.sum(v, axis=-1) for v in weighted(self.regular)])
+        out = np.array([np.sum(v, axis=0) for v in weighted(self.regular)])
         sub = self.substituted
         if len(sub.elements):
-            out[:, sub.elements] = [np.sum(v, axis=-1) for v in weighted(sub)]
+            out[:, sub.elements] = [np.sum(v, axis=0) for v in weighted(sub)]
         return out
 
 
 def _points(profile, elements, x, w, lo, hi, h) -> QuadraturePoints:
+    n0 = (hi - x) / h
+    n1 = (x - lo) / h
     return QuadraturePoints(
         elements=elements,
         w=w,
         gamma=profile.primitive(x),
-        n0=(hi[:, None] - x) / h[:, None],
-        n1=(x - lo[:, None]) / h[:, None],
+        n0=n0,
+        n1=n1,
+        mass=np.stack([w * n0 * n0, w * n0 * n1, w * n1 * n1]),
     )
 
 

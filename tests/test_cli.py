@@ -14,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rotwave import bifurcation, cli, spectral
+from rotwave import bifurcation, cli, numerics, spectral
 from rotwave.cli import main, parse_config, write_csv, write_json
 from rotwave.errors import ConfigError
 from rotwave.reconstruct import build_wave, physical_fields
@@ -130,6 +130,42 @@ def test_unusable_out_exits_3(tmp_path, capsys, monkeypatch, command):
     assert _run(tmp_path, C1, command, "--out", str(out)) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"output error: {out}: ") and err.count("\n") == 1
+
+
+# A child process whose stdout cannot take a byte: every write raises ENOSPC.
+_FULL_STDOUT = """
+import errno, sys
+from rotwave.cli import main
+
+class Full:
+    def write(self, text):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def flush(self):
+        pass
+
+sys.stdout = Full()
+sys.exit(main(["criteria", "--config", sys.argv[1]]))
+"""
+
+
+def test_criteria_on_full_stdout_exits_3(tmp_path):
+    # The OSError used to escape main: a traceback and exit 1.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(C1))
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    runs = [subprocess.run(
+        [sys.executable, "-c", _FULL_STDOUT, str(path)], capture_output=True, text=True, env=env
+    )]
+    if os.path.exists("/dev/full"):
+        with open("/dev/full", "w") as full:
+            runs.append(subprocess.run(
+                [sys.executable, "-m", "rotwave.cli", "criteria", "--config", str(path)],
+                stdout=full, stderr=subprocess.PIPE, text=True, env=env,
+            ))
+    for run in runs:
+        assert run.returncode == 3
+        assert run.stderr == "output error: stdout: [Errno 28] No space left on device\n"
 
 
 def test_sweep_with_every_row_failing_exits_4(tmp_path):
@@ -506,6 +542,47 @@ def test_no_lambda_is_solved_twice(tmp_path, eigen_solves, argv):
     assert _run(tmp_path, C1, *argv, "--out", str(tmp_path / "out")) == 0
     assert eigen_solves
     assert max(eigen_solves.values()) == 1
+
+
+_SCIPY_LINALG = """
+import sys
+import rotwave.cli
+print("scipy.linalg" in sys.modules)
+code = rotwave.cli.main(["analyze", "--config", sys.argv[1], "--out", sys.argv[2]])
+print("scipy.linalg" in sys.modules, code)
+"""
+
+
+def test_cli_import_leaves_out_scipy_linalg(tmp_path):
+    # The shifted tridiagonal solves are numpy; scipy.linalg alone took about
+    # 0.3 s of every command's start-up.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(C1))
+    out = subprocess.run(
+        [sys.executable, "-c", _SCIPY_LINALG, str(path), str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))},
+    )
+    assert out.stdout.split("\n") == ["False", "False 0", ""]
+
+
+def test_analyze_inertia_sweeps(monkeypatch, tmp_path):
+    # Neighbour seeds skip the coarse bisection of all but the first solve of
+    # the search and of the mu_curve.csv grid: 27 sweeps here, 343 when every
+    # solve began with one.
+    sweeps = []
+    count = numerics.count_pencil_eigenvalues_below
+
+    def counted(*args):
+        sweeps.append(args[-1])
+        return count(*args)
+
+    for module in (numerics, spectral):
+        monkeypatch.setattr(module, "count_pencil_eigenvalues_below", counted)
+    assert _run(tmp_path, C1, *ANALYZE, "--out", str(tmp_path / "out")) == 0
+    assert len(sweeps) <= 40
 
 
 def test_cli_import_leaves_out_scipy_integrate():

@@ -90,13 +90,13 @@ def test_eigen_1x1():
 
 def test_eigen_1x1_stops_at_a_singular_shift(monkeypatch):
     solves = []
-    solve = scipy.linalg.solve_banded
+    solve = numerics._solve_tridiagonal
 
     def counted(*args, **kwargs):
         solves.append(args)
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "solve_banded", counted)
+    monkeypatch.setattr(numerics, "_solve_tridiagonal", counted)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         mu, v = smallest_eigenpair_tridiagonal(
@@ -105,6 +105,64 @@ def test_eigen_1x1_stops_at_a_singular_shift(monkeypatch):
     assert mu == 2.0
     assert v == pytest.approx([1.0])
     assert len(solves) == 1
+
+
+# -- cyclic reduction ------------------------------------------------------------
+
+
+def _stiffness_pencil(n):
+    """P1 stiffness on a random mesh, bed node removed, and a lumped mass."""
+    rng = np.random.default_rng(n)
+    h = rng.uniform(0.5, 1.5, n) / n
+    k = rng.uniform(0.5, 2.0, n) / h
+    dA = k.copy()
+    dA[:-1] += k[1:]
+    dB = rng.uniform(0.5, 2.0, n) / n
+    return dA, -k[1:], dB, rng.normal(size=n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 200, 4000])
+def test_solve_tridiagonal_matches_lapack(n):
+    # Each side of the padding to 2^k - 1 unknowns.  The SPD stiffness, and
+    # the same pencil shifted just above its smallest eigenvalue, as the
+    # Rayleigh quotient iteration shifts it: there the solution is nearly
+    # an eigenvector, whose direction must come out right.
+    dA, eA, dB, f = _stiffness_pencil(n)
+    s = 1.0 / np.sqrt(dB)
+    lowest = scipy.linalg.eigh_tridiagonal(
+        s * dA * s, s[:-1] * eA * s[1:], eigvals_only=True, select="i", select_range=(0, 0)
+    )[0]
+    for sigma in (0.0, lowest * (1.0 + 1e-8), lowest * (1.0 + 1e-12)):
+        d = dA - sigma * dB
+        with np.errstate(divide="raise", invalid="raise", over="raise"):
+            x = numerics._solve_tridiagonal(d, eA, f)
+        if n <= 200:
+            ref = np.linalg.solve(_dense(d, eA), f)
+        else:  # the dense matrix would take 128 MB
+            bands = np.array([np.r_[0.0, eA], d, np.r_[eA, 0.0]])
+            ref = scipy.linalg.solve_banded((1, 1), bands, f)
+        tx = numerics._tridiag_matvec(d, eA, x)
+        norm = np.max(np.abs(d)) + 2.0 * np.max(np.abs(eA), initial=0.0)
+        assert np.max(np.abs(tx - f)) <= 1e-15 * norm * np.max(np.abs(x))
+        x, ref = x / np.linalg.norm(x), ref / np.linalg.norm(ref)
+        assert np.max(np.abs(x - ref)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "d, e, f",
+    [
+        ([0.0], [], [1.0]),  # 1 x 1: division by zero
+        ([0.0], [], [0.0]),  # 0 / 0
+        ([0.0, 1.0], [1.0], [1.0, 1.0]),  # zero pivot on the first level
+        ([1.0, 2.0, 1.0], [1.0, 1.0], [1.0, 2.0, 3.0]),  # zero pivot on the last level
+    ],
+)
+def test_solve_tridiagonal_zero_pivot_raises(d, e, f):
+    # No pivoting: a zero pivot raises under the errstate the iteration uses.
+    args = (np.array(d), np.array(e), np.array(f))
+    with np.errstate(divide="raise", invalid="raise", over="raise"):
+        with pytest.raises(FloatingPointError):
+            numerics._solve_tridiagonal(*args)
 
 
 def test_eigen_diagonal():

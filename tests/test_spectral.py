@@ -7,6 +7,7 @@ import scipy.linalg
 from rotwave import (
     FlowParameters,
     VorticityDistribution,
+    find_lambda_star,
     lambda_of_min_head,
     mode_k_solution,
     mu_curve,
@@ -14,10 +15,17 @@ from rotwave import (
     rayleigh_quotient,
     shooting_mu,
 )
-from rotwave import spectral
+from rotwave import numerics, spectral
 from rotwave.errors import EigenFailure, NoModeSolution, NonAdmissibleLambda, ZeroDenominator
 from rotwave.numerics import RootSpec, bracketed_root, smallest_eigenpair_tridiagonal
-from rotwave.spectral import _solve_level, assemble, build_mesh, flux_jump_defect, refine_mesh
+from rotwave.spectral import (
+    ModeSolution,
+    _solve_level,
+    assemble,
+    build_mesh,
+    flux_jump_defect,
+    refine_mesh,
+)
 from rotwave.vorticity import ElementRule
 
 from conftest import make_profile
@@ -270,13 +278,13 @@ def test_principal_eigen_banded_solves(monkeypatch, gamma, lam, most):
     # The iteration stops at the first iterate whose residual is at round-off.
     prof, flow = make_profile(gamma, d=1.0, g=9.81, p0=-2.0)
     solves = []
-    solve = scipy.linalg.solve_banded
+    solve = numerics._solve_tridiagonal
 
     def counted(*args, **kwargs):
         solves.append(args)
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "solve_banded", counted)
+    monkeypatch.setattr(numerics, "_solve_tridiagonal", counted)
     principal_eigen(prof, flow, lam, mesh_points=2001)
     assert len(solves) <= most
 
@@ -313,3 +321,100 @@ def test_level_solve_matches_dense_near_floor(mesh_points):
     ref = scipy.linalg.eigh(A, B, eigvals_only=True, subset_by_index=[0, 0])[0]
     assert mu == pytest.approx(ref, rel=1e-9)
     assert M[0] == 0.0 and M[-1] == 1.0
+
+
+# -- neighbour seeds and level residuals -----------------------------------------------
+
+_PROFILES = {
+    "C1": (-1.0, dict(d=1.0, g=9.81, p0=-2.0)),
+    "C0": (0.0, dict(d=1.0, g=9.81, p0=-2.0)),
+    "P": (
+        VorticityDistribution.piecewise_constant([-0.5], [0.5, -2.0]),
+        dict(d=1.0, g=1.0, p0=-1.0),
+    ),
+    "T": (
+        VorticityDistribution.tabulated([-1.0, -0.5, 0.0], [-1.2, -0.3, -1.5]),
+        dict(d=1.0, g=9.81, p0=-2.0),
+    ),
+}
+
+
+def _same_eigen(a, b):
+    for name in ("mu", "mu_refined"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert abs(x - y) <= 1e-14 * max(1.0, abs(x)), name
+
+
+@pytest.mark.parametrize("name", _PROFILES)
+def test_seeded_solve_equals_unseeded(name):
+    # Near the floor, at lambda* and at lambda0, seeded from each of the three
+    # and from a close neighbour, the seed moves mu by no more than round-off.
+    gamma, flow_args = _PROFILES[name]
+    prof, flow = make_profile(gamma, **flow_args)
+    pt = find_lambda_star(prof, flow)
+    lams = (prof.min_lambda + 1e-3, pt.lambda_star, pt.lambda0)
+    plain = {lam: principal_eigen(prof, flow, lam) for lam in lams}
+    for lam in lams:
+        close = principal_eigen(prof, flow, lam + 1e-3)
+        for near in (*plain.values(), close):
+            _same_eigen(principal_eigen(prof, flow, lam, near=near), plain[lam])
+
+
+def test_misleading_seed_takes_the_fallback(monkeypatch):
+    # A mode of another profile, or a vector with interior zeros, leads the
+    # iteration astray; the coarse bisection path then finds the principal pair.
+    rough = []
+    bisect = spectral._bisect_smallest
+
+    def counted(*args, **kwargs):
+        rough.append(kwargs.get("rel_tol", 1e-3) == 1e-3)
+        return bisect(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "_bisect_smallest", counted)
+    c1, flow = make_profile(-1.0, d=1.0, g=9.81, p0=-2.0)
+    c0, _ = make_profile(0.0, d=1.0, g=9.81, p0=-2.0)
+    lam = c1.min_lambda + 1e-3
+    plain = principal_eigen(c1, flow, lam)
+    other = principal_eigen(c0, flow, 0.01)
+    nodes = other.nodes
+    wavy = ModeSolution(
+        lam=lam, k=0, mu=0.0, mu_refined=0.0, nodes=nodes, M=np.sin(2.5 * np.pi * (nodes + 1.0)),
+        flux=nodes,
+    )
+    for near in (other, wavy):
+        rough.clear()
+        _same_eigen(principal_eigen(c1, flow, lam, near=near), plain)
+        assert rough == [True]
+
+    # C0 just above its floor, seeded from lambda0, also needs the tight restart.
+    plain = principal_eigen(c0, flow, 1e-3)
+    near = principal_eigen(c0, flow, 1.8)
+    rough.clear()
+    _same_eigen(principal_eigen(c0, flow, 1e-3, near=near), plain)
+    assert rough == [True, False]
+
+
+@pytest.mark.parametrize("name, lam", [("C0", 0.01), ("C1", 1.01), ("P", None), ("T", None)])
+def test_every_level_returns_a_converged_pair(monkeypatch, name, lam):
+    # On C0 at lambda = 0.01 LAPACK met an exact zero pivot on the
+    # 4000-unknown level, and the iterate kept had a relative residual of 1e-11.
+    gamma, flow_args = _PROFILES[name]
+    prof, flow = make_profile(gamma, **flow_args)
+    if lam is None:
+        lam = find_lambda_star(prof, flow).lambda_star
+    residuals = []
+    solve = spectral.smallest_eigenpair_tridiagonal
+
+    def recorded(dA, eA, dB, eB, *seed):
+        sigma, v = solve(dA, eA, dB, eB, *seed)
+        v = v / np.linalg.norm(v)
+        r = numerics._tridiag_matvec(dA, eA, v) - sigma * numerics._tridiag_matvec(dB, eB, v)
+        norm_a = np.max(np.abs(dA)) + 2.0 * np.max(np.abs(eA))
+        norm_b = np.max(np.abs(dB)) + 2.0 * np.max(np.abs(eB))
+        residuals.append(np.linalg.norm(r) / (norm_a + abs(sigma) * norm_b))
+        return sigma, v
+
+    monkeypatch.setattr(spectral, "smallest_eigenpair_tridiagonal", recorded)
+    principal_eigen(prof, flow, lam)
+    assert len(residuals) >= 3
+    assert max(residuals) <= 1e-14
