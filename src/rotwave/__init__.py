@@ -5,6 +5,13 @@ eigenvalue curve of the associated mode equation, the bifurcation point
 where small-amplitude waves branch off, closed-form onset criteria for
 constant and layered vorticity, and first-order reconstructed wave fields
 with weak-form residual diagnostics.
+
+The supported interface is the ``rotwave`` command line (``rotwave.cli``)
+and the layer functions its commands call, exported here.  Four functions
+no command calls are kept as independent checks of what the commands
+compute: ``spectral.shooting_mu`` (Pruefer shooting), ``spectral.assemble``
+(the finite element pencil), ``spectral.rayleigh_quotient`` (the quotient
+of a nodal P1 function) and ``laminar.scale_to_unit_wavenumber``.
 """
 
 __version__ = "0.1.0"
@@ -31,7 +38,6 @@ from .errors import (
     Error,
     InvalidParameter,
     InvalidWavelength,
-    NoModeSolution,
     NonAdmissibleLambda,
     NonConvergence,
     NoSignChange,
@@ -41,14 +47,11 @@ from .errors import (
     ZeroDenominator,
 )
 from .laminar import (
-    LaminarFlow,
     ScaledParameters,
     calibrate_mass_flux,
     hydraulic_head,
     lambda_of_min_head,
-    laminar_height,
     scale_to_unit_wavenumber,
-    surface_relative_speed,
 )
 from .numerics import RootSpec, bracketed_root
 from .reconstruct import (
@@ -63,7 +66,6 @@ from .reconstruct import (
 from .spectral import (
     ModeSolution,
     MuCurve,
-    mode_k_solution,
     mu_curve,
     principal_eigen,
     rayleigh_quotient,
@@ -73,6 +75,5 @@ from .vorticity import (
     FlowParameters,
     GammaProfile,
     VorticityDistribution,
-    gamma_eval,
     holder_seminorm,
 )

@@ -12,7 +12,7 @@ outcome, not an error).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -118,7 +118,7 @@ def find_lambda_star(
 
     spec = RootSpec(x_tol=root_tol * max(1.0, lam0), f_tol=1e-10, max_iter=200)
     lam_star = bracketed_root(lambda lam: mu_of(lam) + 1.0, lam_lo, lam0, spec)
-    mode = replace(solve(lam_star), k=1)
+    mode = solve(lam_star)
     return BifurcationPoint(
         lambda_star=lam_star,
         lambda0=lam0,

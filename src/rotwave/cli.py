@@ -22,7 +22,6 @@ from dataclasses import asdict, dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .bifurcation import (
@@ -328,6 +327,8 @@ def write_csv(path: str, header: Sequence[str], rows):
 
 
 def _versions() -> dict:
+    import scipy  # for its version string only; keeps it out of start-up
+
     return {
         "rotwave": __version__,
         "numpy": np.__version__,

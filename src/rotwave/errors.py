@@ -53,14 +53,6 @@ class ZeroDenominator(Error):
     """Rayleigh quotient denominator vanished."""
 
 
-class NoModeSolution(Error):
-    """No wave mode with the requested wavenumber exists at this lambda."""
-
-    def __init__(self, message, mu=None):
-        super().__init__(message)
-        self.mu = mu
-
-
 class StagnationAtAmplitude(Error):
     """min(h_p + 1) <= 0: the requested amplitude reaches stagnation.
 

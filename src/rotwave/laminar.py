@@ -106,11 +106,6 @@ def _integral(profile: GammaProfile, lam: float, expo: float) -> float:
     return float(np.sum(_piece_integrals(profile, lam, expo)[1]))
 
 
-def laminar_height(profile: GammaProfile, lam: float, p: float) -> float:
-    """H(p; lambda) = integral_{-1}^p (lambda + Gamma)^(-1/2) ds - (p + 1)."""
-    return float(height_on_mesh(profile, lam, [max(float(p), -1.0)])[0])
-
-
 def height_on_mesh(profile: GammaProfile, lam: float, nodes: np.ndarray) -> np.ndarray:
     """H at every node, by a cumulative sum of exact pieces."""
     profile.require_admissible(lam)
@@ -162,39 +157,6 @@ def lambda_of_min_head(
             raise BracketFailure("no sign change up to the expansion cap")
     spec = RootSpec(x_tol=root_tol * max(1.0, abs(hi)), f_tol=0.0, max_iter=200)
     return bracketed_root(f, lo, hi, spec)
-
-
-def surface_relative_speed(lam: float, flow: FlowParameters):
-    """(sqrt(lambda), relative surface velocity u - c) of the flat flow.
-
-    sqrt(lambda) = d (u - c) / p0 at the surface, so u - c = p0 sqrt(lambda)/d,
-    always negative.
-    """
-    if not lam > 0.0:
-        raise NonAdmissibleLambda("lambda must be positive")
-    root = math.sqrt(lam)
-    return root, flow.p0 * root / flow.d
-
-
-@dataclass(frozen=True)
-class LaminarFlow:
-    """A wave-free solution H(p; lambda) with its hydraulic head Q."""
-
-    profile: GammaProfile
-    flow: FlowParameters
-    lam: float
-    Q: float
-
-    @classmethod
-    def solve(cls, profile: GammaProfile, flow: FlowParameters, lam: float) -> "LaminarFlow":
-        return cls(profile, flow, lam, hydraulic_head(profile, flow, lam))
-
-    def height(self, p: float) -> float:
-        return laminar_height(self.profile, self.lam, p)
-
-    def height_slope(self, p):
-        """H_p = 1/a - 1; H_p + 1 > 0 expresses non-stagnation."""
-        return 1.0 / self.profile.a(self.lam, p) - 1.0
 
 
 def calibrate_mass_flux(

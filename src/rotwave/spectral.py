@@ -18,25 +18,20 @@ Two independent routes to the principal eigenvalue mu(lambda) of
   mu, and floor(theta(0)/pi) counts interior zeros, so the bracketed root
   is guaranteed to be the eigenvalue of the requested index.
 
-A wave mode with integer wavenumber k >= 1 exists at lambda exactly when
-mu(lambda) = -k^2.
+Waves of unit wavenumber branch off where mu(lambda) = -1, the crossing that
+bifurcation.find_lambda_star solves for.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    BracketFailure,
-    EigenFailure,
-    NoModeSolution,
-    ZeroDenominator,
-)
+from .errors import BracketFailure, EigenFailure, ZeroDenominator
 from .numerics import (
     RootSpec,
     bracketed_root,
@@ -55,17 +50,14 @@ class ModeSolution:
     ``mu`` is the Rayleigh quotient of the stored nodal eigenfunction M
     (so the quotient identity holds to round-off); ``mu_refined`` is the
     Richardson-extrapolated eigenvalue used for curves and root finding.
-    ``k`` is the associated wavenumber for pinned mode solves, 0 otherwise.
-    ``flux`` holds the conserved combination a^3 M_p at the nodes.
+    M holds the P1 eigenfunction at ``nodes``, bed node M(-1) = 0 included.
     """
 
     lam: float
-    k: int
     mu: float
     mu_refined: float
     nodes: np.ndarray
     M: np.ndarray
-    flux: np.ndarray
 
 
 def _graded(profile: GammaProfile, lam: float) -> bool:
@@ -270,23 +262,6 @@ def _solve_level(flow, lam, nodes, rule, seed=None, restart=True):
     return _quotient_from_integrals(ints, h, M, flow), M
 
 
-def _element_flux(profile, lam, nodes, M):
-    """a^3 M_p on each element, with a taken at the element midpoint."""
-    mid = 0.5 * (nodes[:-1] + nodes[1:])
-    a_mid = np.sqrt(lam + profile.primitive(mid))
-    return a_mid**3 * np.diff(M) / np.diff(nodes)
-
-
-def _nodal_flux(profile, lam, nodes, M):
-    """a^3 M_p at the nodes from element fluxes, averaged at interior nodes."""
-    w_el = _element_flux(profile, lam, nodes, M)
-    w = np.empty(len(nodes))
-    w[0] = w_el[0]
-    w[-1] = w_el[-1]
-    w[1:-1] = 0.5 * (w_el[:-1] + w_el[1:])
-    return w
-
-
 def principal_eigen(
     profile: GammaProfile,
     flow: FlowParameters,
@@ -328,60 +303,26 @@ def principal_eigen(
         flow, lam, finer, rule_2, (mu_f, np.interp(finer[1:], fine, m_f))
     )
     mu_refined = mu_2 + (mu_2 - mu_f) / 3.0
-
-    flux = _nodal_flux(profile, lam, finer, m_2)
-    return ModeSolution(
-        lam=lam,
-        k=0,
-        mu=mu_2,
-        mu_refined=mu_refined,
-        nodes=finer,
-        M=m_2,
-        flux=flux,
-    )
+    return ModeSolution(lam=lam, mu=mu_2, mu_refined=mu_refined, nodes=finer, M=m_2)
 
 
 def rayleigh_quotient(
     profile: GammaProfile,
     flow: FlowParameters,
     lam: float,
-    phi,
-    phi_p: Callable[[float], float] | None = None,
+    nodes: np.ndarray,
+    M: np.ndarray,
 ) -> float:
-    """Quotient F(lambda, phi) whose infimum over {phi(-1)=0} is mu(lambda).
+    """Quotient F(lambda, M) of the P1 function with values M at ``nodes``;
+    its infimum over {M(-1) = 0} is mu(lambda).
 
-    ``phi`` may be a ModeSolution (evaluated through the same element
-    quadrature as the solver, so the identity F(M) == mu is exact to
-    round-off) or a scalar callable with optional analytic derivative
-    ``phi_p`` (central differences otherwise), evaluated at the points of
-    the element quadrature on build_mesh(profile, lam, 2001).
+    Evaluated through the solver's element quadrature, so for the nodes and
+    M of a ModeSolution it returns that solution's ``mu`` to round-off.
     """
     profile.require_admissible(lam)
-    if isinstance(phi, ModeSolution):
-        ints = _element_integrals(ElementRule(profile, phi.nodes), lam)
-        return _quotient_from_integrals(ints, np.diff(phi.nodes), phi.M, flow)
-
-    if phi_p is None:
-        def phi_p(p, _h=1e-6):
-            x = min(max(p, -1.0 + _h), -_h)
-            return (phi(x + _h) - phi(x - _h)) / (2.0 * _h)
-
-    nodes = build_mesh(profile, lam, 2001)
-    lo, h = nodes[:-1], np.diff(nodes)
-
-    def weighted(q):
-        x = lo[q.elements] + q.n1 * h[q.elements]
-        a = np.sqrt(lam + q.gamma)
-        dphi = np.vectorize(phi_p, otypes=[float])(x)
-        val = np.vectorize(phi, otypes=[float])(x)
-        return [q.w * a**3 * dphi * dphi, q.w * a * val * val]
-
-    stiff, mass = ElementRule(profile, nodes).integrate(weighted).sum(axis=1)
-    if mass <= 1e-30:
-        raise ZeroDenominator("integral of a*phi^2 is numerically zero")
-    p0sq = flow.p0**2
-    num = -flow.g * flow.d**3 * float(phi(0.0)) ** 2 + p0sq * stiff
-    return num / (p0sq * flow.d**2 * mass)
+    nodes = np.asarray(nodes, dtype=float)
+    ints = _element_integrals(ElementRule(profile, nodes), lam)
+    return _quotient_from_integrals(ints, np.diff(nodes), np.asarray(M, dtype=float), flow)
 
 
 def _scalar_gamma_primitive(profile: GammaProfile):
@@ -505,32 +446,6 @@ def shooting_mu(
     return mu
 
 
-def mode_k_solution(
-    profile: GammaProfile,
-    flow: FlowParameters,
-    lam: float,
-    k: int,
-    mesh_points: int = 2001,
-    tol: float = 1e-6,
-) -> ModeSolution:
-    """The wave mode of wavenumber k at lambda, when it exists.
-
-    Exists exactly when the principal eigenvalue equals -k^2; the k = 0
-    mode is always trivial (M == 0) and reported as NoModeSolution.
-    """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    if k == 0:
-        raise NoModeSolution("the zero mode admits only M == 0")
-    sol = principal_eigen(profile, flow, lam, mesh_points=mesh_points)
-    if abs(sol.mu_refined + k * k) > tol * max(1.0, float(k * k)):
-        raise NoModeSolution(
-            f"principal eigenvalue {sol.mu_refined!r} != -{k * k} at lambda={lam!r}",
-            mu=sol.mu_refined,
-        )
-    return replace(sol, k=k)
-
-
 @dataclass(frozen=True)
 class MuCurve:
     """Sampled (lambda, mu) pairs plus any monotonicity violations found."""
@@ -568,22 +483,3 @@ def mu_curve(
             violations.append((l1, l2, m1, m2))
     return MuCurve(points=tuple(pts), monotonicity_violations=tuple(violations))
 
-
-def flux_jump_defect(mode: ModeSolution, profile: GammaProfile):
-    """Largest mismatch of the one-sided fluxes a^3 M_p at vorticity jumps.
-
-    Returns (max defect, widest element adjacent to a jump); the defect
-    shrinks linearly with the mesh because the true flux is continuous.
-    """
-    nodes = mode.nodes
-    h = np.diff(nodes)
-    w_el = _element_flux(profile, mode.lam, nodes, mode.M)
-    worst = 0.0
-    width = 0.0
-    for j in profile.jump_points:
-        i = int(np.argmin(np.abs(nodes - j)))
-        if not 0 < i < len(nodes) - 1:
-            continue
-        worst = max(worst, abs(w_el[i] - w_el[i - 1]))
-        width = max(width, h[i - 1], h[i])
-    return worst, width

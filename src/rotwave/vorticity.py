@@ -347,77 +347,38 @@ def _exact_minimum(profile: GammaProfile):
     return gmin, p1, tuple(float(p) for p in mins), cand
 
 
-# -- module-level operations (spec surface) ---------------------------------
-
-
-def gamma_eval(dist: VorticityDistribution, p):
-    """gamma(p) straight from a distribution (right limit at jumps)."""
-    p = _check_domain(p)
-    if dist.kind == "constant":
-        out = np.full_like(np.asarray(p, dtype=float), dist.constant)
-    elif dist.kind == "piecewise_constant":
-        idx = np.searchsorted(np.asarray(dist.breakpoints), p, side="right")
-        out = np.asarray(dist.values, dtype=float)[idx]
-    else:
-        out = np.interp(p, dist.nodes, dist.values)
-    out = np.asarray(out)
-    return float(out) if out.ndim == 0 else out
-
-
 def holder_seminorm(profile: GammaProfile, alpha: float) -> float:
-    """theta = sup_{p != p1} |Gamma(p) - Gamma(p1)| / |p - p1|^alpha.
+    """theta = sup_{p != p1} (Gamma(p) - Gamma_min) / |p - p1|^alpha, exactly.
 
-    Exact candidates (knots, and for alpha = 1 the one-sided slopes at p1)
-    are combined with a doubling grid sup refined until stable to 1e-8.
+    On a knot interval [k, k + h], Gamma(k + t) - Gamma_min = n0 + n1 t +
+    n2 t^2, and the ratio is stationary where (p - p1) Gamma'(p) =
+    alpha (Gamma(p) - Gamma_min).  With e = k - p1 that is the quadratic
+
+        (2 - alpha) n2 t^2 + ((1 - alpha) n1 + 2 n2 e) t + e n1 - alpha n0 = 0,
+
+    so theta is the largest ratio at the knots and at the roots inside the
+    intervals; for alpha = 1 the one-sided slopes |Gamma'| at p1, the
+    ratio's limits there, are candidates too.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must be in (0, 1]")
-    p1 = profile.p1
-    gmin = profile.gamma_min
-
-    def ratio(p):
-        p = np.asarray(p, dtype=float)
-        num = profile.primitive(p) - gmin
-        den = np.abs(p - p1) ** alpha
-        mask = np.abs(p - p1) > 1e-14
-        out = np.zeros_like(np.atleast_1d(num), dtype=float)
-        out[np.atleast_1d(mask)] = (
-            np.atleast_1d(num)[np.atleast_1d(mask)]
-            / np.atleast_1d(den)[np.atleast_1d(mask)]
-        )
-        return out
-
-    theta = float(np.max(ratio(profile._knots)))
-    piecewise_linear = bool(np.all(profile._g1 == 0.0))
+    p1, knots, g0, g1 = profile.p1, profile._knots, profile._g0, profile._g1
+    lo, h = knots[:-1], np.diff(knots)
+    n0 = profile.primitive(lo) - profile.gamma_min
+    n1, n2 = profile._scale * g0, 0.5 * profile._scale * g1
+    A = (2.0 - alpha) * n2
+    B = (1.0 - alpha) * n1 + 2.0 * n2 * (lo - p1)
+    C = (lo - p1) * n1 - alpha * n0
+    # Both roots in the cancellation-free form.  No real root gives NaN, and
+    # a degenerate equation an infinite or NaN root; none lies in (0, h).
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = -0.5 * (B + np.copysign(np.sqrt(B * B - 4.0 * A * C), B))
+        t = np.stack([q / A, C / q])
+    p = np.concatenate([knots, (lo + t)[(t > 0.0) & (t < h)]])
+    x = np.abs(p - p1)
+    keep = x > 1e-14
+    ratios = [(profile.primitive(p[keep]) - profile.gamma_min) / x[keep] ** alpha]
     if alpha == 1.0:
-        # Limit of the ratio as p -> p1 is the one-sided |Gamma'| there.
-        scale = abs(profile._scale)
-        knots = profile._knots
-        j_right = np.searchsorted(knots, p1, side="right") - 1
-        if 0 <= j_right < len(profile._g0):
-            theta = max(
-                theta,
-                scale * abs(profile._g0[j_right] + profile._g1[j_right] * (p1 - knots[j_right])),
-            )
-        j_left = np.searchsorted(knots, p1, side="left") - 1
-        if 0 <= j_left < len(profile._g0):
-            theta = max(
-                theta,
-                scale * abs(profile._g0[j_left] + profile._g1[j_left] * (p1 - knots[j_left])),
-            )
-        if piecewise_linear:
-            # The ratio is monotone between knots for piecewise-linear
-            # Gamma, so the knot/limit candidates are already the exact sup.
-            return theta
-
-    m = 256
-    while True:
-        grid = np.linspace(-1.0, 0.0, m + 1)
-        cand = float(np.max(ratio(grid)))
-        new_theta = max(theta, cand)
-        if abs(new_theta - theta) <= 1e-8 * max(1.0, new_theta) and m >= 4096:
-            return new_theta
-        theta = new_theta
-        if m >= 1 << 20:
-            return theta
-        m *= 2
+        j = np.clip([np.searchsorted(knots, p1, side) - 1 for side in ("left", "right")], 0, len(g0) - 1)
+        ratios.append(np.abs(profile._scale * (g0[j] + g1[j] * (p1 - knots[j]))))
+    return float(np.max(np.concatenate(ratios), initial=0.0))

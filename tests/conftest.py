@@ -17,13 +17,13 @@ def pinned_profile(pinned_flow):
     return GammaProfile.from_distribution(VorticityDistribution.const(0.0), pinned_flow)
 
 
-def make_profile(gamma=-1.0, d=1.0, g=1.0, p0=-1.0, **kwargs):
+def make_profile(gamma=-1.0, d=1.0, g=1.0, p0=-1.0):
     flow = FlowParameters(d=d, g=g, p0=p0)
     if isinstance(gamma, VorticityDistribution):
         dist = gamma
     else:
         dist = VorticityDistribution.const(gamma)
-    return GammaProfile.from_distribution(dist, flow, **kwargs), flow
+    return GammaProfile.from_distribution(dist, flow), flow
 
 
 @pytest.fixture

@@ -43,7 +43,7 @@ def test_pinned_crossing():
     assert pt.lambda0 == pytest.approx(math.tanh(1.0) ** (-2.0 / 3.0), abs=1e-5)
     assert pt.Q_star == pytest.approx(2.0 + math.tanh(1.0), abs=1e-8)
     assert pt.mu_residual <= 1e-8
-    assert pt.mode.k == 1
+    assert pt.mode.lam == pt.lambda_star
     m_mid = np.interp(-0.5, pt.mode.nodes, pt.mode.M)
     assert m_mid == pytest.approx(math.sinh(0.5) / math.sinh(1.0), abs=1e-5)
 

@@ -585,14 +585,29 @@ def test_analyze_inertia_sweeps(monkeypatch, tmp_path):
     assert len(sweeps) <= 40
 
 
-def test_cli_import_leaves_out_scipy_integrate():
-    # Only the shooting route integrates ODEs; no command needs it at start-up.
-    code = "import sys, rotwave.cli; print('scipy.integrate' in sys.modules)"
+_NO_SCIPY = """
+import sys
+import rotwave.cli
+
+def loaded():
+    return [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+
+before = loaded()
+code = rotwave.cli.main(["criteria", "--config", sys.argv[1]])
+print(before, loaded(), code, file=sys.stderr)
+"""
+
+
+def test_cli_import_leaves_out_scipy_integrate(tmp_path):
+    # No command needs scipy at start-up: only the shooting route integrates
+    # ODEs, and report.json reads scipy's version when it is written.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(C1))
     out = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", _NO_SCIPY, str(path)],
         capture_output=True,
         text=True,
         check=True,
         env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))},
     )
-    assert out.stdout.strip() == "False"
+    assert out.stderr.strip() == "[] [] 0"

@@ -1,5 +1,6 @@
 """Exact laminar integrals against mpmath at 40 digits, down to 1e-13 above
-the admissibility floor, on random profiles of all three kinds."""
+the admissibility floor, and the exact Hoelder seminorm, on random profiles
+of all three kinds."""
 
 import mpmath as mp
 import numpy as np
@@ -12,6 +13,7 @@ from rotwave import (
     GammaProfile,
     VorticityDistribution,
     calibrate_mass_flux,
+    holder_seminorm,
     hydraulic_head,
     lambda_of_min_head,
 )
@@ -123,6 +125,46 @@ def test_surface_value_and_minimizers_are_exact(prof):
         assert gamma_of(mp.mpf(m)) - true_min <= tol
     grid = np.linspace(-1.0, 0.0, 2001)
     assert np.all(prof.primitive(grid) >= prof.gamma_min - tol)
+
+
+def _holder_reference(prof, alpha):
+    """sup over p != p1 of (Gamma(p) - Gamma(p1)) / |p - p1|^alpha in mpmath,
+    interval by interval: the ends, with the limit at p1 taken 1e-40 away
+    from it at 100 digits, then a golden-section search around the best of
+    16 interior samples."""
+    gamma_of, _ = _mp_primitive(prof.source, prof.flow.d, prof.flow.p0)
+    p1 = mp.mpf(prof.p1)
+
+    def ratio(p, base):
+        return (gamma_of(p) - base) / abs(p - p1) ** alpha
+
+    edges = sorted({mp.mpf(float(k)) for k in prof._knots} | {p1})
+    best = mp.mpf(0)
+    with mp.workdps(100):
+        step, base = mp.mpf(10) ** -40, gamma_of(p1)
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            best = max(best, ratio(lo + step if lo == p1 else lo, base), ratio(hi - step if hi == p1 else hi, base))
+    base, golden = gamma_of(p1), (mp.sqrt(5) - 1) / 2
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        t = [lo + (hi - lo) * i / 17 for i in range(18)]
+        k = max(range(1, 17), key=lambda i: ratio(t[i], base))
+        a, b = t[k - 1], t[k + 1]
+        for _ in range(60):
+            x, y = b - golden * (b - a), a + golden * (b - a)
+            if ratio(x, base) >= ratio(y, base):
+                b = y
+            else:
+                a = x
+        best = max(best, ratio(t[k], base), ratio((a + b) / 2, base))
+    return +best
+
+
+@PROPERTY
+@given(profiles())
+def test_holder_seminorm_matches_mpmath(prof):
+    for alpha in (0.3, 0.5, 0.8, 1.0):
+        ref = _holder_reference(prof, alpha)
+        assert abs(holder_seminorm(prof, alpha) - ref) <= 1e-14 * ref
 
 
 # -- fixed cases near the floor --------------------------------------------------

@@ -6,15 +6,11 @@ import scipy.integrate
 import scipy.optimize
 
 from rotwave import (
-    FlowParameters,
-    LaminarFlow,
     VorticityDistribution,
     calibrate_mass_flux,
     hydraulic_head,
     lambda_of_min_head,
-    laminar_height,
     scale_to_unit_wavenumber,
-    surface_relative_speed,
 )
 from rotwave.errors import (
     DegenerateConstraint,
@@ -27,26 +23,26 @@ from rotwave.laminar import height_on_mesh
 from conftest import make_profile
 
 
-# -- laminar_height ------------------------------------------------------------
+# -- height_on_mesh ------------------------------------------------------------
 
 
 def test_height_constant_integrand():
     prof, _ = make_profile(0.0)
     # H(p) = (p + 1)(lambda^(-1/2) - 1)
-    assert laminar_height(prof, 4.0, 0.0) == pytest.approx(-0.5, abs=1e-12)
+    assert height_on_mesh(prof, 4.0, [0.0])[0] == pytest.approx(-0.5, abs=1e-12)
 
 
 def test_height_identity_flow():
     prof, _ = make_profile(0.0)
     for p in (-1.0, -0.6, -0.2, 0.0):
-        assert laminar_height(prof, 1.0, p) == pytest.approx(0.0, abs=1e-12)
+        assert height_on_mesh(prof, 1.0, [p])[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_height_linear_gamma_closed_form():
     # Gamma = 2p: antiderivative of (lam + 2s)^(-1/2) is sqrt(lam + 2s)
     prof, _ = make_profile(-1.0)
     exact = (math.sqrt(3.0) - 1.0) - 1.0
-    assert laminar_height(prof, 3.0, 0.0) == pytest.approx(exact, abs=1e-11)
+    assert height_on_mesh(prof, 3.0, [0.0])[0] == pytest.approx(exact, abs=1e-11)
 
 
 def test_height_bed_zero_various_profiles():
@@ -56,13 +52,13 @@ def test_height_bed_zero_various_profiles():
         dist = VorticityDistribution.piecewise_constant([-0.5], vals)
         prof, _ = make_profile(dist, p0=-float(rng.uniform(0.6, 1.4)))
         lam = prof.min_lambda + float(rng.uniform(0.2, 2.0))
-        assert laminar_height(prof, lam, -1.0) == pytest.approx(0.0, abs=1e-12)
+        assert height_on_mesh(prof, lam, [-1.0])[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_height_non_admissible():
     prof, _ = make_profile(-1.0)  # floor at lambda = 2
     with pytest.raises(NonAdmissibleLambda):
-        laminar_height(prof, 1.9, 0.0)
+        height_on_mesh(prof, 1.9, [0.0])
 
 
 def test_height_on_mesh_matches_pointwise():
@@ -131,35 +127,6 @@ def test_head_flat_at_minimizer():
         - hydraulic_head(prof, flow, lam0 - delta)
     ) / (2.0 * delta)
     assert abs(slope) <= 1e-6 * q0
-
-
-def test_laminar_flow_object():
-    prof, flow = make_profile(-1.0)
-    fl = LaminarFlow.solve(prof, flow, 3.0)
-    assert fl.Q == pytest.approx(hydraulic_head(prof, flow, 3.0))
-    assert fl.height(-1.0) == pytest.approx(0.0, abs=1e-12)
-    p = np.linspace(-1.0, 0.0, 33)
-    assert np.all(fl.height_slope(p) + 1.0 > 0.0)
-    # surface slope identity: 1/(H_p(0) + 1) = sqrt(lambda)
-    assert 1.0 / (fl.height_slope(0.0) + 1.0) == pytest.approx(math.sqrt(3.0), abs=1e-12)
-
-
-# -- surface_relative_speed --------------------------------------------------------
-
-
-def test_surface_speed_examples():
-    root, u = surface_relative_speed(1.0, FlowParameters(d=1, g=1, p0=-1.0))
-    assert (root, u) == (pytest.approx(1.0), pytest.approx(-1.0))
-    root, u = surface_relative_speed(4.0, FlowParameters(d=2, g=1, p0=-1.0))
-    assert (root, u) == (pytest.approx(2.0), pytest.approx(-1.0))
-    p0 = -0.872694
-    root, u = surface_relative_speed(1.0, FlowParameters(d=1, g=1, p0=p0))
-    assert u == pytest.approx(p0)
-
-
-def test_surface_speed_rejects_nonpositive():
-    with pytest.raises(NonAdmissibleLambda):
-        surface_relative_speed(0.0, FlowParameters(d=1, g=1, p0=-1.0))
 
 
 # -- calibrate_mass_flux -------------------------------------------------------------

@@ -17,6 +17,7 @@ from rotwave import (
     weak_residual,
 )
 from rotwave.errors import StagnationAtAmplitude
+from rotwave.laminar import height_on_mesh
 
 from conftest import make_profile
 
@@ -193,6 +194,7 @@ def test_surface_mean_matches_laminar_height():
     field = build_wave(point, 0.0, 128)
     _eta, mean = surface_profile(field, flow)
     assert mean == pytest.approx((math.sqrt(3.0) - 1.0) - 1.0, abs=1e-9)
+    assert mean == pytest.approx(flow.d * height_on_mesh(prof, 3.0, [0.0])[0], abs=1e-9)
 
 
 # -- weak_residual -----------------------------------------------------------------

@@ -7,7 +7,6 @@ from rotwave import (
     FlowParameters,
     GammaProfile,
     VorticityDistribution,
-    gamma_eval,
     holder_seminorm,
 )
 from rotwave.errors import InvalidParameter, NonAdmissibleLambda, OutOfDomain
@@ -15,29 +14,10 @@ from rotwave.errors import InvalidParameter, NonAdmissibleLambda, OutOfDomain
 from conftest import make_profile
 
 
-# -- gamma_eval ----------------------------------------------------------------
-
-
-def test_eval_constant():
-    dist = VorticityDistribution.const(-1.0)
-    assert gamma_eval(dist, -0.3) == -1.0
-
-
-def test_eval_piecewise_right_continuous():
-    dist = VorticityDistribution.piecewise_constant([-0.4], [-1.0, 0.0])
-    assert gamma_eval(dist, -0.4) == 0.0
-    assert gamma_eval(dist, -0.4000001) == -1.0
-
-
-def test_eval_tabulated_linear():
-    dist = VorticityDistribution.tabulated([-1.0, 0.0], [0.0, 2.0])
-    assert gamma_eval(dist, -0.5) == pytest.approx(1.0)
-
-
 def test_eval_out_of_domain():
-    dist = VorticityDistribution.const(0.0)
+    prof, _ = make_profile(0.0)
     with pytest.raises(OutOfDomain):
-        gamma_eval(dist, 0.5)
+        prof.primitive(0.5)
 
 
 def test_distribution_validation():
