@@ -1,10 +1,15 @@
 """Local bifurcation of steady periodic water waves over rotational flows.
 
 Computes laminar flow families with fixed mean depth, the principal
-eigenvalue curve of the associated mode equation, the bifurcation point
+eigenvalue mu(lambda) of the associated mode equation, the bifurcation point
 where small-amplitude waves branch off, closed-form onset criteria for
 constant and layered vorticity, and first-order reconstructed wave fields
 with weak-form residual diagnostics.
+
+``find_lambda_star`` solves mu(lambda) through a ``Solves`` memo and
+returns it on its result, where ``analyze`` reads the mu_curve.csv grid.
+``onset_point`` gives (p0, mu) at one lambda of the family whose p0 is
+recalibrated at each lambda.
 
 The supported interface is the ``rotwave`` command line (``rotwave.cli``)
 and the layer functions its commands call, exported here.  Four functions
@@ -19,15 +24,13 @@ __version__ = "0.1.0"
 from .bifurcation import (
     BifurcationPoint,
     NoBifurcation,
-    OnsetCurve,
-    OnsetPoint,
     check_bed_layer,
     check_constant_vorticity,
     check_continuous_sufficient,
     check_general_sufficient,
     check_surface_layer,
     find_lambda_star,
-    onset_curve,
+    onset_point,
     transversality_integral,
 )
 from .errors import (
@@ -65,8 +68,7 @@ from .reconstruct import (
 )
 from .spectral import (
     ModeSolution,
-    MuCurve,
-    mu_curve,
+    Solves,
     principal_eigen,
     rayleigh_quotient,
     shooting_mu,

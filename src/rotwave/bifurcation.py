@@ -17,14 +17,13 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import Error, NoSolution, DegenerateConstraint, NonAdmissibleLambda
 from .laminar import (
     calibrate_mass_flux,
     hydraulic_head,
     lambda_of_min_head,
 )
 from .numerics import RootSpec, bracketed_root
-from .spectral import ModeSolution, principal_eigen
+from .spectral import ModeSolution, Solves, principal_eigen
 from .vorticity import (
     ElementRule,
     FlowParameters,
@@ -49,7 +48,7 @@ class BifurcationPoint:
     mu_at_lambda0: float
     profile: GammaProfile
     flow: FlowParameters
-    mu_samples: tuple = ()
+    solves: Solves
 
 
 @dataclass(frozen=True)
@@ -60,7 +59,7 @@ class NoBifurcation:
     inf_mu: float
     lambda_at_inf: float
     mu_at_lambda0: float
-    mu_samples: tuple = ()
+    solves: Solves
 
 
 def find_lambda_star(
@@ -76,31 +75,21 @@ def find_lambda_star(
     first probe with mu <= -1 gives the lower bracket end (monotonicity of
     mu where negative makes the left edge the infimum, so deeper probes
     cannot be missed).  A probe that fails raises its error: a numerical
-    failure is never reported as NoBifurcation.  No lambda is solved twice,
-    and each solve is seeded from the nearest lambda solved before it;
-    ``mu_samples`` on the result holds every (lambda, mu) solved.
+    failure is never reported as NoBifurcation.  Every solve goes through
+    the memo ``solves`` on the result, so no lambda is solved twice and
+    callers can read or extend what the search solved.
     """
     lam0 = lambda_of_min_head(profile, flow, root_tol=root_tol)
     floor = profile.min_lambda
-    solved = {}
-
-    def solve(lam):
-        if lam not in solved:
-            near = solved[min(solved, key=lambda x: abs(x - lam))] if solved else None
-            solved[lam] = principal_eigen(profile, flow, lam, mesh_points=mesh_points, near=near)
-        return solved[lam]
-
-    def mu_of(lam):
-        return solve(lam).mu_refined
-
-    mu_at_lam0 = mu_of(lam0)
+    solves = Solves(profile, flow, mesh_points)
+    mu_at_lam0 = solves(lam0).mu_refined
 
     lam_lo = None
     inf_mu = math.inf
     lam_at_inf = lam0
     for eps in margin_schedule:
         cand = floor + min(eps, 0.5 * (lam0 - floor))
-        mu_lo = mu_of(cand)
+        mu_lo = solves(cand).mu_refined
         if mu_lo < inf_mu:
             inf_mu = mu_lo
             lam_at_inf = cand
@@ -113,12 +102,12 @@ def find_lambda_star(
             inf_mu=min(inf_mu, mu_at_lam0),
             lambda_at_inf=lam_at_inf,
             mu_at_lambda0=mu_at_lam0,
-            mu_samples=_samples(solved),
+            solves=solves,
         )
 
     spec = RootSpec(x_tol=root_tol * max(1.0, lam0), f_tol=1e-10, max_iter=200)
-    lam_star = bracketed_root(lambda lam: mu_of(lam) + 1.0, lam_lo, lam0, spec)
-    mode = solve(lam_star)
+    lam_star = bracketed_root(lambda lam: solves(lam).mu_refined + 1.0, lam_lo, lam0, spec)
+    mode = solves(lam_star)
     return BifurcationPoint(
         lambda_star=lam_star,
         lambda0=lam0,
@@ -129,12 +118,8 @@ def find_lambda_star(
         mu_at_lambda0=mu_at_lam0,
         profile=profile,
         flow=flow,
-        mu_samples=_samples(solved),
+        solves=solves,
     )
-
-
-def _samples(solved: dict) -> tuple:
-    return tuple((lam, sol.mu_refined) for lam, sol in solved.items())
 
 
 # -- closed-form onset criteria ---------------------------------------------
@@ -247,58 +232,21 @@ def transversality_integral(point: BifurcationPoint) -> float:
     return -0.5 * math.pi * i1 - 3.0 * math.pi * i2 / point.flow.d**2
 
 
-# -- normalized-family onset sweep ------------------------------------------
+# -- fixed-mean-depth family: one point -----------------------------------------
 
 
-@dataclass(frozen=True)
-class OnsetPoint:
-    lam: float
-    p0: Optional[float]
-    mu: Optional[float]
-    error: Optional[str]
+def onset_point(
+    dist: VorticityDistribution, d: float, g: float, lam: float, mesh_points: int
+) -> tuple[float, float]:
+    """(p0, mu) at lambda on the family with p0 calibrated to the unit-depth
+    normalization.
 
-
-@dataclass(frozen=True)
-class OnsetCurve:
-    """Depth-normalized family samples and the mu = -1 crossings found."""
-
-    points: tuple
-    crossings: tuple
-
-
-def onset_curve(
-    dist: VorticityDistribution,
-    d: float,
-    g: float,
-    lambda_grid: Sequence[float],
-    mesh_points: int = 1201,
-) -> OnsetCurve:
-    """Sweep the family with p0 calibrated to the unit-depth normalization.
-
-    For each lambda the mass flux is recalibrated and mu evaluated;
-    per-point failures are recorded, not raised.  Crossings are sign
-    changes of mu + 1 between consecutive valid samples.
+    The mass flux p0 is calibrated at this lambda, then mu(lambda) solved
+    on the profile it gives.  A failure of either step raises; for
+    gamma == 0 calibration raises at every lambda (DegenerateConstraint at
+    lambda = 1, where every p0 satisfies the constraint).
     """
-    pts = []
-    for lam in lambda_grid:
-        lam = float(lam)
-        try:
-            p0 = calibrate_mass_flux(dist, d, lam)
-            flow = FlowParameters(d=d, g=g, p0=p0)
-            profile = GammaProfile.from_distribution(dist, flow)
-            mu = principal_eigen(profile, flow, lam, mesh_points=mesh_points).mu_refined
-            pts.append(OnsetPoint(lam=lam, p0=p0, mu=mu, error=None))
-        except DegenerateConstraint as exc:
-            pts.append(OnsetPoint(lam=lam, p0=None, mu=None, error=f"degenerate: {exc}"))
-        except (NoSolution, NonAdmissibleLambda, Error) as exc:
-            pts.append(OnsetPoint(lam=lam, p0=None, mu=None, error=str(exc)))
-    crossings = []
-    prev = None
-    for pt in pts:
-        if pt.mu is None:
-            prev = None
-            continue
-        if prev is not None and (prev.mu + 1.0) * (pt.mu + 1.0) <= 0.0:
-            crossings.append((prev.lam, pt.lam))
-        prev = pt
-    return OnsetCurve(points=tuple(pts), crossings=tuple(crossings))
+    p0 = calibrate_mass_flux(dist, d, lam)
+    flow = FlowParameters(d=d, g=g, p0=p0)
+    profile = GammaProfile.from_distribution(dist, flow)
+    return p0, principal_eigen(profile, flow, lam, mesh_points=mesh_points).mu_refined

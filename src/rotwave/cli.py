@@ -6,7 +6,11 @@ temporary path and atomically renamed, and reports carry no timestamps.
 
 Exit codes: 0 success, 2 no bifurcation, 3 config error, an output
 directory that cannot be created or written or, for criteria, a stdout that
-cannot be written, 4 numerical failure.
+cannot be written, 4 numerical failure.  Among the config errors of sweep,
+raised before the output directory is made: a swept parameter that the
+quantity does not read (lambda for criteria or lambda_star, depth_frak for
+mu, lambda_star or onset, p0 for onset; see run_sweep), and a gamma sweep
+on a profile that is not of constant vorticity.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from .bifurcation import (
     check_general_sufficient,
     check_surface_layer,
     find_lambda_star,
-    onset_curve,
+    onset_point,
     transversality_integral,
 )
 from .errors import ConfigError, Error, InvalidParameter, StagnationAtAmplitude
@@ -45,10 +49,8 @@ from .reconstruct import (
     surface_profile,
     weak_residual,
 )
-from .spectral import mu_curve, principal_eigen
+from .spectral import principal_eigen
 from .vorticity import FlowParameters, GammaProfile, VorticityDistribution, holder_seminorm
-
-_SWEEP_PARAMS = ("gamma", "d", "g", "p0", "depth_frak", "lambda")
 
 
 @dataclass(frozen=True)
@@ -402,13 +404,9 @@ def run_analyze(config: RunConfig, out_dir: str) -> int:
     os.makedirs(out_dir, exist_ok=True)
     profile, result = _analysis(config)
     criteria = build_criteria_report(config, profile)
-    curve = mu_curve(
-        profile,
-        config.flow,
-        _mu_grid(profile, config, result),
-        mesh_points=config.numerics.mesh_points,
-        known=result.mu_samples,
-    )
+    curve = [
+        (float(lam), result.solves(lam).mu_refined) for lam in _mu_grid(profile, config, result)
+    ]
 
     report = {
         "status": "bifurcation" if isinstance(result, BifurcationPoint) else "no_bifurcation",
@@ -441,7 +439,7 @@ def run_analyze(config: RunConfig, out_dir: str) -> int:
             }
         )
     write_json(os.path.join(out_dir, "report.json"), report)
-    write_csv(os.path.join(out_dir, "mu_curve.csv"), ["lambda", "mu"], curve.points)
+    write_csv(os.path.join(out_dir, "mu_curve.csv"), ["lambda", "mu"], curve)
     return 0 if isinstance(result, BifurcationPoint) else 2
 
 
@@ -629,15 +627,23 @@ _CRITERIA_COLUMNS = [
     "bed_margin",
 ]
 
+# Each sweep quantity: the parameters it reads, then its value columns.  A
+# quantity that reads lambda is evaluated at each swept lambda, so it needs a
+# lambda sweep; sweeping a parameter the quantity does not read is an error.
+_SWEEP_QUANTITIES = {
+    "mu": (("lambda", "gamma", "d", "g", "p0"), ["mu"]),
+    "criteria": (("gamma", "d", "g", "p0", "depth_frak"), _CRITERIA_COLUMNS),
+    "lambda_star": (("gamma", "d", "g", "p0"), ["lambda_star", "lambda0", "mu_residual"]),
+    # p0 is calibrated at each lambda.
+    "onset": (("lambda", "gamma", "d", "g"), ["p0", "mu"]),
+}
+_SWEEP_PARAMS = {name for reads, _ in _SWEEP_QUANTITIES.values() for name in reads}
+
 
 def _sweep_row_config(config: RunConfig, overrides: dict) -> RunConfig:
     flow = replace(config.flow, **{k: v for k, v in overrides.items() if k in ("d", "g", "p0")})
     vorticity = config.vorticity
     if "gamma" in overrides:
-        if vorticity.kind != "constant":
-            raise ConfigError(
-                "gamma sweeps require constant vorticity", "/vorticity/kind"
-            )
         vorticity = VorticityDistribution.const(overrides["gamma"])
     criteria = config.criteria
     if "depth_frak" in overrides:
@@ -650,6 +656,17 @@ def run_sweep(config: RunConfig, param_specs: Sequence[str], quantity: Optional[
 
     Rows follow lexicographic grid order (first parameter outermost);
     failures land in the per-row error column and do not abort the sweep.
+
+    The quantity (default mu with a lambda sweep, else criteria) and the
+    parameters it accepts:
+
+        mu           lambda (required), gamma, d, g, p0
+        criteria     gamma, d, g, p0, depth_frak
+        lambda_star  gamma, d, g, p0
+        onset        lambda (required), gamma, d, g; p0 is calibrated
+
+    Any other parameter, and a gamma sweep on a profile that is not of
+    constant vorticity, is a ConfigError raised before any row is solved.
     """
     if not 1 <= len(param_specs) <= 2:
         raise ConfigError("sweep needs one or two --param specs", "/sweep/param")
@@ -659,23 +676,19 @@ def run_sweep(config: RunConfig, param_specs: Sequence[str], quantity: Optional[
         raise ConfigError("sweep parameters must be distinct", "/sweep/param")
     if quantity is None:
         quantity = "mu" if "lambda" in names else "criteria"
-    if quantity not in ("mu", "criteria", "lambda_star", "onset"):
+    if quantity not in _SWEEP_QUANTITIES:
         raise ConfigError(f"unknown quantity {quantity!r}", "/sweep/quantity")
-    if quantity in ("mu", "onset") and "lambda" not in names:
+    reads, value_cols = _SWEEP_QUANTITIES[quantity]
+    for name in names:
+        if name not in reads:
+            raise ConfigError(
+                f"quantity {quantity!r} does not read {name!r}; it reads {', '.join(reads)}",
+                "/sweep/param",
+            )
+    if "lambda" in reads and "lambda" not in names:
         raise ConfigError(f"quantity {quantity!r} requires a lambda sweep", "/sweep/param")
-    if quantity == "onset" and "p0" in names:
-        raise ConfigError(
-            "onset calibrates p0 for each lambda; it cannot be swept", "/sweep/param"
-        )
-
-    if quantity == "mu":
-        value_cols = ["mu"]
-    elif quantity == "onset":
-        value_cols = ["p0", "mu"]
-    elif quantity == "lambda_star":
-        value_cols = ["lambda_star", "lambda0", "mu_residual"]
-    else:
-        value_cols = _CRITERIA_COLUMNS
+    if "gamma" in names and config.vorticity.kind != "constant":
+        raise ConfigError("gamma sweeps require constant vorticity", "/vorticity/kind")
     header = names + value_cols + ["error"]
     os.makedirs(out_dir, exist_ok=True)
 
@@ -726,17 +739,8 @@ def _sweep_values(row_cfg: RunConfig, quantity: str, lam):
         )
         return [sol.mu_refined]
     if quantity == "onset":
-        curve = onset_curve(
-            row_cfg.vorticity,
-            flow.d,
-            flow.g,
-            [float(lam)],
-            mesh_points=min(row_cfg.numerics.mesh_points, 1201),
-        )
-        pt = curve.points[0]
-        if pt.error is not None:
-            raise Error(pt.error)
-        return [pt.p0, pt.mu]
+        mesh_points = min(row_cfg.numerics.mesh_points, 1201)
+        return list(onset_point(row_cfg.vorticity, flow.d, flow.g, float(lam), mesh_points))
     _profile, result = _analysis(row_cfg)
     if isinstance(result, NoBifurcation):
         return [None, result.lambda0, None]
@@ -784,7 +788,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_sw.add_argument("--config", required=True)
     p_sw.add_argument("--param", action="append", required=True, metavar="name:lo:hi:n")
     p_sw.add_argument(
-        "--quantity", choices=["mu", "criteria", "lambda_star", "onset"], default=None
+        "--quantity", choices=list(_SWEEP_QUANTITIES), default=None
     )
     p_sw.add_argument("--out", required=True)
 

@@ -8,10 +8,6 @@ class Error(Exception):
 class NonConvergence(Error):
     """An iterative scheme exhausted its budget before reaching tolerance."""
 
-    def __init__(self, message, best=None):
-        super().__init__(message)
-        self.best = best
-
 
 class NoSignChange(Error):
     """Root bracketing requires f(lo) and f(hi) of opposite sign."""
@@ -43,10 +39,6 @@ class DegenerateConstraint(Error):
     Raised only when the constraint holds identically: every p0 < 0 is
     then an equally valid calibration.
     """
-
-    def __init__(self, message, residual=0.0):
-        super().__init__(message)
-        self.residual = residual
 
 
 class ZeroDenominator(Error):

@@ -178,8 +178,7 @@ def calibrate_mass_flux(
         residual = lam**-0.5 - 1.0
         if abs(residual) <= 1e-12:
             raise DegenerateConstraint(
-                "gamma == 0: the constraint holds for every p0 < 0",
-                residual=residual,
+                "degenerate: gamma == 0: the constraint holds for every p0 < 0"
             )
         raise NoSolution(
             f"gamma == 0: constraint residual {residual!r} for every p0"

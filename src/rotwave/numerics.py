@@ -108,7 +108,7 @@ def bracketed_root(
         if (fb > 0.0) == (fc > 0.0):
             c, fc = a, fa
             d = e = b - a
-    raise NonConvergence(f"no root to tolerance within {spec.max_iter} iterations", best=b)
+    raise NonConvergence(f"no root to tolerance within {spec.max_iter} iterations")
 
 
 def _normalize_surface(v: np.ndarray) -> np.ndarray:

@@ -37,7 +37,6 @@ class WaveField:
     by pair, so a field built by hand is written correctly too.
     """
 
-    s: float
     lam: float
     q_nodes: np.ndarray
     p_nodes: np.ndarray
@@ -74,7 +73,7 @@ def build_wave(point: BifurcationPoint, s: float, n_q: int = 256) -> WaveField:
     h[:, 0] = 0.0
     h_q = -s * sinq * M[None, :]
     h_p = H_p[None, :] + s * cosq * M_p[None, :]
-    field = WaveField(s=s, lam=lam, q_nodes=q, p_nodes=nodes.copy(), h=h, h_q=h_q, h_p=h_p)
+    field = WaveField(lam=lam, q_nodes=q, p_nodes=nodes.copy(), h=h, h_q=h_q, h_p=h_p)
     floor = nonstagnation_check(field)
     if floor <= 0.0:
         # 1 + H_p + s M_p cos q > 0 for all q needs s < (1 + H_p) / |M_p|.

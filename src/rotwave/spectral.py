@@ -27,7 +27,6 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -306,6 +305,31 @@ def principal_eigen(
     return ModeSolution(lam=lam, mu=mu_2, mu_refined=mu_refined, nodes=finer, M=m_2)
 
 
+class Solves:
+    """The solutions of principal_eigen on one profile, flow and mesh, by lambda.
+
+    Called with lambda, it returns the ModeSolution there.  Each lambda is
+    solved once, seeded (``near``) from the solved lambda nearest to it;
+    ``solved`` maps every lambda solved so far to its solution.
+    """
+
+    def __init__(self, profile: GammaProfile, flow: FlowParameters, mesh_points: int):
+        self.profile = profile
+        self.flow = flow
+        self.mesh_points = mesh_points
+        self.solved = {}
+
+    def __call__(self, lam: float) -> ModeSolution:
+        sol = self.solved.get(lam)
+        if sol is None:
+            near = min(self.solved.values(), key=lambda s: abs(s.lam - lam), default=None)
+            sol = principal_eigen(
+                self.profile, self.flow, lam, mesh_points=self.mesh_points, near=near
+            )
+            self.solved[lam] = sol
+        return sol
+
+
 def rayleigh_quotient(
     profile: GammaProfile,
     flow: FlowParameters,
@@ -444,42 +468,3 @@ def shooting_mu(
             f"shooting converged with {zeros} interior zeros, expected {k}"
         )
     return mu
-
-
-@dataclass(frozen=True)
-class MuCurve:
-    """Sampled (lambda, mu) pairs plus any monotonicity violations found."""
-
-    points: tuple
-    monotonicity_violations: tuple
-
-
-def mu_curve(
-    profile: GammaProfile,
-    flow: FlowParameters,
-    lambda_grid: Sequence[float],
-    mesh_points: int = 2001,
-    known: Sequence[tuple] = (),
-) -> MuCurve:
-    """mu(lambda) on a grid; flags non-monotone steps where mu < 0.
-
-    ``known`` holds (lambda, mu) pairs already solved on this profile and
-    mesh, such as a search's ``mu_samples``; grid points among them are not
-    solved again.  Each solve is seeded from the one before it.
-    """
-    known = dict(known)
-    pts = []
-    near = None
-    for lam in lambda_grid:
-        mu = known.get(lam)
-        if mu is None:
-            near = principal_eigen(profile, flow, lam, mesh_points=mesh_points, near=near)
-            mu = near.mu_refined
-        pts.append((float(lam), mu))
-    pts.sort(key=lambda t: t[0])
-    violations = []
-    for (l1, m1), (l2, m2) in zip(pts[:-1], pts[1:]):
-        if m1 < 0.0 and m2 < 0.0 and m2 <= m1 - 1e-10 * max(1.0, abs(m1)):
-            violations.append((l1, l2, m1, m2))
-    return MuCurve(points=tuple(pts), monotonicity_violations=tuple(violations))
-

@@ -231,16 +231,16 @@ class QuadraturePoints:
     per element, so that summing over the points adds whole rows.
 
     ``w`` holds the weights (Jacobian included), ``gamma`` Gamma at the
-    points, ``n0`` and ``n1`` the P1 basis functions of the element's left
-    and right node, all of shape (points, elements).  ``mass`` stacks the
-    lambda-free mass weights w n0 n0, w n0 n1 and w n1 n1.
+    points and ``n0`` the P1 basis function of the element's left node, all
+    of shape (points, elements); n1 = 1 - n0 is that of its right node.
+    ``mass`` stacks the lambda-free mass weights w n0 n0, w n0 n1 and
+    w n1 n1.
     """
 
     elements: np.ndarray
     w: np.ndarray
     gamma: np.ndarray
     n0: np.ndarray
-    n1: np.ndarray
     mass: np.ndarray
 
 
@@ -297,7 +297,6 @@ def _points(profile, elements, x, w, lo, hi, h) -> QuadraturePoints:
         w=w,
         gamma=profile.primitive(x),
         n0=n0,
-        n1=n1,
         mass=np.stack([w * n0 * n0, w * n0 * n1, w * n1 * n1]),
     )
 

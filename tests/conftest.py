@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from rotwave import FlowParameters, GammaProfile, VorticityDistribution, bifurcation
+from rotwave import FlowParameters, GammaProfile, VorticityDistribution, spectral
 from rotwave.errors import EigenFailure
 
 
@@ -29,11 +29,11 @@ def make_profile(gamma=-1.0, d=1.0, g=1.0, p0=-1.0):
 @pytest.fixture
 def failing_probes(monkeypatch):
     """Make every principal_eigen solve within 0.05 of the admissibility floor fail."""
-    solve = bifurcation.principal_eigen
+    solve = spectral.principal_eigen
 
     def failing(profile, flow, lam, **kwargs):
         if lam < profile.min_lambda + 0.05:
             raise EigenFailure("solve failed near the floor")
         return solve(profile, flow, lam, **kwargs)
 
-    monkeypatch.setattr(bifurcation, "principal_eigen", failing)
+    monkeypatch.setattr(spectral, "principal_eigen", failing)

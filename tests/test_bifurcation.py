@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -15,12 +16,13 @@ from rotwave import (
     check_surface_layer,
     find_lambda_star,
     holder_seminorm,
-    onset_curve,
+    onset_point,
     principal_eigen,
     transversality_integral,
 )
 
-from rotwave.errors import EigenFailure
+from rotwave.cli import main
+from rotwave.errors import DegenerateConstraint, EigenFailure, NoSolution
 from rotwave.vorticity import ElementRule
 
 from conftest import make_profile
@@ -74,10 +76,14 @@ def test_search_builds_each_mesh_level_once(monkeypatch):
 def test_search_returns_every_mu_it_solved():
     prof, flow = make_profile(-1.0, d=1.0, g=9.81, p0=-2.0)
     pt = find_lambda_star(prof, flow, mesh_points=201)
-    samples = dict(pt.mu_samples)
-    assert samples[pt.lambda0] == pt.mu_at_lambda0
-    assert samples[pt.lambda_star] == pt.mode.mu_refined
-    assert pt.bracket[0] in samples
+    solved = pt.solves.solved
+    assert solved[pt.lambda0].mu_refined == pt.mu_at_lambda0
+    assert solved[pt.lambda_star] is pt.mode
+    assert pt.bracket[0] in solved
+    # A lambda the search solved is read back, not solved again.
+    n = len(solved)
+    assert pt.solves(pt.bracket[0]) is solved[pt.bracket[0]]
+    assert len(solved) == n
 
 
 def test_crossing_below_head_minimizer():
@@ -283,29 +289,34 @@ def test_transversality_negative_rotational():
     assert transversality_integral(pt) < 0.0
 
 
-# -- onset sweep -------------------------------------------------------------------
+# -- fixed-mean-depth family ---------------------------------------------------------
 
 
 def test_onset_irrotational_degenerate():
-    curve = onset_curve(VorticityDistribution.const(0.0), 1.0, 1.0, [0.5, 1.0, 2.0])
-    errors = [pt.error for pt in curve.points]
+    dist = VorticityDistribution.const(0.0)
     # lambda != 1: the p0-independent constraint has no solution
-    assert errors[0] is not None and "gamma == 0" in errors[0]
-    assert errors[2] is not None and "gamma == 0" in errors[2]
+    for lam in (0.5, 2.0):
+        with pytest.raises(NoSolution, match="^gamma == 0"):
+            onset_point(dist, 1.0, 1.0, lam, 1201)
     # lambda = 1: the constraint holds for every p0 (degenerate success)
-    assert errors[1] is not None and errors[1].startswith("degenerate")
-    assert curve.crossings == ()
+    with pytest.raises(DegenerateConstraint, match="^degenerate: gamma == 0"):
+        onset_point(dist, 1.0, 1.0, 1.0, 1201)
 
 
-def test_onset_empty_grid():
-    curve = onset_curve(VorticityDistribution.const(-1.0), 1.0, 1.0, [])
-    assert curve.points == ()
-    assert curve.crossings == ()
+def test_onset_empty_grid(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "flow": {"d": 1, "g": 1, "p0": -1}, "vorticity": {"kind": "constant", "gamma": -1},
+    }))
+    out = tmp_path / "out"
+    argv = ["sweep", "--config", str(config), "--param", "lambda:1:2:0", "--quantity", "onset"]
+    assert main([*argv, "--out", str(out)]) == 0
+    assert (out / "sweep.csv").read_text() == "lambda,p0,mu,error\n"
 
 
 def test_onset_crossing_for_moderate_vorticity():
-    grid = np.linspace(1.1, 3.9, 15)
-    curve = onset_curve(VorticityDistribution.const(-1.0), 1.0, 1.0, grid, mesh_points=801)
-    assert len(curve.crossings) >= 1
-    mus = [pt.mu for pt in curve.points if pt.mu is not None]
+    dist = VorticityDistribution.const(-1.0)
+    mus = np.array([onset_point(dist, 1.0, 1.0, lam, 801)[1] for lam in np.linspace(1.1, 3.9, 15)])
     assert min(mus) < -1.0 < max(mus)
+    # mu + 1 changes sign between two neighbouring grid points.
+    assert np.any((mus[:-1] + 1.0) * (mus[1:] + 1.0) <= 0.0)

@@ -18,6 +18,7 @@ from rotwave import bifurcation, cli, numerics, spectral
 from rotwave.cli import main, parse_config, write_csv, write_json
 from rotwave.errors import ConfigError
 from rotwave.reconstruct import build_wave, physical_fields
+from rotwave.vorticity import GammaProfile
 
 C1 = {
     "flow": {"d": 1, "g": 9.81, "p0": -2},
@@ -267,6 +268,50 @@ def test_onset_sweep_rejects_p0(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "params, quantity",
+    [
+        (("lambda:1.05:1.5:2",), "lambda_star"),
+        (("lambda:1.05:1.5:2",), "criteria"),
+        (("depth_frak:0.2:0.8:2",), "lambda_star"),
+        (("lambda:1:1.5:2", "depth_frak:0.2:0.8:2"), "mu"),
+        (("lambda:1.3:1.5:2", "depth_frak:0.2:0.8:2"), "onset"),
+    ],
+)
+def test_sweep_rejects_a_parameter_its_quantity_does_not_read(tmp_path, capsys, params, quantity):
+    # Every row would be the same: the quantity never reads the parameter.
+    argv = ["sweep"]
+    for p in params:
+        argv += ["--param", p]
+    argv += ["--quantity", quantity, "--out", str(tmp_path / "out")]
+    assert _run(tmp_path, C1, *argv) == 3
+    assert "/sweep/param" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_gamma_sweep_needs_constant_vorticity(tmp_path, capsys):
+    # A config error, not a file of failed rows with exit 4 (numerical failure).
+    argv = ("sweep", "--param", "gamma:-1:1:2", "--out", str(tmp_path / "out"))
+    assert _run(tmp_path, PIECEWISE, *argv) == 3
+    assert "/vorticity/kind" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_irrotational_onset_sweep_says_why_each_row_failed(tmp_path):
+    # gamma = 0: the unit-depth constraint does not depend on p0.
+    out = tmp_path / "out"
+    argv = ("sweep", "--param", "lambda:0.5:2:4", "--quantity", "onset", "--out", str(out))
+    config = dict(C1, vorticity={"kind": "constant", "gamma": 0})
+    assert _run(tmp_path, config, *argv) == 4
+    assert (out / "sweep.csv").read_text() == (
+        "lambda,p0,mu,error\n"
+        "0.5,,,gamma == 0: constraint residual 0.41421356237309515 for every p0\n"
+        "1.0,,,degenerate: gamma == 0: the constraint holds for every p0 < 0\n"
+        "1.5,,,gamma == 0: constraint residual -0.18350341907227397 for every p0\n"
+        "2.0,,,gamma == 0: constraint residual -0.2928932188134524 for every p0\n"
+    )
+
+
 @pytest.mark.parametrize("amplitude", ["nan", "-0.5", "inf"])
 def test_reconstruct_amplitude_flag_is_checked(tmp_path, capsys, amplitude):
     argv = ("reconstruct", "--amplitude", "0.01", "--amplitude", amplitude)
@@ -282,6 +327,23 @@ def test_failed_probe_exits_4(tmp_path, capsys, failing_probes):
 
 
 # -- deterministic, atomic files ------------------------------------------------------
+
+
+@pytest.mark.parametrize("config", [C1, PIECEWISE], ids=["C1", "P"])
+def test_mu_curve_rows_match_unseeded_solves(tmp_path, config):
+    # The grid is read from the search's memo, each new lambda seeded from
+    # the nearest one solved; a seed may move mu only within the iteration's
+    # stopping tolerance.
+    out = tmp_path / "out"
+    assert _run(tmp_path, config, "analyze", "--out", str(out)) == 0
+    cfg = parse_config(json.dumps(config))
+    profile = GammaProfile.from_distribution(cfg.vorticity, cfg.flow)
+    rows = _read_csv(out / "mu_curve.csv")
+    assert len(rows) == 21
+    for row in rows:
+        lam, mu = float(row["lambda"]), float(row["mu"])
+        ref = spectral.principal_eigen(profile, cfg.flow, lam, mesh_points=201).mu_refined
+        assert abs(mu - ref) <= 1e-14 * max(1.0, abs(ref))
 
 
 def test_reruns_are_byte_identical(tmp_path):
@@ -569,9 +631,9 @@ def test_cli_import_leaves_out_scipy_linalg(tmp_path):
 
 
 def test_analyze_inertia_sweeps(monkeypatch, tmp_path):
-    # Neighbour seeds skip the coarse bisection of all but the first solve of
-    # the search and of the mu_curve.csv grid: 27 sweeps here, 343 when every
-    # solve began with one.
+    # Neighbour seeds skip the coarse bisection of every solve but the first
+    # of the command, grid included: 12 sweeps here, 343 when every solve
+    # began with one.
     sweeps = []
     count = numerics.count_pencil_eigenvalues_below
 
@@ -582,7 +644,7 @@ def test_analyze_inertia_sweeps(monkeypatch, tmp_path):
     for module in (numerics, spectral):
         monkeypatch.setattr(module, "count_pencil_eigenvalues_below", counted)
     assert _run(tmp_path, C1, *ANALYZE, "--out", str(tmp_path / "out")) == 0
-    assert len(sweeps) <= 40
+    assert len(sweeps) <= 20
 
 
 _NO_SCIPY = """

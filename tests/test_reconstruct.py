@@ -177,19 +177,20 @@ def test_surface_mean_matches_laminar_height():
     # without the depth normalization the mean equals d H(0; lambda); build
     # a synthetic point at lambda = 3 to exercise the laminar mean directly
     prof, flow = make_profile(-1.0)
-    from rotwave.spectral import principal_eigen
+    from rotwave.spectral import Solves
 
-    mode = principal_eigen(prof, flow, 3.0)
+    solves = Solves(prof, flow, 2001)
     point = BifurcationPoint(
         lambda_star=3.0,
         lambda0=3.0,
         Q_star=hydraulic_head(prof, flow, 3.0),
-        mode=mode,
+        mode=solves(3.0),
         bracket=(2.5, 3.5),
         mu_residual=0.0,
         mu_at_lambda0=0.0,
         profile=prof,
         flow=flow,
+        solves=solves,
     )
     field = build_wave(point, 0.0, 128)
     _eta, mean = surface_profile(field, flow)
@@ -210,19 +211,20 @@ def test_residual_laminar_baseline():
 
 def test_residual_laminar_rotational_baseline():
     prof, flow = make_profile(-1.0)
-    from rotwave.spectral import principal_eigen
+    from rotwave.spectral import Solves
 
-    mode = principal_eigen(prof, flow, 3.0)
+    solves = Solves(prof, flow, 2001)
     point = BifurcationPoint(
         lambda_star=3.0,
         lambda0=3.0,
         Q_star=hydraulic_head(prof, flow, 3.0),
-        mode=mode,
+        mode=solves(3.0),
         bracket=(2.5, 3.5),
         mu_residual=0.0,
         mu_at_lambda0=0.0,
         profile=prof,
         flow=flow,
+        solves=solves,
     )
     for n_q in (64, 128):
         field = build_wave(point, 0.0, n_q)

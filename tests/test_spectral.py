@@ -9,7 +9,6 @@ from rotwave import (
     VorticityDistribution,
     find_lambda_star,
     lambda_of_min_head,
-    mu_curve,
     principal_eigen,
     rayleigh_quotient,
     shooting_mu,
@@ -19,6 +18,7 @@ from rotwave.errors import EigenFailure, NonAdmissibleLambda, ZeroDenominator
 from rotwave.numerics import RootSpec, bracketed_root, smallest_eigenpair_tridiagonal
 from rotwave.spectral import (
     ModeSolution,
+    Solves,
     _solve_level,
     assemble,
     build_mesh,
@@ -208,28 +208,41 @@ def test_mode_two_at_matched_lambda():
     assert rayleigh_quotient(prof, flow, lam2, sol.nodes, sol.M) == pytest.approx(-4.0, abs=1e-6)
 
 
-# -- mu_curve ------------------------------------------------------------------------
+# -- the Solves memo -----------------------------------------------------------------
 
 
 def test_mu_curve_monotone_where_negative():
     prof, flow = _pinned()
-    curve = mu_curve(prof, flow, [0.25, 0.5, 1.0])
-    mus = [mu for _, mu in curve.points]
+    solves = Solves(prof, flow, 2001)
+    mus = [solves(lam).mu_refined for lam in (0.25, 0.5, 1.0)]
     assert mus[0] < mus[1] < mus[2]
     assert mus[2] == pytest.approx(-1.0, abs=1e-6)
-    assert curve.monotonicity_violations == ()
 
 
 def test_mu_curve_includes_head_minimizer():
     prof, flow = _pinned()
     lam0 = lambda_of_min_head(prof, flow)
-    curve = mu_curve(prof, flow, [lam0])
-    assert curve.points[0][1] == pytest.approx(0.0, abs=1e-6)
+    assert Solves(prof, flow, 2001)(lam0).mu_refined == pytest.approx(0.0, abs=1e-6)
 
 
-def test_mu_curve_empty():
+def test_solves_each_lambda_once_seeded_from_the_nearest(monkeypatch):
     prof, flow = _pinned()
-    assert mu_curve(prof, flow, []).points == ()
+    calls = []
+    solve = spectral.principal_eigen
+
+    def recorded(profile, flow, lam, **kwargs):
+        near = kwargs["near"]
+        calls.append((lam, None if near is None else near.lam))
+        return solve(profile, flow, lam, **kwargs)
+
+    monkeypatch.setattr(spectral, "principal_eigen", recorded)
+    solves = Solves(prof, flow, 201)
+    first = solves(1.0)
+    for lam in (0.5, 0.9, 1.0, 0.5):
+        solves(lam)
+    assert calls == [(1.0, None), (0.5, 1.0), (0.9, 1.0)]
+    assert list(solves.solved) == [1.0, 0.5, 0.9]
+    assert solves(1.0) is first
 
 
 # -- flux continuity -----------------------------------------------------------------
