@@ -8,8 +8,8 @@ with weak-form residual diagnostics.
 
 ``find_lambda_star`` solves mu(lambda) through a ``Solves`` memo and
 returns it on its result, where ``analyze`` reads the mu_curve.csv grid.
-``onset_point`` gives (p0, mu) at one lambda of the family whose p0 is
-recalibrated at each lambda.
+``onset_point`` gives (p0, ModeSolution) at one lambda of the family whose
+p0 is recalibrated at each lambda, seeded from a neighbouring solution.
 
 The supported interface is the ``rotwave`` command line (``rotwave.cli``)
 and the layer functions its commands call, exported here.  Four functions

@@ -236,17 +236,18 @@ def transversality_integral(point: BifurcationPoint) -> float:
 
 
 def onset_point(
-    dist: VorticityDistribution, d: float, g: float, lam: float, mesh_points: int
-) -> tuple[float, float]:
-    """(p0, mu) at lambda on the family with p0 calibrated to the unit-depth
-    normalization.
+    dist: VorticityDistribution, d: float, g: float, lam: float, mesh_points: int, near=None
+) -> tuple[float, ModeSolution]:
+    """(p0, mode) at lambda on the family with p0 calibrated to the unit-depth
+    normalization; mode.mu_refined is mu(lambda).
 
-    The mass flux p0 is calibrated at this lambda, then mu(lambda) solved
-    on the profile it gives.  A failure of either step raises; for
-    gamma == 0 calibration raises at every lambda (DegenerateConstraint at
-    lambda = 1, where every p0 satisfies the constraint).
+    The mass flux p0 is calibrated at this lambda, then mu(lambda) solved on
+    the profile it gives, seeded from the ModeSolution ``near`` as
+    principal_eigen is.  A failure of either step raises; for gamma == 0
+    calibration raises at every lambda (DegenerateConstraint at lambda = 1,
+    where every p0 satisfies the constraint).
     """
     p0 = calibrate_mass_flux(dist, d, lam)
     flow = FlowParameters(d=d, g=g, p0=p0)
     profile = GammaProfile.from_distribution(dist, flow)
-    return p0, principal_eigen(profile, flow, lam, mesh_points=mesh_points).mu_refined
+    return p0, principal_eigen(profile, flow, lam, mesh_points=mesh_points, near=near)

@@ -199,7 +199,8 @@ def parse_config(text) -> RunConfig:
         tabulated           nodes: at least two, strictly increasing from -1
                             to 0; values: one per node
     numerics
-        mesh_points             2001; odd, >= 201
+        mesh_points             2001; odd, >= 201; sweep --quantity onset
+                                caps it at 1201
         root_tol                1e-10; > 0
         lambda_margin_schedule  [1e-2, 1e-3, ..., 1e-8]; positive, strictly
                                 decreasing
@@ -663,10 +664,12 @@ def run_sweep(config: RunConfig, param_specs: Sequence[str], quantity: Optional[
         mu           lambda (required), gamma, d, g, p0
         criteria     gamma, d, g, p0, depth_frak
         lambda_star  gamma, d, g, p0
-        onset        lambda (required), gamma, d, g; p0 is calibrated
+        onset        lambda (required), gamma, d, g; p0 is calibrated, and
+                     mesh_points is capped at 1201
 
     Any other parameter, and a gamma sweep on a profile that is not of
     constant vorticity, is a ConfigError raised before any row is solved.
+    A mu or onset row is seeded (``near``) from the last row solved.
     """
     if not 1 <= len(param_specs) <= 2:
         raise ConfigError("sweep needs one or two --param specs", "/sweep/param")
@@ -694,12 +697,13 @@ def run_sweep(config: RunConfig, param_specs: Sequence[str], quantity: Optional[
 
     rows = []
     n_ok = 0
+    near = None
     for combo in itertools.product(*(vals for _, vals in parsed)):
         overrides = dict(zip(names, combo))
         lam = overrides.pop("lambda", None)
         try:
             row_cfg = _sweep_row_config(config, overrides)
-            values = _sweep_values(row_cfg, quantity, lam)
+            values, near = _sweep_values(row_cfg, quantity, lam, near)
             rows.append(list(combo) + values + [None])
             n_ok += 1
         except (Error, ValueError) as exc:
@@ -710,7 +714,8 @@ def run_sweep(config: RunConfig, param_specs: Sequence[str], quantity: Optional[
     return 0
 
 
-def _sweep_values(row_cfg: RunConfig, quantity: str, lam):
+def _sweep_values(row_cfg: RunConfig, quantity: str, lam, near):
+    """The row's value columns, and the ModeSolution to seed the next row."""
     flow = row_cfg.flow
     if quantity == "criteria":
         profile = GammaProfile.from_distribution(row_cfg.vorticity, flow)
@@ -731,20 +736,21 @@ def _sweep_values(row_cfg: RunConfig, quantity: str, lam):
             surface["margin"],
             "undefined" if bed["undefined_radicand"] else bed["holds"],
             bed["margin"],
-        ]
+        ], near
     if quantity == "mu":
         profile = GammaProfile.from_distribution(row_cfg.vorticity, flow)
         sol = principal_eigen(
-            profile, flow, float(lam), mesh_points=row_cfg.numerics.mesh_points
+            profile, flow, float(lam), mesh_points=row_cfg.numerics.mesh_points, near=near
         )
-        return [sol.mu_refined]
+        return [sol.mu_refined], sol
     if quantity == "onset":
         mesh_points = min(row_cfg.numerics.mesh_points, 1201)
-        return list(onset_point(row_cfg.vorticity, flow.d, flow.g, float(lam), mesh_points))
+        p0, sol = onset_point(row_cfg.vorticity, flow.d, flow.g, float(lam), mesh_points, near)
+        return [p0, sol.mu_refined], sol
     _profile, result = _analysis(row_cfg)
     if isinstance(result, NoBifurcation):
-        return [None, result.lambda0, None]
-    return [result.lambda_star, result.lambda0, result.mu_residual]
+        return [None, result.lambda0, None], near
+    return [result.lambda_star, result.lambda0, result.mu_residual], near
 
 
 def run_criteria(config: RunConfig) -> int:

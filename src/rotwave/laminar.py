@@ -26,7 +26,7 @@ Gamma summed outward from p1, not lambda + Gamma(p).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -42,77 +42,85 @@ from .numerics import RootSpec, bracketed_root
 from .vorticity import FlowParameters, GammaProfile, VorticityDistribution, _check_domain
 
 
-def _piece_integrals(profile: GammaProfile, lam: float, expo: float, points=()):
-    """(edges, integrals): the break points of the profile merged with
-    ``points``, and the exact integral of (lambda + Gamma)^expo over each
-    piece between consecutive edges, for expo = -1/2 or -3/2.
+class _Pieces:
+    """The p0-free part of a profile's exact piece integrals: the pieces
+    between its break points and ``points`` (``edges``) with gamma and gamma'
+    on them, Gamma(p1) unscaled, and the largest unscaled Gamma at a break
+    point, which the scale 2 d^2 / p0 < 0 makes Gamma_min.  Only ``values``
+    applies the scale, so one geometry serves every p0 with the same p1."""
 
-    lambda must be admissible.  The forms are those of the module docstring.
-    """
-    edges = np.union1d(profile._breaks, points)
-    lo, hi, h = edges[:-1], edges[1:], np.diff(edges)
-    knots, g0, g1 = profile._knots, profile._g0, profile._g1
-    j = np.searchsorted(knots, lo, side="right") - 1
+    def __init__(self, profile: GammaProfile, points=()):
+        self.edges = edges = np.union1d(profile._breaks, points)
+        lo, hi, self.h = edges[:-1], edges[1:], np.diff(edges)
+        knots, g0, g1 = profile._knots, profile._g0, profile._g1
+        j = np.searchsorted(knots, lo, side="right") - 1
 
-    def slope(p):
-        """Gamma' on the piece's interval, from its nearer knot, so that it is
-        exact at knots: next to a minimizer, where R is tiny, the integrals
-        are sensitive to it."""
-        left, right = p - knots[j], knots[j + 1] - p
-        gamma = np.where(left <= right, g0[j] + g1[j] * left, profile._g_end[j] - g1[j] * right)
-        return profile._scale * gamma
+        def gamma(p):
+            """gamma on the piece's interval, from its nearer knot, so that it
+            is exact at knots: next to a minimizer, where R is tiny, the
+            integrals are sensitive to it."""
+            left, right = p - knots[j], knots[j + 1] - p
+            return np.where(left <= right, g0[j] + g1[j] * left, profile._g_end[j] - g1[j] * right)
 
-    u1, u2 = slope(lo), slope(hi)
-    a = 0.5 * profile._scale * g1[j]
-    # R at the edges from the exact rises h (u1 + u2) / 2 of the pieces,
-    # never below its least value lambda + Gamma_min.
-    rise = 0.5 * h * (u1 + u2)
-    k = np.searchsorted(edges, profile.p1)
-    above = np.concatenate([-np.cumsum(rise[:k][::-1])[::-1], [0.0], np.cumsum(rise[k:])])
-    R = np.maximum((lam + profile.primitive(profile.p1)) + above, lam + profile.gamma_min)
-    r = np.sqrt(R)
-    # Orient every piece so that Gamma rises along it.  At a zero of gamma
-    # u is round-off and may keep either sign.
-    flip = u1 + u2 < 0.0
-    R1 = np.where(flip, R[1:], R[:-1])
-    r1, r2 = np.where(flip, r[1:], r[:-1]), np.where(flip, r[:-1], r[1:])
-    u1, u2 = np.where(flip, -u2, u1), np.where(flip, -u1, u2)
+        self.gamma1, self.gamma2, self.slope = gamma(lo), gamma(hi), g1[j]
+        self.k = np.searchsorted(edges, profile.p1)
+        self.unscaled_p1 = profile._unscaled(profile.p1)
+        self.unscaled_max = np.max(profile._unscaled(profile._breaks))
 
-    out = 2.0 * h / (r1 + r2)
-    if expo == -1.5:
-        out /= r1 * r2
-    # The linear forms are exact to round-off where |a| h^2 <= eps R1, and
-    # the quadratic ones could underflow there.  A genuine quadratic piece
-    # has u1 + u2 >= 2 |a| h > 0; one narrower than round-off may not.
-    q = (np.abs(a) * h * h > np.finfo(float).eps * R1) & (u1 + u2 > 0.0)
-    h, R1, r1, r2, u1, u2, a = (x[q] for x in (h, R1, r1, r2, u1, u2, a))
-    if expo == -1.5:
-        out[q] = h * (u1 + u2) / (r1 * r2 * (u2 * r1 + u1 * r2))
-    else:
-        s = np.sqrt(np.abs(a))
-        rising = np.log1p(h * s * ((u1 + u2) / (r1 + r2) + 2.0 * s) / (2.0 * s * r1 + u1)) / s
-        x = np.where(
-            u1 * u2 < 0.0,
-            u2 * r1 - u1 * r2,
-            (4.0 * a * R1 - u1 * u1) * h * (u1 + u2) / (2.0 * (u2 * r1 + u1 * r2)),
-        )
-        falling = -np.arctan2(2.0 * s * x, 4.0 * s * s * r1 * r2 + u1 * u2) / s
-        out[q] = np.where(a > 0.0, rising, falling)
-    return edges, out
+    def values(self, scale: float, lam: float, expo: float) -> np.ndarray:
+        """The exact integral of (lambda + Gamma)^expo over each piece, for
+        expo = -1/2 or -3/2 and admissible lambda; see the module docstring."""
+        h, k = self.h, self.k
+        u1, u2 = scale * self.gamma1, scale * self.gamma2
+        a = 0.5 * scale * self.slope
+        # R at the edges from the exact rises h (u1 + u2) / 2 of the pieces,
+        # never below its least value lambda + Gamma_min.
+        rise = 0.5 * h * (u1 + u2)
+        above = np.concatenate([-np.cumsum(rise[:k][::-1])[::-1], [0.0], np.cumsum(rise[k:])])
+        R = np.maximum((lam + scale * self.unscaled_p1) + above, lam + scale * self.unscaled_max)
+        r = np.sqrt(R)
+        # Orient every piece so that Gamma rises along it.  At a zero of gamma
+        # u is round-off and may keep either sign.
+        flip = u1 + u2 < 0.0
+        R1 = np.where(flip, R[1:], R[:-1])
+        r1, r2 = np.where(flip, r[1:], r[:-1]), np.where(flip, r[:-1], r[1:])
+        u1, u2 = np.where(flip, -u2, u1), np.where(flip, -u1, u2)
+
+        out = 2.0 * h / (r1 + r2)
+        if expo == -1.5:
+            out /= r1 * r2
+        # The linear forms are exact to round-off where |a| h^2 <= eps R1, and
+        # the quadratic ones could underflow there.  A genuine quadratic piece
+        # has u1 + u2 >= 2 |a| h > 0; one narrower than round-off may not.
+        q = (np.abs(a) * h * h > np.finfo(float).eps * R1) & (u1 + u2 > 0.0)
+        h, R1, r1, r2, u1, u2, a = (x[q] for x in (h, R1, r1, r2, u1, u2, a))
+        if expo == -1.5:
+            out[q] = h * (u1 + u2) / (r1 * r2 * (u2 * r1 + u1 * r2))
+        else:
+            s = np.sqrt(np.abs(a))
+            rising = np.log1p(h * s * ((u1 + u2) / (r1 + r2) + 2.0 * s) / (2.0 * s * r1 + u1)) / s
+            x = np.where(
+                u1 * u2 < 0.0,
+                u2 * r1 - u1 * r2,
+                (4.0 * a * R1 - u1 * u1) * h * (u1 + u2) / (2.0 * (u2 * r1 + u1 * r2)),
+            )
+            falling = -np.arctan2(2.0 * s * x, 4.0 * s * s * r1 * r2 + u1 * u2) / s
+            out[q] = np.where(a > 0.0, rising, falling)
+        return out
 
 
 def _integral(profile: GammaProfile, lam: float, expo: float) -> float:
     """integral_{-1}^0 (lambda + Gamma)^expo exactly, for expo = -1/2 or -3/2."""
-    return float(np.sum(_piece_integrals(profile, lam, expo)[1]))
+    return float(np.sum(_Pieces(profile).values(profile._scale, lam, expo)))
 
 
 def height_on_mesh(profile: GammaProfile, lam: float, nodes: np.ndarray) -> np.ndarray:
     """H at every node, by a cumulative sum of exact pieces."""
     profile.require_admissible(lam)
     nodes = _check_domain(nodes)
-    edges, pieces = _piece_integrals(profile, lam, -0.5, nodes)
-    cumulative = np.concatenate([[0.0], np.cumsum(pieces)])
-    return cumulative[np.searchsorted(edges, nodes)] - (nodes + 1.0)
+    pieces = _Pieces(profile, nodes)
+    cumulative = np.concatenate([[0.0], np.cumsum(pieces.values(profile._scale, lam, -0.5))])
+    return cumulative[np.searchsorted(pieces.edges, nodes)] - (nodes + 1.0)
 
 
 def hydraulic_head(profile: GammaProfile, flow: FlowParameters, lam: float) -> float:
@@ -134,9 +142,10 @@ def lambda_of_min_head(
     """
     target = flow.p0**2 / (flow.g * flow.d**3)
     floor = profile.min_lambda
+    pieces = _Pieces(profile)
 
     def f(lam):
-        return _integral(profile, lam, -1.5) - target
+        return float(np.sum(pieces.values(profile._scale, lam, -1.5))) - target
 
     lo = None
     eps = 1e-2 * max(1.0, abs(floor))
@@ -187,16 +196,15 @@ def calibrate_mass_flux(
     # Gamma scales as 1/b, so admissibility requires b > b_min with
     # b_min = -Gamma_min(b=1)/lambda; phi often changes sign in a thin shell
     # just above b_min, so the scan starts with relative offsets from it.
-    # The knot tables, minimizers and break points do not depend on b, so
-    # each probe rescales ref rather than building a profile.
+    # One piece geometry serves every probe; each applies only its scale.
     ref = GammaProfile.from_distribution(dist, FlowParameters(d=d, g=1.0, p0=-1.0))
+    pieces = _Pieces(ref)
 
     def phi(b):
-        flow = FlowParameters(d=d, g=1.0, p0=-b)
-        prof = replace(ref, flow=flow, _scale=2.0 * d**2 / flow.p0, gamma_min=ref.gamma_min / b)
-        if lam <= prof.min_lambda:
+        scale = 2.0 * d**2 / -b
+        if lam <= -scale * pieces.unscaled_max:
             return math.nan
-        return _integral(prof, lam, -0.5) - 1.0
+        return float(np.sum(pieces.values(scale, lam, -0.5))) - 1.0
 
     b_min = max(ref.min_lambda / lam, 0.0)
     b_vals = []

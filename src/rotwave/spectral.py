@@ -107,12 +107,13 @@ def _mesh_levels(profile: GammaProfile, lam: float, mesh_points: int):
     """The (nodes, ElementRule) pairs of the coarse, working and refined
     levels of principal_eigen.
 
-    They depend on lambda only through the grading of build_mesh, so they
-    are built once per (mesh_points, grading) and kept on the profile.  The
+    They depend on lambda only through the grading of build_mesh and on d
+    and p0 only through Gamma, so they are kept on the distribution per
+    (mesh_points, grading, minimizers), at the scale last asked for.  The
     node arrays are shared by every ModeSolution on them, so read-only.
     """
-    key = (mesh_points, _graded(profile, lam))
-    levels = profile._mesh_levels.get(key)
+    key = (mesh_points, _graded(profile, lam), profile.minimizers)
+    scale, levels = profile.source._mesh_levels.get(key, (None, None))
     if levels is None:
         coarse = build_mesh(profile, lam, min(_COARSE_POINTS, mesh_points))
         fine = build_mesh(profile, lam, mesh_points)
@@ -120,7 +121,9 @@ def _mesh_levels(profile: GammaProfile, lam: float, mesh_points: int):
         for nodes in (coarse, fine, refine_mesh(fine)):
             nodes.setflags(write=False)
             levels.append((nodes, ElementRule(profile, nodes)))
-        profile._mesh_levels[key] = levels
+    elif scale != profile._scale:
+        levels = [(nodes, rule.scaled(profile._scale)) for nodes, rule in levels]
+    profile.source._mesh_levels[key] = (profile._scale, levels)
     return levels
 
 
@@ -275,7 +278,7 @@ def principal_eigen(
     levels give a Richardson-extrapolated ``mu_refined`` while the stored M
     and ``mu`` come from the finer level.  M is normalized to M(0) = 1.
     The three mesh levels and their element quadrature are built once per
-    profile (and grading near the floor), not once per lambda.
+    distribution and grading (see _mesh_levels), not once per lambda.
 
     ``near`` is a solution at a neighbouring lambda, on this profile or
     another.  With one, the coarse level is skipped: the working level

@@ -8,6 +8,7 @@ exact coefficient values.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -60,6 +61,8 @@ class VorticityDistribution:
     breakpoints: tuple = ()
     values: tuple = ()
     nodes: tuple = ()
+    # Mesh levels of spectral.principal_eigen, shared by its profiles.
+    _mesh_levels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def const(cls, gamma: float) -> "VorticityDistribution":
@@ -157,9 +160,6 @@ class GammaProfile:
     # Knots and interior zeros of gamma: between two consecutive ones Gamma
     # is a single monotone polynomial piece.
     _breaks: np.ndarray = field(repr=False, default=None)
-    # Mesh levels of spectral.principal_eigen, which do not depend on lambda;
-    # they live and die with the profile.
-    _mesh_levels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def from_distribution(
@@ -192,6 +192,11 @@ class GammaProfile:
 
     def primitive(self, p):
         """Gamma(p) = (2 d^2 / p0) * integral_0^p gamma; Gamma(0) = 0 exactly."""
+        out = self._scale * self._unscaled(p)
+        return float(out) if out.ndim == 0 else out
+
+    def _unscaled(self, p):
+        """integral_0^p gamma = J(p) - J(0): Gamma without its factor 2 d^2 / p0."""
         p = _check_domain(p)
         idx = np.clip(
             np.searchsorted(self._knots, p, side="right") - 1,
@@ -201,8 +206,7 @@ class GammaProfile:
         dp = p - self._knots[idx]
         # Summed as the increments of _jknots are, so that Gamma(0) is 0.
         j = self._jknots[idx] + (self._g0[idx] * dp + 0.5 * self._g1[idx] * dp * dp)
-        out = self._scale * (j - self._jknots[-1])
-        return float(out) if out.ndim == 0 else out
+        return j - self._jknots[-1]
 
     def a(self, lam: float, p):
         """Coefficient sqrt(Gamma(p) + lambda) > 0."""
@@ -230,15 +234,16 @@ class QuadraturePoints:
     """Quadrature points of some elements, one row per point and one column
     per element, so that summing over the points adds whole rows.
 
-    ``w`` holds the weights (Jacobian included), ``gamma`` Gamma at the
-    points and ``n0`` the P1 basis function of the element's left node, all
-    of shape (points, elements); n1 = 1 - n0 is that of its right node.
-    ``mass`` stacks the lambda-free mass weights w n0 n0, w n0 n1 and
-    w n1 n1.
+    ``w`` holds the weights (Jacobian included), ``unscaled`` integral_0^p
+    gamma at the points p, ``gamma`` Gamma there and ``n0`` the P1 basis
+    function of the element's left node, all of shape (points, elements);
+    n1 = 1 - n0 is that of its right node.  ``mass`` stacks the lambda-free
+    mass weights w n0 n0, w n0 n1 and w n1 n1.
     """
 
     elements: np.ndarray
     w: np.ndarray
+    unscaled: np.ndarray
     gamma: np.ndarray
     n0: np.ndarray
     mass: np.ndarray
@@ -252,8 +257,8 @@ class ElementRule:
     sqrt(|p - p*|) at a minimizer p* of Gamma as lambda nears the floor.
     Each element gets 8-point Gauss; an element that ends at a minimizer
     gets 12-point Gauss in t = sqrt(|p - p*|) instead.  Nothing stored
-    depends on lambda: the weights, Gamma and the mass weights are built
-    once per rule, one row per quadrature point.
+    depends on lambda, and only Gamma on d and p0 (see ``scaled``): the
+    arrays are built once per rule, one row per quadrature point.
     """
 
     def __init__(self, profile: GammaProfile, nodes):
@@ -275,6 +280,14 @@ class ElementRule:
         w = 0.5 * width * _SUB_W[:, None] * 2.0 * t
         self.substituted = _points(profile, sub, x, w, lo[sub], hi[sub], h[sub])
 
+    def scaled(self, scale: float) -> "ElementRule":
+        """This rule for a profile of its source and minimizers with scale
+        2 d^2 / p0: Gamma is that times ``unscaled``, every other array shared."""
+        out = copy.copy(self)
+        out.regular = replace(self.regular, gamma=scale * self.regular.unscaled)
+        out.substituted = replace(self.substituted, gamma=scale * self.substituted.unscaled)
+        return out
+
     def integrate(self, weighted) -> np.ndarray:
         """Per-element integrals, one row per integrand.
 
@@ -292,10 +305,12 @@ class ElementRule:
 def _points(profile, elements, x, w, lo, hi, h) -> QuadraturePoints:
     n0 = (hi - x) / h
     n1 = (x - lo) / h
+    unscaled = profile._unscaled(x)
     return QuadraturePoints(
         elements=elements,
         w=w,
-        gamma=profile.primitive(x),
+        unscaled=unscaled,
+        gamma=profile._scale * unscaled,
         n0=n0,
         mass=np.stack([w * n0 * n0, w * n0 * n1, w * n1 * n1]),
     )

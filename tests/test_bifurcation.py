@@ -316,7 +316,7 @@ def test_onset_empty_grid(tmp_path):
 
 def test_onset_crossing_for_moderate_vorticity():
     dist = VorticityDistribution.const(-1.0)
-    mus = np.array([onset_point(dist, 1.0, 1.0, lam, 801)[1] for lam in np.linspace(1.1, 3.9, 15)])
+    mus = np.array([onset_point(dist, 1.0, 1.0, lam, 801)[1].mu_refined for lam in np.linspace(1.1, 3.9, 15)])
     assert min(mus) < -1.0 < max(mus)
     # mu + 1 changes sign between two neighbouring grid points.
     assert np.any((mus[:-1] + 1.0) * (mus[1:] + 1.0) <= 0.0)

@@ -14,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rotwave import bifurcation, cli, numerics, spectral
+from rotwave import bifurcation, cli, numerics, spectral, vorticity
 from rotwave.cli import main, parse_config, write_csv, write_json
 from rotwave.errors import ConfigError
 from rotwave.reconstruct import build_wave, physical_fields
@@ -604,6 +604,99 @@ def test_no_lambda_is_solved_twice(tmp_path, eigen_solves, argv):
     assert _run(tmp_path, C1, *argv, "--out", str(tmp_path / "out")) == 0
     assert eigen_solves
     assert max(eigen_solves.values()) == 1
+
+
+# The seed-0 onset configs of the benchmark (perfbench/workloads.py).
+ONSET_TABULATED = {
+    "flow": {"d": 1.0, "g": 9.81, "p0": -1.0},
+    "vorticity": {
+        "kind": "tabulated",
+        "nodes": [k / 8.0 - 1.0 for k in range(9)],
+        "values": [-0.5206, -0.8277, -0.6773, -0.5629, -1.2663, -0.4984, -1.0659, -1.4152, -0.5376],
+    },
+}
+ONSET_PIECEWISE = {
+    "flow": {"d": 1.0, "g": 1.0, "p0": -1.0},
+    "vorticity": {"kind": "piecewise_constant", "breakpoints": [-0.546875], "values": [0.625, -2.390625]},
+}
+
+
+@pytest.fixture
+def reuse(monkeypatch):
+    """Count ElementRule builds, the mesh gradings asked for and coarse bisections."""
+    counts, gradings = Counter(), set()
+    init, bisect, graded = vorticity.ElementRule.__init__, spectral._bisect_smallest, spectral._graded
+
+    def counted_init(self, *args):
+        counts["rules"] += 1
+        init(self, *args)
+
+    def counted_bisect(*args, **kwargs):
+        counts["bisections"] += 1
+        return bisect(*args, **kwargs)
+
+    def recorded_graded(profile, lam):
+        grade = graded(profile, lam)
+        gradings.add(grade)
+        return grade
+
+    monkeypatch.setattr(vorticity.ElementRule, "__init__", counted_init)
+    monkeypatch.setattr(spectral, "_bisect_smallest", counted_bisect)
+    monkeypatch.setattr(spectral, "_graded", recorded_graded)
+    return counts, gradings
+
+
+def _rows_match_unseeded_solves(config, rows, mesh_points):
+    for row in rows:
+        assert row["error"] == ""
+        cfg = parse_config(json.dumps(config))  # its own distribution: no shared levels
+        lam = float(row["lambda"])
+        flow = replace(cfg.flow, p0=float(row.get("p0", cfg.flow.p0)))
+        profile = GammaProfile.from_distribution(cfg.vorticity, flow)
+        ref = spectral.principal_eigen(profile, flow, lam, mesh_points=mesh_points).mu_refined
+        assert abs(float(row["mu"]) - ref) <= 1e-14 * max(1.0, abs(ref))
+
+
+@pytest.mark.parametrize(
+    "config, grid, n_rows",
+    [(ONSET_TABULATED, "lambda:1.2:2:9", 9), (ONSET_PIECEWISE, "lambda:1.5:2.5:17", 17)],
+    ids=["tabulated", "piecewise"],
+)
+def test_onset_rows_share_mesh_levels_and_seed_each_other(tmp_path, reuse, config, grid, n_rows):
+    # Rows differ only in p0: they share the distribution's mesh levels, and
+    # every row but the first is seeded from the one before it, so a sweep
+    # builds 3 rules per grading and runs one coarse bisection.
+    counts, gradings = reuse
+    out = tmp_path / "out"
+    assert _run(tmp_path, config, "sweep", "--param", grid, "--quantity", "onset", "--out", str(out)) == 0
+    assert counts["rules"] <= 3 * len(gradings)
+    assert counts["bisections"] == 1
+    rows = _read_csv(out / "sweep.csv")
+    assert len(rows) == n_rows
+    _rows_match_unseeded_solves(config, rows, 1201)
+
+
+def test_mu_sweep_rows_seed_each_other(tmp_path, reuse):
+    counts, gradings = reuse
+    out = tmp_path / "out"
+    assert _run(tmp_path, C1, "sweep", "--param", "lambda:1.05:1.5:5", "--out", str(out)) == 0
+    assert counts["rules"] <= 3 * len(gradings)
+    assert counts["bisections"] == 1
+    rows = _read_csv(out / "sweep.csv")
+    assert len(rows) == 5
+    _rows_match_unseeded_solves(C1, rows, C1["numerics"]["mesh_points"])
+
+
+def test_onset_caps_mesh_points_at_1201(tmp_path):
+    files = {}
+    for mesh_points in (801, 1201, 2001):
+        config = {**ONSET_PIECEWISE, "numerics": {"mesh_points": mesh_points}}
+        out = tmp_path / str(mesh_points)
+        argv = ("sweep", "--param", "lambda:1.5:2.5:3", "--quantity", "onset", "--out", str(out))
+        assert _run(tmp_path, config, *argv) == 0
+        files[mesh_points] = (out / "sweep.csv").read_bytes()
+    assert files[2001] == files[1201]
+    assert files[801] != files[1201]
 
 
 _SCIPY_LINALG = """

@@ -2,10 +2,12 @@
 the admissibility floor, and the exact Hoelder seminorm, on random profiles
 of all three kinds."""
 
+from unittest import mock
+
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rotwave import (
@@ -16,8 +18,10 @@ from rotwave import (
     holder_seminorm,
     hydraulic_head,
     lambda_of_min_head,
+    spectral,
+    vorticity,
 )
-from rotwave.laminar import _integral, _piece_integrals
+from rotwave.laminar import _integral, _Pieces
 
 mp.mp.dps = 40
 
@@ -105,7 +109,8 @@ def test_both_powers_match_mpmath(prof, margin):
 def test_integrals_add_up_over_a_split(prof, margin, p):
     lam = prof.min_lambda + margin
     for expo in (-0.5, -1.5):
-        edges, pieces = _piece_integrals(prof, lam, expo, [p])
+        split = _Pieces(prof, [p])
+        edges, pieces = split.edges, split.values(prof._scale, lam, expo)
         below = np.sum(pieces[edges[1:] <= p])
         above = np.sum(pieces[edges[:-1] >= p])
         whole = _integral(prof, lam, expo)
@@ -165,6 +170,60 @@ def test_holder_seminorm_matches_mpmath(prof):
     for alpha in (0.3, 0.5, 0.8, 1.0):
         ref = _holder_reference(prof, alpha)
         assert abs(holder_seminorm(prof, alpha) - ref) <= 1e-14 * ref
+
+
+# -- p0-free work shared across profiles, to the bit ---------------------------------
+
+layered = profiles().filter(lambda prof: prof.source.kind != "constant").map(lambda prof: prof.source)
+depths = st.floats(0.5, 1.5)
+fluxes = st.floats(0.05, 20.0)
+
+
+def _admissible(prof, margin):
+    lam = prof.min_lambda + margin * max(1.0, prof.min_lambda)
+    assume(lam > prof.min_lambda)
+    return lam
+
+
+@PROPERTY
+@given(layered, depths, st.lists(fluxes, min_size=8, max_size=8), margins)
+def test_calibration_probe_is_the_integral_of_its_profile(dist, d, fluxes, margin):
+    # calibrate_mass_flux builds the piece geometry once, at p0 = -1, and a
+    # probe at p0 = -b only applies the scale 2 d^2 / p0.  The geometry holds
+    # p1, which moves with p0 only where two minima tie to within the 1e-14
+    # tolerance of GammaProfile.from_distribution.
+    ref = GammaProfile.from_distribution(dist, FlowParameters(d, 1.0, -1.0))
+    pieces = _Pieces(ref)
+    for b in fluxes:
+        prof = GammaProfile.from_distribution(dist, FlowParameters(d, 1.0, -b))
+        assume(prof.p1 == ref.p1)
+        scale = 2.0 * d**2 / -b
+        assert -scale * pieces.unscaled_max == prof.min_lambda
+        lam = _admissible(prof, margin)
+        assert float(np.sum(pieces.values(scale, lam, -0.5))) == _integral(prof, lam, -0.5)
+
+
+@PROPERTY
+@given(layered, st.lists(st.tuples(depths, fluxes), min_size=2, max_size=3), margins)
+def test_shared_mesh_levels_hold_each_profiles_primitive(dist, flows, margin):
+    # The levels are built once per key on the distribution; at each
+    # profile's scale, Gamma is its primitive at every quadrature point.
+    # Knots a few ulps apart give build_mesh a sliver element (see CHANGES.md).
+    knots = GammaProfile.from_distribution(dist, FlowParameters(1.0, 1.0, -1.0))._knots
+    assume(np.min(np.diff(knots)) > 1e-6)
+    points, at = vorticity._points, {}
+
+    def recording(profile, elements, x, w, *rest):
+        at[id(w)] = x
+        return points(profile, elements, x, w, *rest)
+
+    with mock.patch.object(vorticity, "_points", recording):
+        for d, b in flows:
+            prof = GammaProfile.from_distribution(dist, FlowParameters(d, 1.0, -b))
+            for _, rule in spectral._mesh_levels(prof, _admissible(prof, margin), 201):
+                for q in (rule.regular, rule.substituted):
+                    assert np.all(q.gamma == prof.primitive(at[id(q.w)]))
+    assert len(at) == 2 * 3 * len(dist._mesh_levels)
 
 
 # -- fixed cases near the floor --------------------------------------------------
