@@ -56,7 +56,7 @@ from .laminar import (
     lambda_of_min_head,
     scale_to_unit_wavenumber,
 )
-from .numerics import RootSpec, bracketed_root
+from .numerics import bracketed_root
 from .reconstruct import (
     WaveField,
     build_wave,

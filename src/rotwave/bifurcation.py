@@ -22,7 +22,7 @@ from .laminar import (
     hydraulic_head,
     lambda_of_min_head,
 )
-from .numerics import RootSpec, bracketed_root
+from .numerics import bracketed_root
 from .spectral import ModeSolution, Solves, principal_eigen
 from .vorticity import (
     ElementRule,
@@ -105,8 +105,8 @@ def find_lambda_star(
             solves=solves,
         )
 
-    spec = RootSpec(x_tol=root_tol * max(1.0, lam0), f_tol=1e-10, max_iter=200)
-    lam_star = bracketed_root(lambda lam: solves(lam).mu_refined + 1.0, lam_lo, lam0, spec)
+    x_tol = root_tol * max(1.0, lam0)
+    lam_star = bracketed_root(lambda lam: solves(lam).mu_refined + 1.0, lam_lo, lam0, x_tol, f_tol=1e-10)
     mode = solves(lam_star)
     return BifurcationPoint(
         lambda_star=lam_star,
@@ -123,6 +123,7 @@ def find_lambda_star(
 
 
 # -- closed-form onset criteria ---------------------------------------------
+# Each check returns its margin; the criterion holds where the margin is > 0.
 
 
 def check_general_sufficient(
@@ -130,82 +131,79 @@ def check_general_sufficient(
     flow: FlowParameters,
     alpha: float,
     theta: Optional[float] = None,
-):
-    """Hoelder-seminorm sufficient condition for onset: (holds, margin).
+) -> float:
+    """Margin of the Hoelder-seminorm sufficient condition for onset.
 
     Compares g against a threshold built from theta, the alpha-seminorm of
     Gamma at its last minimizer p1.  theta may be supplied explicitly
     (e.g. the Lipschitz bound 2 d^2 gamma_inf / |p0|); otherwise it is
-    computed from the profile.  theta == 0 makes the condition hold with
-    margin g regardless of p1.
+    computed from the profile.  theta == 0 gives the margin g regardless
+    of p1.
     """
     if theta is None:
         theta = holder_seminorm(profile, alpha)
     if theta == 0.0:
-        return True, flow.g
+        return flow.g
     d = flow.d
     p0 = abs(flow.p0)
     p1 = abs(profile.p1)
     e1 = 1.5 * alpha - 1.0
     e2 = 0.5 * alpha + 1.0
     if p1 == 0.0 and e1 < 0.0:
-        return False, -math.inf
+        return -math.inf
     rhs = theta**1.5 * p0**2 * p1**e1 / (6.0 * alpha * d**3)
     rhs += theta**0.5 * p0**2 * p1**e2 / ((2.0 + 0.5 * alpha) * d)
-    return bool(flow.g > rhs), flow.g - rhs
+    return flow.g - rhs
 
 
-def check_continuous_sufficient(profile: GammaProfile, flow: FlowParameters):
-    """Bounded-vorticity sufficient condition for onset: (holds, margin)."""
+def check_continuous_sufficient(profile: GammaProfile, flow: FlowParameters) -> float:
+    """Margin of the bounded-vorticity sufficient condition for onset."""
     gamma_inf = profile.source.sup_norm()
     p0 = abs(flow.p0)
     p1 = abs(profile.p1)
     lhs = (math.sqrt(2.0) / 3.0) * gamma_inf**1.5 * p0**0.5 * p1**0.5
     lhs += (2.0 * math.sqrt(2.0) / 5.0) * gamma_inf**0.5 * p0**1.5 * p1**1.5
-    return lhs < flow.g, flow.g - lhs
+    return flow.g - lhs
 
 
-def check_constant_vorticity(gamma: float, d: float, g: float):
+def check_constant_vorticity(gamma: float, d: float, g: float) -> float:
     """Constant-vorticity onset predicate: gamma^2 d^2 < (g + gamma^2 d) tanh d.
 
     Necessary and sufficient for constant gamma < 0 on the depth-normalized
     family; for gamma >= 0 onset always occurs regardless of this formula.
-    Returns (holds, margin).
     """
     lhs = gamma * gamma * d * d
     rhs = (g + gamma * gamma * d) * math.tanh(d)
-    return lhs < rhs, rhs - lhs
+    return rhs - lhs
 
 
-def check_surface_layer(gamma: float, depth_frak: float, g: float):
+def check_surface_layer(gamma: float, depth_frak: float, g: float) -> float:
     """Onset predicate for a vorticity layer of depth depth_frak at the
-    surface: gamma^2 D (D - tanh D) < g tanh D.  Stated for gamma < 0;
-    returns (holds, margin).  At depth_frak == d it coincides with the
-    constant-vorticity predicate.
+    surface: gamma^2 D (D - tanh D) < g tanh D.  Stated for gamma < 0.  At
+    depth_frak == d it coincides with the constant-vorticity predicate.
     """
     t = math.tanh(depth_frak)
     lhs = gamma * gamma * depth_frak * (depth_frak - t)
     rhs = g * t
-    return lhs < rhs, rhs - lhs
+    return rhs - lhs
 
 
-def check_bed_layer(gamma: float, d: float, depth_frak: float, g: float):
+def check_bed_layer(gamma: float, d: float, depth_frak: float, g: float) -> float:
     """Onset predicate for a vorticity layer occupying the bed region below
     depth depth_frak.  Stated for gamma < 0.
 
-    Returns (holds, margin); (None, nan) flags a non-positive radicand,
-    where the closed form is not defined (distinct from the condition
-    failing).
+    A NaN margin flags a non-positive radicand, where the closed form is
+    not defined (distinct from the condition failing).
     """
     dd = d - depth_frak
     if dd <= 0.0:
-        return None, math.nan
+        return math.nan
     num_rad = g * (math.sinh(d) * dd - math.sinh(depth_frak) * math.sinh(dd))
     den_rad = dd * math.cosh(d) - gamma * gamma * math.cosh(depth_frak) * math.sinh(dd)
     if den_rad <= 0.0 or num_rad < 0.0:
-        return None, math.nan
+        return math.nan
     rhs = math.sqrt(num_rad) / (dd * math.sqrt(den_rad))
-    return abs(gamma) < rhs, rhs - abs(gamma)
+    return rhs - abs(gamma)
 
 
 def transversality_integral(point: BifurcationPoint) -> float:

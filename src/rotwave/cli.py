@@ -340,40 +340,37 @@ def _versions() -> dict:
     }
 
 
+def _verdict(margin: float) -> dict:
+    """A criterion's report entry: it holds where its margin is > 0, and
+    holds is None where the margin is NaN, the criterion undefined."""
+    return {"holds": None if math.isnan(margin) else bool(margin > 0.0), "margin": margin}
+
+
 def build_criteria_report(config: RunConfig, profile: GammaProfile) -> dict:
     """Every applicable closed-form onset criterion plus its inputs."""
     flow = config.flow
     alpha = config.criteria.alpha
     depth_frak = config.criteria.depth_frak
     theta = holder_seminorm(profile, alpha)
-    gamma_inf = config.vorticity.sup_norm()
-    g_holds, g_margin = check_general_sufficient(profile, flow, alpha, theta=theta)
-    c_holds, c_margin = check_continuous_sufficient(profile, flow)
     report = {
         "alpha": alpha,
         "theta": theta,
         "p1": profile.p1,
-        "gamma_inf": gamma_inf,
+        "gamma_inf": config.vorticity.sup_norm(),
         "depth_frak": depth_frak,
-        "general_sufficient": {"holds": g_holds, "margin": g_margin},
-        "continuous_sufficient": {"holds": c_holds, "margin": c_margin},
+        "general_sufficient": _verdict(check_general_sufficient(profile, flow, alpha, theta=theta)),
+        "continuous_sufficient": _verdict(check_continuous_sufficient(profile, flow)),
         "constant_vorticity": None,
         "surface_layer": None,
         "bed_layer": None,
     }
     if config.vorticity.kind == "constant":
         gamma = config.vorticity.constant
-        holds, margin = check_constant_vorticity(gamma, flow.d, flow.g)
-        report["constant_vorticity"] = {"holds": holds, "margin": margin}
+        report["constant_vorticity"] = _verdict(check_constant_vorticity(gamma, flow.d, flow.g))
         if depth_frak is not None:
-            holds, margin = check_surface_layer(gamma, depth_frak, flow.g)
-            report["surface_layer"] = {"holds": holds, "margin": margin}
-            holds, margin = check_bed_layer(gamma, flow.d, depth_frak, flow.g)
-            report["bed_layer"] = {
-                "holds": holds,
-                "margin": margin,
-                "undefined_radicand": holds is None,
-            }
+            report["surface_layer"] = _verdict(check_surface_layer(gamma, depth_frak, flow.g))
+            bed = _verdict(check_bed_layer(gamma, flow.d, depth_frak, flow.g))
+            report["bed_layer"] = {**bed, "undefined_radicand": bed["holds"] is None}
     return report
 
 
@@ -537,7 +534,8 @@ def run_reconstruct(config: RunConfig, amplitudes: Sequence[float], out_dir: str
 
     field.csv and surface.csv describe the first requested amplitude;
     residuals.json lists the weak-form defect norms for every amplitude and
-    a log-log slope fit when several positive amplitudes are given.
+    a log-log slope fit when several positive amplitudes are given.  Without
+    a bifurcation it writes no file, only inf_mu and lambda_at_inf to stderr.
     """
     n_q = config.reconstruct.n_q
     amplitudes = [
@@ -547,6 +545,8 @@ def run_reconstruct(config: RunConfig, amplitudes: Sequence[float], out_dir: str
     os.makedirs(out_dir, exist_ok=True)
     profile, result = _analysis(config)
     if isinstance(result, NoBifurcation):
+        line = {"status": "no_bifurcation", "inf_mu": result.inf_mu, "lambda_at_inf": result.lambda_at_inf}
+        sys.stderr.write(json.dumps(_jsonable(line)) + "\n")
         return 2
     flow = config.flow
 
@@ -613,20 +613,15 @@ def _parse_param(spec_text: str):
     return name, values
 
 
-_CRITERIA_COLUMNS = [
-    "theta",
-    "p1",
-    "general_holds",
-    "general_margin",
-    "continuous_holds",
-    "continuous_margin",
-    "constant_holds",
-    "constant_margin",
-    "surface_holds",
-    "surface_margin",
-    "bed_holds",
-    "bed_margin",
-]
+# The criteria report's entries, by the prefix of their sweep columns.
+_CRITERIA = {
+    "general": "general_sufficient",
+    "continuous": "continuous_sufficient",
+    "constant": "constant_vorticity",
+    "surface": "surface_layer",
+    "bed": "bed_layer",
+}
+_CRITERIA_COLUMNS = ["theta", "p1", *(f"{c}_{part}" for c in _CRITERIA for part in ("holds", "margin"))]
 
 # Each sweep quantity: the parameters it reads, then its value columns.  A
 # quantity that reads lambda is evaluated at each swept lambda, so it needs a
@@ -720,23 +715,13 @@ def _sweep_values(row_cfg: RunConfig, quantity: str, lam, near):
     if quantity == "criteria":
         profile = GammaProfile.from_distribution(row_cfg.vorticity, flow)
         rep = build_criteria_report(row_cfg, profile)
-        const = rep["constant_vorticity"]
-        surface = rep["surface_layer"] or {"holds": None, "margin": None}
-        bed = rep["bed_layer"] or {"holds": None, "margin": None, "undefined_radicand": False}
-        return [
-            rep["theta"],
-            rep["p1"],
-            rep["general_sufficient"]["holds"],
-            rep["general_sufficient"]["margin"],
-            rep["continuous_sufficient"]["holds"],
-            rep["continuous_sufficient"]["margin"],
-            None if const is None else const["holds"],
-            None if const is None else const["margin"],
-            surface["holds"],
-            surface["margin"],
-            "undefined" if bed["undefined_radicand"] else bed["holds"],
-            bed["margin"],
-        ], near
+        values = [rep["theta"], rep["p1"]]
+        for entry in map(rep.get, _CRITERIA.values()):
+            if entry is None:  # not applicable: empty cells
+                values += [None, None]
+            else:
+                values += ["undefined" if entry["holds"] is None else entry["holds"], entry["margin"]]
+        return values, near
     if quantity == "mu":
         profile = GammaProfile.from_distribution(row_cfg.vorticity, flow)
         sol = principal_eigen(

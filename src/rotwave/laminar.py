@@ -38,7 +38,7 @@ from .errors import (
     NonAdmissibleLambda,
     NoSolution,
 )
-from .numerics import RootSpec, bracketed_root
+from .numerics import bracketed_root
 from .vorticity import FlowParameters, GammaProfile, VorticityDistribution, _check_domain
 
 
@@ -164,8 +164,7 @@ def lambda_of_min_head(
         hi = floor + (hi - floor) * 4.0
         if hi - floor > cap:
             raise BracketFailure("no sign change up to the expansion cap")
-    spec = RootSpec(x_tol=root_tol * max(1.0, abs(hi)), f_tol=0.0, max_iter=200)
-    return bracketed_root(f, lo, hi, spec)
+    return bracketed_root(f, lo, hi, x_tol=root_tol * max(1.0, abs(hi)))
 
 
 def calibrate_mass_flux(
@@ -230,8 +229,8 @@ def calibrate_mass_flux(
         prev_b, prev_f = b, val
     if bracket is None:
         raise NoSolution("no p0 produces the unit-depth laminar flow")
-    spec = RootSpec(x_tol=1e-13 * max(1.0, bracket[1]), f_tol=1e-13, max_iter=300)
-    b_root = bracketed_root(phi, bracket[0], bracket[1], spec)
+    x_tol = 1e-13 * max(1.0, bracket[1])
+    b_root = bracketed_root(phi, bracket[0], bracket[1], x_tol, f_tol=1e-13, max_iter=300)
     if abs(phi(b_root)) > 1e-10:
         raise NoSolution("calibration residual above 1e-10")
     return -b_root

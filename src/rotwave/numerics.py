@@ -1,4 +1,4 @@
-"""Scalar numerics: bracketed roots and tridiagonal eigenpairs.
+"""Scalar numerics: brackets, bracketed roots and tridiagonal eigenpairs.
 
 The shifted solves of the Rayleigh quotient iteration use odd-even cyclic
 reduction (Hockney, J. ACM 12, 1965; Buzbee, Golub and Nielson, SIAM J.
@@ -15,12 +15,11 @@ vorticity.ElementRule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import EigenFailure, NonConvergence, NoSignChange
+from .errors import BracketFailure, EigenFailure, NonConvergence, NoSignChange
 
 _EPS = float(np.finfo(float).eps)
 
@@ -31,32 +30,40 @@ _RQI_ACCEPT_TOL = 1e-9
 _RQI_MAX_SOLVES = 30
 
 
-@dataclass(frozen=True)
-class RootSpec:
-    """Stopping rules for bracketed_root."""
+def bracket_turn(turned: Callable[[float], bool], cap: float) -> tuple[float, float]:
+    """Adjacent points (lo, hi) of the walk 0, +-1, +-4, +-16, ... with
+    turned(lo) false and turned(hi) true.
 
-    x_tol: float = 1e-10
-    f_tol: float = 0.0
-    max_iter: int = 200
-
-    def __post_init__(self):
-        if not self.x_tol > 0.0:
-            raise ValueError("x_tol must be > 0")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+    turned must be false below some point and true above it.  The walk
+    probes 0, then goes up while turned is false or down while it is true,
+    and raises BracketFailure once a step past cap has not turned.
+    """
+    up = not turned(0.0)
+    prev, step = 0.0, (1.0 if up else -1.0)
+    while turned(step) != up:
+        if abs(step) > cap:
+            raise BracketFailure(f"no bracket within {cap:g} of 0")
+        prev, step = step, 4.0 * step
+    return (prev, step) if up else (step, prev)
 
 
 def bracketed_root(
     f: Callable[[float], float],
     lo: float,
     hi: float,
-    spec: RootSpec = RootSpec(),
+    x_tol: float = 1e-10,
+    f_tol: float = 0.0,
+    max_iter: int = 200,
 ) -> float:
     """Find a root of f in [lo, hi] by Brent's method.
 
     Stops when the bracket width drops below x_tol or |f| below f_tol.
     The sign condition f(lo) * f(hi) <= 0 is required.
     """
+    if not x_tol > 0.0:
+        raise ValueError("x_tol must be > 0")
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
     a = float(lo)
     b = float(hi)
     fa = float(f(a))
@@ -70,13 +77,13 @@ def bracketed_root(
 
     c, fc = a, fa
     d = e = b - a
-    for _ in range(spec.max_iter):
+    for _ in range(max_iter):
         if abs(fc) < abs(fb):
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
-        tol = 2.0 * _EPS * abs(b) + 0.5 * spec.x_tol
+        tol = 2.0 * _EPS * abs(b) + 0.5 * x_tol
         m = 0.5 * (c - b)
-        if abs(m) <= tol or fb == 0.0 or abs(fb) <= spec.f_tol:
+        if abs(m) <= tol or fb == 0.0 or abs(fb) <= f_tol:
             return b
         if abs(e) < tol or abs(fa) <= abs(fb):
             d = e = m
@@ -108,7 +115,7 @@ def bracketed_root(
         if (fb > 0.0) == (fc > 0.0):
             c, fc = a, fa
             d = e = b - a
-    raise NonConvergence(f"no root to tolerance within {spec.max_iter} iterations")
+    raise NonConvergence(f"no root to tolerance within {max_iter} iterations")
 
 
 def _normalize_surface(v: np.ndarray) -> np.ndarray:

@@ -30,9 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BracketFailure, EigenFailure, ZeroDenominator
+from .errors import EigenFailure, ZeroDenominator
 from .numerics import (
-    RootSpec,
+    bracket_turn,
     bracketed_root,
     count_pencil_eigenvalues_below,
     smallest_eigenpair_tridiagonal,
@@ -205,27 +205,13 @@ def _bisect_smallest(dA, eA, dB, eB, rel_tol=1e-3):
     O(n) per step and BLAS-free.  The default tolerance seeds the Rayleigh
     quotient iteration inside its basin of attraction; a tight one places
     the shift next to the smallest eigenvalue when a seed from a coarser
-    mesh led the iteration to a larger one.
+    mesh led the iteration to a larger one.  With no eigenvalue bracketed
+    within 1e14 of 0, bracket_turn raises BracketFailure.
     """
     def count(tau):
         return count_pencil_eigenvalues_below(dA, eA, dB, eB, tau)
 
-    if count(0.0) >= 1:
-        hi = 0.0
-        lo = -1.0
-        while count(lo) >= 1:
-            hi = lo
-            lo *= 4.0
-            if lo < -1e14:
-                raise EigenFailure("bisection found no lower bound on the spectrum")
-    else:
-        lo = 0.0
-        hi = 1.0
-        while count(hi) < 1:
-            lo = hi
-            hi *= 4.0
-            if hi > 1e14:
-                raise EigenFailure("bisection found no upper bound on the spectrum")
+    lo, hi = bracket_turn(lambda tau: count(tau) >= 1, 1e14)
     while hi - lo > rel_tol * max(1.0, abs(lo), abs(hi)):
         mid = 0.5 * (lo + hi)
         if count(mid) >= 1:
@@ -436,35 +422,9 @@ def shooting_mu(
     def mismatch(mu):
         return _prufer_angle(profile, flow, lam, mu) - target
 
-    r0 = mismatch(0.0)
-    if r0 == 0.0:
-        return 0.0
-    if r0 < 0.0:
-        lo, f_lo = 0.0, r0
-        step = 1.0
-        while True:
-            hi = step
-            f_hi = mismatch(hi)
-            if f_hi >= 0.0:
-                break
-            if step > 1e9:
-                raise BracketFailure("no eigenvalue bracket below mu = 1e9")
-            lo, f_lo = hi, f_hi
-            step *= 4.0
-    else:
-        hi, f_hi = 0.0, r0
-        step = -1.0
-        while True:
-            lo = step
-            f_lo = mismatch(lo)
-            if f_lo <= 0.0:
-                break
-            if step < -1e9:
-                raise BracketFailure("no eigenvalue bracket above mu = -1e9")
-            hi, f_hi = lo, f_lo
-            step *= 4.0
-    spec = RootSpec(x_tol=1e-12 * max(1.0, abs(lo), abs(hi)), f_tol=1e-10, max_iter=300)
-    mu = bracketed_root(mismatch, lo, hi, spec)
+    lo, hi = bracket_turn(lambda mu: mismatch(mu) >= 0.0, 1e9)
+    x_tol = 1e-12 * max(1.0, abs(lo), abs(hi))
+    mu = bracketed_root(mismatch, lo, hi, x_tol, f_tol=1e-10, max_iter=300)
     zeros = int(math.floor((_prufer_angle(profile, flow, lam, mu) + 1e-9) / math.pi))
     if zeros != k:
         raise EigenFailure(

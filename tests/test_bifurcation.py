@@ -7,6 +7,7 @@ import pytest
 from rotwave import (
     BifurcationPoint,
     FlowParameters,
+    GammaProfile,
     NoBifurcation,
     VorticityDistribution,
     check_bed_layer,
@@ -21,7 +22,7 @@ from rotwave import (
     transversality_integral,
 )
 
-from rotwave.cli import main
+from rotwave.cli import build_criteria_report, main, parse_config
 from rotwave.errors import DegenerateConstraint, EigenFailure, NoSolution
 from rotwave.vorticity import ElementRule
 
@@ -124,89 +125,107 @@ def test_no_bifurcation_weak_gravity():
 
 def test_general_sufficient_examples():
     prof, flow = make_profile(-1.0)  # theta = 2, p1 = -1
-    holds, margin = check_general_sufficient(prof, flow, 1.0)
+    margin = check_general_sufficient(prof, flow, 1.0)
     expected_rhs = 2.0**1.5 / 6.0 + 2.0**0.5 / 2.5
-    assert not holds
+    assert margin <= 0.0
     assert margin == pytest.approx(1.0 - expected_rhs, abs=1e-12)
 
     prof2, flow2 = make_profile(-1.0, g=2.0)
-    holds2, margin2 = check_general_sufficient(prof2, flow2, 1.0)
-    assert holds2
+    margin2 = check_general_sufficient(prof2, flow2, 1.0)
+    assert margin2 > 0.0
     assert margin2 == pytest.approx(2.0 - expected_rhs, abs=1e-12)
 
 
 def test_general_sufficient_zero_theta():
     prof, flow = make_profile(0.0, g=1.7)
-    holds, margin = check_general_sufficient(prof, flow, 1.0)
-    assert holds
+    margin = check_general_sufficient(prof, flow, 1.0)
+    assert margin > 0.0
     assert margin == pytest.approx(1.7)
 
 
 def test_general_sufficient_returns_plain_bool():
-    # theta comes from a one-sided slope at p1 here, a numpy float.
-    dist = VorticityDistribution.tabulated([-1.0, -0.5, 0.0], [-1.2, -0.3, -1.5])
-    prof, flow = make_profile(dist, g=9.81, p0=-2.0)
-    holds, _ = check_general_sufficient(prof, flow, 1.0)
-    assert type(holds) is bool
+    # Every verdict of the report is a plain bool, or None where the margin is NaN.
+    undefined = []
+    for vorticity, n_criteria in [
+        # theta comes from a one-sided slope at p1 here, a numpy float.
+        ({"kind": "tabulated", "nodes": [-1.0, -0.5, 0.0], "values": [-1.2, -0.3, -1.5]}, 2),
+        # All five criteria; the bed layer's radicand is undefined at gamma = -3.
+        ({"kind": "constant", "gamma": -3.0}, 5),
+        ({"kind": "constant", "gamma": -0.5}, 5),
+    ]:
+        raw = {"flow": {"d": 1.0, "g": 9.81, "p0": -2.0}, "vorticity": vorticity}
+        config = parse_config(json.dumps({**raw, "criteria": {"depth_frak": 0.5}}))
+        prof = GammaProfile.from_distribution(config.vorticity, config.flow)
+        report = build_criteria_report(config, prof)
+        entries = [entry for entry in report.values() if isinstance(entry, dict)]
+        assert len(entries) == n_criteria
+        for entry in entries:
+            if math.isnan(entry["margin"]):
+                assert entry["holds"] is None
+                undefined.append(vorticity.get("gamma"))
+            else:
+                assert type(entry["holds"]) is bool
+                assert entry["holds"] == (entry["margin"] > 0.0)
+    assert undefined == [-3.0]
 
 
 def test_continuous_sufficient_examples():
     prof, flow = make_profile(-1.0)
-    holds, margin = check_continuous_sufficient(prof, flow)
+    margin = check_continuous_sufficient(prof, flow)
     lhs = math.sqrt(2.0) / 3.0 + 2.0 * math.sqrt(2.0) / 5.0
-    assert not holds
+    assert margin <= 0.0
     assert margin == pytest.approx(1.0 - lhs, abs=1e-12)
 
     prof2, flow2 = make_profile(-1.0, g=1.1)
-    holds2, margin2 = check_continuous_sufficient(prof2, flow2)
-    assert holds2
+    margin2 = check_continuous_sufficient(prof2, flow2)
+    assert margin2 > 0.0
     assert margin2 == pytest.approx(1.1 - lhs, abs=1e-12)
 
     prof3, flow3 = make_profile(0.0)
-    assert check_continuous_sufficient(prof3, flow3) == (True, pytest.approx(1.0))
+    margin3 = check_continuous_sufficient(prof3, flow3)
+    assert margin3 > 0.0 and margin3 == pytest.approx(1.0)
 
 
 def test_constant_vorticity_examples():
-    holds, margin = check_constant_vorticity(0.0, 1.0, 1.0)
-    assert holds and margin == pytest.approx(math.tanh(1.0))
-    holds, margin = check_constant_vorticity(-1.0, 1.0, 1.0)
-    assert holds
+    margin = check_constant_vorticity(0.0, 1.0, 1.0)
+    assert margin > 0.0 and margin == pytest.approx(math.tanh(1.0))
+    margin = check_constant_vorticity(-1.0, 1.0, 1.0)
+    assert margin > 0.0
     assert margin == pytest.approx(2.0 * math.tanh(1.0) - 1.0, abs=1e-12)
-    holds, margin = check_constant_vorticity(-2.0, 1.0, 1.0)
-    assert not holds
+    margin = check_constant_vorticity(-2.0, 1.0, 1.0)
+    assert margin <= 0.0
     assert margin == pytest.approx(5.0 * math.tanh(1.0) - 4.0, abs=1e-12)
 
 
 def test_surface_layer_examples():
-    holds, margin = check_surface_layer(0.0, 0.7, 1.0)
-    assert holds and margin == pytest.approx(math.tanh(0.7))
+    margin = check_surface_layer(0.0, 0.7, 1.0)
+    assert margin > 0.0 and margin == pytest.approx(math.tanh(0.7))
     t = math.tanh(0.5)
-    holds, margin = check_surface_layer(-1.0, 0.5, 1.0)
-    assert holds
+    margin = check_surface_layer(-1.0, 0.5, 1.0)
+    assert margin > 0.0
     assert margin == pytest.approx(t - 0.5 * (0.5 - t), abs=1e-12)
     t2 = math.tanh(2.0)
-    holds, margin = check_surface_layer(-10.0, 2.0, 1.0)
-    assert not holds
+    margin = check_surface_layer(-10.0, 2.0, 1.0)
+    assert margin <= 0.0
     assert margin == pytest.approx(t2 - 100.0 * 2.0 * (2.0 - t2), abs=1e-9)
 
 
 def test_bed_layer_example():
-    holds, margin = check_bed_layer(-0.5, 1.0, 0.5, 1.0)
+    margin = check_bed_layer(-0.5, 1.0, 0.5, 1.0)
     num = math.sqrt(1.0 * (math.sinh(1.0) * 0.5 - math.sinh(0.5) * math.sinh(0.5)))
     den = 0.5 * math.sqrt(0.5 * math.cosh(1.0) - 0.25 * math.cosh(0.5) * math.sinh(0.5))
-    assert holds
+    assert margin > 0.0
     assert margin == pytest.approx(num / den - 0.5, abs=1e-12)
 
 
 def test_bed_layer_undefined_radicand():
-    holds, margin = check_bed_layer(-3.0, 1.0, 0.5, 1.0)
-    assert holds is None
+    # NaN, not a sign: the closed form is undefined here.
+    margin = check_bed_layer(-3.0, 1.0, 0.5, 1.0)
     assert math.isnan(margin)
 
 
 def test_bed_layer_zero_gamma():
-    holds, margin = check_bed_layer(0.0, 1.0, 0.5, 1.0)
-    assert holds is True
+    margin = check_bed_layer(0.0, 1.0, 0.5, 1.0)
     assert margin > 0.0
 
 
@@ -216,9 +235,9 @@ def test_surface_layer_reduces_to_constant_vorticity():
         gamma = float(rng.uniform(-3.0, 3.0))
         d = float(rng.uniform(0.2, 3.0))
         g = float(rng.uniform(0.2, 5.0))
-        h1, m1 = check_surface_layer(gamma, d, g)
-        h2, m2 = check_constant_vorticity(gamma, d, g)
-        assert h1 == h2
+        m1 = check_surface_layer(gamma, d, g)
+        m2 = check_constant_vorticity(gamma, d, g)
+        assert (m1 > 0.0) == (m2 > 0.0)
         assert m1 == pytest.approx(m2, abs=1e-12 * max(1.0, abs(m1)))
 
 
@@ -233,8 +252,8 @@ def test_criteria_equivalence_with_lipschitz_theta():
         p0 = -float(rng.uniform(0.4, 2.0))
         prof, flow = make_profile(gamma, d=d, g=g, p0=p0)
         theta_lip = 2.0 * d * d * abs(gamma) / abs(p0)
-        _, m_general = check_general_sufficient(prof, flow, 1.0, theta=theta_lip)
-        _, m_continuous = check_continuous_sufficient(prof, flow)
+        m_general = check_general_sufficient(prof, flow, 1.0, theta=theta_lip)
+        m_continuous = check_continuous_sufficient(prof, flow)
         assert m_general == pytest.approx(m_continuous, abs=1e-12 * max(1.0, abs(m_general)))
 
 
@@ -247,8 +266,8 @@ def test_sufficient_criteria_imply_crossing():
         g = float(rng.uniform(1.0, 3.0))
         p0 = -float(rng.uniform(0.6, 1.2))
         prof, flow = make_profile(gamma, d=d, g=g, p0=p0)
-        g_ok, _ = check_general_sufficient(prof, flow, 1.0)
-        c_ok, _ = check_continuous_sufficient(prof, flow)
+        g_ok = check_general_sufficient(prof, flow, 1.0) > 0.0
+        c_ok = check_continuous_sufficient(prof, flow) > 0.0
         if not (g_ok or c_ok):
             continue
         found += 1

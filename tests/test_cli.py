@@ -88,8 +88,72 @@ def test_analyze_near_the_floor_exits_2(tmp_path):
     assert _run(tmp_path, config, "analyze", "--out", str(out)) == 2
     report = json.loads((out / "report.json").read_text())
     assert report["status"] == "no_bifurcation"
-    assert not bifurcation.check_constant_vorticity(-1.0, 1.0, 1e-4)[0]
+    assert bifurcation.check_constant_vorticity(-1.0, 1.0, 1e-4) <= 0.0
     assert not report["criteria"]["constant_vorticity"]["holds"]
+
+
+def test_reconstruct_without_a_bifurcation_says_so(tmp_path, capsys):
+    # The same config as above: reconstruct exits 2, writes no file and
+    # prints the inf_mu and lambda_at_inf that analyze reports.
+    config = dict(C1, flow={"d": 1, "g": 1e-4, "p0": -2})
+    assert _run(tmp_path, config, "analyze", "--out", str(tmp_path / "analyzed")) == 2
+    report = json.loads((tmp_path / "analyzed" / "report.json").read_text())
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert _run(tmp_path, config, "reconstruct", "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"status": "no_bifurcation", **report["no_bifurcation"]}
+    assert captured.err.count("\n") == 1
+    assert os.listdir(out) == []
+
+
+# C1 at the default mesh: the stagnation bound of build_wave is the same for
+# every even n_q, whose grid holds q = 0 and q = -pi where cos q = +-1.
+C1_CRITICAL_S = 0.6424715853912716
+
+
+def test_reconstruct_past_the_stagnation_bound_exits_4(tmp_path, capsys):
+    config = {key: C1[key] for key in ("flow", "vorticity")}
+    out = tmp_path / "out"
+    argv = ("reconstruct", "--amplitude", repr(1.01 * C1_CRITICAL_S), "--out", str(out))
+    assert _run(tmp_path, config, *argv) == 4
+    assert capsys.readouterr().err == '{"error": "stagnation", "critical_s": 0.6424715853912716}\n'
+    assert os.listdir(out) == []
+
+
+def test_reconstruct_below_the_stagnation_bound_exits_0(tmp_path):
+    config = {"flow": C1["flow"], "vorticity": C1["vorticity"], "reconstruct": {"n_q": 16}}
+    out = tmp_path / "out"
+    argv = ("reconstruct", "--amplitude", repr(0.99 * C1_CRITICAL_S), "--out", str(out))
+    assert _run(tmp_path, config, *argv) == 0
+    assert sorted(os.listdir(out)) == ["field.csv", "residuals.json", "surface.csv"]
+
+
+def test_lambda_star_sweep_row_without_a_bifurcation(tmp_path):
+    out = tmp_path / "out"
+    argv = ("sweep", "--param", "g:0.0001:9.81:2", "--quantity", "lambda_star", "--out", str(out))
+    assert _run(tmp_path, C1, *argv) == 0
+    weak, strong = _read_csv(out / "sweep.csv")
+    assert weak == {
+        "g": "0.0001", "lambda_star": "", "lambda0": "1.0000000024554268", "mu_residual": "", "error": ""
+    }
+    assert strong["lambda_star"] != "" and strong["error"] == ""
+
+
+def test_one_point_sweep_writes_its_lower_bound(tmp_path):
+    out = tmp_path / "out"
+    assert _run(tmp_path, C1, "sweep", "--param", "g:1:2:1", "--out", str(out)) == 0
+    rows = _read_csv(out / "sweep.csv")
+    assert [(row["g"], row["error"]) for row in rows] == [("1.0", "")]
+
+
+def test_mu_sweep_without_lambda_exits_3(tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ("sweep", "--param", "g:1:2:2", "--quantity", "mu", "--out", str(out))
+    assert _run(tmp_path, C1, *argv) == 3
+    assert "/sweep/param" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_analyze_with_a_zero_at_a_knot_exits_0(tmp_path):

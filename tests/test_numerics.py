@@ -7,9 +7,9 @@ import scipy.linalg
 import scipy.optimize
 
 from rotwave import VorticityDistribution, find_lambda_star, lambda_of_min_head, numerics, spectral
-from rotwave.errors import EigenFailure, NoSignChange
+from rotwave.errors import BracketFailure, EigenFailure, NoSignChange
 from rotwave.numerics import (
-    RootSpec,
+    bracket_turn,
     bracketed_root,
     count_pencil_eigenvalues_below,
     smallest_eigenpair_tridiagonal,
@@ -33,7 +33,7 @@ def test_root_identity():
 def test_root_head_minimizer_equation():
     # closed-form head-minimizer equation for Gamma(p) = 2p
     f = lambda lam: 1.0 / math.sqrt(lam - 2.0) - 1.0 / math.sqrt(lam) - 1.0
-    x = bracketed_root(f, 2.1, 3.0, RootSpec(x_tol=1e-12))
+    x = bracketed_root(f, 2.1, 3.0, x_tol=1e-12)
     ref = scipy.optimize.brentq(f, 2.1, 3.0, xtol=1e-13)
     assert x == pytest.approx(ref, abs=1e-10)
     assert x == pytest.approx(2.3673, abs=1e-3)
@@ -41,8 +41,8 @@ def test_root_head_minimizer_equation():
 
 def test_root_sign_symmetric():
     f = lambda x: math.cos(x) - x
-    a = bracketed_root(f, 0.0, 1.0, RootSpec(x_tol=1e-12))
-    b = bracketed_root(lambda x: -f(x), 0.0, 1.0, RootSpec(x_tol=1e-12))
+    a = bracketed_root(f, 0.0, 1.0, x_tol=1e-12)
+    b = bracketed_root(lambda x: -f(x), 0.0, 1.0, x_tol=1e-12)
     assert a == pytest.approx(b, abs=1e-10)
 
 
@@ -58,15 +58,52 @@ def test_root_f_tol_stop():
         calls.append(x)
         return x**3
 
-    x = bracketed_root(f, -2.0, 3.0, RootSpec(x_tol=1e-15, f_tol=1e-6, max_iter=500))
+    x = bracketed_root(f, -2.0, 3.0, x_tol=1e-15, f_tol=1e-6, max_iter=500)
     assert abs(x**3) <= 1e-6
 
 
 def test_root_spec_validation():
     with pytest.raises(ValueError):
-        RootSpec(x_tol=0.0)
+        bracketed_root(lambda x: x, -1.0, 1.0, x_tol=0.0)
     with pytest.raises(ValueError):
-        RootSpec(max_iter=0)
+        bracketed_root(lambda x: x, -1.0, 1.0, max_iter=0)
+
+
+# -- bracket_turn ------------------------------------------------------------
+
+
+def test_bracket_turn_walks_by_four_from_zero():
+    for turn, bracket, probes in [
+        (5.0, (4.0, 16.0), [0.0, 1.0, 4.0, 16.0]),
+        (-5.0, (-16.0, -4.0), [0.0, -1.0, -4.0, -16.0]),
+        (0.0, (-1.0, 0.0), [0.0, -1.0]),
+    ]:
+        seen = []
+
+        def turned(x):
+            seen.append(x)
+            return x >= turn
+
+        assert bracket_turn(turned, 1e9) == bracket
+        assert seen == probes
+
+
+def test_bracket_turn_probes_the_step_past_the_cap():
+    seen = []
+    with pytest.raises(BracketFailure):
+        bracket_turn(lambda x: seen.append(x) or False, 100.0)
+    assert seen == [0.0, 1.0, 4.0, 16.0, 64.0, 256.0]
+    assert bracket_turn(lambda x: x >= 200.0, 100.0) == (64.0, 256.0)
+
+
+def test_bisection_out_of_range_raises_bracket_failure():
+    # One unknown with eigenvalue 1e16, past the 1e14 cap of the walk.
+    one = np.ones(1)
+    with pytest.raises(BracketFailure):
+        spectral._bisect_smallest(1e16 * one, np.zeros(0), one, np.zeros(0))
+    assert spectral._bisect_smallest(1e13 * one, np.zeros(0), one, np.zeros(0)) == pytest.approx(
+        1e13, rel=1e-3
+    )
 
 
 # -- smallest_eigenpair_tridiagonal ------------------------------------------

@@ -15,7 +15,7 @@ from rotwave import (
 )
 from rotwave import numerics, spectral
 from rotwave.errors import EigenFailure, NonAdmissibleLambda, ZeroDenominator
-from rotwave.numerics import RootSpec, bracketed_root, smallest_eigenpair_tridiagonal
+from rotwave.numerics import bracketed_root, smallest_eigenpair_tridiagonal
 from rotwave.spectral import (
     ModeSolution,
     Solves,
@@ -202,7 +202,7 @@ def test_shooting_gamma_is_the_primitive_bit_for_bit(dist, g, p0):
 def test_mode_two_at_matched_lambda():
     prof, flow = _pinned()
     f = lambda lam: principal_eigen(prof, flow, lam, mesh_points=1001).mu_refined + 4.0
-    lam2 = bracketed_root(f, 0.1, 1.0, RootSpec(x_tol=1e-9, f_tol=1e-8))
+    lam2 = bracketed_root(f, 0.1, 1.0, x_tol=1e-9, f_tol=1e-8)
     sol = principal_eigen(prof, flow, lam2, mesh_points=4001)
     assert sol.mu_refined == pytest.approx(-4.0, abs=1e-6)
     assert rayleigh_quotient(prof, flow, lam2, sol.nodes, sol.M) == pytest.approx(-4.0, abs=1e-6)
