@@ -6,10 +6,11 @@ where small-amplitude waves branch off, closed-form onset criteria for
 constant and layered vorticity, and first-order reconstructed wave fields
 with weak-form residual diagnostics.
 
-``find_lambda_star`` solves mu(lambda) through a ``Solves`` memo and
-returns it on its result, where ``analyze`` reads the mu_curve.csv grid.
-``onset_point`` gives (p0, ModeSolution) at one lambda of the family whose
-p0 is recalibrated at each lambda, seeded from a neighbouring solution.
+A ``Branch`` is one laminar family, at fixed p0 or with p0 recalibrated at
+each lambda to fixed mean depth: called with lambda it returns (flow,
+ModeSolution), solving each lambda once, seeded from the nearest lambda
+solved.  ``find_lambda_star`` reads every mu through a branch of fixed p0
+and returns it on its result, where ``analyze`` reads the mu_curve.csv grid.
 
 The supported interface is the ``rotwave`` command line (``rotwave.cli``)
 and the layer functions its commands call, exported here.  Four functions
@@ -23,6 +24,7 @@ __version__ = "0.1.0"
 
 from .bifurcation import (
     BifurcationPoint,
+    Branch,
     NoBifurcation,
     check_bed_layer,
     check_constant_vorticity,
@@ -30,7 +32,6 @@ from .bifurcation import (
     check_general_sufficient,
     check_surface_layer,
     find_lambda_star,
-    onset_point,
     transversality_integral,
 )
 from .errors import (
@@ -68,7 +69,6 @@ from .reconstruct import (
 )
 from .spectral import (
     ModeSolution,
-    Solves,
     principal_eigen,
     rayleigh_quotient,
     shooting_mu,

@@ -6,7 +6,9 @@ increasing wherever it is negative and mu(lambda0) = 0 at the head
 minimizer lambda0, the crossing is bracketed by probing lambda just above
 the admissibility floor and root-solving on (floor, lambda0).  Flows whose
 eigenvalue never reaches -1 yield a NoBifurcation result (an ordinary
-outcome, not an error).
+outcome, not an error).  Every mu is read through a Branch, the map
+lambda -> (flow, mode) of one laminar family: at fixed p0, or with p0
+calibrated at each lambda to fixed mean depth.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .laminar import (
     lambda_of_min_head,
 )
 from .numerics import bracketed_root
-from .spectral import ModeSolution, Solves, principal_eigen
+from .spectral import ModeSolution, principal_eigen
 from .vorticity import (
     ElementRule,
     FlowParameters,
@@ -35,61 +37,109 @@ from .vorticity import (
 DEFAULT_MARGINS = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)
 
 
+class Branch:
+    """The laminar flows of one vorticity distribution at depth d and gravity
+    g, by lambda, with the principal eigenpair of the mode equation on each.
+
+    With ``p0`` given every lambda has the flow (d, g, p0), built once as
+    ``flow`` and ``profile``.  Without it p0 is calibrated at each lambda to
+    the unit-depth normalization (calibrate_mass_flux): the family of fixed
+    mean depth.  Called with lambda, it returns (flow, ModeSolution) there,
+    mode.mu_refined being mu(lambda).  Each lambda is solved once, seeded
+    (``near``) from the solved lambda nearest to it; ``solved`` maps every
+    lambda solved so far to its (flow, ModeSolution).  A failed calibration
+    or solve raises and stores nothing; for gamma == 0 calibration raises at
+    every lambda (DegenerateConstraint at lambda = 1, where every p0
+    satisfies the constraint).
+    """
+
+    def __init__(
+        self, dist: VorticityDistribution, d: float, g: float, mesh_points: int, p0: Optional[float] = None
+    ):
+        self.dist = dist
+        self.d = d
+        self.g = g
+        self.mesh_points = mesh_points
+        self.p0 = p0
+        self.solved = {}
+        if p0 is not None:
+            self.flow = FlowParameters(d=d, g=g, p0=p0)
+            self.profile = GammaProfile.from_distribution(dist, self.flow)
+
+    def __call__(self, lam: float) -> tuple[FlowParameters, ModeSolution]:
+        hit = self.solved.get(lam)
+        if hit is None:
+            if self.p0 is None:
+                flow = FlowParameters(d=self.d, g=self.g, p0=calibrate_mass_flux(self.dist, self.d, lam))
+                profile = GammaProfile.from_distribution(self.dist, flow)
+            else:
+                flow, profile = self.flow, self.profile
+            near = min(
+                (mode for _, mode in self.solved.values()), key=lambda m: abs(m.lam - lam), default=None
+            )
+            mode = principal_eigen(profile, flow, lam, mesh_points=self.mesh_points, near=near)
+            hit = self.solved[lam] = flow, mode
+        return hit
+
+
 @dataclass(frozen=True)
 class BifurcationPoint:
-    """Location and mode of the laminar-to-wave crossing."""
+    """Location and mode of the laminar-to-wave crossing; ``lambda_lo`` is
+    the lower end of the bracket (lambda_lo, lambda0) the root was solved on."""
 
     lambda_star: float
     lambda0: float
+    lambda_lo: float
     Q_star: float
     mode: ModeSolution
-    bracket: tuple
     mu_residual: float
     mu_at_lambda0: float
-    profile: GammaProfile
-    flow: FlowParameters
-    solves: Solves
+    branch: Branch
 
 
 @dataclass(frozen=True)
 class NoBifurcation:
-    """Outcome when mu stays above -1 on the admissible range."""
+    """Outcome when mu stays above -1 on the admissible range; ``lambda_lo``
+    is the first probe, the largest lambda probed below lambda0."""
 
     lambda0: float
+    lambda_lo: float
     inf_mu: float
     lambda_at_inf: float
     mu_at_lambda0: float
-    solves: Solves
+    branch: Branch
 
 
 def find_lambda_star(
-    profile: GammaProfile,
-    flow: FlowParameters,
-    mesh_points: int = 2001,
+    branch: Branch,
     root_tol: float = 1e-10,
     margin_schedule: Sequence[float] = DEFAULT_MARGINS,
 ) -> Union[BifurcationPoint, NoBifurcation]:
-    """Solve mu(lambda*) = -1 on (floor, lambda0), or report NoBifurcation.
+    """Solve mu(lambda*) = -1 on (floor, lambda0) of a branch of fixed p0,
+    or report NoBifurcation.
 
     mu is probed at floor + eps for the decreasing margin schedule; the
     first probe with mu <= -1 gives the lower bracket end (monotonicity of
     mu where negative makes the left edge the infimum, so deeper probes
     cannot be missed).  A probe that fails raises its error: a numerical
-    failure is never reported as NoBifurcation.  Every solve goes through
-    the memo ``solves`` on the result, so no lambda is solved twice and
+    failure is never reported as NoBifurcation.  Every mu is read through
+    ``branch``, which the result carries, so no lambda is solved twice and
     callers can read or extend what the search solved.
     """
+    profile, flow = branch.profile, branch.flow
     lam0 = lambda_of_min_head(profile, flow, root_tol=root_tol)
     floor = profile.min_lambda
-    solves = Solves(profile, flow, mesh_points)
-    mu_at_lam0 = solves(lam0).mu_refined
 
+    def mu(lam):
+        return branch(lam)[1].mu_refined
+
+    mu_at_lam0 = mu(lam0)
+    probes = [floor + min(eps, 0.5 * (lam0 - floor)) for eps in margin_schedule]
     lam_lo = None
     inf_mu = math.inf
     lam_at_inf = lam0
-    for eps in margin_schedule:
-        cand = floor + min(eps, 0.5 * (lam0 - floor))
-        mu_lo = solves(cand).mu_refined
+    for cand in probes:
+        mu_lo = mu(cand)
         if mu_lo < inf_mu:
             inf_mu = mu_lo
             lam_at_inf = cand
@@ -99,26 +149,25 @@ def find_lambda_star(
     if lam_lo is None:
         return NoBifurcation(
             lambda0=lam0,
+            lambda_lo=probes[0],
             inf_mu=min(inf_mu, mu_at_lam0),
             lambda_at_inf=lam_at_inf,
             mu_at_lambda0=mu_at_lam0,
-            solves=solves,
+            branch=branch,
         )
 
     x_tol = root_tol * max(1.0, lam0)
-    lam_star = bracketed_root(lambda lam: solves(lam).mu_refined + 1.0, lam_lo, lam0, x_tol, f_tol=1e-10)
-    mode = solves(lam_star)
+    lam_star = bracketed_root(lambda lam: mu(lam) + 1.0, lam_lo, lam0, x_tol, f_tol=1e-10)
+    _, mode = branch(lam_star)
     return BifurcationPoint(
         lambda_star=lam_star,
         lambda0=lam0,
+        lambda_lo=lam_lo,
         Q_star=hydraulic_head(profile, flow, lam_star),
         mode=mode,
-        bracket=(lam_lo, lam0),
         mu_residual=abs(mode.mu_refined + 1.0),
         mu_at_lambda0=mu_at_lam0,
-        profile=profile,
-        flow=flow,
-        solves=solves,
+        branch=branch,
     )
 
 
@@ -224,28 +273,7 @@ def transversality_integral(point: BifurcationPoint) -> float:
         yield q.w * m * m / a
         yield q.w * a
 
-    int_inv, int_a = ElementRule(point.profile, nodes).integrate(weighted)
+    int_inv, int_a = ElementRule(point.branch.profile, nodes).integrate(weighted)
     i1 = float(np.sum(int_inv))
     i2 = float(np.sum(int_a * slope * slope))
-    return -0.5 * math.pi * i1 - 3.0 * math.pi * i2 / point.flow.d**2
-
-
-# -- fixed-mean-depth family: one point -----------------------------------------
-
-
-def onset_point(
-    dist: VorticityDistribution, d: float, g: float, lam: float, mesh_points: int, near=None
-) -> tuple[float, ModeSolution]:
-    """(p0, mode) at lambda on the family with p0 calibrated to the unit-depth
-    normalization; mode.mu_refined is mu(lambda).
-
-    The mass flux p0 is calibrated at this lambda, then mu(lambda) solved on
-    the profile it gives, seeded from the ModeSolution ``near`` as
-    principal_eigen is.  A failure of either step raises; for gamma == 0
-    calibration raises at every lambda (DegenerateConstraint at lambda = 1,
-    where every p0 satisfies the constraint).
-    """
-    p0 = calibrate_mass_flux(dist, d, lam)
-    flow = FlowParameters(d=d, g=g, p0=p0)
-    profile = GammaProfile.from_distribution(dist, flow)
-    return p0, principal_eigen(profile, flow, lam, mesh_points=mesh_points, near=near)
+    return -0.5 * math.pi * i1 - 3.0 * math.pi * i2 / point.branch.d**2

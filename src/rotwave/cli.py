@@ -31,6 +31,7 @@ from . import __version__
 from .bifurcation import (
     DEFAULT_MARGINS,
     BifurcationPoint,
+    Branch,
     NoBifurcation,
     check_bed_layer,
     check_constant_vorticity,
@@ -38,7 +39,6 @@ from .bifurcation import (
     check_general_sufficient,
     check_surface_layer,
     find_lambda_star,
-    onset_point,
     transversality_integral,
 )
 from .errors import ConfigError, Error, InvalidParameter, StagnationAtAmplitude
@@ -49,7 +49,6 @@ from .reconstruct import (
     surface_profile,
     weak_residual,
 )
-from .spectral import principal_eigen
 from .vorticity import FlowParameters, GammaProfile, VorticityDistribution, holder_seminorm
 
 
@@ -375,35 +374,23 @@ def build_criteria_report(config: RunConfig, profile: GammaProfile) -> dict:
 
 
 def _analysis(config: RunConfig):
-    profile = GammaProfile.from_distribution(config.vorticity, config.flow)
-    result = find_lambda_star(
-        profile,
-        config.flow,
-        mesh_points=config.numerics.mesh_points,
+    flow = config.flow
+    branch = Branch(config.vorticity, flow.d, flow.g, config.numerics.mesh_points, flow.p0)
+    return find_lambda_star(
+        branch,
         root_tol=config.numerics.root_tol,
         margin_schedule=config.numerics.lambda_margin_schedule,
     )
-    return profile, result
-
-
-def _mu_grid(profile, config, result) -> list:
-    if isinstance(result, BifurcationPoint):
-        lo = result.bracket[0]
-    else:
-        floor = profile.min_lambda
-        lo = floor + min(
-            config.numerics.lambda_margin_schedule[0], 0.5 * (result.lambda0 - floor)
-        )
-    return list(np.linspace(lo, result.lambda0, 21))
 
 
 def run_analyze(config: RunConfig, out_dir: str) -> int:
     """Locate the crossing, evaluate criteria, emit report.json + mu_curve.csv."""
     os.makedirs(out_dir, exist_ok=True)
-    profile, result = _analysis(config)
-    criteria = build_criteria_report(config, profile)
+    result = _analysis(config)
+    criteria = build_criteria_report(config, result.branch.profile)
     curve = [
-        (float(lam), result.solves(lam).mu_refined) for lam in _mu_grid(profile, config, result)
+        (float(lam), result.branch(lam)[1].mu_refined)
+        for lam in np.linspace(result.lambda_lo, result.lambda0, 21)
     ]
 
     report = {
@@ -543,7 +530,7 @@ def run_reconstruct(config: RunConfig, amplitudes: Sequence[float], out_dir: str
         for s in amplitudes or [config.reconstruct.amplitude]
     ]
     os.makedirs(out_dir, exist_ok=True)
-    profile, result = _analysis(config)
+    result = _analysis(config)
     if isinstance(result, NoBifurcation):
         line = {"status": "no_bifurcation", "inf_mu": result.inf_mu, "lambda_at_inf": result.lambda_at_inf}
         sys.stderr.write(json.dumps(_jsonable(line)) + "\n")
@@ -555,7 +542,7 @@ def run_reconstruct(config: RunConfig, amplitudes: Sequence[float], out_dir: str
     first_field = None
     for s in amplitudes:
         fld = build_wave(result, s, n_q)
-        interior, boundary = weak_residual(fld, profile, flow, result.Q_star)
+        interior, boundary = weak_residual(fld, result.branch.profile, flow, result.Q_star)
         entries.append({"s": s, "interior_norm": interior, "boundary_norm": boundary})
         if first_field is None:
             first_field = fld
@@ -664,7 +651,9 @@ def run_sweep(config: RunConfig, param_specs: Sequence[str], quantity: Optional[
 
     Any other parameter, and a gamma sweep on a profile that is not of
     constant vorticity, is a ConfigError raised before any row is solved.
-    A mu or onset row is seeded (``near``) from the last row solved.
+    A mu or onset row is a lambda of the Branch of its row config, at fixed
+    p0 for mu and calibrated for onset: rows that differ only in lambda
+    share a branch, and each is seeded from the nearest lambda solved on it.
     """
     if not 1 <= len(param_specs) <= 2:
         raise ConfigError("sweep needs one or two --param specs", "/sweep/param")
@@ -692,13 +681,13 @@ def run_sweep(config: RunConfig, param_specs: Sequence[str], quantity: Optional[
 
     rows = []
     n_ok = 0
-    near = None
+    branches = {}
     for combo in itertools.product(*(vals for _, vals in parsed)):
         overrides = dict(zip(names, combo))
         lam = overrides.pop("lambda", None)
         try:
             row_cfg = _sweep_row_config(config, overrides)
-            values, near = _sweep_values(row_cfg, quantity, lam, near)
+            values = _sweep_values(row_cfg, quantity, lam, branches)
             rows.append(list(combo) + values + [None])
             n_ok += 1
         except (Error, ValueError) as exc:
@@ -709,8 +698,9 @@ def run_sweep(config: RunConfig, param_specs: Sequence[str], quantity: Optional[
     return 0
 
 
-def _sweep_values(row_cfg: RunConfig, quantity: str, lam, near):
-    """The row's value columns, and the ModeSolution to seed the next row."""
+def _sweep_values(row_cfg: RunConfig, quantity: str, lam, branches: dict) -> list:
+    """The row's value columns; ``branches`` holds the Branch of each row
+    config a mu or onset row has been solved on."""
     flow = row_cfg.flow
     if quantity == "criteria":
         profile = GammaProfile.from_distribution(row_cfg.vorticity, flow)
@@ -721,21 +711,21 @@ def _sweep_values(row_cfg: RunConfig, quantity: str, lam, near):
                 values += [None, None]
             else:
                 values += ["undefined" if entry["holds"] is None else entry["holds"], entry["margin"]]
-        return values, near
-    if quantity == "mu":
-        profile = GammaProfile.from_distribution(row_cfg.vorticity, flow)
-        sol = principal_eigen(
-            profile, flow, float(lam), mesh_points=row_cfg.numerics.mesh_points, near=near
-        )
-        return [sol.mu_refined], sol
-    if quantity == "onset":
-        mesh_points = min(row_cfg.numerics.mesh_points, 1201)
-        p0, sol = onset_point(row_cfg.vorticity, flow.d, flow.g, float(lam), mesh_points, near)
-        return [p0, sol.mu_refined], sol
-    _profile, result = _analysis(row_cfg)
-    if isinstance(result, NoBifurcation):
-        return [None, result.lambda0, None], near
-    return [result.lambda_star, result.lambda0, result.mu_residual], near
+        return values
+    if quantity == "lambda_star":
+        result = _analysis(row_cfg)
+        if isinstance(result, NoBifurcation):
+            return [None, result.lambda0, None]
+        return [result.lambda_star, result.lambda0, result.mu_residual]
+    branch = branches.get(row_cfg)
+    if branch is None:
+        if quantity == "mu":
+            branch = Branch(row_cfg.vorticity, flow.d, flow.g, row_cfg.numerics.mesh_points, flow.p0)
+        else:  # onset: p0 is calibrated at each lambda
+            branch = Branch(row_cfg.vorticity, flow.d, flow.g, min(row_cfg.numerics.mesh_points, 1201))
+        branches[row_cfg] = branch
+    lam_flow, mode = branch(float(lam))
+    return [mode.mu_refined] if quantity == "mu" else [lam_flow.p0, mode.mu_refined]
 
 
 def run_criteria(config: RunConfig) -> int:

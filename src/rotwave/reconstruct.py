@@ -54,7 +54,7 @@ def build_wave(point: BifurcationPoint, s: float, n_q: int = 256) -> WaveField:
     """
     if n_q < 16:
         raise ValueError("n_q must be >= 16")
-    profile = point.profile
+    profile = point.branch.profile
     lam = point.lambda_star
     nodes = point.mode.nodes
     M = point.mode.M

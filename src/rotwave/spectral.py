@@ -221,16 +221,15 @@ def _bisect_smallest(dA, eA, dB, eB, rel_tol=1e-3):
     return 0.5 * (lo + hi)
 
 
-def _solve_level(flow, lam, nodes, rule, seed=None, restart=True):
+def _solve_level(flow, lam, nodes, rule, seed=None):
     """One mesh level: banded Rayleigh-quotient iteration on its pencil.
 
     ``seed`` is (sigma0, v0) from a coarser level or a neighbouring lambda;
     sigma0 None starts from the Rayleigh quotient of v0 on this pencil.
     Without a seed, the shift comes from a rough bisection of this level's
     pencil.  When the iteration fails its residual or inertia check, it is
-    restarted from a bisection of this level's pencil to 1e-12 relative,
-    or, with ``restart`` false, its EigenFailure is raised.  Returns (mu,
-    M_full) where mu is the element-energy quotient of the
+    restarted from a bisection of this level's pencil to 1e-12 relative.
+    Returns (mu, M_full) where mu is the element-energy quotient of the
     surface-normalized eigenfunction (the value whose Rayleigh identity is
     exact) and M_full includes the bed node M(-1) = 0.
     """
@@ -242,8 +241,6 @@ def _solve_level(flow, lam, nodes, rule, seed=None, restart=True):
     try:
         _, v = smallest_eigenpair_tridiagonal(*pencil, *seed)
     except EigenFailure:
-        if not restart:
-            raise
         sigma = _bisect_smallest(*pencil, rel_tol=1e-12)
         _, v = smallest_eigenpair_tridiagonal(*pencil, sigma, None)
     M = np.concatenate([[0.0], v])
@@ -269,54 +266,24 @@ def principal_eigen(
     ``near`` is a solution at a neighbouring lambda, on this profile or
     another.  With one, the coarse level is skipped: the working level
     starts from near.M interpolated to its nodes and that vector's Rayleigh
-    quotient.  Should that iteration fail its residual or inertia check,
-    the coarse level seeds the working level as without ``near``.  The
-    coarse level only ever seeds, so ``near`` changes the result by no more
+    quotient, and should that iteration fail its residual or inertia check
+    it restarts as every level does (see _solve_level).  The coarse level
+    and ``near`` only ever seed, so ``near`` changes the result by no more
     than the iteration's stopping tolerance.
     """
     profile.require_admissible(lam)
     (coarse, rule_c), (fine, rule_f), (finer, rule_2) = _mesh_levels(profile, lam, mesh_points)
-    level = None
-    if near is not None:
-        seed = (None, np.interp(fine[1:], near.nodes, near.M))
-        try:
-            level = _solve_level(flow, lam, fine, rule_f, seed, restart=False)
-        except EigenFailure:
-            pass
-    if level is None:
+    if near is None:
         mu_c, m_c = _solve_level(flow, lam, coarse, rule_c)
-        level = _solve_level(flow, lam, fine, rule_f, (mu_c, np.interp(fine[1:], coarse, m_c)))
-    mu_f, m_f = level
+        seed = (mu_c, np.interp(fine[1:], coarse, m_c))
+    else:
+        seed = (None, np.interp(fine[1:], near.nodes, near.M))
+    mu_f, m_f = _solve_level(flow, lam, fine, rule_f, seed)
     mu_2, m_2 = _solve_level(
         flow, lam, finer, rule_2, (mu_f, np.interp(finer[1:], fine, m_f))
     )
     mu_refined = mu_2 + (mu_2 - mu_f) / 3.0
     return ModeSolution(lam=lam, mu=mu_2, mu_refined=mu_refined, nodes=finer, M=m_2)
-
-
-class Solves:
-    """The solutions of principal_eigen on one profile, flow and mesh, by lambda.
-
-    Called with lambda, it returns the ModeSolution there.  Each lambda is
-    solved once, seeded (``near``) from the solved lambda nearest to it;
-    ``solved`` maps every lambda solved so far to its solution.
-    """
-
-    def __init__(self, profile: GammaProfile, flow: FlowParameters, mesh_points: int):
-        self.profile = profile
-        self.flow = flow
-        self.mesh_points = mesh_points
-        self.solved = {}
-
-    def __call__(self, lam: float) -> ModeSolution:
-        sol = self.solved.get(lam)
-        if sol is None:
-            near = min(self.solved.values(), key=lambda s: abs(s.lam - lam), default=None)
-            sol = principal_eigen(
-                self.profile, self.flow, lam, mesh_points=self.mesh_points, near=near
-            )
-            self.solved[lam] = sol
-        return sol
 
 
 def rayleigh_quotient(

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from rotwave import FlowParameters, GammaProfile, VorticityDistribution, spectral
+from rotwave import Branch, FlowParameters, GammaProfile, VorticityDistribution, bifurcation
 from rotwave.errors import EigenFailure
 
 
@@ -26,14 +26,20 @@ def make_profile(gamma=-1.0, d=1.0, g=1.0, p0=-1.0):
     return GammaProfile.from_distribution(dist, flow), flow
 
 
+def make_branch(gamma=-1.0, d=1.0, g=1.0, p0=-1.0, mesh_points=2001):
+    """The branch of fixed p0 through make_profile's flow."""
+    profile, _flow = make_profile(gamma, d=d, g=g, p0=p0)
+    return Branch(profile.source, d, g, mesh_points, p0)
+
+
 @pytest.fixture
 def failing_probes(monkeypatch):
     """Make every principal_eigen solve within 0.05 of the admissibility floor fail."""
-    solve = spectral.principal_eigen
+    solve = bifurcation.principal_eigen
 
     def failing(profile, flow, lam, **kwargs):
         if lam < profile.min_lambda + 0.05:
             raise EigenFailure("solve failed near the floor")
         return solve(profile, flow, lam, **kwargs)
 
-    monkeypatch.setattr(spectral, "principal_eigen", failing)
+    monkeypatch.setattr(bifurcation, "principal_eigen", failing)

@@ -6,6 +6,7 @@ import pytest
 
 from rotwave import (
     BifurcationPoint,
+    Branch,
     FlowParameters,
     GammaProfile,
     NoBifurcation,
@@ -17,7 +18,6 @@ from rotwave import (
     check_surface_layer,
     find_lambda_star,
     holder_seminorm,
-    onset_point,
     principal_eigen,
     transversality_integral,
 )
@@ -26,15 +26,15 @@ from rotwave.cli import build_criteria_report, main, parse_config
 from rotwave.errors import DegenerateConstraint, EigenFailure, NoSolution
 from rotwave.vorticity import ElementRule
 
-from conftest import make_profile
+from conftest import make_branch, make_profile
 
 
 def _pinned_point():
     p0 = -math.sqrt(math.tanh(1.0))
-    prof, flow = make_profile(VorticityDistribution.const(0.0), p0=p0)
-    pt = find_lambda_star(prof, flow)
+    branch = make_branch(VorticityDistribution.const(0.0), p0=p0)
+    pt = find_lambda_star(branch)
     assert isinstance(pt, BifurcationPoint)
-    return pt, prof, flow
+    return pt, branch.profile, branch.flow
 
 
 # -- find_lambda_star -------------------------------------------------------------
@@ -53,9 +53,8 @@ def test_pinned_crossing():
 
 def test_failed_probe_raises(failing_probes):
     # At the parent a failed probe ended the search as NoBifurcation.
-    prof, flow = make_profile(-1.0, d=1.0, g=9.81, p0=-2.0)
     with pytest.raises(EigenFailure):
-        find_lambda_star(prof, flow, mesh_points=201)
+        find_lambda_star(make_branch(-1.0, d=1.0, g=9.81, p0=-2.0, mesh_points=201))
 
 
 def test_search_builds_each_mesh_level_once(monkeypatch):
@@ -68,22 +67,20 @@ def test_search_builds_each_mesh_level_once(monkeypatch):
         init(self, *args)
 
     monkeypatch.setattr(ElementRule, "__init__", counted)
-    prof, flow = make_profile(-1.0, d=1.0, g=9.81, p0=-2.0)
-    pt = find_lambda_star(prof, flow)
+    pt = find_lambda_star(make_branch(-1.0, d=1.0, g=9.81, p0=-2.0))
     assert isinstance(pt, BifurcationPoint)
     assert len(built) <= 6
 
 
 def test_search_returns_every_mu_it_solved():
-    prof, flow = make_profile(-1.0, d=1.0, g=9.81, p0=-2.0)
-    pt = find_lambda_star(prof, flow, mesh_points=201)
-    solved = pt.solves.solved
-    assert solved[pt.lambda0].mu_refined == pt.mu_at_lambda0
-    assert solved[pt.lambda_star] is pt.mode
-    assert pt.bracket[0] in solved
+    pt = find_lambda_star(make_branch(-1.0, d=1.0, g=9.81, p0=-2.0, mesh_points=201))
+    solved = pt.branch.solved
+    assert solved[pt.lambda0][1].mu_refined == pt.mu_at_lambda0
+    assert solved[pt.lambda_star][1] is pt.mode
+    assert pt.lambda_lo in solved
     # A lambda the search solved is read back, not solved again.
     n = len(solved)
-    assert pt.solves(pt.bracket[0]) is solved[pt.bracket[0]]
+    assert pt.branch(pt.lambda_lo) is solved[pt.lambda_lo]
     assert len(solved) == n
 
 
@@ -102,8 +99,9 @@ def test_crossing_unique_in_bracket():
 
 
 def test_positive_vorticity_always_bifurcates():
-    prof, flow = make_profile(0.5)
-    pt = find_lambda_star(prof, flow)
+    branch = make_branch(0.5)
+    prof, flow = branch.profile, branch.flow
+    pt = find_lambda_star(branch)
     assert isinstance(pt, BifurcationPoint)
     # cross-check the located eigenvalue with the shooting oracle
     from rotwave import shooting_mu
@@ -113,11 +111,11 @@ def test_positive_vorticity_always_bifurcates():
 
 def test_no_bifurcation_weak_gravity():
     # with g = 0.05 the surface term is too weak for mu to reach -1
-    prof, flow = make_profile(-1.0, g=0.05)
-    result = find_lambda_star(prof, flow)
+    branch = make_branch(-1.0, g=0.05)
+    result = find_lambda_star(branch)
     assert isinstance(result, NoBifurcation)
     assert result.inf_mu > -1.0
-    assert result.lambda0 > prof.min_lambda
+    assert result.lambda0 > branch.profile.min_lambda
 
 
 # -- closed-form criteria ------------------------------------------------------------
@@ -271,7 +269,7 @@ def test_sufficient_criteria_imply_crossing():
         if not (g_ok or c_ok):
             continue
         found += 1
-        result = find_lambda_star(prof, flow, mesh_points=801)
+        result = find_lambda_star(make_branch(gamma, d=d, g=g, p0=p0, mesh_points=801))
         assert isinstance(result, BifurcationPoint)
 
 
@@ -302,8 +300,7 @@ def test_transversality_quadratic_scaling():
 
 
 def test_transversality_negative_rotational():
-    prof, flow = make_profile(0.5, g=1.5)
-    pt = find_lambda_star(prof, flow, mesh_points=801)
+    pt = find_lambda_star(make_branch(0.5, g=1.5, mesh_points=801))
     assert isinstance(pt, BifurcationPoint)
     assert transversality_integral(pt) < 0.0
 
@@ -312,14 +309,15 @@ def test_transversality_negative_rotational():
 
 
 def test_onset_irrotational_degenerate():
-    dist = VorticityDistribution.const(0.0)
+    branch = Branch(VorticityDistribution.const(0.0), 1.0, 1.0, 1201)
     # lambda != 1: the p0-independent constraint has no solution
     for lam in (0.5, 2.0):
         with pytest.raises(NoSolution, match="^gamma == 0"):
-            onset_point(dist, 1.0, 1.0, lam, 1201)
+            branch(lam)
     # lambda = 1: the constraint holds for every p0 (degenerate success)
     with pytest.raises(DegenerateConstraint, match="^degenerate: gamma == 0"):
-        onset_point(dist, 1.0, 1.0, 1.0, 1201)
+        branch(1.0)
+    assert branch.solved == {}
 
 
 def test_onset_empty_grid(tmp_path):
@@ -335,7 +333,8 @@ def test_onset_empty_grid(tmp_path):
 
 def test_onset_crossing_for_moderate_vorticity():
     dist = VorticityDistribution.const(-1.0)
-    mus = np.array([onset_point(dist, 1.0, 1.0, lam, 801)[1].mu_refined for lam in np.linspace(1.1, 3.9, 15)])
+    branch = Branch(dist, 1.0, 1.0, 801)
+    mus = np.array([branch(lam)[1].mu_refined for lam in np.linspace(1.1, 3.9, 15)])
     assert min(mus) < -1.0 < max(mus)
     # mu + 1 changes sign between two neighbouring grid points.
     assert np.any((mus[:-1] + 1.0) * (mus[1:] + 1.0) <= 0.0)

@@ -517,8 +517,8 @@ def test_field_csv_is_the_field_cell_by_cell(tmp_path, monkeypatch, config):
         assert _run(tmp_path, case, *argv) == 0
 
         # The first amplitude's field, built apart from run_reconstruct.
-        _profile, result = cli._analysis(parse_config(json.dumps(case)))
-        flow = result.flow
+        result = cli._analysis(parse_config(json.dumps(case)))
+        flow = result.branch.flow
         fld = build_wave(result, s, n_q)
         lines = _read_lines(out / "field.csv", ",".join(FIELD_HEADER))
         assert lines == _field_lines(fld, flow)
@@ -547,8 +547,8 @@ def test_field_csv_is_the_field_cell_by_cell(tmp_path, monkeypatch, config):
 
 def _c1_wave(n_q, mesh_points=201):
     config = dict(C1, numerics={"mesh_points": mesh_points})
-    _profile, result = cli._analysis(parse_config(json.dumps(config)))
-    return build_wave(result, 0.01, n_q), result.flow
+    result = cli._analysis(parse_config(json.dumps(config)))
+    return build_wave(result, 0.01, n_q), result.branch.flow
 
 
 def test_field_csv_memory_is_about_one_block(tmp_path):
@@ -655,7 +655,7 @@ def eigen_solves(monkeypatch):
         solves[profile.source, float(lam)] += 1
         return solve(profile, flow, lam, **kwargs)
 
-    for module in (spectral, bifurcation, cli):
+    for module in (spectral, bifurcation):
         monkeypatch.setattr(module, "principal_eigen", counted)
     return solves
 
@@ -687,9 +687,11 @@ ONSET_PIECEWISE = {
 
 @pytest.fixture
 def reuse(monkeypatch):
-    """Count ElementRule builds, the mesh gradings asked for and coarse bisections."""
+    """Count ElementRule builds, GammaProfile builds, the mesh gradings asked
+    for and coarse bisections."""
     counts, gradings = Counter(), set()
     init, bisect, graded = vorticity.ElementRule.__init__, spectral._bisect_smallest, spectral._graded
+    from_distribution = vars(GammaProfile)["from_distribution"].__func__
 
     def counted_init(self, *args):
         counts["rules"] += 1
@@ -699,6 +701,10 @@ def reuse(monkeypatch):
         counts["bisections"] += 1
         return bisect(*args, **kwargs)
 
+    def counted_profile(cls, *args):
+        counts["profiles"] += 1
+        return from_distribution(cls, *args)
+
     def recorded_graded(profile, lam):
         grade = graded(profile, lam)
         gradings.add(grade)
@@ -707,6 +713,7 @@ def reuse(monkeypatch):
     monkeypatch.setattr(vorticity.ElementRule, "__init__", counted_init)
     monkeypatch.setattr(spectral, "_bisect_smallest", counted_bisect)
     monkeypatch.setattr(spectral, "_graded", recorded_graded)
+    monkeypatch.setattr(GammaProfile, "from_distribution", classmethod(counted_profile))
     return counts, gradings
 
 
@@ -715,40 +722,59 @@ def _rows_match_unseeded_solves(config, rows, mesh_points):
         assert row["error"] == ""
         cfg = parse_config(json.dumps(config))  # its own distribution: no shared levels
         lam = float(row["lambda"])
-        flow = replace(cfg.flow, p0=float(row.get("p0", cfg.flow.p0)))
-        profile = GammaProfile.from_distribution(cfg.vorticity, flow)
+        flow = replace(cfg.flow, **{k: float(row[k]) for k in ("g", "p0") if k in row})
+        dist = vorticity.VorticityDistribution.const(float(row["gamma"])) if "gamma" in row else cfg.vorticity
+        profile = GammaProfile.from_distribution(dist, flow)
         ref = spectral.principal_eigen(profile, flow, lam, mesh_points=mesh_points).mu_refined
         assert abs(float(row["mu"]) - ref) <= 1e-14 * max(1.0, abs(ref))
 
 
-@pytest.mark.parametrize(
-    "config, grid, n_rows",
-    [(ONSET_TABULATED, "lambda:1.2:2:9", 9), (ONSET_PIECEWISE, "lambda:1.5:2.5:17", 17)],
-    ids=["tabulated", "piecewise"],
-)
-def test_onset_rows_share_mesh_levels_and_seed_each_other(tmp_path, reuse, config, grid, n_rows):
-    # Rows differ only in p0: they share the distribution's mesh levels, and
-    # every row but the first is seeded from the one before it, so a sweep
-    # builds 3 rules per grading and runs one coarse bisection.
-    counts, gradings = reuse
+def _sweep(tmp_path, config, grids, *quantity):
     out = tmp_path / "out"
-    assert _run(tmp_path, config, "sweep", "--param", grid, "--quantity", "onset", "--out", str(out)) == 0
+    params = [arg for grid in grids for arg in ("--param", grid)]
+    assert _run(tmp_path, config, "sweep", *params, *quantity, "--out", str(out)) == 0
+    return _read_csv(out / "sweep.csv")
+
+
+@pytest.mark.parametrize(
+    "config, grids, n_rows, n_branches",
+    [
+        (ONSET_TABULATED, ["lambda:1.2:2:9"], 9, 1),
+        (ONSET_PIECEWISE, ["lambda:1.5:2.5:17"], 17, 1),
+        (ONSET_PIECEWISE, ["lambda:1.5:2.5:5", "g:0.5:1.5:2"], 10, 2),
+    ],
+    ids=["tabulated", "piecewise", "piecewise_by_g"],
+)
+def test_onset_rows_share_mesh_levels_and_seed_each_other(tmp_path, reuse, config, grids, n_rows, n_branches):
+    # Rows of one g differ only in lambda: they are one branch, whose first
+    # lambda alone runs a coarse bisection, every other one being seeded
+    # from the nearest lambda solved on it.  Every branch shares the
+    # distribution's mesh levels: 3 rules per grading.
+    counts, gradings = reuse
+    rows = _sweep(tmp_path, config, grids, "--quantity", "onset")
     assert counts["rules"] <= 3 * len(gradings)
-    assert counts["bisections"] == 1
-    rows = _read_csv(out / "sweep.csv")
+    assert counts["bisections"] == n_branches
     assert len(rows) == n_rows
     _rows_match_unseeded_solves(config, rows, 1201)
 
 
 def test_mu_sweep_rows_seed_each_other(tmp_path, reuse):
+    # One branch per gamma, in either parameter order: one GammaProfile, one
+    # coarse bisection and 3 rules per grading each.
     counts, gradings = reuse
-    out = tmp_path / "out"
-    assert _run(tmp_path, C1, "sweep", "--param", "lambda:1.05:1.5:5", "--out", str(out)) == 0
-    assert counts["rules"] <= 3 * len(gradings)
-    assert counts["bisections"] == 1
-    rows = _read_csv(out / "sweep.csv")
-    assert len(rows) == 5
-    _rows_match_unseeded_solves(C1, rows, C1["numerics"]["mesh_points"])
+    for grids, n_rows, n_branches in [
+        (["lambda:1.05:1.5:5"], 5, 1),
+        (["lambda:1.25:1.5:4", "gamma:-1.2:-0.8:3"], 12, 3),
+        (["gamma:-1.2:-0.8:3", "lambda:1.25:1.5:4"], 12, 3),
+    ]:
+        counts.clear()
+        gradings.clear()
+        rows = _sweep(tmp_path, C1, grids)
+        assert counts["profiles"] == n_branches
+        assert counts["rules"] <= 3 * len(gradings) * n_branches
+        assert counts["bisections"] == n_branches
+        assert len(rows) == n_rows
+        _rows_match_unseeded_solves(C1, rows, C1["numerics"]["mesh_points"])
 
 
 def test_onset_caps_mesh_points_at_1201(tmp_path):

@@ -15,7 +15,7 @@ from rotwave.numerics import (
     smallest_eigenpair_tridiagonal,
 )
 
-from conftest import make_profile
+from conftest import make_branch, make_profile
 
 
 # -- bracketed_root ----------------------------------------------------------
@@ -342,7 +342,7 @@ def test_certificate_agrees_with_inertia_counts(name, monkeypatch, certificates)
     # Every principal_eigen solve runs levels of 201, 2001 and 4001 nodes.
     gamma, flow_kwargs = _PROFILES[name]
     prof, flow = make_profile(gamma, **flow_kwargs)
-    result = find_lambda_star(prof, flow)
+    result = find_lambda_star(make_branch(gamma, **flow_kwargs))
     lambdas = (prof.min_lambda + 1e-3, result.lambda_star, lambda_of_min_head(prof, flow))
 
     pencils = []

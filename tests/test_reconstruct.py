@@ -19,15 +19,15 @@ from rotwave import (
 from rotwave.errors import StagnationAtAmplitude
 from rotwave.laminar import height_on_mesh
 
-from conftest import make_profile
+from conftest import make_branch, make_profile
 
 
 def _pinned_point():
     p0 = -math.sqrt(math.tanh(1.0))
-    prof, flow = make_profile(VorticityDistribution.const(0.0), p0=p0)
-    pt = find_lambda_star(prof, flow)
+    branch = make_branch(VorticityDistribution.const(0.0), p0=p0)
+    pt = find_lambda_star(branch)
     assert isinstance(pt, BifurcationPoint)
-    return pt, prof, flow
+    return pt, branch.profile, branch.flow
 
 
 # -- build_wave ---------------------------------------------------------------
@@ -176,21 +176,17 @@ def test_surface_mean_zero_pinned():
 def test_surface_mean_matches_laminar_height():
     # without the depth normalization the mean equals d H(0; lambda); build
     # a synthetic point at lambda = 3 to exercise the laminar mean directly
-    prof, flow = make_profile(-1.0)
-    from rotwave.spectral import Solves
-
-    solves = Solves(prof, flow, 2001)
+    branch = make_branch(-1.0)
+    prof, flow = branch.profile, branch.flow
     point = BifurcationPoint(
         lambda_star=3.0,
         lambda0=3.0,
+        lambda_lo=2.5,
         Q_star=hydraulic_head(prof, flow, 3.0),
-        mode=solves(3.0),
-        bracket=(2.5, 3.5),
+        mode=branch(3.0)[1],
         mu_residual=0.0,
         mu_at_lambda0=0.0,
-        profile=prof,
-        flow=flow,
-        solves=solves,
+        branch=branch,
     )
     field = build_wave(point, 0.0, 128)
     _eta, mean = surface_profile(field, flow)
@@ -210,21 +206,17 @@ def test_residual_laminar_baseline():
 
 
 def test_residual_laminar_rotational_baseline():
-    prof, flow = make_profile(-1.0)
-    from rotwave.spectral import Solves
-
-    solves = Solves(prof, flow, 2001)
+    branch = make_branch(-1.0)
+    prof, flow = branch.profile, branch.flow
     point = BifurcationPoint(
         lambda_star=3.0,
         lambda0=3.0,
+        lambda_lo=2.5,
         Q_star=hydraulic_head(prof, flow, 3.0),
-        mode=solves(3.0),
-        bracket=(2.5, 3.5),
+        mode=branch(3.0)[1],
         mu_residual=0.0,
         mu_at_lambda0=0.0,
-        profile=prof,
-        flow=flow,
-        solves=solves,
+        branch=branch,
     )
     for n_q in (64, 128):
         field = build_wave(point, 0.0, n_q)

@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 
 from rotwave import (
+    Branch,
     FlowParameters,
     VorticityDistribution,
     find_lambda_star,
@@ -13,12 +14,11 @@ from rotwave import (
     rayleigh_quotient,
     shooting_mu,
 )
-from rotwave import numerics, spectral
+from rotwave import bifurcation, numerics, spectral
 from rotwave.errors import EigenFailure, NonAdmissibleLambda, ZeroDenominator
 from rotwave.numerics import bracketed_root, smallest_eigenpair_tridiagonal
 from rotwave.spectral import (
     ModeSolution,
-    Solves,
     _solve_level,
     assemble,
     build_mesh,
@@ -26,13 +26,18 @@ from rotwave.spectral import (
 )
 from rotwave.vorticity import ElementRule
 
-from conftest import make_profile
+from conftest import make_branch, make_profile
 
 
 def _pinned():
     p0 = -math.sqrt(math.tanh(1.0))
     flow = FlowParameters(d=1.0, g=1.0, p0=p0)
     return make_profile(VorticityDistribution.const(0.0), p0=p0)[0], flow
+
+
+def _pinned_branch(mesh_points):
+    prof, flow = _pinned()
+    return Branch(prof.source, flow.d, flow.g, mesh_points, flow.p0)
 
 
 # -- rayleigh_quotient -----------------------------------------------------------
@@ -208,41 +213,39 @@ def test_mode_two_at_matched_lambda():
     assert rayleigh_quotient(prof, flow, lam2, sol.nodes, sol.M) == pytest.approx(-4.0, abs=1e-6)
 
 
-# -- the Solves memo -----------------------------------------------------------------
+# -- the Branch memo -----------------------------------------------------------------
 
 
 def test_mu_curve_monotone_where_negative():
-    prof, flow = _pinned()
-    solves = Solves(prof, flow, 2001)
-    mus = [solves(lam).mu_refined for lam in (0.25, 0.5, 1.0)]
+    branch = _pinned_branch(2001)
+    mus = [branch(lam)[1].mu_refined for lam in (0.25, 0.5, 1.0)]
     assert mus[0] < mus[1] < mus[2]
     assert mus[2] == pytest.approx(-1.0, abs=1e-6)
 
 
 def test_mu_curve_includes_head_minimizer():
-    prof, flow = _pinned()
-    lam0 = lambda_of_min_head(prof, flow)
-    assert Solves(prof, flow, 2001)(lam0).mu_refined == pytest.approx(0.0, abs=1e-6)
+    branch = _pinned_branch(2001)
+    lam0 = lambda_of_min_head(branch.profile, branch.flow)
+    assert branch(lam0)[1].mu_refined == pytest.approx(0.0, abs=1e-6)
 
 
 def test_solves_each_lambda_once_seeded_from_the_nearest(monkeypatch):
-    prof, flow = _pinned()
     calls = []
-    solve = spectral.principal_eigen
+    solve = bifurcation.principal_eigen
 
     def recorded(profile, flow, lam, **kwargs):
         near = kwargs["near"]
         calls.append((lam, None if near is None else near.lam))
         return solve(profile, flow, lam, **kwargs)
 
-    monkeypatch.setattr(spectral, "principal_eigen", recorded)
-    solves = Solves(prof, flow, 201)
-    first = solves(1.0)
+    monkeypatch.setattr(bifurcation, "principal_eigen", recorded)
+    branch = _pinned_branch(201)
+    first = branch(1.0)
     for lam in (0.5, 0.9, 1.0, 0.5):
-        solves(lam)
+        branch(lam)
     assert calls == [(1.0, None), (0.5, 1.0), (0.9, 1.0)]
-    assert list(solves.solved) == [1.0, 0.5, 0.9]
-    assert solves(1.0) is first
+    assert list(branch.solved) == [1.0, 0.5, 0.9]
+    assert branch(1.0) is first
 
 
 # -- flux continuity -----------------------------------------------------------------
@@ -351,7 +354,7 @@ def test_seeded_solve_equals_unseeded(name):
     # and from a close neighbour, the seed moves mu by no more than round-off.
     gamma, flow_args = _PROFILES[name]
     prof, flow = make_profile(gamma, **flow_args)
-    pt = find_lambda_star(prof, flow)
+    pt = find_lambda_star(make_branch(gamma, **flow_args))
     lams = (prof.min_lambda + 1e-3, pt.lambda_star, pt.lambda0)
     plain = {lam: principal_eigen(prof, flow, lam) for lam in lams}
     for lam in lams:
@@ -361,8 +364,10 @@ def test_seeded_solve_equals_unseeded(name):
 
 
 def test_misleading_seed_takes_the_fallback(monkeypatch):
-    # A mode of another profile, or a vector with interior zeros, leads the
-    # iteration astray; the coarse bisection path then finds the principal pair.
+    # A mode of another profile, a vector with interior zeros, or the mode at
+    # lambda0 seeding C0 just above its floor leads the iteration astray; the
+    # working level then restarts from a tight bisection of its own pencil,
+    # with no coarse level solved, and finds the principal pair.
     rough = []
     bisect = spectral._bisect_smallest
 
@@ -374,23 +379,17 @@ def test_misleading_seed_takes_the_fallback(monkeypatch):
     c1, flow = make_profile(-1.0, d=1.0, g=9.81, p0=-2.0)
     c0, _ = make_profile(0.0, d=1.0, g=9.81, p0=-2.0)
     lam = c1.min_lambda + 1e-3
-    plain = principal_eigen(c1, flow, lam)
     other = principal_eigen(c0, flow, 0.01)
     nodes = other.nodes
     wavy = ModeSolution(
         lam=lam, mu=0.0, mu_refined=0.0, nodes=nodes, M=np.sin(2.5 * np.pi * (nodes + 1.0))
     )
-    for near in (other, wavy):
+    cases = [(c1, lam, other), (c1, lam, wavy), (c0, 1e-3, principal_eigen(c0, flow, 1.8))]
+    for prof, lam, near in cases:
+        plain = principal_eigen(prof, flow, lam)
         rough.clear()
-        _same_eigen(principal_eigen(c1, flow, lam, near=near), plain)
-        assert rough == [True]
-
-    # C0 just above its floor, seeded from lambda0, also needs the tight restart.
-    plain = principal_eigen(c0, flow, 1e-3)
-    near = principal_eigen(c0, flow, 1.8)
-    rough.clear()
-    _same_eigen(principal_eigen(c0, flow, 1e-3, near=near), plain)
-    assert rough == [True, False]
+        _same_eigen(principal_eigen(prof, flow, lam, near=near), plain)
+        assert rough == [False]
 
 
 @pytest.mark.parametrize("name, lam", [("C0", 0.01), ("C1", 1.01), ("P", None), ("T", None)])
@@ -400,7 +399,7 @@ def test_every_level_returns_a_converged_pair(monkeypatch, name, lam):
     gamma, flow_args = _PROFILES[name]
     prof, flow = make_profile(gamma, **flow_args)
     if lam is None:
-        lam = find_lambda_star(prof, flow).lambda_star
+        lam = find_lambda_star(make_branch(gamma, **flow_args)).lambda_star
     residuals = []
     solve = spectral.smallest_eigenpair_tridiagonal
 
