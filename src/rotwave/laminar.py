@@ -46,7 +46,7 @@ class _Pieces:
     """The p0-free part of a profile's exact piece integrals: the pieces
     between its break points and ``points`` (``edges``) with gamma and gamma'
     on them, Gamma(p1) unscaled, and the largest unscaled Gamma at a break
-    point, which the scale 2 d^2 / p0 < 0 makes Gamma_min.  Only ``values``
+    point, which the scale 2 d^2 / p0 < 0 makes Gamma_min.  Only ``powers``
     applies the scale, so one geometry serves every p0 with the same p1."""
 
     def __init__(self, profile: GammaProfile, points=()):
@@ -70,6 +70,12 @@ class _Pieces:
     def values(self, scale: float, lam: float, expo: float) -> np.ndarray:
         """The exact integral of (lambda + Gamma)^expo over each piece, for
         expo = -1/2 or -3/2 and admissible lambda; see the module docstring."""
+        return self.powers(scale, lam, (expo,))[0]
+
+    def powers(self, scale: float, lam: float, expos, least: Optional[float] = None) -> list:
+        """``values`` for each of ``expos`` from one pass over the pieces.
+        ``least`` is lambda + Gamma_min where the caller knows it more
+        accurately than the sum of its two terms."""
         h, k = self.h, self.k
         u1, u2 = scale * self.gamma1, scale * self.gamma2
         a = 0.5 * scale * self.slope
@@ -77,7 +83,11 @@ class _Pieces:
         # never below its least value lambda + Gamma_min.
         rise = 0.5 * h * (u1 + u2)
         above = np.concatenate([-np.cumsum(rise[:k][::-1])[::-1], [0.0], np.cumsum(rise[k:])])
-        R = np.maximum((lam + scale * self.unscaled_p1) + above, lam + scale * self.unscaled_max)
+        if least is None:
+            base, least = lam + scale * self.unscaled_p1, lam + scale * self.unscaled_max
+        else:
+            base = least + scale * (self.unscaled_p1 - self.unscaled_max)
+        R = np.maximum(base + above, least)
         r = np.sqrt(R)
         # Orient every piece so that Gamma rises along it.  At a zero of gamma
         # u is round-off and may keep either sign.
@@ -86,27 +96,43 @@ class _Pieces:
         r1, r2 = np.where(flip, r[1:], r[:-1]), np.where(flip, r[:-1], r[1:])
         u1, u2 = np.where(flip, -u2, u1), np.where(flip, -u1, u2)
 
-        out = 2.0 * h / (r1 + r2)
-        if expo == -1.5:
-            out /= r1 * r2
+        linear = 2.0 * h / (r1 + r2)
+        ends = r1 * r2 if -1.5 in expos else None
         # The linear forms are exact to round-off where |a| h^2 <= eps R1, and
         # the quadratic ones could underflow there.  A genuine quadratic piece
         # has u1 + u2 >= 2 |a| h > 0; one narrower than round-off may not.
         q = (np.abs(a) * h * h > np.finfo(float).eps * R1) & (u1 + u2 > 0.0)
         h, R1, r1, r2, u1, u2, a = (x[q] for x in (h, R1, r1, r2, u1, u2, a))
-        if expo == -1.5:
-            out[q] = h * (u1 + u2) / (r1 * r2 * (u2 * r1 + u1 * r2))
-        else:
-            s = np.sqrt(np.abs(a))
-            rising = np.log1p(h * s * ((u1 + u2) / (r1 + r2) + 2.0 * s) / (2.0 * s * r1 + u1)) / s
-            x = np.where(
-                u1 * u2 < 0.0,
-                u2 * r1 - u1 * r2,
-                (4.0 * a * R1 - u1 * u1) * h * (u1 + u2) / (2.0 * (u2 * r1 + u1 * r2)),
-            )
-            falling = -np.arctan2(2.0 * s * x, 4.0 * s * s * r1 * r2 + u1 * u2) / s
-            out[q] = np.where(a > 0.0, rising, falling)
+        out = []
+        for expo in expos:
+            if expo == -1.5:
+                piece = linear / ends
+                piece[q] = h * (u1 + u2) / (r1 * r2 * (u2 * r1 + u1 * r2))
+            elif h.size:
+                piece, s, up, at = linear.copy(), np.sqrt(np.abs(a)), a > 0.0, np.flatnonzero(q)
+                # Lists, not generators: CPython 3.11 leaks the arguments of
+                # a call star-unpacked from a generator in an item assignment.
+                piece[at[up]] = _rising(*[x[up] for x in (h, r1, r2, u1, u2, s)])
+                piece[at[~up]] = _falling(*[x[~up] for x in (h, R1, r1, r2, u1, u2, a, s)])
+            else:
+                piece = linear
+            out.append(piece)
         return out
+
+
+def _rising(h, r1, r2, u1, u2, s):
+    """The -1/2 power on quadratic pieces with a = s^2 > 0."""
+    return np.log1p(h * s * ((u1 + u2) / (r1 + r2) + 2.0 * s) / (2.0 * s * r1 + u1)) / s
+
+
+def _falling(h, R1, r1, r2, u1, u2, a, s):
+    """The -1/2 power on quadratic pieces with a = -s^2 < 0."""
+    x = np.where(
+        u1 * u2 < 0.0,
+        u2 * r1 - u1 * r2,
+        (4.0 * a * R1 - u1 * u1) * h * (u1 + u2) / (2.0 * (u2 * r1 + u1 * r2)),
+    )
+    return -np.arctan2(2.0 * s * x, 4.0 * s * s * r1 * r2 + u1 * u2) / s
 
 
 def _integral(profile: GammaProfile, lam: float, expo: float) -> float:
@@ -167,18 +193,203 @@ def lambda_of_min_head(
     return bracketed_root(f, lo, hi, x_tol=root_tol * max(1.0, abs(hi)))
 
 
+class _DepthConstraint:
+    """phi = integral_{-1}^0 (lambda + Gamma)^(-1/2) dp - 1 at one lambda, for
+    t = -1/p0 in (0, t_end].
+
+    With U = integral_0^p gamma, Gamma = -2 d^2 t U.  Where max U > 0, t_end
+    is the admissibility edge t_max = lambda / (2 d^2 max U), and
+    lambda + Gamma_min = lambda (1 - t / t_max).  Where max U = 0 there is no
+    edge: Gamma_min = 0 at every t, and t_end is any t > 0.
+
+    A point is given by x = sqrt(1 - y) or by y = t / t_end.  Near the
+    edge x keeps t and lambda + Gamma_min = lambda x^2 (passed to the pieces
+    as it is, not as a difference that cancels) to full relative accuracy,
+    and near t = 0 y does.  phi falls like sqrt(t_max - t) at the edge but is
+    about linear in x there, and x resolves roots far closer to the edge
+    than a float t can.
+    """
+
+    def __init__(self, geometry: tuple, d: float, lam: float, t_end: Optional[float] = None):
+        (self.pieces, self.flat), self.lam, self.c = geometry, lam, 2.0 * d * d
+        self.edge = t_end is None
+        self.t_end = lam / (self.c * self.pieces.unscaled_max) if self.edge else t_end
+
+    def point(self, v: float, in_y: bool = False) -> tuple:
+        """(t, lambda + Gamma_min, dt/dv) at x = v, or at y = v with ``in_y``."""
+        if in_y:
+            t, gap, dt = self.t_end * v, 1.0 - v, self.t_end
+        else:
+            t, gap, dt = self.t_end * ((1.0 - v) * (1.0 + v)), v * v, -2.0 * self.t_end * v
+        return t, self.lam * gap if self.edge else self.lam, dt
+
+    def __call__(self, v: float, in_y: bool = False, slope: bool = True):
+        """phi at the point v and, with ``slope``, dphi/dv, from
+        dphi/dt = -(I_1/2 - lambda I_3/2) / (2t), I_e being the integral of
+        (lambda + Gamma)^e: both from one pass over the pieces.
+
+        Next to a zero of gamma, u is round-off, and within (u / 2 sqrt(a))^2
+        of the edge lambda + Gamma dips below lambda + Gamma_min inside the
+        piece: there the -1/2 power is NaN, and phi is +inf, as past the
+        edge."""
+        t, least, dt = self.point(v, in_y)
+        expos = (-0.5, -1.5) if slope else (-0.5,)
+        with np.errstate(invalid="ignore"):
+            sums = [float(np.sum(p)) for p in self.pieces.powers(-self.c * t, self.lam, expos, least)]
+        if math.isnan(sums[0]):
+            sums = [math.inf, math.nan]
+        if not slope:
+            return sums[0] - 1.0
+        return sums[0] - 1.0, (sums[0] - self.lam * sums[1]) / (-2.0 * t) * dt
+
+    def at_end(self) -> float:
+        """phi at x = 0.  At the edge that is its limit there: finite, or +inf
+        where lambda + Gamma does not rise linearly on a side of a minimizer
+        of Gamma (``flat``).  gamma of order 1e-300 at the minimizer may
+        overflow the finite limit to +inf."""
+        if self.edge and self.flat:
+            return math.inf
+        with np.errstate(over="ignore"):
+            return self(0.0, slope=False)
+
+
+def _flat_minimum(profile: GammaProfile) -> bool:
+    """Whether lambda + Gamma fails to rise linearly away from a minimizer
+    of Gamma on a side: at an interior zero of gamma, or at a knot where
+    gamma is not > 0 on its left or not < 0 on its right (Gamma' has the
+    sign of -gamma).  At the admissibility floor lambda + Gamma then
+    vanishes there to second order, or on an interval, and the integral of
+    its -1/2 power diverges."""
+    knots, mins = profile._knots, np.asarray(profile.minimizers)
+    k = np.searchsorted(knots, mins)
+    at_knot = knots[k] == mins
+    left = np.concatenate([[1.0], profile._g_end])[k]  # none left of the bed
+    right = np.concatenate([profile._g0, [-1.0]])[k]  # none right of the surface
+    return bool(np.any(~at_knot | (left <= 0.0) | (right >= 0.0)))
+
+
+def _rounded(v: float) -> float:
+    """v > 0 rounded to 26 significant bits."""
+    m, e = math.frexp(v)
+    return math.ldexp(round(m * 2.0**26), e - 26)
+
+
+def _newton(phi: _DepthConstraint, pos: float, neg: float, x: float) -> tuple:
+    """The root of phi between x = pos, where phi > 0, and x = neg, where
+    phi < 0, as (v, in_y) (see _DepthConstraint.point): Newton steps in x
+    from x, bisecting where a step leaves the bracket.
+
+    The last steps land within round-off of the root, at points that depend
+    on where the iteration started.  So the iterate, converged to about
+    2^-40 in its distance to the nearer end of [0, 1], is rounded to 26 bits
+    in the variable of that end, x or y, and one Newton step from there is
+    the result: the same for every start that converges.
+    """
+    for _ in range(200):
+        f, fx = phi(x)
+        if f == 0.0:
+            break
+        if f > 0.0:
+            pos = x
+        else:
+            neg = x
+        lo, hi = min(pos, neg), max(pos, neg)
+        step = f / fx if fx != 0.0 else math.inf
+        if lo < x - step < hi:
+            x -= step
+            if abs(step) <= 2.0**-20 * min(x, 1.0 - x):
+                break
+        else:
+            mid = 0.5 * (lo + hi)
+            if not lo < mid < hi or hi - lo <= 2.0**-20 * min(mid, 1.0 - mid):
+                break
+            x = mid
+    else:
+        raise NoSolution("the calibration did not converge")
+    in_y = x * x > 0.5
+    v = _rounded((1.0 - x) * (1.0 + x) if in_y else x)
+    f, fv = phi(v, in_y)
+    step = f / fv if fv != 0.0 else 0.0
+    return (v - step if 0.0 < v - step < 1.0 else v), in_y
+
+
+def _below_zero(phi: _DepthConstraint, at_zero: float) -> float:
+    """An x where phi <= 0, given phi >= 0 at both ends of [0, t_max].
+
+    phi is convex in y = t / t_max, so it can dip below 0 only around its
+    minimizer.  Each probe keeps the side of the minimizer that the sign of
+    dphi/dy gives, and goes where the tangents at the two ends meet (the
+    midpoint while an end has no tangent): under them lies a lower bound of
+    phi on the bracket, and NoSolution is raised once that bound is above 0.
+    """
+    lo, hi = (0.0, at_zero, None), (1.0, None, None)  # (y, phi, dphi/dy)
+    y = 0.5
+    for _ in range(200):
+        x = math.sqrt(1.0 - y)
+        f, fx = phi(x)
+        if f <= 0.0:
+            return x
+        probe = ((1.0 - x) * (1.0 + x), f, fx / (-2.0 * x) if f < math.inf else None)
+        if f == math.inf or probe[2] > 0.0:
+            hi = probe
+        else:
+            lo = probe
+        (ya, fa, sa), (yb, fb, sb) = lo, hi
+        y, bound = 0.5 * (ya + yb), -math.inf
+        if sa is not None and sb is not None:
+            meet = (fb - fa + sa * ya - sb * yb) / (sa - sb)
+            if ya < meet < yb:
+                y, bound = meet, fa + sa * (meet - ya)
+        elif sb is not None:
+            bound = fb + sb * (ya - yb)
+        elif sa is not None:
+            bound = fa + sa * (yb - ya)
+        if bound > 0.0 or yb - ya <= 1e-13:
+            break
+    raise NoSolution("no p0 produces the unit-depth laminar flow: phi stays above 0")
+
+
 def calibrate_mass_flux(
     dist: VorticityDistribution,
     d: float,
     lam: float,
+    *,
+    near: Optional[float] = None,
 ) -> float:
     """p0 < 0 enforcing the unit-depth normalization of the laminar flow.
 
-    Solves phi(p0) = integral (lambda + Gamma(s; p0))^(-1/2) ds - 1 = 0,
-    where Gamma depends on p0 through its 2 d^2 / p0 prefactor.  For
-    gamma == 0 the constraint is independent of p0: it then holds for every
-    p0 exactly when lambda = 1 (DegenerateConstraint) and for no p0
-    otherwise (NoSolution).
+    The constraint is solved in t = -1/p0 > 0.  With U = integral_0^p gamma,
+    Gamma = -2 d^2 t U and
+
+        phi(t) = integral_{-1}^0 (lambda - 2 d^2 t U)^(-1/2) dp - 1,
+
+    which is convex in t, with phi(0) = lambda^(-1/2) - 1 exactly and
+    dphi/dt = -(I_1/2 - lambda I_3/2) / (2t), I_e the integral of
+    (lambda + Gamma)^e.  Admissibility bounds t by t_max =
+    lambda / (2 d^2 max U) where max U > 0.  A convex phi has at most two
+    roots; the largest t is returned, so the bracket needs no scan:
+
+    * phi(t_max) > 0 and phi(0) < 0: the one upward crossing, on (0, t_max);
+    * phi(t_max) > 0 and phi(0) >= 0: the upward crossing right of the
+      minimizer of phi, found from the sign of dphi/dt, or NoSolution where
+      the minimum is above 0;
+    * phi(t_max) < 0 < phi(0): the one downward crossing;
+    * otherwise NoSolution.  Where max U = 0, phi falls from phi(0) towards
+      -1 with no edge, and has a root only where phi(0) > 0.
+
+    Newton steps solve in x = sqrt(1 - t/t_max) (see _DepthConstraint),
+    started from ``near``, a p0 such as that of a nearby lambda, when it lies
+    in the bracket, and inside the bracket otherwise; the result does not
+    depend on ``near`` (see _newton).  Near lambda = 1, where phi(0) tends to
+    0, round-off in phi sets p0 only to about 1e-16 / (lambda - 1), relative.
+    The geometry of the profile at p0 = -1, which every t rescales, is built
+    once per distribution and depth and kept on the distribution.
+
+    NoSolution is raised for a residual |phi| above 1e-10, and for a root
+    so close to the admissibility edge that the flow at the nearest float p0
+    is not admissible.  For gamma == 0 the constraint is independent of p0:
+    it then holds for every p0 exactly when lambda = 1
+    (DegenerateConstraint) and for no p0 otherwise (NoSolution).
     """
     if not lam > 0.0:
         raise NonAdmissibleLambda("lambda must be positive")
@@ -192,48 +403,45 @@ def calibrate_mass_flux(
             f"gamma == 0: constraint residual {residual!r} for every p0"
         )
 
-    # Gamma scales as 1/b, so admissibility requires b > b_min with
-    # b_min = -Gamma_min(b=1)/lambda; phi often changes sign in a thin shell
-    # just above b_min, so the scan starts with relative offsets from it.
-    # One piece geometry serves every probe; each applies only its scale.
-    ref = GammaProfile.from_distribution(dist, FlowParameters(d=d, g=1.0, p0=-1.0))
-    pieces = _Pieces(ref)
-
-    def phi(b):
-        scale = 2.0 * d**2 / -b
-        if lam <= -scale * pieces.unscaled_max:
-            return math.nan
-        return float(np.sum(pieces.values(scale, lam, -0.5))) - 1.0
-
-    b_min = max(ref.min_lambda / lam, 0.0)
-    b_vals = []
-    if b_min > 0.0:
-        b_vals.extend(b_min * (1.0 + off) for off in
-                      (1e-9, 1e-7, 1e-5, 1e-3, 1e-2, 0.05, 0.2, 0.5))
-    start = max(b_min, 1e-9)
-    b = start
-    while b < 1e12 * max(1.0, start):
-        b *= 1.5
-        b_vals.append(b)
-    b_vals = sorted(b_vals)
-    prev_b = prev_f = None
-    bracket = None
-    for b in b_vals:
-        val = phi(b)
-        if math.isnan(val):
-            prev_b = prev_f = None
-            continue
-        if prev_f is not None and prev_f * val <= 0.0:
-            bracket = (prev_b, b)
-            break
-        prev_b, prev_f = b, val
-    if bracket is None:
+    geometry = dist._unit_depth.get(d)
+    if geometry is None:
+        ref = GammaProfile.from_distribution(dist, FlowParameters(d=d, g=1.0, p0=-1.0))
+        geometry = dist._unit_depth[d] = _Pieces(ref), _flat_minimum(ref)
+    at_zero = lam**-0.5 - 1.0
+    if geometry[0].unscaled_max > 0.0:
+        phi = _DepthConstraint(geometry, d, lam)
+        at_edge = phi.at_end()
+        if at_edge > 0.0:
+            pos, neg = 0.0, 1.0 if at_zero < 0.0 else _below_zero(phi, at_zero)
+        elif at_edge < 0.0 < at_zero:
+            pos, neg = 1.0, 0.0
+        else:
+            raise NoSolution("no p0 produces the unit-depth laminar flow")
+    elif at_zero > 0.0:
+        phi = _DepthConstraint(geometry, d, lam, 1.0)
+        while phi.at_end() >= 0.0:
+            if phi.t_end > 1e12:
+                raise NoSolution("no p0 produces the unit-depth laminar flow")
+            phi = _DepthConstraint(geometry, d, lam, 4.0 * phi.t_end)
+        pos, neg = 1.0, 0.0
+    else:
         raise NoSolution("no p0 produces the unit-depth laminar flow")
-    x_tol = 1e-13 * max(1.0, bracket[1])
-    b_root = bracketed_root(phi, bracket[0], bracket[1], x_tol, f_tol=1e-13, max_iter=300)
-    if abs(phi(b_root)) > 1e-10:
+
+    x = 0.5 * (pos + neg)
+    if near is not None and near * phi.t_end < -1.0:
+        seed = math.sqrt(1.0 + 1.0 / (near * phi.t_end))
+        if min(pos, neg) < seed < max(pos, neg):
+            x = seed
+    v, in_y = _newton(phi, pos, neg, x)
+    if not abs(phi(v, in_y, slope=False)) <= 1e-10:
         raise NoSolution("calibration residual above 1e-10")
-    return -b_root
+    t, least, _ = phi.point(v, in_y)
+    p0 = -1.0 / t
+    # lambda + Gamma_min of the flow at the float p0, as its profile has it.
+    gap = lam + 2.0 * d**2 / p0 * geometry[0].unscaled_max
+    if not 0.5 * least < gap < 2.0 * least:
+        raise NoSolution("the root lies within round-off of the admissibility edge")
+    return p0
 
 
 @dataclass(frozen=True)

@@ -63,6 +63,8 @@ class VorticityDistribution:
     nodes: tuple = ()
     # Mesh levels of spectral.principal_eigen, shared by its profiles.
     _mesh_levels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # laminar.calibrate_mass_flux's geometry of the profile at p0 = -1, by depth.
+    _unit_depth: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def const(cls, gamma: float) -> "VorticityDistribution":

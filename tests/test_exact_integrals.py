@@ -21,7 +21,8 @@ from rotwave import (
     spectral,
     vorticity,
 )
-from rotwave.laminar import _integral, _Pieces
+from rotwave.errors import NoSolution
+from rotwave.laminar import _DepthConstraint, _flat_minimum, _integral, _Pieces
 
 mp.mp.dps = 40
 
@@ -188,8 +189,8 @@ def _admissible(prof, margin):
 @PROPERTY
 @given(layered, depths, st.lists(fluxes, min_size=8, max_size=8), margins)
 def test_calibration_probe_is_the_integral_of_its_profile(dist, d, fluxes, margin):
-    # calibrate_mass_flux builds the piece geometry once, at p0 = -1, and a
-    # probe at p0 = -b only applies the scale 2 d^2 / p0.  The geometry holds
+    # calibrate_mass_flux builds the piece geometry once, at p0 = -1, and
+    # phi at p0 = -b only applies the scale 2 d^2 / p0.  The geometry holds
     # p1, which moves with p0 only where two minima tie to within the 1e-14
     # tolerance of GammaProfile.from_distribution.
     ref = GammaProfile.from_distribution(dist, FlowParameters(d, 1.0, -1.0))
@@ -269,3 +270,63 @@ def test_calibrated_p0_meets_the_unit_depth_constraint(dist, lam):
     gamma_of, candidates = _mp_primitive(dist, 1.0, p0)
     depth = mp.quad(lambda p: (mp.mpf(lam) + gamma_of(p)) ** -0.5, sorted(candidates))
     assert abs(depth - 1) <= 1e-13
+
+
+# -- the unit-depth constraint at the admissibility edge, and its seed ----------------
+
+
+def _constraint(dist, lam):
+    ref = GammaProfile.from_distribution(dist, FlowParameters(1.0, 1.0, -1.0))
+    return _DepthConstraint((_Pieces(ref), _flat_minimum(ref)), 1.0, lam)
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.5, 3.0, 3.999748])
+def test_constraint_at_the_edge_is_its_limit(lam):
+    # Constant gamma: at t_max, lambda - k = 0 in (2/k)(sqrt(lambda) -
+    # sqrt(lambda - k)), and phi is 2/sqrt(lambda) - 1, evaluated exactly
+    # there, not as lambda + Gamma_min rounded to a tiny negative number.
+    edge = _constraint(VorticityDistribution.const(-1.0), lam).at_end()
+    assert edge == pytest.approx(2.0 / np.sqrt(lam) - 1.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.5, 3.0])
+def test_constraint_at_the_edge_is_infinite_where_gamma_vanishes_at_the_minimizer(lam):
+    # Gamma is least at the interior zero of gamma in (-0.3, 0): lambda + Gamma
+    # vanishes there to second order at t_max, and phi is +inf, not NaN.
+    phi = _constraint(INTERIOR_MINIMUM, lam)
+    assert phi.at_end() == np.inf
+    # Just inside the edge, phi is finite and large: the exact integrals
+    # take lambda + Gamma_min = lambda x^2 as it is.
+    assert 1.0 < phi(1e-12, slope=False) < np.inf
+
+
+def _depth_excess(dist, d, lam, p0):
+    """phi at p0 in mpmath, +inf past the admissibility edge."""
+    gamma_of, candidates = _mp_primitive(dist, d, p0)
+    if min(lam + gamma_of(c) for c in candidates) <= 0:
+        return mp.inf
+    return mp.quad(lambda p: (mp.mpf(lam) + gamma_of(p)) ** -0.5, sorted(candidates)) - 1
+
+
+@PROPERTY
+@given(layered, depths, st.floats(1.001, 3.0))
+def test_calibration_does_not_depend_on_its_seed(dist, d, lam):
+    # Below about lambda = 1.001 the root is set by round-off: phi(0) =
+    # lambda^(-1/2) - 1 tends to 0 while phi carries round-off of order 1e-16,
+    # so p0 meets the constraint to round-off across a relative band of about
+    # 1e-16 / (lambda - 1), and the seed picks a point in it (CHANGES.md).
+    try:
+        p0 = calibrate_mass_flux(dist, d, lam)
+    except NoSolution:
+        return
+    for factor in (0.95, 1.05):
+        assert abs(calibrate_mass_flux(dist, d, lam, near=factor * p0) - p0) <= 4 * np.spacing(-p0)
+    # Within about 1e-8 of the admissibility edge phi moves by more than
+    # 1e-13 across one ulp of p0; the closed form of constant gamma checks p0
+    # there (test_laminar.py).
+    prof = GammaProfile.from_distribution(dist, FlowParameters(d, 1.0, p0))
+    if lam - prof.min_lambda > 1e-8 * lam:
+        excess = _depth_excess(dist, d, lam, p0)
+        if abs(excess) > 1e-13:
+            step = mp.mpf(2) ** -48 * p0
+            assert _depth_excess(dist, d, lam, p0 - step) * _depth_excess(dist, d, lam, p0 + step) <= 0

@@ -161,11 +161,10 @@ def test_calibrate_near_family_endpoint():
     assert abs(residual) <= 1e-10
 
 
-def test_calibrate_skips_probes_the_quadrature_cannot_take():
-    # Gamma is least between nodes, at the zero of gamma in (-0.3, 0).  The
-    # scan starts with probes just above b_min, where lambda + Gamma nearly
-    # vanishes at that zero; the exact integrals take every probe, and the
-    # scan brackets the root.
+def test_calibrate_where_gamma_is_least_between_nodes():
+    # Gamma is least between nodes, at the zero of gamma in (-0.3, 0), where
+    # lambda + Gamma vanishes to second order at the admissibility edge:
+    # phi is +inf there, and the Newton solve brackets the root below it.
     nodes = [-1.0, -0.6, -0.3, 0.0]
     values = [1.0, -0.5, 0.8, -1.0]
     lam = 1.5
@@ -190,6 +189,28 @@ def test_calibrate_skips_probes_the_quadrature_cannot_take():
         epsrel=1e-13,
     )
     assert depth == pytest.approx(1.0, abs=1e-8)
+
+
+GAMMA_C = -1.787324  # gamma^2 d (d - tanh d) = g tanh d at d = g = 1
+
+
+@pytest.mark.parametrize("gamma", [-1.0, 0.9 * GAMMA_C])
+@pytest.mark.parametrize("lam", [1.5, 3.0, 3.9, 3.999748, 3.9999999])
+def test_calibrate_constant_gamma_matches_closed_form(gamma, lam):
+    # With k = 2 d^2 gamma / p0 the constraint is (2/k)(sqrt(lambda) -
+    # sqrt(lambda - k)) = 1, so p0 = d^2 gamma / (2 (sqrt(lambda) - 1)) on
+    # 1 < lambda < 4.  Near 4 the root sits (sqrt(lambda) - 2)^2 / 2 below
+    # the admissibility edge in t = -1/p0: 2e-9 at 3.999748, 3e-16 at
+    # 3.9999999.
+    exact = gamma / (2.0 * (math.sqrt(lam) - 1.0))
+    assert abs(calibrate_mass_flux(VorticityDistribution.const(gamma), 1.0, lam) / exact - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("gamma", [-1.0, 0.9 * GAMMA_C])
+@pytest.mark.parametrize("lam", [0.5, 4.0, 5.0])
+def test_calibrate_constant_gamma_has_no_root_outside_1_to_4(gamma, lam):
+    with pytest.raises(NoSolution):
+        calibrate_mass_flux(VorticityDistribution.const(gamma), 1.0, lam)
 
 
 # -- scale_to_unit_wavenumber ----------------------------------------------------------
