@@ -45,16 +45,16 @@ class Branch:
     ``flow`` and ``profile``.  Without it p0 is calibrated at each lambda to
     the unit-depth normalization (calibrate_mass_flux): the family of fixed
     mean depth.  Called with lambda, it returns (flow, ModeSolution) there,
-    mode.mu_refined being mu(lambda).  Each lambda is solved once, seeded
-    from the solved lambda nearest to it: the eigen solve from its mode
-    (``near``) and the calibration from its p0, which does not change the
-    calibrated p0, only how fast it is found.  The calibration's piece
+    mode.mu_refined being mu(lambda).  Each lambda is solved once, its eigen
+    solve seeded (``near``) from the mode of the solved lambda nearest to
+    it; the calibrated p0 depends on lambda alone.  The calibration's piece
     geometry, that of the profile at p0 = -1, is built once per distribution
-    and depth and kept on the distribution, so every branch of it shares
-    one.  ``solved`` maps every lambda solved so far to its (flow,
-    ModeSolution).  A failed calibration or solve raises and stores nothing;
-    for gamma == 0 calibration raises at every lambda (DegenerateConstraint
-    at lambda = 1, where every p0 satisfies the constraint).
+    and depth and kept on the distribution, so every lambda of every branch
+    of it shares one.  ``solved`` maps every lambda solved so far to its
+    (flow, ModeSolution).  A failed calibration or solve raises and stores
+    nothing; for gamma == 0 calibration raises at every lambda
+    (DegenerateConstraint at lambda = 1, where every p0 satisfies the
+    constraint).
     """
 
     def __init__(
@@ -73,13 +73,14 @@ class Branch:
     def __call__(self, lam: float) -> tuple[FlowParameters, ModeSolution]:
         hit = self.solved.get(lam)
         if hit is None:
-            near_flow, near = min(self.solved.values(), key=lambda fm: abs(fm[1].lam - lam), default=(None, None))
             if self.p0 is None:
-                p0 = calibrate_mass_flux(self.dist, self.d, lam, near=near_flow and near_flow.p0)
-                flow = FlowParameters(d=self.d, g=self.g, p0=p0)
+                flow = FlowParameters(d=self.d, g=self.g, p0=calibrate_mass_flux(self.dist, self.d, lam))
                 profile = GammaProfile.from_distribution(self.dist, flow)
             else:
                 flow, profile = self.flow, self.profile
+            near = min(
+                (mode for _, mode in self.solved.values()), key=lambda m: abs(m.lam - lam), default=None
+            )
             mode = principal_eigen(profile, flow, lam, mesh_points=self.mesh_points, near=near)
             hit = self.solved[lam] = flow, mode
         return hit

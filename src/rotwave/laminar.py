@@ -108,31 +108,18 @@ class _Pieces:
             if expo == -1.5:
                 piece = linear / ends
                 piece[q] = h * (u1 + u2) / (r1 * r2 * (u2 * r1 + u1 * r2))
-            elif h.size:
-                piece, s, up, at = linear.copy(), np.sqrt(np.abs(a)), a > 0.0, np.flatnonzero(q)
-                # Lists, not generators: CPython 3.11 leaks the arguments of
-                # a call star-unpacked from a generator in an item assignment.
-                piece[at[up]] = _rising(*[x[up] for x in (h, r1, r2, u1, u2, s)])
-                piece[at[~up]] = _falling(*[x[~up] for x in (h, R1, r1, r2, u1, u2, a, s)])
             else:
-                piece = linear
+                piece, s = linear.copy(), np.sqrt(np.abs(a))
+                rising = np.log1p(h * s * ((u1 + u2) / (r1 + r2) + 2.0 * s) / (2.0 * s * r1 + u1)) / s
+                x = np.where(
+                    u1 * u2 < 0.0,
+                    u2 * r1 - u1 * r2,
+                    (4.0 * a * R1 - u1 * u1) * h * (u1 + u2) / (2.0 * (u2 * r1 + u1 * r2)),
+                )
+                falling = -np.arctan2(2.0 * s * x, 4.0 * s * s * r1 * r2 + u1 * u2) / s
+                piece[q] = np.where(a > 0.0, rising, falling)
             out.append(piece)
         return out
-
-
-def _rising(h, r1, r2, u1, u2, s):
-    """The -1/2 power on quadratic pieces with a = s^2 > 0."""
-    return np.log1p(h * s * ((u1 + u2) / (r1 + r2) + 2.0 * s) / (2.0 * s * r1 + u1)) / s
-
-
-def _falling(h, R1, r1, r2, u1, u2, a, s):
-    """The -1/2 power on quadratic pieces with a = -s^2 < 0."""
-    x = np.where(
-        u1 * u2 < 0.0,
-        u2 * r1 - u1 * r2,
-        (4.0 * a * R1 - u1 * u1) * h * (u1 + u2) / (2.0 * (u2 * r1 + u1 * r2)),
-    )
-    return -np.arctan2(2.0 * s * x, 4.0 * s * s * r1 * r2 + u1 * u2) / s
 
 
 def _integral(profile: GammaProfile, lam: float, expo: float) -> float:
@@ -231,16 +218,16 @@ class _DepthConstraint:
         Next to a zero of gamma, u is round-off, and within (u / 2 sqrt(a))^2
         of the edge lambda + Gamma dips below lambda + Gamma_min inside the
         piece: there the -1/2 power is NaN, and phi is +inf, as past the
-        edge."""
+        edge.  Where lambda + Gamma_min is below about 1e-205 the powers
+        overflow to +inf."""
         t, least, dt = self.point(v, in_y)
         expos = (-0.5, -1.5) if slope else (-0.5,)
-        with np.errstate(invalid="ignore"):
-            sums = [float(np.sum(p)) for p in self.pieces.powers(-self.c * t, self.lam, expos, least)]
-        if math.isnan(sums[0]):
-            sums = [math.inf, math.nan]
-        if not slope:
-            return sums[0] - 1.0
-        return sums[0] - 1.0, (sums[0] - self.lam * sums[1]) / (-2.0 * t) * dt
+        with np.errstate(all="ignore"):
+            sums = [np.sum(p) for p in self.pieces.powers(-self.c * t, self.lam, expos, least)]
+            f = math.inf if math.isnan(sums[0]) else float(sums[0]) - 1.0
+            if not slope:
+                return f
+            return f, float((sums[0] - self.lam * sums[1]) / (-2.0 * t) * dt)
 
     def at_end(self) -> float:
         """phi at x = 0.  At the edge that is its limit there: finite, or +inf
@@ -249,8 +236,7 @@ class _DepthConstraint:
         overflow the finite limit to +inf."""
         if self.edge and self.flat:
             return math.inf
-        with np.errstate(over="ignore"):
-            return self(0.0, slope=False)
+        return self(0.0, slope=False)
 
 
 def _flat_minimum(profile: GammaProfile) -> bool:
@@ -268,49 +254,43 @@ def _flat_minimum(profile: GammaProfile) -> bool:
     return bool(np.any(~at_knot | (left <= 0.0) | (right >= 0.0)))
 
 
-def _rounded(v: float) -> float:
-    """v > 0 rounded to 26 significant bits."""
-    m, e = math.frexp(v)
-    return math.ldexp(round(m * 2.0**26), e - 26)
+def _unit_depth(dist: VorticityDistribution, d: float) -> tuple:
+    """The p0-free geometry of the unit-depth constraint at depth d: the
+    pieces of the profile at p0 = -1 and whether its minimum is flat
+    (_flat_minimum), built once per distribution and depth and kept on it."""
+    geometry = dist._unit_depth.get(d)
+    if geometry is None:
+        ref = GammaProfile.from_distribution(dist, FlowParameters(d=d, g=1.0, p0=-1.0))
+        geometry = dist._unit_depth[d] = _Pieces(ref), _flat_minimum(ref)
+    return geometry
 
 
-def _newton(phi: _DepthConstraint, pos: float, neg: float, x: float) -> tuple:
+def _newton(phi: _DepthConstraint, pos: float, neg: float) -> tuple:
     """The root of phi between x = pos, where phi > 0, and x = neg, where
     phi < 0, as (v, in_y) (see _DepthConstraint.point): Newton steps in x
-    from x, bisecting where a step leaves the bracket.
-
-    The last steps land within round-off of the root, at points that depend
-    on where the iteration started.  So the iterate, converged to about
-    2^-40 in its distance to the nearer end of [0, 1], is rounded to 26 bits
-    in the variable of that end, x or y, and one Newton step from there is
-    the result: the same for every start that converges.
-    """
+    from the midpoint, bisecting where a step leaves the bracket, until a
+    step is below 2^-20 of the distance to the nearer end of [0, 1] or the
+    bracket is too narrow to bisect.  One
+    more step from the last point then lands within round-off; where
+    x^2 > 1/2 it is taken in y, which resolves t near 0 and x does not."""
+    x, last = 0.5 * (pos + neg), math.inf
     for _ in range(200):
         f, fx = phi(x)
-        if f == 0.0:
-            break
         if f > 0.0:
             pos = x
         else:
             neg = x
         lo, hi = min(pos, neg), max(pos, neg)
         step = f / fx if fx != 0.0 else math.inf
-        if lo < x - step < hi:
-            x -= step
-            if abs(step) <= 2.0**-20 * min(x, 1.0 - x):
-                break
-        else:
-            mid = 0.5 * (lo + hi)
-            if not lo < mid < hi or hi - lo <= 2.0**-20 * min(mid, 1.0 - mid):
-                break
-            x = mid
-    else:
-        raise NoSolution("the calibration did not converge")
-    in_y = x * x > 0.5
-    v = _rounded((1.0 - x) * (1.0 + x) if in_y else x)
-    f, fv = phi(v, in_y)
-    step = f / fv if fv != 0.0 else 0.0
-    return (v - step if 0.0 < v - step < 1.0 else v), in_y
+        mid = 0.5 * (lo + hi)
+        if f == 0.0 or last <= 2.0**-20 * min(x, 1.0 - x) or not lo < mid < hi:
+            if x * x <= 0.5:
+                return (x - step if lo < x - step < hi else x), False
+            y = (1.0 - x) * (1.0 + x)
+            y_step = step * -2.0 * x  # dphi/dy = (dphi/dx) / (dy/dx)
+            return (y - y_step if 0.0 < y - y_step < 1.0 else y), True
+        x, last = (x - step, abs(step)) if lo < x - step < hi else (mid, 0.5 * (hi - lo))
+    raise NoSolution("the calibration did not converge")
 
 
 def _below_zero(phi: _DepthConstraint, at_zero: float) -> float:
@@ -349,13 +329,7 @@ def _below_zero(phi: _DepthConstraint, at_zero: float) -> float:
     raise NoSolution("no p0 produces the unit-depth laminar flow: phi stays above 0")
 
 
-def calibrate_mass_flux(
-    dist: VorticityDistribution,
-    d: float,
-    lam: float,
-    *,
-    near: Optional[float] = None,
-) -> float:
+def calibrate_mass_flux(dist: VorticityDistribution, d: float, lam: float) -> float:
     """p0 < 0 enforcing the unit-depth normalization of the laminar flow.
 
     The constraint is solved in t = -1/p0 > 0.  With U = integral_0^p gamma,
@@ -377,17 +351,18 @@ def calibrate_mass_flux(
     * otherwise NoSolution.  Where max U = 0, phi falls from phi(0) towards
       -1 with no edge, and has a root only where phi(0) > 0.
 
-    Newton steps solve in x = sqrt(1 - t/t_max) (see _DepthConstraint),
-    started from ``near``, a p0 such as that of a nearby lambda, when it lies
-    in the bracket, and inside the bracket otherwise; the result does not
-    depend on ``near`` (see _newton).  Near lambda = 1, where phi(0) tends to
-    0, round-off in phi sets p0 only to about 1e-16 / (lambda - 1), relative.
+    Newton steps solve in x = sqrt(1 - t/t_max) (see _DepthConstraint) from
+    the middle of the bracket, so p0 depends on lambda alone, not on the
+    lambdas calibrated before it.  Near lambda = 1, where phi(0) tends to 0,
+    round-off in phi sets p0 only to about 1e-16 / (lambda - 1), relative.
     The geometry of the profile at p0 = -1, which every t rescales, is built
-    once per distribution and depth and kept on the distribution.
+    once per distribution and depth and kept on the distribution
+    (_unit_depth).
 
-    NoSolution is raised for a residual |phi| above 1e-10, and for a root
-    so close to the admissibility edge that the flow at the nearest float p0
-    is not admissible.  For gamma == 0 the constraint is independent of p0:
+    NoSolution is raised for a residual |phi| above 1e-10, for a root so
+    close to the admissibility edge that the flow at the nearest float p0
+    is not admissible, and where max U is so small that t_max, or Gamma' at
+    the edge, leaves the float range.  For gamma == 0 the constraint is independent of p0:
     it then holds for every p0 exactly when lambda = 1
     (DegenerateConstraint) and for no p0 otherwise (NoSolution).
     """
@@ -403,12 +378,13 @@ def calibrate_mass_flux(
             f"gamma == 0: constraint residual {residual!r} for every p0"
         )
 
-    geometry = dist._unit_depth.get(d)
-    if geometry is None:
-        ref = GammaProfile.from_distribution(dist, FlowParameters(d=d, g=1.0, p0=-1.0))
-        geometry = dist._unit_depth[d] = _Pieces(ref), _flat_minimum(ref)
-    at_zero = lam**-0.5 - 1.0
-    if geometry[0].unscaled_max > 0.0:
+    geometry = _unit_depth(dist, d)
+    at_zero, top = lam**-0.5 - 1.0, geometry[0].unscaled_max
+    if top > 0.0:
+        # Beyond these, t_max or |Gamma'| at the edge, lambda max|gamma| / max U,
+        # leaves the float range of the piece forms.
+        if not (lam * dist.sup_norm() < 1e150 * top and lam < 1e300 * d * d * top):
+            raise NoSolution("max U is too small: the piece forms overflow at the edge")
         phi = _DepthConstraint(geometry, d, lam)
         at_edge = phi.at_end()
         if at_edge > 0.0:
@@ -427,18 +403,13 @@ def calibrate_mass_flux(
     else:
         raise NoSolution("no p0 produces the unit-depth laminar flow")
 
-    x = 0.5 * (pos + neg)
-    if near is not None and near * phi.t_end < -1.0:
-        seed = math.sqrt(1.0 + 1.0 / (near * phi.t_end))
-        if min(pos, neg) < seed < max(pos, neg):
-            x = seed
-    v, in_y = _newton(phi, pos, neg, x)
+    v, in_y = _newton(phi, pos, neg)
     if not abs(phi(v, in_y, slope=False)) <= 1e-10:
         raise NoSolution("calibration residual above 1e-10")
     t, least, _ = phi.point(v, in_y)
     p0 = -1.0 / t
     # lambda + Gamma_min of the flow at the float p0, as its profile has it.
-    gap = lam + 2.0 * d**2 / p0 * geometry[0].unscaled_max
+    gap = lam + 2.0 * d**2 / p0 * top
     if not 0.5 * least < gap < 2.0 * least:
         raise NoSolution("the root lies within round-off of the admissibility edge")
     return p0

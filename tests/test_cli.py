@@ -689,7 +689,7 @@ ONSET_PIECEWISE = {
 def reuse(monkeypatch):
     """Count ElementRule builds, GammaProfile builds, the mesh gradings asked
     for, coarse bisections, laminar piece geometries and passes over their
-    pieces, and the most passes one seeded calibration took."""
+    pieces, and the most passes one calibration took."""
     counts, gradings = Counter(), set()
     init, bisect, graded = vorticity.ElementRule.__init__, spectral._bisect_smallest, spectral._graded
     from_distribution = vars(GammaProfile)["from_distribution"].__func__
@@ -703,11 +703,10 @@ def reuse(monkeypatch):
         counts["passes"] += 1
         return powers(self, *args)
 
-    def counted_calibrate(*args, near=None):
+    def counted_calibrate(*args):
         before = counts["passes"]
-        p0 = calibrate(*args, near=near)
-        if near is not None:
-            counts["seeded_passes"] = max(counts["seeded_passes"], counts["passes"] - before)
+        p0 = calibrate(*args)
+        counts["calibration_passes"] = max(counts["calibration_passes"], counts["passes"] - before)
         return p0
 
     def counted_init(self, *args):
@@ -768,25 +767,28 @@ def _sweep(tmp_path, config, grids, *quantity):
 def test_onset_rows_share_mesh_levels_and_seed_each_other(tmp_path, reuse, config, grids, n_rows, n_branches):
     # Rows of one g differ only in lambda: they are one branch, whose first
     # lambda alone runs a coarse bisection, every other one being seeded
-    # from the nearest lambda solved on it, its eigenpair and its p0 alike.
-    # Every branch shares the distribution's mesh levels (3 rules per
-    # grading) and the calibration's piece geometry at p0 = -1, built once
-    # per distribution and depth: one GammaProfile for it, one per row.
+    # from the eigenpair of the nearest lambda solved on it.  Every branch
+    # shares the distribution's mesh levels (3 rules per grading) and the
+    # calibration's piece geometry at p0 = -1, built once per distribution
+    # and depth: one GammaProfile for it, one per row.  Each calibration
+    # takes at most 8 passes over the pieces: the edge value, the Newton
+    # steps and the residual.
     counts, gradings = reuse
     rows = _sweep(tmp_path, config, grids, "--quantity", "onset")
     assert counts["rules"] <= 3 * len(gradings)
     assert counts["bisections"] == n_branches
     assert counts["pieces"] == 1
     assert counts["profiles"] == n_rows + 1
-    assert 0 < counts["seeded_passes"] <= 8
+    assert 0 < counts["calibration_passes"] <= 8
     assert len(rows) == n_rows
     _rows_match_unseeded_solves(config, rows, 1201)
 
 
 def test_onset_rows_do_not_depend_on_the_sweep_direction(tmp_path):
-    # Each row's p0 is seeded from its neighbour on the other side in the
-    # two directions.  np.linspace puts the second point an ulp apart in
-    # them (1.3 and 1.3000000000000003), so 8 of the 9 lambdas are shared.
+    # Each row's eigen solve is seeded from its neighbour on the other side
+    # in the two directions, and its p0 depends on lambda alone.
+    # np.linspace puts the second point an ulp apart in the two directions
+    # (1.3 and 1.3000000000000003), so 8 of the 9 lambdas are shared.
     runs = {}
     for grid in ("lambda:1.2:2:9", "lambda:2:1.2:9"):
         (tmp_path / grid).mkdir()
@@ -796,8 +798,7 @@ def test_onset_rows_do_not_depend_on_the_sweep_direction(tmp_path):
     shared = [(row, down[row["lambda"]]) for row in up if row["lambda"] in down]
     assert len(shared) == 8
     for a, b in shared:
-        p0 = float(a["p0"])
-        assert abs(float(b["p0"]) - p0) <= 4 * np.spacing(-p0)
+        assert b["p0"] == a["p0"]
         assert float(b["mu"]) == pytest.approx(float(a["mu"]), rel=1e-14)
 
 

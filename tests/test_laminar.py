@@ -194,23 +194,44 @@ def test_calibrate_where_gamma_is_least_between_nodes():
 GAMMA_C = -1.787324  # gamma^2 d (d - tanh d) = g tanh d at d = g = 1
 
 
-@pytest.mark.parametrize("gamma", [-1.0, 0.9 * GAMMA_C])
-@pytest.mark.parametrize("lam", [1.5, 3.0, 3.9, 3.999748, 3.9999999])
+@pytest.mark.parametrize(
+    "gamma, lam",
+    [(g, lam) for g in (-1.0, 0.9 * GAMMA_C) for lam in (1.5, 3.0, 3.9, 3.999748, 3.9999999)]
+    + [(g, lam) for g in (0.5, 2.0) for lam in (0.25, 0.5, 0.9)],
+)
 def test_calibrate_constant_gamma_matches_closed_form(gamma, lam):
     # With k = 2 d^2 gamma / p0 the constraint is (2/k)(sqrt(lambda) -
     # sqrt(lambda - k)) = 1, so p0 = d^2 gamma / (2 (sqrt(lambda) - 1)) on
-    # 1 < lambda < 4.  Near 4 the root sits (sqrt(lambda) - 2)^2 / 2 below
-    # the admissibility edge in t = -1/p0: 2e-9 at 3.999748, 3e-16 at
-    # 3.9999999.
+    # 1 < lambda < 4 for gamma < 0, and on 0 < lambda < 1 for gamma > 0.
+    # For gamma < 0, near 4 the root sits (sqrt(lambda) - 2)^2 / 2 below the
+    # admissibility edge in t = -1/p0: 2e-9 at 3.999748, 3e-16 at 3.9999999.
+    # For gamma > 0 there is no edge (Gamma_min = 0 at every p0), and the
+    # bracket end in t grows by 4 until phi < 0 there.
     exact = gamma / (2.0 * (math.sqrt(lam) - 1.0))
     assert abs(calibrate_mass_flux(VorticityDistribution.const(gamma), 1.0, lam) / exact - 1.0) <= 1e-12
 
 
-@pytest.mark.parametrize("gamma", [-1.0, 0.9 * GAMMA_C])
-@pytest.mark.parametrize("lam", [0.5, 4.0, 5.0])
-def test_calibrate_constant_gamma_has_no_root_outside_1_to_4(gamma, lam):
+@pytest.mark.parametrize(
+    "gamma, lam",
+    [(g, lam) for g in (-1.0, 0.9 * GAMMA_C) for lam in (0.5, 4.0, 5.0)] + [(1.0, 1.0), (1.0, 1.5)],
+)
+def test_calibrate_constant_gamma_has_no_root_outside_its_window(gamma, lam):
     with pytest.raises(NoSolution):
         calibrate_mass_flux(VorticityDistribution.const(gamma), 1.0, lam)
+
+
+@pytest.mark.parametrize(
+    "gamma, lam",
+    [
+        ((0.0, -2.2250738585072014e-308), 1.5),  # t_max = lambda / (2 d^2 max U) overflows
+        ((1.0, -1e-200), 1.5),  # max U is round-off of J(0) - J(p)
+        ((-1.0, -1.0), 1e-300),  # lambda + Gamma_min underflows the powers
+    ],
+)
+def test_calibrate_out_of_float_range_has_no_solution(gamma, lam):
+    # NoSolution, and no numpy warning, which pytest turns into an error.
+    with pytest.raises(NoSolution):
+        calibrate_mass_flux(VorticityDistribution.piecewise_constant((-0.5,), gamma), 1.0, lam)
 
 
 # -- scale_to_unit_wavenumber ----------------------------------------------------------
