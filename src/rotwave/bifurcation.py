@@ -47,14 +47,15 @@ class Branch:
     mean depth.  Called with lambda, it returns (flow, ModeSolution) there,
     mode.mu_refined being mu(lambda).  Each lambda is solved once, its eigen
     solve seeded (``near``) from the mode of the solved lambda nearest to
-    it; the calibrated p0 depends on lambda alone.  The calibration's piece
-    geometry, that of the profile at p0 = -1, is built once per distribution
-    and depth and kept on the distribution, so every lambda of every branch
-    of it shares one.  ``solved`` maps every lambda solved so far to its
-    (flow, ModeSolution).  A failed calibration or solve raises and stores
-    nothing; for gamma == 0 calibration raises at every lambda
-    (DegenerateConstraint at lambda = 1, where every p0 satisfies the
-    constraint).
+    it; the calibrated p0 depends on lambda alone.  Every flow is the one
+    shape of the distribution at its own scale 2 d^2 / p0, so the
+    calibration's piece geometry is built once per distribution, and the
+    eigen solves' mesh levels once per distribution, mesh size and grading:
+    every lambda, depth and gravity of every branch of it shares them.
+    ``solved`` maps every lambda solved so far to its (flow, ModeSolution).
+    A failed calibration or solve raises and stores nothing; for
+    gamma == 0 calibration raises at every lambda (DegenerateConstraint at
+    lambda = 1, where every p0 satisfies the constraint).
     """
 
     def __init__(

@@ -26,7 +26,8 @@ Gamma summed outward from p1, not lambda + Gamma(p).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -39,20 +40,21 @@ from .errors import (
     NoSolution,
 )
 from .numerics import bracketed_root
-from .vorticity import FlowParameters, GammaProfile, VorticityDistribution, _check_domain
+from .vorticity import FlowParameters, GammaProfile, VorticityDistribution, _check_domain, _Shape
 
 
 class _Pieces:
-    """The p0-free part of a profile's exact piece integrals: the pieces
-    between its break points and ``points`` (``edges``) with gamma and gamma'
-    on them, Gamma(p1) unscaled, and the largest unscaled Gamma at a break
-    point, which the scale 2 d^2 / p0 < 0 makes Gamma_min.  Only ``powers``
-    applies the scale, so one geometry serves every p0 with the same p1."""
+    """The p0-free part of the exact piece integrals of a distribution's
+    shape: the pieces between its break points and ``points`` (``edges``)
+    with gamma and gamma' on them, U(p1) and max U.  Only ``powers``
+    applies the scale 2 d^2 / p0, so one geometry serves every flow of the
+    distribution; the one without ``points`` is built once per shape
+    (``_pieces``)."""
 
-    def __init__(self, profile: GammaProfile, points=()):
-        self.edges = edges = np.union1d(profile._breaks, points)
+    def __init__(self, shape: _Shape, points=()):
+        self.edges = edges = np.union1d(shape.breaks, points)
         lo, hi, self.h = edges[:-1], edges[1:], np.diff(edges)
-        knots, g0, g1 = profile._knots, profile._g0, profile._g1
+        knots, g0, g1 = shape.knots, shape.g0, shape.g1
         j = np.searchsorted(knots, lo, side="right") - 1
 
         def gamma(p):
@@ -60,12 +62,12 @@ class _Pieces:
             is exact at knots: next to a minimizer, where R is tiny, the
             integrals are sensitive to it."""
             left, right = p - knots[j], knots[j + 1] - p
-            return np.where(left <= right, g0[j] + g1[j] * left, profile._g_end[j] - g1[j] * right)
+            return np.where(left <= right, g0[j] + g1[j] * left, shape.g_end[j] - g1[j] * right)
 
         self.gamma1, self.gamma2, self.slope = gamma(lo), gamma(hi), g1[j]
-        self.k = np.searchsorted(edges, profile.p1)
-        self.unscaled_p1 = profile._unscaled(profile.p1)
-        self.unscaled_max = np.max(profile._unscaled(profile._breaks))
+        self.k = np.searchsorted(edges, shape.p1)
+        self.unscaled_p1 = shape.unscaled(shape.p1)
+        self.unscaled_max = shape.u_max
 
     def values(self, scale: float, lam: float, expo: float) -> np.ndarray:
         """The exact integral of (lambda + Gamma)^expo over each piece, for
@@ -122,16 +124,19 @@ class _Pieces:
         return out
 
 
-def _integral(profile: GammaProfile, lam: float, expo: float) -> float:
-    """integral_{-1}^0 (lambda + Gamma)^expo exactly, for expo = -1/2 or -3/2."""
-    return float(np.sum(_Pieces(profile).values(profile._scale, lam, expo)))
+def _pieces(shape: _Shape) -> _Pieces:
+    """The shape's piece geometry without extra points, built once per shape."""
+    pieces = shape.cache.get("pieces")
+    if pieces is None:
+        pieces = shape.cache["pieces"] = _Pieces(shape)
+    return pieces
 
 
 def height_on_mesh(profile: GammaProfile, lam: float, nodes: np.ndarray) -> np.ndarray:
     """H at every node, by a cumulative sum of exact pieces."""
     profile.require_admissible(lam)
     nodes = _check_domain(nodes)
-    pieces = _Pieces(profile, nodes)
+    pieces = _Pieces(profile._shape, nodes)
     cumulative = np.concatenate([[0.0], np.cumsum(pieces.values(profile._scale, lam, -0.5))])
     return cumulative[np.searchsorted(pieces.edges, nodes)] - (nodes + 1.0)
 
@@ -139,7 +144,7 @@ def height_on_mesh(profile: GammaProfile, lam: float, nodes: np.ndarray) -> np.n
 def hydraulic_head(profile: GammaProfile, flow: FlowParameters, lam: float) -> float:
     """Q(lambda) = 2 g d * integral (lambda+Gamma)^(-1/2) + p0^2 lambda / d^2."""
     profile.require_admissible(lam)
-    integral = _integral(profile, lam, -0.5)
+    integral = float(np.sum(_pieces(profile._shape).values(profile._scale, lam, -0.5)))
     return 2.0 * flow.g * flow.d * integral + flow.p0**2 * lam / flow.d**2
 
 
@@ -155,7 +160,7 @@ def lambda_of_min_head(
     """
     target = flow.p0**2 / (flow.g * flow.d**3)
     floor = profile.min_lambda
-    pieces = _Pieces(profile)
+    pieces = _pieces(profile._shape)
 
     def f(lam):
         return float(np.sum(pieces.values(profile._scale, lam, -1.5))) - target
@@ -197,10 +202,10 @@ class _DepthConstraint:
     than a float t can.
     """
 
-    def __init__(self, geometry: tuple, d: float, lam: float, t_end: Optional[float] = None):
-        (self.pieces, self.flat), self.lam, self.c = geometry, lam, 2.0 * d * d
+    def __init__(self, shape: _Shape, d: float, lam: float, t_end: Optional[float] = None):
+        self.pieces, self.flat, self.lam, self.c = _pieces(shape), shape.flat, lam, 2.0 * d * d
         self.edge = t_end is None
-        self.t_end = lam / (self.c * self.pieces.unscaled_max) if self.edge else t_end
+        self.t_end = lam / (self.c * shape.u_max) if self.edge else t_end
 
     def point(self, v: float, in_y: bool = False) -> tuple:
         """(t, lambda + Gamma_min, dt/dv) at x = v, or at y = v with ``in_y``."""
@@ -232,37 +237,11 @@ class _DepthConstraint:
     def at_end(self) -> float:
         """phi at x = 0.  At the edge that is its limit there: finite, or +inf
         where lambda + Gamma does not rise linearly on a side of a minimizer
-        of Gamma (``flat``).  gamma of order 1e-300 at the minimizer may
-        overflow the finite limit to +inf."""
+        of Gamma (the shape's ``flat``).  gamma of order 1e-300 at the
+        minimizer may overflow the finite limit to +inf."""
         if self.edge and self.flat:
             return math.inf
         return self(0.0, slope=False)
-
-
-def _flat_minimum(profile: GammaProfile) -> bool:
-    """Whether lambda + Gamma fails to rise linearly away from a minimizer
-    of Gamma on a side: at an interior zero of gamma, or at a knot where
-    gamma is not > 0 on its left or not < 0 on its right (Gamma' has the
-    sign of -gamma).  At the admissibility floor lambda + Gamma then
-    vanishes there to second order, or on an interval, and the integral of
-    its -1/2 power diverges."""
-    knots, mins = profile._knots, np.asarray(profile.minimizers)
-    k = np.searchsorted(knots, mins)
-    at_knot = knots[k] == mins
-    left = np.concatenate([[1.0], profile._g_end])[k]  # none left of the bed
-    right = np.concatenate([profile._g0, [-1.0]])[k]  # none right of the surface
-    return bool(np.any(~at_knot | (left <= 0.0) | (right >= 0.0)))
-
-
-def _unit_depth(dist: VorticityDistribution, d: float) -> tuple:
-    """The p0-free geometry of the unit-depth constraint at depth d: the
-    pieces of the profile at p0 = -1 and whether its minimum is flat
-    (_flat_minimum), built once per distribution and depth and kept on it."""
-    geometry = dist._unit_depth.get(d)
-    if geometry is None:
-        ref = GammaProfile.from_distribution(dist, FlowParameters(d=d, g=1.0, p0=-1.0))
-        geometry = dist._unit_depth[d] = _Pieces(ref), _flat_minimum(ref)
-    return geometry
 
 
 def _newton(phi: _DepthConstraint, pos: float, neg: float) -> tuple:
@@ -355,9 +334,8 @@ def calibrate_mass_flux(dist: VorticityDistribution, d: float, lam: float) -> fl
     the middle of the bracket, so p0 depends on lambda alone, not on the
     lambdas calibrated before it.  Near lambda = 1, where phi(0) tends to 0,
     round-off in phi sets p0 only to about 1e-16 / (lambda - 1), relative.
-    The geometry of the profile at p0 = -1, which every t rescales, is built
-    once per distribution and depth and kept on the distribution
-    (_unit_depth).
+    phi reads the distribution's shape, built once, at the scale -2 d^2 t:
+    its piece geometry serves every d, lambda and t.
 
     NoSolution is raised for a residual |phi| above 1e-10, for a root so
     close to the admissibility edge that the flow at the nearest float p0
@@ -378,14 +356,14 @@ def calibrate_mass_flux(dist: VorticityDistribution, d: float, lam: float) -> fl
             f"gamma == 0: constraint residual {residual!r} for every p0"
         )
 
-    geometry = _unit_depth(dist, d)
-    at_zero, top = lam**-0.5 - 1.0, geometry[0].unscaled_max
+    shape = dist._shape
+    at_zero, top = lam**-0.5 - 1.0, shape.u_max
     if top > 0.0:
         # Beyond these, t_max or |Gamma'| at the edge, lambda max|gamma| / max U,
         # leaves the float range of the piece forms.
         if not (lam * dist.sup_norm() < 1e150 * top and lam < 1e300 * d * d * top):
             raise NoSolution("max U is too small: the piece forms overflow at the edge")
-        phi = _DepthConstraint(geometry, d, lam)
+        phi = _DepthConstraint(shape, d, lam)
         at_edge = phi.at_end()
         if at_edge > 0.0:
             pos, neg = 0.0, 1.0 if at_zero < 0.0 else _below_zero(phi, at_zero)
@@ -394,11 +372,11 @@ def calibrate_mass_flux(dist: VorticityDistribution, d: float, lam: float) -> fl
         else:
             raise NoSolution("no p0 produces the unit-depth laminar flow")
     elif at_zero > 0.0:
-        phi = _DepthConstraint(geometry, d, lam, 1.0)
+        phi = _DepthConstraint(shape, d, lam, 1.0)
         while phi.at_end() >= 0.0:
             if phi.t_end > 1e12:
                 raise NoSolution("no p0 produces the unit-depth laminar flow")
-            phi = _DepthConstraint(geometry, d, lam, 4.0 * phi.t_end)
+            phi = _DepthConstraint(shape, d, lam, 4.0 * phi.t_end)
         pos, neg = 1.0, 0.0
     else:
         raise NoSolution("no p0 produces the unit-depth laminar flow")
@@ -437,23 +415,20 @@ def scale_to_unit_wavenumber(
 
     With kappa = 2 pi / L: lengths scale by kappa, gravity and vorticity by
     1/kappa; the mass flux (an integral of velocity over depth) scales by
-    kappa.
+    kappa.  L may be any real number but a bool; one that is not positive
+    and finite raises InvalidWavelength.
     """
-    if not (isinstance(wavelength, (int, float)) and math.isfinite(wavelength) and wavelength > 0.0):
+    real = isinstance(wavelength, numbers.Real) and not isinstance(wavelength, bool)
+    if not (real and 0.0 < wavelength < math.inf):
         raise InvalidWavelength(f"wavelength {wavelength!r} must be positive and finite")
-    kappa = 2.0 * math.pi / wavelength
+    kappa = 2.0 * math.pi / float(wavelength)
     scaled_dist = None
     if dist is not None:
-        if dist.kind == "constant":
-            scaled_dist = VorticityDistribution.const(dist.constant / kappa)
-        elif dist.kind == "piecewise_constant":
-            scaled_dist = VorticityDistribution.piecewise_constant(
-                dist.breakpoints, [v / kappa for v in dist.values]
-            )
-        else:
-            scaled_dist = VorticityDistribution.tabulated(
-                dist.nodes, [v / kappa for v in dist.values]
-            )
+        scaled_dist = replace(
+            dist,
+            constant=None if dist.constant is None else dist.constant / kappa,
+            values=tuple(v / kappa for v in dist.values),
+        )
     return ScaledParameters(
         kappa=kappa,
         d=kappa * d,

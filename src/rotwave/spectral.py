@@ -108,12 +108,14 @@ def _mesh_levels(profile: GammaProfile, lam: float, mesh_points: int):
     levels of principal_eigen.
 
     They depend on lambda only through the grading of build_mesh and on d
-    and p0 only through Gamma, so they are kept on the distribution per
-    (mesh_points, grading, minimizers), at the scale last asked for.  The
-    node arrays are shared by every ModeSolution on them, so read-only.
+    and p0 only through the scale of Gamma, so they are kept in the cache of
+    the distribution's shape per (mesh_points, grading), at the scale last
+    asked for.  The node arrays are shared by every ModeSolution on them,
+    so read-only.
     """
-    key = (mesh_points, _graded(profile, lam), profile.minimizers)
-    scale, levels = profile.source._mesh_levels.get(key, (None, None))
+    key = ("mesh levels", mesh_points, _graded(profile, lam))
+    cache = profile._shape.cache
+    scale, levels = cache.get(key, (None, None))
     if levels is None:
         coarse = build_mesh(profile, lam, min(_COARSE_POINTS, mesh_points))
         fine = build_mesh(profile, lam, mesh_points)
@@ -123,7 +125,7 @@ def _mesh_levels(profile: GammaProfile, lam: float, mesh_points: int):
             levels.append((nodes, ElementRule(profile, nodes)))
     elif scale != profile._scale:
         levels = [(nodes, rule.scaled(profile._scale)) for nodes, rule in levels]
-    profile.source._mesh_levels[key] = (profile._scale, levels)
+    cache[key] = (profile._scale, levels)
     return levels
 
 
@@ -261,7 +263,8 @@ def principal_eigen(
     levels give a Richardson-extrapolated ``mu_refined`` while the stored M
     and ``mu`` come from the finer level.  M is normalized to M(0) = 1.
     The three mesh levels and their element quadrature are built once per
-    distribution and grading (see _mesh_levels), not once per lambda.
+    distribution, mesh size and grading (see _mesh_levels), not once per
+    lambda or flow.
 
     ``near`` is a solution at a neighbouring lambda, on this profile or
     another.  With one, the coarse level is skipped: the working level
@@ -307,10 +310,8 @@ def rayleigh_quotient(
 
 def _scalar_gamma_primitive(profile: GammaProfile):
     """Fast scalar closure for Gamma(p), for ODE right-hand sides."""
-    knots = [float(x) for x in profile._knots]
-    g0 = [float(x) for x in profile._g0]
-    g1 = [float(x) for x in profile._g1]
-    jk = [float(x) for x in profile._jknots]
+    shape = profile._shape
+    knots, g0, g1, jk = shape.knots.tolist(), shape.g0.tolist(), shape.g1.tolist(), shape.jknots.tolist()
     scale = profile._scale
     j_end = jk[-1]
     nmax = len(g0) - 1

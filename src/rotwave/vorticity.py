@@ -1,15 +1,20 @@
 """Vorticity profiles gamma(p) on [-1, 0] and their scaled primitive.
 
-The primitive Gamma(p) = (2 d^2 / p0) * integral_0^p gamma(s) ds is kept in
-closed form: gamma is polynomial (degree 0 or 1) on each knot interval, so
-Gamma is piecewise linear or quadratic and every downstream integral sees
-exact coefficient values.
+The primitive Gamma(p) = (2 d^2 / p0) * U(p), U(p) = integral_0^p gamma(s) ds,
+is kept in closed form: gamma is polynomial (degree 0 or 1) on each knot
+interval, so U is piecewise linear or quadratic and every downstream
+integral sees exact coefficient values.  Only the scale 2 d^2 / p0 depends
+on the flow: everything about U, its break points and maximizers among them,
+is built once per distribution, as its shape (_Shape), and each
+GammaProfile is that shape at one scale.
 """
 
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -25,12 +30,17 @@ _SUB_X, _SUB_W = np.polynomial.legendre.leggauss(12)
 _TOUCH = 1e-14
 
 
+def _require_finite(numbers, name: str):
+    if not all(math.isfinite(x) for x in numbers):
+        raise InvalidParameter(f"{name} must be finite", name)
+
+
 @dataclass(frozen=True)
 class FlowParameters:
     """Scaled physical constants of the flow.
 
-    d: mean depth (> 0); g: gravity (> 0); p0: relative mass flux (< 0).
-    Units assume the 2*pi-periodic scaling (wavenumber 1).
+    d: mean depth (> 0); g: gravity (> 0); p0: relative mass flux (< 0);
+    all finite.  Units assume the 2*pi-periodic scaling (wavenumber 1).
     """
 
     d: float
@@ -38,12 +48,12 @@ class FlowParameters:
     p0: float
 
     def __post_init__(self):
-        if not self.d > 0.0:
-            raise InvalidParameter("d must be > 0", "d")
-        if not self.g > 0.0:
-            raise InvalidParameter("g must be > 0", "g")
-        if not self.p0 < 0.0:
-            raise InvalidParameter("p0 must be < 0", "p0")
+        if not 0.0 < self.d < math.inf:
+            raise InvalidParameter("d must be finite and > 0", "d")
+        if not 0.0 < self.g < math.inf:
+            raise InvalidParameter("g must be finite and > 0", "g")
+        if not -math.inf < self.p0 < 0.0:
+            raise InvalidParameter("p0 must be finite and < 0", "p0")
 
 
 @dataclass(frozen=True)
@@ -52,8 +62,9 @@ class VorticityDistribution:
 
     Piecewise-constant values are right-continuous at the breakpoints.
     Tabulated profiles interpolate linearly between strictly increasing
-    nodes running from -1 to 0.  A broken rule raises InvalidParameter
-    naming the field.
+    nodes running from -1 to 0.  Every number must be finite.  A broken
+    rule raises InvalidParameter naming the field.  ``_shape``, built on
+    first use, holds what every flow of the distribution shares.
     """
 
     kind: str
@@ -61,10 +72,6 @@ class VorticityDistribution:
     breakpoints: tuple = ()
     values: tuple = ()
     nodes: tuple = ()
-    # Mesh levels of spectral.principal_eigen, shared by its profiles.
-    _mesh_levels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # laminar.calibrate_mass_flux's geometry of the profile at p0 = -1, by depth.
-    _unit_depth: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def const(cls, gamma: float) -> "VorticityDistribution":
@@ -94,10 +101,13 @@ class VorticityDistribution:
         if self.kind == "constant":
             if self.constant is None:
                 raise InvalidParameter("constant profile needs a gamma value", "gamma")
+            _require_finite((self.constant,), "gamma")
         elif self.kind == "piecewise_constant":
             bps = self.breakpoints
             if len(self.values) != len(bps) + 1:
                 raise InvalidParameter("need len(values) == len(breakpoints) + 1", "values")
+            _require_finite(bps, "breakpoints")
+            _require_finite(self.values, "values")
             if any(b2 <= b1 for b1, b2 in zip(bps, bps[1:])):
                 raise InvalidParameter("breakpoints must be strictly increasing", "breakpoints")
             if bps and not (-1.0 < bps[0] and bps[-1] < 0.0):
@@ -106,6 +116,8 @@ class VorticityDistribution:
             nds = self.nodes
             if len(nds) < 2 or len(self.values) != len(nds):
                 raise InvalidParameter("tabulated profile needs matching nodes/values", "nodes")
+            _require_finite(nds, "nodes")
+            _require_finite(self.values, "values")
             if any(n2 <= n1 for n1, n2 in zip(nds, nds[1:])):
                 raise InvalidParameter("nodes must be strictly increasing", "nodes")
             if nds[0] != -1.0 or nds[-1] != 0.0:
@@ -114,6 +126,10 @@ class VorticityDistribution:
             raise InvalidParameter(
                 "kind must be one of constant, piecewise_constant, tabulated", "kind"
             )
+
+    @cached_property
+    def _shape(self) -> "_Shape":
+        return _Shape(self)
 
     def sup_norm(self) -> float:
         """sup over [-1, 0] of |gamma|; exact for all three kinds."""
@@ -137,9 +153,65 @@ def _check_domain(p):
     return np.clip(p, -1.0, 0.0)
 
 
+class _Shape:
+    """U = integral_0^p gamma, the primitive Gamma = (2 d^2 / p0) U without
+    its scale: all that the flows of one distribution share.
+
+    gamma(p) = g0[j] + g1[j] (p - knots[j]) on knot interval j, with the
+    exact value g_end[j] at its right end, and J = integral_{-1}^p gamma is
+    ``jknots`` at the knots, so that U = J(p) - J(0).  ``breaks`` are the
+    knots and the interior zeros of gamma: between two consecutive ones U
+    is one monotone polynomial piece, so its largest value ``u_max`` sits at
+    a break point.  The scale is < 0 for every d and p0, so the maximizers
+    of U (those within 1e-14 of u_max, relative) are the ``minimizers`` of
+    Gamma, p1 the largest of them, and Gamma_min is the scale times u_max:
+    rounding is monotone, so that is the least Gamma at a break point to
+    the bit.  ``flat``: whether lambda + Gamma fails to rise linearly away
+    from a minimizer on a side, at an interior zero of gamma or at a knot
+    where gamma is not > 0 on its left or not < 0 on its right (Gamma' has
+    the sign of -gamma); at the admissibility floor it then vanishes there
+    to second order, or on an interval.  ``cache`` keeps, by key, what other
+    layers build from the shape alone: spectral's mesh levels and laminar's
+    piece geometry.
+    """
+
+    def __init__(self, dist: VorticityDistribution):
+        self.knots, self.g0, self.g1, self.g_end = knots, g0, g1, g_end = _poly_tables(dist)
+        h = np.diff(knots)
+        self.jknots = np.concatenate([[0.0], np.cumsum(g0 * h + 0.5 * g1 * h * h)])
+        breaks = list(knots)
+        for j in range(len(g0)):
+            # Strict sign change: a zero at a knot adds no round-off neighbour.
+            if min(g0[j], g_end[j]) < 0.0 < max(g0[j], g_end[j]):
+                z = knots[j] - g0[j] / g1[j]
+                if knots[j] < z < knots[j + 1]:
+                    breaks.append(z)
+        self.breaks = np.array(sorted(breaks))
+        u = self.unscaled(self.breaks)
+        self.u_max = float(np.max(u))
+        mins = self.breaks[u >= self.u_max - 1e-14 * max(1.0, self.u_max)]
+        self.minimizers = tuple(float(p) for p in mins)
+        self.p1 = self.minimizers[-1]
+        k = np.searchsorted(knots, mins)
+        left = np.concatenate([[1.0], g_end])[k]  # none left of the bed
+        right = np.concatenate([g0, [-1.0]])[k]  # none right of the surface
+        self.flat = bool(np.any((knots[k] != mins) | (left <= 0.0) | (right >= 0.0)))
+        self.cache = {}
+
+    def unscaled(self, p):
+        """U(p) = J(p) - J(0), as an array."""
+        p = _check_domain(p)
+        idx = np.clip(np.searchsorted(self.knots, p, side="right") - 1, 0, len(self.g0) - 1)
+        dp = p - self.knots[idx]
+        # Summed as the increments of jknots are, so that U(0) is 0.
+        j = self.jknots[idx] + (self.g0[idx] * dp + 0.5 * self.g1[idx] * dp * dp)
+        return j - self.jknots[-1]
+
+
 @dataclass(frozen=True)
 class GammaProfile:
-    """Closed-form evaluator for Gamma and a = sqrt(Gamma + lambda).
+    """Closed-form evaluator for Gamma and a = sqrt(Gamma + lambda): the
+    shape of its distribution at the scale 2 d^2 / p0 of its flow.
 
     gamma_min is min Gamma over [-1, 0] and p1 the largest minimizer.
     """
@@ -149,19 +221,9 @@ class GammaProfile:
     gamma_min: float
     p1: float
     jump_points: tuple
-    minimizers: tuple = ()
-    # Knot tables: gamma(p) = g0[j] + g1[j] * (p - knots[j]) on interval j,
-    # with the exact value g_end[j] at its right end,
-    # J(p) = integral_{-1}^p gamma, Gamma = scale * (J(p) - J(0)).
-    _knots: np.ndarray = field(repr=False, default=None)
-    _g0: np.ndarray = field(repr=False, default=None)
-    _g1: np.ndarray = field(repr=False, default=None)
-    _g_end: np.ndarray = field(repr=False, default=None)
-    _jknots: np.ndarray = field(repr=False, default=None)
-    _scale: float = field(repr=False, default=0.0)
-    # Knots and interior zeros of gamma: between two consecutive ones Gamma
-    # is a single monotone polynomial piece.
-    _breaks: np.ndarray = field(repr=False, default=None)
+    minimizers: tuple
+    _shape: _Shape = field(repr=False)
+    _scale: float = field(repr=False)
 
     @classmethod
     def from_distribution(
@@ -169,46 +231,24 @@ class GammaProfile:
         dist: VorticityDistribution,
         flow: FlowParameters,
     ) -> "GammaProfile":
-        knots, g0, g1, g_end = _poly_tables(dist)
-        h = np.diff(knots)
-        increments = g0 * h + 0.5 * g1 * h * h
-        jknots = np.concatenate([[0.0], np.cumsum(increments)])
-        scale = 2.0 * flow.d**2 / flow.p0
-        profile = cls(
+        shape, scale = dist._shape, 2.0 * flow.d**2 / flow.p0
+        return cls(
             source=dist,
             flow=flow,
-            gamma_min=0.0,
-            p1=0.0,
+            gamma_min=scale * shape.u_max,
+            p1=shape.p1,
             jump_points=dist.jump_points(),
-            _knots=knots,
-            _g0=g0,
-            _g1=g1,
-            _g_end=g_end,
-            _jknots=jknots,
+            minimizers=shape.minimizers,
+            _shape=shape,
             _scale=scale,
         )
-        gmin, p1, minimizers, breaks = _exact_minimum(profile)
-        return replace(profile, gamma_min=gmin, p1=p1, minimizers=minimizers, _breaks=breaks)
 
     # -- evaluation ---------------------------------------------------------
 
     def primitive(self, p):
         """Gamma(p) = (2 d^2 / p0) * integral_0^p gamma; Gamma(0) = 0 exactly."""
-        out = self._scale * self._unscaled(p)
+        out = self._scale * self._shape.unscaled(p)
         return float(out) if out.ndim == 0 else out
-
-    def _unscaled(self, p):
-        """integral_0^p gamma = J(p) - J(0): Gamma without its factor 2 d^2 / p0."""
-        p = _check_domain(p)
-        idx = np.clip(
-            np.searchsorted(self._knots, p, side="right") - 1,
-            0,
-            len(self._g0) - 1,
-        )
-        dp = p - self._knots[idx]
-        # Summed as the increments of _jknots are, so that Gamma(0) is 0.
-        j = self._jknots[idx] + (self._g0[idx] * dp + 0.5 * self._g1[idx] * dp * dp)
-        return j - self._jknots[-1]
 
     def a(self, lam: float, p):
         """Coefficient sqrt(Gamma(p) + lambda) > 0."""
@@ -267,7 +307,7 @@ class ElementRule:
         nodes = np.asarray(nodes, dtype=float)
         lo, hi = nodes[:-1], nodes[1:]
         h = hi - lo
-        mins = np.asarray(profile.minimizers or (profile.p1,))
+        mins = np.asarray(profile.minimizers)
         left = np.min(np.abs(lo[:, None] - mins), axis=1) < _TOUCH
         right = np.min(np.abs(hi[:, None] - mins), axis=1) < _TOUCH
         sub = np.nonzero(left | right)[0]
@@ -283,7 +323,7 @@ class ElementRule:
         self.substituted = _points(profile, sub, x, w, lo[sub], hi[sub], h[sub])
 
     def scaled(self, scale: float) -> "ElementRule":
-        """This rule for a profile of its source and minimizers with scale
+        """This rule for the profile of its distribution with scale
         2 d^2 / p0: Gamma is that times ``unscaled``, every other array shared."""
         out = copy.copy(self)
         out.regular = replace(self.regular, gamma=scale * self.regular.unscaled)
@@ -307,7 +347,7 @@ class ElementRule:
 def _points(profile, elements, x, w, lo, hi, h) -> QuadraturePoints:
     n0 = (hi - x) / h
     n1 = (x - lo) / h
-    unscaled = profile._unscaled(x)
+    unscaled = profile._shape.unscaled(x)
     return QuadraturePoints(
         elements=elements,
         w=w,
@@ -338,31 +378,6 @@ def _poly_tables(dist: VorticityDistribution):
     return knots, g0, g1, g0
 
 
-def _exact_minimum(profile: GammaProfile):
-    """(Gamma_min, p1, all minimizers, break points) from exact candidates.
-
-    Gamma is piecewise polynomial of degree <= 2 with Gamma' = scale * gamma,
-    so the minimum sits at a break point: a knot or an interior zero of
-    gamma.  p1 is the largest minimizer; the full minimizer tuple drives
-    singularity handling in the element quadrature.
-    """
-    candidates = list(profile._knots)
-    for j in range(len(profile._g0)):
-        # Strict sign change: a zero at a knot adds no round-off neighbour.
-        ends = (profile._g0[j], profile._g_end[j])
-        if min(ends) < 0.0 < max(ends):
-            z = profile._knots[j] - profile._g0[j] / profile._g1[j]
-            if profile._knots[j] < z < profile._knots[j + 1]:
-                candidates.append(z)
-    cand = np.array(sorted(candidates))
-    vals = np.atleast_1d(profile.primitive(cand))
-    gmin = float(np.min(vals))
-    tol = 1e-14 * max(1.0, abs(gmin))
-    mins = cand[vals <= gmin + tol]
-    p1 = float(np.max(mins))
-    return gmin, p1, tuple(float(p) for p in mins), cand
-
-
 def holder_seminorm(profile: GammaProfile, alpha: float) -> float:
     """theta = sup_{p != p1} (Gamma(p) - Gamma_min) / |p - p1|^alpha, exactly.
 
@@ -378,7 +393,8 @@ def holder_seminorm(profile: GammaProfile, alpha: float) -> float:
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must be in (0, 1]")
-    p1, knots, g0, g1 = profile.p1, profile._knots, profile._g0, profile._g1
+    p1, shape = profile.p1, profile._shape
+    knots, g0, g1 = shape.knots, shape.g0, shape.g1
     lo, h = knots[:-1], np.diff(knots)
     n0 = profile.primitive(lo) - profile.gamma_min
     n1, n2 = profile._scale * g0, 0.5 * profile._scale * g1

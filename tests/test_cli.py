@@ -741,7 +741,7 @@ def _rows_match_unseeded_solves(config, rows, mesh_points):
         assert row["error"] == ""
         cfg = parse_config(json.dumps(config))  # its own distribution: no shared levels
         lam = float(row["lambda"])
-        flow = replace(cfg.flow, **{k: float(row[k]) for k in ("g", "p0") if k in row})
+        flow = replace(cfg.flow, **{k: float(row[k]) for k in ("d", "g", "p0") if k in row})
         dist = vorticity.VorticityDistribution.const(float(row["gamma"])) if "gamma" in row else cfg.vorticity
         profile = GammaProfile.from_distribution(dist, flow)
         ref = spectral.principal_eigen(profile, flow, lam, mesh_points=mesh_points).mu_refined
@@ -761,16 +761,17 @@ def _sweep(tmp_path, config, grids, *quantity):
         (ONSET_TABULATED, ["lambda:1.2:2:9"], 9, 1),
         (ONSET_PIECEWISE, ["lambda:1.5:2.5:17"], 17, 1),
         (ONSET_PIECEWISE, ["lambda:1.5:2.5:5", "g:0.5:1.5:2"], 10, 2),
+        (ONSET_TABULATED, ["lambda:1.2:2:5", "d:0.8:1.2:3"], 15, 3),
     ],
-    ids=["tabulated", "piecewise", "piecewise_by_g"],
+    ids=["tabulated", "piecewise", "piecewise_by_g", "tabulated_by_d"],
 )
 def test_onset_rows_share_mesh_levels_and_seed_each_other(tmp_path, reuse, config, grids, n_rows, n_branches):
-    # Rows of one g differ only in lambda: they are one branch, whose first
-    # lambda alone runs a coarse bisection, every other one being seeded
-    # from the eigenpair of the nearest lambda solved on it.  Every branch
-    # shares the distribution's mesh levels (3 rules per grading) and the
-    # calibration's piece geometry at p0 = -1, built once per distribution
-    # and depth: one GammaProfile for it, one per row.  Each calibration
+    # Rows of one g and d differ only in lambda: they are one branch, whose
+    # first lambda alone runs a coarse bisection, every other one being
+    # seeded from the eigenpair of the nearest lambda solved on it.  Every
+    # branch shares the mesh levels of the distribution's shape (3 rules per
+    # grading) and the calibration's piece geometry, built once for every
+    # depth: one GammaProfile per row, no reference flow.  Each calibration
     # takes at most 8 passes over the pieces: the edge value, the Newton
     # steps and the residual.
     counts, gradings = reuse
@@ -778,7 +779,7 @@ def test_onset_rows_share_mesh_levels_and_seed_each_other(tmp_path, reuse, confi
     assert counts["rules"] <= 3 * len(gradings)
     assert counts["bisections"] == n_branches
     assert counts["pieces"] == 1
-    assert counts["profiles"] == n_rows + 1
+    assert counts["profiles"] == n_rows
     assert 0 < counts["calibration_passes"] <= 8
     assert len(rows) == n_rows
     _rows_match_unseeded_solves(config, rows, 1201)

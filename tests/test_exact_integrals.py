@@ -23,7 +23,7 @@ from rotwave import (
     vorticity,
 )
 from rotwave.errors import DegenerateConstraint, NoSolution
-from rotwave.laminar import _DepthConstraint, _integral, _Pieces, _unit_depth
+from rotwave.laminar import _DepthConstraint, _pieces, _Pieces
 
 mp.mp.dps = 40
 
@@ -69,7 +69,7 @@ def _reference(prof, lam, expo):
     gamma_of, _ = _mp_primitive(prof.source, prof.flow.d, prof.flow.p0)
     base = mp.mpf(lam + prof.primitive(prof.p1))
     at_p1 = gamma_of(mp.mpf(prof.p1))
-    edges = [mp.mpf(float(e)) for e in prof._breaks]
+    edges = [mp.mpf(float(e)) for e in prof._shape.breaks]
     return mp.quad(lambda p: (base + gamma_of(p) - at_p1) ** mp.mpf(expo), edges)
 
 
@@ -97,6 +97,12 @@ def profiles(draw):
 margins = st.floats(-13.0, 0.0).map(lambda e: 10.0**e)
 
 
+def _integral(prof, lam, expo):
+    """integral_{-1}^0 (lambda + Gamma)^expo from the pieces of the profile's
+    shape, summed as hydraulic_head and lambda_of_min_head sum them."""
+    return float(np.sum(_pieces(prof._shape).values(prof._scale, lam, expo)))
+
+
 @PROPERTY
 @given(profiles(), margins)
 def test_both_powers_match_mpmath(prof, margin):
@@ -111,7 +117,7 @@ def test_both_powers_match_mpmath(prof, margin):
 def test_integrals_add_up_over_a_split(prof, margin, p):
     lam = prof.min_lambda + margin
     for expo in (-0.5, -1.5):
-        split = _Pieces(prof, [p])
+        split = _Pieces(prof._shape, [p])
         edges, pieces = split.edges, split.values(prof._scale, lam, expo)
         below = np.sum(pieces[edges[1:] <= p])
         above = np.sum(pieces[edges[:-1] >= p])
@@ -145,7 +151,7 @@ def _holder_reference(prof, alpha):
     def ratio(p, base):
         return (gamma_of(p) - base) / abs(p - p1) ** alpha
 
-    edges = sorted({mp.mpf(float(k)) for k in prof._knots} | {p1})
+    edges = sorted({mp.mpf(float(k)) for k in prof._shape.knots} | {p1})
     best = mp.mpf(0)
     with mp.workdps(100):
         step, base = mp.mpf(10) ** -40, gamma_of(p1)
@@ -190,15 +196,11 @@ def _admissible(prof, margin):
 @PROPERTY
 @given(layered, depths, st.lists(fluxes, min_size=8, max_size=8), margins)
 def test_calibration_probe_is_the_integral_of_its_profile(dist, d, fluxes, margin):
-    # calibrate_mass_flux builds the piece geometry once, at p0 = -1, and
-    # phi at p0 = -b only applies the scale 2 d^2 / p0.  The geometry holds
-    # p1, which moves with p0 only where two minima tie to within the 1e-14
-    # tolerance of GammaProfile.from_distribution.
-    ref = GammaProfile.from_distribution(dist, FlowParameters(d, 1.0, -1.0))
-    pieces = _Pieces(ref)
+    # calibrate_mass_flux reads the piece geometry of the distribution's
+    # shape, and phi at p0 = -b only applies the scale 2 d^2 / p0.
+    pieces = _Pieces(dist._shape)
     for b in fluxes:
         prof = GammaProfile.from_distribution(dist, FlowParameters(d, 1.0, -b))
-        assume(prof.p1 == ref.p1)
         scale = 2.0 * d**2 / -b
         assert -scale * pieces.unscaled_max == prof.min_lambda
         lam = _admissible(prof, margin)
@@ -208,10 +210,11 @@ def test_calibration_probe_is_the_integral_of_its_profile(dist, d, fluxes, margi
 @PROPERTY
 @given(layered, st.lists(st.tuples(depths, fluxes), min_size=2, max_size=3), margins)
 def test_shared_mesh_levels_hold_each_profiles_primitive(dist, flows, margin):
-    # The levels are built once per key on the distribution; at each
-    # profile's scale, Gamma is its primitive at every quadrature point.
-    # Knots a few ulps apart give build_mesh a sliver element (see CHANGES.md).
-    knots = GammaProfile.from_distribution(dist, FlowParameters(1.0, 1.0, -1.0))._knots
+    # The levels are built once per key in the cache of the distribution's
+    # shape; at each profile's scale, Gamma is its primitive at every
+    # quadrature point.  Knots a few ulps apart give build_mesh a sliver
+    # element (see CHANGES.md).
+    knots = dist._shape.knots
     assume(np.min(np.diff(knots)) > 1e-6)
     points, at = vorticity._points, {}
 
@@ -225,7 +228,23 @@ def test_shared_mesh_levels_hold_each_profiles_primitive(dist, flows, margin):
             for _, rule in spectral._mesh_levels(prof, _admissible(prof, margin), 201):
                 for q in (rule.regular, rule.substituted):
                     assert np.all(q.gamma == prof.primitive(at[id(q.w)]))
-    assert len(at) == 2 * 3 * len(dist._mesh_levels)
+    assert len(at) == 2 * 3 * len(dist._shape.cache)
+
+
+@PROPERTY
+@given(profiles(), st.lists(st.tuples(depths, fluxes), min_size=1, max_size=2))
+def test_every_flow_of_a_distribution_is_one_shape_at_its_scale(prof, flows):
+    # Gamma = (2 d^2 / p0) U with a scale < 0: the maximizers of U minimize
+    # Gamma for every d and p0, and scale * max U is the least scaled Gamma
+    # at a break point, to the bit.
+    dist = prof.source
+    for d, b in flows:
+        other = GammaProfile.from_distribution(dist, FlowParameters(d, 1.0, -b))
+        for p in (prof, other):
+            assert p._shape is dist._shape
+            assert (p.minimizers, p.p1) == (dist._shape.minimizers, dist._shape.p1)
+            least = np.min(p.primitive(dist._shape.breaks))
+            assert np.float64(p.gamma_min).tobytes() == least.tobytes()
 
 
 # -- fixed cases near the floor --------------------------------------------------
@@ -277,7 +296,7 @@ def test_calibrated_p0_meets_the_unit_depth_constraint(dist, lam):
 
 
 def _constraint(dist, lam):
-    return _DepthConstraint(_unit_depth(dist, 1.0), 1.0, lam)
+    return _DepthConstraint(dist._shape, 1.0, lam)
 
 
 @pytest.mark.parametrize("lam", [0.5, 1.5, 3.0, 3.999748])

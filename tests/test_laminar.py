@@ -258,3 +258,12 @@ def test_scaling_invalid():
         scale_to_unit_wavenumber(0.0, d=1.0, g=1.0)
     with pytest.raises(InvalidWavelength):
         scale_to_unit_wavenumber(math.inf, d=1.0, g=1.0)
+    with pytest.raises(InvalidWavelength):
+        scale_to_unit_wavenumber(True, d=1.0, g=1.0)
+
+
+def test_scaling_takes_any_real_wavelength():
+    dist = VorticityDistribution.piecewise_constant([-0.5], [1.0, -2.0])
+    out = scale_to_unit_wavenumber(np.float32(2.0), d=1.0, g=9.81, dist=dist, p0=-1.0)
+    assert (out.kappa, out.d, out.p0) == (math.pi, math.pi, -math.pi)
+    assert out.vorticity == VorticityDistribution.piecewise_constant([-0.5], [1.0 / math.pi, -2.0 / math.pi])

@@ -191,7 +191,7 @@ def test_shooting_tries_the_step_past_the_cap(monkeypatch):
 )
 def test_shooting_gamma_is_the_primitive_bit_for_bit(dist, g, p0):
     prof, _flow = make_profile(dist, g=g, p0=p0)
-    knots = np.asarray(prof._knots, dtype=float)
+    knots = prof._shape.knots
     ulp_off = np.concatenate([np.nextafter(knots, -2.0), np.nextafter(knots, 1.0)])
     p = np.concatenate(
         [[-1.0, 0.0], knots, ulp_off, np.random.default_rng(0).uniform(-1.0, 0.0, 20003)]

@@ -37,6 +37,27 @@ def test_distribution_validation():
         (lambda: VorticityDistribution.piecewise_constant([], [1.0, 2.0]), "values"),
         (lambda: VorticityDistribution.tabulated([-1.0, -0.5], [0.0, 1.0]), "nodes"),
         (lambda: VorticityDistribution(kind="spiral"), "kind"),
+        # Non-finite numbers: NaN fails every comparison, so no ordering or
+        # range rule catches it.
+        pytest.param(lambda: VorticityDistribution.const(math.nan), "gamma", id="nan-gamma"),
+        pytest.param(lambda: VorticityDistribution.const(math.inf), "gamma", id="inf-gamma"),
+        pytest.param(
+            lambda: VorticityDistribution.piecewise_constant([-0.5], [1.0, math.inf]), "values", id="inf-values"
+        ),
+        pytest.param(
+            lambda: VorticityDistribution.piecewise_constant([-0.6, math.nan, -0.2], [1.0] * 4),
+            "breakpoints",
+            id="nan-breakpoints",
+        ),
+        pytest.param(
+            lambda: VorticityDistribution.tabulated([-1.0, math.nan, 0.0], [1.0] * 3), "nodes", id="nan-nodes"
+        ),
+        pytest.param(
+            lambda: VorticityDistribution.tabulated([-1.0, 0.0], [1.0, -math.inf]), "values", id="inf-table"
+        ),
+        pytest.param(lambda: FlowParameters(d=math.inf, g=1.0, p0=-1.0), "d", id="inf-d"),
+        pytest.param(lambda: FlowParameters(d=1.0, g=math.nan, p0=-1.0), "g", id="nan-g"),
+        pytest.param(lambda: FlowParameters(d=1.0, g=1.0, p0=-math.inf), "p0", id="inf-p0"),
     ],
 )
 def test_value_errors_name_their_field(build, field):
@@ -126,7 +147,7 @@ def test_zero_at_a_knot_adds_no_round_off_minimizer(nodes, values, minimizers):
     # a few ulps inside the interval; it is not a second break point.
     prof, _ = make_profile(VorticityDistribution.tabulated(nodes, values))
     assert prof.minimizers == minimizers
-    assert list(prof._breaks) == nodes
+    assert list(prof._shape.breaks) == nodes
 
 
 def test_min_no_sample_below_random_piecewise():
