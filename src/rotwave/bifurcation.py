@@ -25,9 +25,8 @@ from .laminar import (
     lambda_of_min_head,
 )
 from .numerics import bracketed_root
-from .spectral import ModeSolution, principal_eigen
+from .spectral import ModeSolution, _mesh_levels, principal_eigen
 from .vorticity import (
-    ElementRule,
     FlowParameters,
     GammaProfile,
     VorticityDistribution,
@@ -268,7 +267,8 @@ def transversality_integral(point: BifurcationPoint) -> float:
     (the factors pi are the q-averages of cos^2 and sin^2 over a period).
     """
     lam = point.lambda_star
-    nodes = point.mode.nodes
+    # The mode lives on the refined level, whose rule the eigen solve cached.
+    nodes, rule = _mesh_levels(point.branch.profile, lam, point.branch.mesh_points)[2]
     M = point.mode.M
     slope = np.diff(M) / np.diff(nodes)
 
@@ -278,7 +278,7 @@ def transversality_integral(point: BifurcationPoint) -> float:
         yield q.w * m * m / a
         yield q.w * a
 
-    int_inv, int_a = ElementRule(point.branch.profile, nodes).integrate(weighted)
+    int_inv, int_a = rule.integrate(weighted)
     i1 = float(np.sum(int_inv))
     i2 = float(np.sum(int_a * slope * slope))
     return -0.5 * math.pi * i1 - 3.0 * math.pi * i2 / point.branch.d**2

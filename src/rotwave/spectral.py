@@ -201,26 +201,31 @@ def _quotient_from_integrals(ints, h, M, flow) -> float:
     return num / (p0sq * flow.d**2 * mass)
 
 
-def _bisect_smallest(dA, eA, dB, eB, rel_tol=1e-3):
-    """Smallest pencil eigenvalue by Sylvester-count bisection.
+def _bisect_smallest(dA, eA, dB, eB):
+    """Shifts next to the smallest pencil eigenvalue, by Sylvester-count
+    bisection of one bracket.
 
-    O(n) per step and BLAS-free.  The default tolerance seeds the Rayleigh
-    quotient iteration inside its basin of attraction; a tight one places
-    the shift next to the smallest eigenvalue when a seed from a coarser
-    mesh led the iteration to a larger one.  With no eigenvalue bracketed
-    within 1e14 of 0, bracket_turn raises BracketFailure.
+    O(n) per step and BLAS-free.  Yields the bracket's midpoint twice: at
+    width 1e-3 relative, which places a Rayleigh quotient iteration started
+    there in the smallest eigenvalue's basin, and, should the caller ask
+    again, after narrowing the same bracket on to 1e-12, which puts the
+    shift next to that eigenvalue when the first one led the iteration to
+    a larger one.  The second shift is the one a fresh walk to 1e-12 would
+    give, since both take the same midpoints.  With no eigenvalue bracketed
+    within 1e14 of 0, bracket_turn raises BracketFailure at the first shift.
     """
     def count(tau):
         return count_pencil_eigenvalues_below(dA, eA, dB, eB, tau)
 
     lo, hi = bracket_turn(lambda tau: count(tau) >= 1, 1e14)
-    while hi - lo > rel_tol * max(1.0, abs(lo), abs(hi)):
-        mid = 0.5 * (lo + hi)
-        if count(mid) >= 1:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    for rel_tol in (1e-3, 1e-12):
+        while hi - lo > rel_tol * max(1.0, abs(lo), abs(hi)):
+            mid = 0.5 * (lo + hi)
+            if count(mid) >= 1:
+                hi = mid
+            else:
+                lo = mid
+        yield 0.5 * (lo + hi)
 
 
 def _solve_level(flow, lam, nodes, rule, seed=None):
@@ -228,9 +233,19 @@ def _solve_level(flow, lam, nodes, rule, seed=None):
 
     ``seed`` is (sigma0, v0) from a coarser level or a neighbouring lambda;
     sigma0 None starts from the Rayleigh quotient of v0 on this pencil.
-    Without a seed, the shift comes from a rough bisection of this level's
-    pencil.  When the iteration fails its residual or inertia check, it is
-    restarted from a bisection of this level's pencil to 1e-12 relative.
+    Without a seed, the shift is the first of _bisect_smallest on this
+    level's pencil.  When an iteration fails its residual or inertia check,
+    it restarts from the next shift of that one bracket: first the 1e-3
+    one (if not yet taken), then the 1e-12 one, after which the failure
+    stands.  A seed fails just above the admissibility floor, where the
+    mode is a thin layer that a mode at another lambda cannot resolve; mu_1
+    is then large and negative, and the first restart usually suffices.
+    A's only negative part is the rank-one surface term -g d^3 e_n e_n^T,
+    so the pencil has at most one negative eigenvalue, and a negative mu_1
+    lies at least |mu_1| below mu_2, far outside the 1e-3 bracket.  Where
+    the layer is narrower than the elements (mu_1 near -1e9 at 1e-5 above
+    the floor), the iterate from that shift can still leave for a larger
+    eigenvalue, so the 1e-12 stage stays.
     Returns (mu, M_full) where mu is the element-energy quotient of the
     surface-normalized eigenfunction (the value whose Rayleigh identity is
     exact) and M_full includes the bed node M(-1) = 0.
@@ -238,13 +253,18 @@ def _solve_level(flow, lam, nodes, rule, seed=None):
     h = np.diff(nodes)
     ints = _element_integrals(rule, lam)
     pencil = [band[1:] for band in _bands_from_integrals(ints, h, flow)]
+    shifts = _bisect_smallest(*pencil)
     if seed is None:
-        seed = (_bisect_smallest(*pencil), None)
-    try:
-        _, v = smallest_eigenpair_tridiagonal(*pencil, *seed)
-    except EigenFailure:
-        sigma = _bisect_smallest(*pencil, rel_tol=1e-12)
-        _, v = smallest_eigenpair_tridiagonal(*pencil, sigma, None)
+        seed = (next(shifts), None)
+    while True:
+        try:
+            _, v = smallest_eigenpair_tridiagonal(*pencil, *seed)
+            break
+        except EigenFailure:
+            sigma = next(shifts, None)
+            if sigma is None:
+                raise
+            seed = (sigma, None)
     M = np.concatenate([[0.0], v])
     return _quotient_from_integrals(ints, h, M, flow), M
 
@@ -270,9 +290,11 @@ def principal_eigen(
     another.  With one, the coarse level is skipped: the working level
     starts from near.M interpolated to its nodes and that vector's Rayleigh
     quotient, and should that iteration fail its residual or inertia check
-    it restarts as every level does (see _solve_level).  The coarse level
-    and ``near`` only ever seed, so ``near`` changes the result by no more
-    than the iteration's stopping tolerance.
+    it restarts as every level does (see _solve_level): from a bisection
+    of that level's pencil to 1e-3 relative, and only if that fails too
+    from the same bracket narrowed to 1e-12.  The coarse level and
+    ``near`` only ever seed, so ``near`` changes the result by no more than
+    the iteration's stopping tolerance.
     """
     profile.require_admissible(lam)
     (coarse, rule_c), (fine, rule_f), (finer, rule_2) = _mesh_levels(profile, lam, mesh_points)

@@ -22,6 +22,7 @@ from rotwave import (
     transversality_integral,
 )
 
+from rotwave import bifurcation
 from rotwave.cli import build_criteria_report, main, parse_config
 from rotwave.errors import DegenerateConstraint, EigenFailure, NoSolution
 from rotwave.vorticity import ElementRule
@@ -303,6 +304,27 @@ def test_transversality_negative_rotational():
     pt = find_lambda_star(make_branch(0.5, g=1.5, mesh_points=801))
     assert isinstance(pt, BifurcationPoint)
     assert transversality_integral(pt) < 0.0
+
+
+def test_transversality_reuses_the_refined_rule(monkeypatch):
+    # The mode's nodes are the refined level's, so the rule the eigen solve
+    # cached serves: no ElementRule is built, and T is the one a rule built
+    # afresh on those nodes gives, bit for bit.
+    pt = find_lambda_star(make_branch(-1.0, g=9.81, p0=-2.0, mesh_points=801))
+    nodes = pt.mode.nodes
+    fresh = ElementRule(pt.branch.profile, nodes)
+    init = ElementRule.__init__
+    built = []
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(ElementRule, "__init__", counted)
+    T = transversality_integral(pt)
+    assert built == []
+    monkeypatch.setattr(bifurcation, "_mesh_levels", lambda *args: [None, None, (nodes, fresh)])
+    assert transversality_integral(pt) == T
 
 
 # -- fixed-mean-depth family ---------------------------------------------------------

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rotwave import (
     Branch,
@@ -363,19 +365,28 @@ def test_seeded_solve_equals_unseeded(name):
             _same_eigen(principal_eigen(prof, flow, lam, near=near), plain[lam])
 
 
+def _record_stages(monkeypatch):
+    """Record, in order, the stage of each shift taken from _bisect_smallest:
+    0 for its 1e-3 shift, 1 for its 1e-12 one."""
+    stages = []
+    bisect = spectral._bisect_smallest
+
+    def recorded(*args):
+        for stage, sigma in enumerate(bisect(*args)):
+            stages.append(stage)
+            yield sigma
+
+    monkeypatch.setattr(spectral, "_bisect_smallest", recorded)
+    return stages
+
+
 def test_misleading_seed_takes_the_fallback(monkeypatch):
     # A mode of another profile, a vector with interior zeros, or the mode at
     # lambda0 seeding C0 just above its floor leads the iteration astray; the
-    # working level then restarts from a tight bisection of its own pencil,
-    # with no coarse level solved, and finds the principal pair.
-    rough = []
-    bisect = spectral._bisect_smallest
-
-    def counted(*args, **kwargs):
-        rough.append(kwargs.get("rel_tol", 1e-3) == 1e-3)
-        return bisect(*args, **kwargs)
-
-    monkeypatch.setattr(spectral, "_bisect_smallest", counted)
+    # working level then restarts from a bisection of its own pencil to 1e-3,
+    # with no coarse level solved and no narrowing to 1e-12, and finds the
+    # principal pair.
+    stages = _record_stages(monkeypatch)
     c1, flow = make_profile(-1.0, d=1.0, g=9.81, p0=-2.0)
     c0, _ = make_profile(0.0, d=1.0, g=9.81, p0=-2.0)
     lam = c1.min_lambda + 1e-3
@@ -387,9 +398,83 @@ def test_misleading_seed_takes_the_fallback(monkeypatch):
     cases = [(c1, lam, other), (c1, lam, wavy), (c0, 1e-3, principal_eigen(c0, flow, 1.8))]
     for prof, lam, near in cases:
         plain = principal_eigen(prof, flow, lam)
-        rough.clear()
+        stages.clear()
         _same_eigen(principal_eigen(prof, flow, lam, near=near), plain)
-        assert rough == [False]
+        assert stages == [0]
+
+
+def test_restart_narrows_its_one_bracket_to_1e12(monkeypatch):
+    # Constant gamma = 1 (d = g = 1, p0 = -1) at 1e-5 above its floor, seeded
+    # from its mode at lambda = 1, on 1001 points: the working level's
+    # iteration fails from the seed and from the 1e-3 shift, and succeeds
+    # from the same bracket narrowed to 1e-12.  Narrowing it, rather than
+    # walking a fresh bracket, costs at most the 1e-3 iteration's two
+    # inertia checks over a restart that bisects to 1e-12 at once.
+    prof, flow = make_profile(1.0, d=1.0, g=1.0, p0=-1.0)
+    lam = prof.min_lambda + 1e-5 * max(1.0, abs(prof.min_lambda))
+    plain = principal_eigen(prof, flow, lam, mesh_points=1001)
+    near = principal_eigen(prof, flow, prof.min_lambda + 1.0, mesh_points=1001)
+    sweeps = []
+    count = numerics.count_pencil_eigenvalues_below
+
+    def counted(*args):
+        sweeps.append(args[-1])
+        return count(*args)
+
+    for module in (numerics, spectral):
+        monkeypatch.setattr(module, "count_pencil_eigenvalues_below", counted)
+    stages = _record_stages(monkeypatch)
+    _same_eigen(principal_eigen(prof, flow, lam, mesh_points=1001, near=near), plain)
+    assert stages == [0, 1]
+    narrowed = len(sweeps)
+
+    def tight_at_once(*pencil):
+        # One walk of a fresh bracket straight to 1e-12.
+        def count(tau):
+            return spectral.count_pencil_eigenvalues_below(*pencil, tau)
+
+        lo, hi = numerics.bracket_turn(lambda tau: count(tau) >= 1, 1e14)
+        while hi - lo > 1e-12 * max(1.0, abs(lo), abs(hi)):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if count(mid) >= 1 else (mid, hi)
+        yield 0.5 * (lo + hi)
+
+    monkeypatch.setattr(spectral, "_bisect_smallest", tight_at_once)
+    sweeps.clear()
+    _same_eigen(principal_eigen(prof, flow, lam, mesh_points=1001, near=near), plain)
+    assert narrowed <= len(sweeps) + 2
+
+
+_LAYER_VALUES = st.floats(-3.0, 3.0, allow_subnormal=False)
+
+
+@st.composite
+def _layered_pencils(draw):
+    """Pencils of random constant and piecewise-constant profiles, at lambda
+    from 1e-6 to 10 times max(1, |floor|) above the floor, on the solver's
+    meshes."""
+    if draw(st.booleans()):
+        dist = VorticityDistribution.const(draw(_LAYER_VALUES))
+    else:
+        interior = st.floats(-0.95, -0.05, allow_subnormal=False)
+        bps = sorted(draw(st.lists(interior, min_size=1, max_size=3, unique=True)))
+        values = draw(st.lists(_LAYER_VALUES, min_size=len(bps) + 1, max_size=len(bps) + 1))
+        dist = VorticityDistribution.piecewise_constant(bps, values)
+    prof, flow = make_profile(
+        dist, d=draw(st.floats(0.5, 1.5)), g=draw(st.floats(0.1, 10.0)), p0=-draw(st.floats(0.3, 3.0))
+    )
+    lam = prof.min_lambda + 10.0 ** draw(st.floats(-6.0, 1.0)) * max(1.0, abs(prof.min_lambda))
+    nodes = build_mesh(prof, lam, draw(st.sampled_from([201, 1001])))
+    return [band[1:] for band in assemble(prof, flow, lam, nodes)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_layered_pencils())
+def test_pencil_has_at_most_one_negative_eigenvalue(pencil):
+    # A = p0^2 K - g d^3 e_n e_n^T with K positive definite: a rank-one
+    # negative part, so at most one negative eigenvalue, which is what lets
+    # a 1e-3 bisection seed the restart of a failed iteration.
+    assert numerics.count_pencil_eigenvalues_below(*pencil, 0.0) <= 1
 
 
 @pytest.mark.parametrize("name, lam", [("C0", 0.01), ("C1", 1.01), ("P", None), ("T", None)])
