@@ -333,20 +333,19 @@ def rayleigh_quotient(
 def _scalar_gamma_primitive(profile: GammaProfile):
     """Fast scalar closure for Gamma(p), for ODE right-hand sides."""
     shape = profile._shape
-    knots, g0, g1, jk = shape.knots.tolist(), shape.g0.tolist(), shape.g1.tolist(), shape.jknots.tolist()
+    knots, g_end, g1, uk = (x.tolist() for x in (shape.knots, shape.g_end, shape.g1, shape.uknots))
     scale = profile._scale
-    j_end = jk[-1]
-    nmax = len(g0) - 1
+    nmax = len(g1) - 1
 
     def gamma_of(p: float) -> float:
-        j = bisect.bisect_right(knots, p) - 1
+        j = bisect.bisect_left(knots, p) - 1
         if j < 0:
             j = 0
         elif j > nmax:
             j = nmax
-        dp = p - knots[j]
+        e = knots[j + 1] - p
         # Summed as GammaProfile.primitive sums, so both give the same floats.
-        return scale * (jk[j] + (g0[j] * dp + 0.5 * g1[j] * dp * dp) - j_end)
+        return scale * (uk[j + 1] - (g_end[j] * e - 0.5 * g1[j] * e * e))
 
     return gamma_of
 

@@ -158,8 +158,10 @@ class _Shape:
     its scale: all that the flows of one distribution share.
 
     gamma(p) = g0[j] + g1[j] (p - knots[j]) on knot interval j, with the
-    exact value g_end[j] at its right end, and J = integral_{-1}^p gamma is
-    ``jknots`` at the knots, so that U = J(p) - J(0).  ``breaks`` are the
+    exact value g_end[j] at its right end.  U is ``uknots`` at the knots,
+    summed from the surface, where it is 0, and on each interval it is
+    anchored at the right knot, so that U keeps its relative accuracy where
+    it is much smaller than integral_{-1}^0 |gamma|.  ``breaks`` are the
     knots and the interior zeros of gamma: between two consecutive ones U
     is one monotone polynomial piece, so its largest value ``u_max`` sits at
     a break point.  The scale is < 0 for every d and p0, so the maximizers
@@ -178,7 +180,8 @@ class _Shape:
     def __init__(self, dist: VorticityDistribution):
         self.knots, self.g0, self.g1, self.g_end = knots, g0, g1, g_end = _poly_tables(dist)
         h = np.diff(knots)
-        self.jknots = np.concatenate([[0.0], np.cumsum(g0 * h + 0.5 * g1 * h * h)])
+        rise = g_end * h - 0.5 * g1 * h * h  # integral of gamma over each interval
+        self.uknots = np.concatenate([-np.cumsum(rise[::-1])[::-1], [0.0]])
         breaks = list(knots)
         for j in range(len(g0)):
             # Strict sign change: a zero at a knot adds no round-off neighbour.
@@ -199,13 +202,12 @@ class _Shape:
         self.cache = {}
 
     def unscaled(self, p):
-        """U(p) = J(p) - J(0), as an array."""
+        """U(p), as an array: U at the right knot of p's interval less
+        integral_p^knot gamma, so U is ``uknots`` at every knot to the bit."""
         p = _check_domain(p)
-        idx = np.clip(np.searchsorted(self.knots, p, side="right") - 1, 0, len(self.g0) - 1)
-        dp = p - self.knots[idx]
-        # Summed as the increments of jknots are, so that U(0) is 0.
-        j = self.jknots[idx] + (self.g0[idx] * dp + 0.5 * self.g1[idx] * dp * dp)
-        return j - self.jknots[-1]
+        idx = np.clip(np.searchsorted(self.knots, p, side="left") - 1, 0, len(self.g0) - 1)
+        e = self.knots[idx + 1] - p
+        return self.uknots[idx + 1] - (self.g_end[idx] * e - 0.5 * self.g1[idx] * e * e)
 
 
 @dataclass(frozen=True)

@@ -110,7 +110,7 @@ def test_reconstruct_without_a_bifurcation_says_so(tmp_path, capsys):
 
 # C1 at the default mesh: the stagnation bound of build_wave is the same for
 # every even n_q, whose grid holds q = 0 and q = -pi where cos q = +-1.
-C1_CRITICAL_S = 0.6424715853912716
+C1_CRITICAL_S = 0.6424715853901456
 
 
 def test_reconstruct_past_the_stagnation_bound_exits_4(tmp_path, capsys):
@@ -118,7 +118,7 @@ def test_reconstruct_past_the_stagnation_bound_exits_4(tmp_path, capsys):
     out = tmp_path / "out"
     argv = ("reconstruct", "--amplitude", repr(1.01 * C1_CRITICAL_S), "--out", str(out))
     assert _run(tmp_path, config, *argv) == 4
-    assert capsys.readouterr().err == '{"error": "stagnation", "critical_s": 0.6424715853912716}\n'
+    assert capsys.readouterr().err == '{"error": "stagnation", "critical_s": 0.6424715853901456}\n'
     assert os.listdir(out) == []
 
 

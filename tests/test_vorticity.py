@@ -99,6 +99,24 @@ def test_primitive_tabulated_quadratic():
     assert prof.primitive(p) == pytest.approx(expected, abs=1e-14)
 
 
+@pytest.mark.parametrize(
+    "breakpoints, values, p, expected",
+    [
+        # U(-0.95) = -(-1e-5)(0.95), tiny next to integral_{-1}^0 gamma ~ 0.07
+        ([-0.95], [1.4384545404122715, -1e-5], -0.95, 1e-5 * 0.95),
+        # U(-0.406) = 2.2e-16 * 0.406, the largest U; the 1e-300 layer and
+        # the unit gamma below it do not touch its digits
+        ([-0.754, -0.406], [1.0, 1e-300, -2.2e-16], -0.406, 2.2e-16 * 0.406),
+    ],
+)
+def test_primitive_keeps_its_digits_near_the_surface(breakpoints, values, p, expected):
+    # U = integral_0^p gamma is summed from the surface: J(p) - J(0) from
+    # the bed gave 9.499999999995623e-6 and 8.33e-17 here.
+    shape = VorticityDistribution.piecewise_constant(breakpoints, values)._shape
+    assert float(shape.unscaled(p)) == pytest.approx(expected, rel=1e-15, abs=0.0)
+    assert shape.u_max == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+
 # -- GammaProfile.gamma_min and p1 -----------------------------------------------
 
 
