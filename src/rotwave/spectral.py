@@ -10,7 +10,10 @@ Two independent routes to the principal eigenvalue mu(lambda) of
   on the mesh, Richardson extrapolation over a nested refinement, and a
   tridiagonal Rayleigh-quotient iteration seeded by the solution at a
   neighbouring lambda, or else by Sylvester-count bisection on a coarse
-  mesh;
+  mesh.  The element integrals of a^3 and a N_i N_j are taken once per
+  lambda, on the refined mesh, by contracting a with the reference
+  element's Gauss weights (vorticity.ElementRule); the working mesh sums
+  them over the two halves of each of its elements;
 
 * a Pruefer-angle shooting method integrating theta' = cos^2(theta)/a^3 +
   mu d^2 a sin^2(theta) from theta(-1) = 0.  The surface condition pins
@@ -104,12 +107,14 @@ def refine_mesh(nodes: np.ndarray) -> np.ndarray:
 
 
 def _mesh_levels(profile: GammaProfile, lam: float, mesh_points: int):
-    """The (nodes, ElementRule) pairs of the coarse, working and refined
-    levels of principal_eigen.
+    """The levels of principal_eigen: (coarse nodes, their ElementRule),
+    the working nodes and (refined nodes, their ElementRule).
 
-    They depend on lambda only through the grading of build_mesh and on d
-    and p0 only through the scale of Gamma, so they are kept in the cache of
-    the distribution's shape per (mesh_points, grading), at the scale last
+    The working level needs no rule of its own: its element integrals are
+    restricted from the refined level's (_restrict).  The levels depend on
+    lambda only through the grading of build_mesh and on d and p0 only
+    through the scale of Gamma, so they are kept in the cache of the
+    distribution's shape per (mesh_points, grading), at the scale last
     asked for.  The node arrays are shared by every ModeSolution on them,
     so read-only.
     """
@@ -119,30 +124,54 @@ def _mesh_levels(profile: GammaProfile, lam: float, mesh_points: int):
     if levels is None:
         coarse = build_mesh(profile, lam, min(_COARSE_POINTS, mesh_points))
         fine = build_mesh(profile, lam, mesh_points)
-        levels = []
-        for nodes in (coarse, fine, refine_mesh(fine)):
+        finer = refine_mesh(fine)
+        for nodes in (coarse, fine, finer):
             nodes.setflags(write=False)
-            levels.append((nodes, ElementRule(profile, nodes)))
+        levels = ((coarse, ElementRule(profile, coarse)), fine, (finer, ElementRule(profile, finer)))
     elif scale != profile._scale:
-        levels = [(nodes, rule.scaled(profile._scale)) for nodes, rule in levels]
+        (coarse, rule_c), fine, (finer, rule_2) = levels
+        levels = ((coarse, rule_c.scaled(profile._scale)), fine, (finer, rule_2.scaled(profile._scale)))
     cache[key] = (profile._scale, levels)
     return levels
 
 
-def _element_integrals(rule: ElementRule, lam: float):
+def _element_integrals(rule: ElementRule, lam: float) -> np.ndarray:
     """Per-element integrals of a^3 and of a against the P1 basis products.
 
     Returns the rows (s1, m00, m01, m11) with s1 = int a^3 and
-    m.. = int a N_i N_j on each element; the rule's lambda-free mass
-    weights need only be multiplied by a.
+    m.. = int a N_i N_j on each element.  On regular elements that is one
+    sqrt pass over the points and two contractions with the reference
+    element's weights, scaled by h; the substituted elements next to a
+    minimizer sum their own weights point by point.
     """
+    a = lam + rule.regular.gamma
+    np.sqrt(a, out=a)
+    out = np.empty((4, a.shape[1]))
+    out[1:] = rule.mass_weights @ a
+    a3 = a * a
+    a3 *= a
+    out[0] = rule.weights @ a3
+    out *= rule.h
+    sub = rule.substituted
+    if len(sub.elements):
+        a = np.sqrt(lam + sub.gamma)
+        out[0, sub.elements] = np.sum(sub.w * (a * a * a), axis=0)
+        out[1:, sub.elements] = np.sum(sub.mass * a, axis=1)
+    return out
 
-    def weighted(q):
-        a = np.sqrt(lam + q.gamma)
-        yield q.w * (a * a * a)
-        yield from q.mass * a
 
-    return rule.integrate(weighted)
+def _restrict(ints: np.ndarray) -> np.ndarray:
+    """The working level's element integrals from the refined level's
+    ``ints``: P^T A P for the nested P1 spaces.
+
+    refine_mesh splits working element e into refined elements L = 2e and
+    R = 2e + 1, and the working hats are N0_L + N1_L / 2 and N1_L / 2 on L,
+    N0_R / 2 and N0_R / 2 + N1_R on R, so each integral over e is an exact
+    sum of refined ones.
+    """
+    (s1L, m00L, m01L, m11L), (s1R, m00R, m01R, m11R) = ints[:, 0::2], ints[:, 1::2]
+    mid = 0.25 * (m11L + m00R)
+    return np.array([s1L + s1R, m00L + m01L + mid, 0.5 * (m01L + m01R) + mid, mid + m01R + m11R])
 
 
 def _bands_from_integrals(ints, h: np.ndarray, flow: FlowParameters):
@@ -228,8 +257,9 @@ def _bisect_smallest(dA, eA, dB, eB):
         yield 0.5 * (lo + hi)
 
 
-def _solve_level(flow, lam, nodes, rule, seed=None):
-    """One mesh level: banded Rayleigh-quotient iteration on its pencil.
+def _solve_level(flow, lam, nodes, ints, seed=None):
+    """One mesh level: banded Rayleigh-quotient iteration on its pencil,
+    assembled from the level's element integrals ``ints``.
 
     ``seed`` is (sigma0, v0) from a coarser level or a neighbouring lambda;
     sigma0 None starts from the Rayleigh quotient of v0 on this pencil.
@@ -251,7 +281,6 @@ def _solve_level(flow, lam, nodes, rule, seed=None):
     exact) and M_full includes the bed node M(-1) = 0.
     """
     h = np.diff(nodes)
-    ints = _element_integrals(rule, lam)
     pencil = [band[1:] for band in _bands_from_integrals(ints, h, flow)]
     shifts = _bisect_smallest(*pencil)
     if seed is None:
@@ -282,9 +311,13 @@ def principal_eigen(
     iteration on the working mesh and its uniform refinement; the two
     levels give a Richardson-extrapolated ``mu_refined`` while the stored M
     and ``mu`` come from the finer level.  M is normalized to M(0) = 1.
-    The three mesh levels and their element quadrature are built once per
-    distribution, mesh size and grading (see _mesh_levels), not once per
-    lambda or flow.
+    Each lambda takes one quadrature pass, on the refined level: the
+    working level's element integrals are restricted from it (_restrict),
+    so its pencil is the refined one's on the nested P1 space, its
+    eigenvalue is not below the refined one, and ``mu_refined`` <= ``mu``.
+    The mesh levels and the coarse and refined element quadrature are built
+    once per distribution, mesh size and grading (see _mesh_levels), not
+    once per lambda or flow.
 
     ``near`` is a solution at a neighbouring lambda, on this profile or
     another.  With one, the coarse level is skipped: the working level
@@ -297,15 +330,16 @@ def principal_eigen(
     the iteration's stopping tolerance.
     """
     profile.require_admissible(lam)
-    (coarse, rule_c), (fine, rule_f), (finer, rule_2) = _mesh_levels(profile, lam, mesh_points)
+    (coarse, rule_c), fine, (finer, rule_2) = _mesh_levels(profile, lam, mesh_points)
+    ints_2 = _element_integrals(rule_2, lam)
     if near is None:
-        mu_c, m_c = _solve_level(flow, lam, coarse, rule_c)
+        mu_c, m_c = _solve_level(flow, lam, coarse, _element_integrals(rule_c, lam))
         seed = (mu_c, np.interp(fine[1:], coarse, m_c))
     else:
         seed = (None, np.interp(fine[1:], near.nodes, near.M))
-    mu_f, m_f = _solve_level(flow, lam, fine, rule_f, seed)
+    mu_f, m_f = _solve_level(flow, lam, fine, _restrict(ints_2), seed)
     mu_2, m_2 = _solve_level(
-        flow, lam, finer, rule_2, (mu_f, np.interp(finer[1:], fine, m_f))
+        flow, lam, finer, ints_2, (mu_f, np.interp(finer[1:], fine, m_f))
     )
     mu_refined = mu_2 + (mu_2 - mu_f) / 3.0
     return ModeSolution(lam=lam, mu=mu_2, mu_refined=mu_refined, nodes=finer, M=m_2)

@@ -27,6 +27,7 @@ _DOMAIN_SLACK = 1e-12
 # t = sqrt(|p - p*|) on an element with an end within _TOUCH of a minimizer p*.
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(8)
 _SUB_X, _SUB_W = np.polynomial.legendre.leggauss(12)
+_REF_N0, _REF_N1 = 0.5 * (1.0 - _GAUSS_X), 0.5 * (1.0 + _GAUSS_X)  # P1 basis at _GAUSS_X
 _TOUCH = 1e-14
 
 
@@ -282,7 +283,9 @@ class QuadraturePoints:
     gamma at the points p, ``gamma`` Gamma there and ``n0`` the P1 basis
     function of the element's left node, all of shape (points, elements);
     n1 = 1 - n0 is that of its right node.  ``mass`` stacks the lambda-free
-    mass weights w n0 n0, w n0 n1 and w n1 n1.
+    mass weights w n0 n0, w n0 n1 and w n1 n1 on substituted points, and is
+    None on regular ones, whose mass integrals contract the reference
+    element's weights (ElementRule.mass_weights) instead.
     """
 
     elements: np.ndarray
@@ -290,7 +293,7 @@ class QuadraturePoints:
     unscaled: np.ndarray
     gamma: np.ndarray
     n0: np.ndarray
-    mass: np.ndarray
+    mass: Optional[np.ndarray] = None
 
 
 class ElementRule:
@@ -303,12 +306,22 @@ class ElementRule:
     gets 12-point Gauss in t = sqrt(|p - p*|) instead.  Nothing stored
     depends on lambda, and only Gamma on d and p0 (see ``scaled``): the
     arrays are built once per rule, one row per quadrature point.
+
+    A regular element is the reference element scaled by its width ``h``,
+    so for f at its points the integral of f over element e is
+    h[e] (``weights`` @ f)[e], with weights half the Gauss weights, and that
+    of f N_i N_j is h[e] times row (i, j) = (0, 0), (0, 1), (1, 1) of
+    ``mass_weights`` @ f, which holds the reference basis (1 - xi) / 2 and
+    (1 + xi) / 2 at the Gauss nodes xi exactly.
     """
+
+    weights = 0.5 * _GAUSS_W
+    mass_weights = weights * np.stack([_REF_N0 * _REF_N0, _REF_N0 * _REF_N1, _REF_N1 * _REF_N1])
 
     def __init__(self, profile: GammaProfile, nodes):
         nodes = np.asarray(nodes, dtype=float)
         lo, hi = nodes[:-1], nodes[1:]
-        h = hi - lo
+        self.h = h = hi - lo
         mins = np.asarray(profile.minimizers)
         left = np.min(np.abs(lo[:, None] - mins), axis=1) < _TOUCH
         right = np.min(np.abs(hi[:, None] - mins), axis=1) < _TOUCH
@@ -322,7 +335,7 @@ class ElementRule:
         t = 0.5 * width * (_SUB_X[:, None] + 1.0)
         x = np.where(left[sub], lo[sub] + t * t, hi[sub] - t * t)
         w = 0.5 * width * _SUB_W[:, None] * 2.0 * t
-        self.substituted = _points(profile, sub, x, w, lo[sub], hi[sub], h[sub])
+        self.substituted = _points(profile, sub, x, w, lo[sub], hi[sub], h[sub], with_mass=True)
 
     def scaled(self, scale: float) -> "ElementRule":
         """This rule for the profile of its distribution with scale
@@ -346,17 +359,20 @@ class ElementRule:
         return out
 
 
-def _points(profile, elements, x, w, lo, hi, h) -> QuadraturePoints:
+def _points(profile, elements, x, w, lo, hi, h, with_mass=False) -> QuadraturePoints:
     n0 = (hi - x) / h
-    n1 = (x - lo) / h
     unscaled = profile._shape.unscaled(x)
+    mass = None
+    if with_mass:
+        n1 = (x - lo) / h
+        mass = np.stack([w * n0 * n0, w * n0 * n1, w * n1 * n1])
     return QuadraturePoints(
         elements=elements,
         w=w,
         unscaled=unscaled,
         gamma=profile._scale * unscaled,
         n0=n0,
-        mass=np.stack([w * n0 * n0, w * n0 * n1, w * n1 * n1]),
+        mass=mass,
     )
 
 

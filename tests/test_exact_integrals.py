@@ -218,17 +218,18 @@ def test_shared_mesh_levels_hold_each_profiles_primitive(dist, flows, margin):
     assume(np.min(np.diff(knots)) > 1e-6)
     points, at = vorticity._points, {}
 
-    def recording(profile, elements, x, w, *rest):
+    def recording(profile, elements, x, w, *rest, **options):
         at[id(w)] = x
-        return points(profile, elements, x, w, *rest)
+        return points(profile, elements, x, w, *rest, **options)
 
     with mock.patch.object(vorticity, "_points", recording):
         for d, b in flows:
             prof = GammaProfile.from_distribution(dist, FlowParameters(d, 1.0, -b))
-            for _, rule in spectral._mesh_levels(prof, _admissible(prof, margin), 201):
+            (_, coarse), _, (_, refined) = spectral._mesh_levels(prof, _admissible(prof, margin), 201)
+            for rule in (coarse, refined):
                 for q in (rule.regular, rule.substituted):
                     assert np.all(q.gamma == prof.primitive(at[id(q.w)]))
-    assert len(at) == 2 * 3 * len(dist._shape.cache)
+    assert len(at) == 2 * 2 * len(dist._shape.cache)
 
 
 @PROPERTY
@@ -245,6 +246,33 @@ def test_every_flow_of_a_distribution_is_one_shape_at_its_scale(prof, flows):
             assert (p.minimizers, p.p1) == (dist._shape.minimizers, dist._shape.p1)
             least = np.min(p.primitive(dist._shape.breaks))
             assert np.float64(p.gamma_min).tobytes() == least.tobytes()
+
+
+@PROPERTY
+@given(layered, depths, fluxes, margins)
+def test_working_level_mu_is_not_below_the_refined_one(dist, d, b, margin):
+    # The working level's element integrals are restricted from the refined
+    # level's, so its pencil is P^T A P, P^T B P for the nested P1 spaces and
+    # its smallest eigenvalue is not below the refined one: Richardson can
+    # only lower mu.  Break points (knots and zeros of gamma) a few ulps
+    # apart give build_mesh a sliver element, on which the solve fails
+    # (see CHANGES.md).
+    assume(np.min(np.diff(dist._shape.breaks)) > 1e-6)
+    prof = GammaProfile.from_distribution(dist, FlowParameters(d, 1.0, -b))
+    lam = _admissible(prof, margin)
+    solve, mus = spectral._solve_level, []
+
+    def recording(flow, lam, nodes, *rest):
+        mu, M = solve(flow, lam, nodes, *rest)
+        mus.append(mu)
+        return mu, M
+
+    with mock.patch.object(spectral, "_solve_level", recording):
+        sol = spectral.principal_eigen(prof, prof.flow, lam, mesh_points=201)
+    mu_working, mu_refined_level = mus[-2:]
+    assert mu_refined_level == sol.mu
+    assert mu_working >= sol.mu - 1e-14 * max(1.0, abs(sol.mu))
+    assert sol.mu_refined <= sol.mu + 1e-14 * max(1.0, abs(sol.mu))
 
 
 # -- fixed cases near the floor --------------------------------------------------

@@ -21,6 +21,8 @@ from rotwave.errors import EigenFailure, NonAdmissibleLambda, ZeroDenominator
 from rotwave.numerics import bracketed_root, smallest_eigenpair_tridiagonal
 from rotwave.spectral import (
     ModeSolution,
+    _element_integrals,
+    _restrict,
     _solve_level,
     assemble,
     build_mesh,
@@ -313,19 +315,109 @@ def test_level_solve_matches_dense_near_floor(mesh_points):
     prof, flow = make_profile(0.0, d=1.0, g=9.81, p0=-2.0)
     lam = 0.01
     coarse = build_mesh(prof, lam, 201)
-    mu_c, m_c = _solve_level(flow, lam, coarse, ElementRule(prof, coarse))
+    mu_c, m_c = _solve_level(flow, lam, coarse, _element_integrals(ElementRule(prof, coarse), lam))
     nodes = build_mesh(prof, lam, mesh_points)
     seed = (mu_c, np.interp(nodes[1:], coarse, m_c))
     dA, eA, dB, eB = (band[1:] for band in assemble(prof, flow, lam, nodes))
     with pytest.raises(EigenFailure):
         smallest_eigenpair_tridiagonal(dA, eA, dB, eB, *seed)
 
-    mu, M = _solve_level(flow, lam, nodes, ElementRule(prof, nodes), seed)
+    mu, M = _solve_level(flow, lam, nodes, _element_integrals(ElementRule(prof, nodes), lam), seed)
     A = np.diag(dA) + np.diag(eA, 1) + np.diag(eA, -1)
     B = np.diag(dB) + np.diag(eB, 1) + np.diag(eB, -1)
     ref = scipy.linalg.eigh(A, B, eigvals_only=True, subset_by_index=[0, 0])[0]
     assert mu == pytest.approx(ref, rel=1e-9)
     assert M[0] == 0.0 and M[-1] == 1.0
+
+
+# -- element integrals ----------------------------------------------------------------
+
+# (distribution, p0, lambda above the floor): C1, P and T, and C1 at 1e-6
+# above the floor, where build_mesh grades toward the minimizer at the bed.
+_INTEGRAL_CASES = {
+    "C1": (VorticityDistribution.const(-1.0), -2.0, 1.0),
+    "P": (VorticityDistribution.piecewise_constant([-0.5], [0.5, -2.0]), -1.0, 0.5),
+    "T": (VorticityDistribution.tabulated([-1.0, -0.5, 0.0], [-1.2, -0.3, -1.5]), -2.0, 0.3),
+    "C1_graded": (VorticityDistribution.const(-1.0), -2.0, 1e-6),
+}
+
+
+def _integral_case(name, mesh_points=401):
+    dist, p0, margin = _INTEGRAL_CASES[name]
+    prof, _flow = make_profile(dist, g=9.81, p0=p0)
+    lam = prof.min_lambda + margin
+    nodes = build_mesh(prof, lam, mesh_points)
+    assert spectral._graded(prof, lam) == name.endswith("graded")
+    return prof, lam, nodes
+
+
+_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(8)
+
+
+def _point_sums(q, lam, regular):
+    """Weight times integrand summed point by point: a^3 and a N_i N_j.
+
+    On regular points N_0 = (1 - xi) / 2 at the Gauss nodes xi; (hi - x) / h
+    at the rounded points would be off by ulp(x) / h, 1e-11 relative on the
+    graded elements next to the floor.
+    """
+    a = np.sqrt(lam + q.gamma)
+    n0 = np.broadcast_to(0.5 * (1.0 - _GAUSS_X)[:, None], a.shape) if regular else q.n0
+    n1 = 1.0 - n0
+    return [np.sum(v, axis=0) for v in (q.w * a**3, q.w * n0 * n0 * a, q.w * n0 * n1 * a, q.w * n1 * n1 * a)]
+
+
+@pytest.mark.parametrize("name", list(_INTEGRAL_CASES))
+def test_contracted_element_integrals_are_the_point_sums(name):
+    # Regular elements contract the reference element's weights and scale
+    # by h; substituted ones (an end at a minimizer) sum point by point.
+    prof, lam, nodes = _integral_case(name)
+    rule = ElementRule(prof, nodes)
+    sub = rule.substituted
+    assert len(sub.elements) > 0 and rule.regular.mass is None
+    ref = np.array(_point_sums(rule.regular, lam, True))
+    ref[:, sub.elements] = _point_sums(sub, lam, False)
+    ints = _element_integrals(rule, lam)
+    assert np.all(ref > 0.0)
+    assert np.all(np.abs(ints - ref) <= 1e-12 * ref)
+
+
+def _half(prof, lo, hi):
+    """Points and weights on [lo, hi], placed as ElementRule places them
+    (8-point Gauss, or 12-point Gauss in t = sqrt(|p - p*|) next to a
+    minimizer p*), and their coordinate s = (p - lo) / (hi - lo), taken
+    without cancellation."""
+    h = hi - lo
+    left, right = (min(abs(end - m) for m in prof.minimizers) < 1e-14 for end in (lo, hi))
+    if left or right:
+        t_x, t_w = np.polynomial.legendre.leggauss(12)
+        t = 0.5 * math.sqrt(h) * (t_x + 1.0)
+        w = 0.5 * math.sqrt(h) * t_w * 2.0 * t
+        return (lo + t * t, w, t * t / h) if left else (hi - t * t, w, 1.0 - t * t / h)
+    return 0.5 * (lo + hi) + 0.5 * h * _GAUSS_X, 0.5 * h * _GAUSS_W, 0.5 * (1.0 + _GAUSS_X)
+
+
+def _composite(prof, lam, lo, mid, hi):
+    """Integrals of a^3 and a Phi_i Phi_j over [lo, hi] by a composite
+    rule on its halves, for its hats Phi_0 and Phi_1 = 1 - Phi_0, linear on
+    [lo, hi] and so 1/2 at mid."""
+    (xl, wl, sl), (xr, wr, sr) = _half(prof, lo, mid), _half(prof, mid, hi)
+    x, w, phi1 = np.concatenate([xl, xr]), np.concatenate([wl, wr]), np.concatenate([0.5 * sl, 0.5 + 0.5 * sr])
+    a, phi0 = prof.a(lam, x), 1.0 - phi1
+    return [np.sum(w * f) for f in (a**3, phi0 * phi0 * a, phi0 * phi1 * a, phi1 * phi1 * a)]
+
+
+@pytest.mark.parametrize("name", list(_INTEGRAL_CASES))
+def test_restricted_integrals_are_the_composite_rule_on_the_working_mesh(name):
+    # Working element e is refined elements 2e and 2e + 1, and its hats are
+    # 1/2 at their shared node: its integrals are sums of theirs.
+    prof, lam, nodes = _integral_case(name, 201)
+    finer = refine_mesh(nodes)
+    restricted = _restrict(_element_integrals(ElementRule(prof, finer), lam))
+    ref = np.array([_composite(prof, lam, *finer[2 * e : 2 * e + 3]) for e in range(len(nodes) - 1)]).T
+    assert restricted.shape == ref.shape
+    assert np.all(ref > 0.0)
+    assert np.all(np.abs(restricted - ref) <= 1e-12 * ref)
 
 
 # -- neighbour seeds and level residuals -----------------------------------------------
