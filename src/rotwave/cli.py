@@ -5,12 +5,14 @@ in shortest round-trip form, line endings are '\\n', files are staged to a
 temporary path and atomically renamed, and reports carry no timestamps.
 
 Exit codes: 0 success, 2 no bifurcation, 3 config error, an output
-directory that cannot be created or written or, for criteria, a stdout that
-cannot be written, 4 numerical failure.  Among the config errors of sweep,
-raised before the output directory is made: a swept parameter that the
-quantity does not read (lambda for criteria or lambda_star, depth_frak for
-mu, lambda_star or onset, p0 for onset; see run_sweep), and a gamma sweep
-on a profile that is not of constant vorticity.
+directory that cannot be created or written, a forked formatter of
+field.csv that fails or is killed (see _FieldRows) or, for criteria, a
+stdout that cannot be written, 4 numerical failure.  Among the config
+errors of sweep, raised before the output directory is made: a swept
+parameter that the quantity does not read (lambda for criteria or
+lambda_star, depth_frak for mu, lambda_star or onset, p0 for onset; see
+run_sweep), and a gamma sweep on a profile that is not of constant
+vorticity.
 """
 
 from __future__ import annotations
@@ -321,8 +323,14 @@ def write_csv(path: str, header: Sequence[str], rows):
     def line(row):
         return row if isinstance(row, str) else ",".join(map(_fmt, row)) + "\n"
 
-    # map keeps no reference to a line once it is written.
-    _atomic_write(path, itertools.chain([",".join(header) + "\n"], map(line, rows)))
+    rows = iter(rows)
+    try:
+        # map keeps no reference to a line once it is written.
+        _atomic_write(path, itertools.chain([",".join(header) + "\n"], map(line, rows)))
+    finally:
+        # A generator of rows stops here even when a write fails, so the
+        # children of _FieldRows are gone before write_csv returns or raises.
+        getattr(rows, "close", lambda: None)()
 
 
 # -- pipelines ----------------------------------------------------------------
@@ -442,9 +450,22 @@ class _FieldRows:
     only rows 0 .. n_q // 2 are formatted: once a pair is checked bit for
     bit, row n_q - k reuses row k's y, h and u_rel text and its v text with
     the sign flipped.  A pair that fails the check, as in a hand-built
-    field, is formatted afresh.  The mirrored blocks are made in the order
-    n_q - 1, n_q - 2, ..., so they are staged in an unlinked temporary file
-    in directory and read back in reverse; memory stays at about one block.
+    field, is formatted afresh.
+
+    The formatted rows are split into one contiguous range per usable CPU
+    (_usable_cpus; one range where os.fork does not exist).  This process
+    yields the blocks of the first range as it makes them; each further
+    range is formatted by a forked child, which writes its blocks to
+    unlinked temporary files in directory and exits.  The mirrored blocks
+    are made in the order n_q - 1, n_q - 2, ..., so they too go to such a
+    file and are read back in reverse.  Every file is read back one block at
+    a time, so memory stays at about one block.  A child that fails or is
+    killed raises OSError once it is reaped; a child still running when the
+    iteration stops early is killed.  No child outlives the iteration.
+    The children are forked, not spawned: a fresh interpreter would import
+    numpy and rotwave again, about 0.28 s, which is more than they save, and
+    a forked child shares the columns without copying them.  A child runs
+    this formatting only, with no BLAS call, and leaves by os._exit.
 
     len() is the row count: perfbench's tracer counts the rows given to
     write_csv with len(), and a block of text does not say how many rows it
@@ -488,18 +509,126 @@ class _FieldRows:
             cells = zip(itertools.repeat(q[i]), p, itertools.repeat(q[i]), *columns, psi)
             return "".join(map(",".join, cells))
 
-        with tempfile.TemporaryFile(dir=self.directory) as side:
-            offsets = [0]
-            for k in range(n_q // 2 + 1):
+        def formatted(rows, side):
+            """The blocks of rows, in order; their mirrored blocks go to side."""
+            for k in rows:
                 columns = text(k)
                 yield block(k, columns)
                 m = n_q - k
                 if 0 < k < m:
-                    side.write(block(m, mirror(k, m, columns)).encode())
-                    offsets.append(side.tell())
-            for start, end in reversed(list(itertools.pairwise(offsets))):
-                side.seek(start)
-                yield side.read(end - start).decode()
+                    side.append(block(m, mirror(k, m, columns)))
+
+        first, *rest = _row_ranges(n_q // 2 + 1, _usable_cpus())
+        files = []  # this process's mirrored blocks, then each child's blocks and mirrored blocks
+        children = {}  # pid -> its rows, until reaped
+        try:
+            # Every file is made before the first fork, while none has a
+            # buffer holding data.
+            for _ in range(1 + 2 * len(rest)):
+                files.append(_BlockFile(self.directory))
+            forked = list(zip(files[1::2], files[2::2]))  # (direct, mirrored) of each child
+            for rows, (direct, side) in zip(rest, forked):
+                children[_fork_formatter(formatted, rows, direct, side)] = rows
+            yield from formatted(first, files[0])
+            for pid, (direct, side) in zip(list(children), forked):
+                _check_child(os.waitpid(pid, 0)[1], children.pop(pid))
+                direct.load_ends()
+                side.load_ends()
+                yield from direct.blocks()
+            # From row n_q - 1 down: the last range's mirrored blocks first.
+            for side in reversed(files[::2]):
+                yield from side.blocks(reverse=True)
+        finally:
+            if children:
+                import signal  # only to stop the children of an early close
+
+                for pid in children:
+                    try:
+                        os.kill(pid, signal.SIGKILL)
+                        os.waitpid(pid, 0)
+                    except OSError:  # reaped already, by a wait on any child
+                        pass
+            for f in files:
+                f.file.close()
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; field.csv is formatted on each."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on Linux
+        return os.cpu_count() or 1
+
+
+def _row_ranges(n_rows, n_cpus):
+    """n_rows split into contiguous ranges, one per CPU and at most one a row;
+    a single range where os.fork does not exist."""
+    n = max(1, min(n_cpus, n_rows)) if hasattr(os, "fork") else 1
+    bounds = [n_rows * i // n for i in range(n + 1)]
+    return [range(a, b) for a, b in itertools.pairwise(bounds)]
+
+
+class _BlockFile:
+    """Blocks of text in an unlinked temporary file, read back one at a time.
+
+    ends holds the offset at which each block ends.  A forked child writes
+    them after its blocks, with their count last, so that the parent can
+    read them back (load_ends).
+    """
+
+    def __init__(self, directory):
+        self.file = tempfile.TemporaryFile(dir=directory)
+        self.ends = []
+
+    def append(self, block: str):
+        self.file.write(block.encode())
+        self.ends.append(self.file.tell())
+
+    def save_ends(self):
+        self.file.write(np.array([*self.ends, len(self.ends)], np.int64).tobytes())
+        self.file.flush()
+
+    def load_ends(self):
+        self.file.seek(-8, os.SEEK_END)
+        n = int(np.frombuffer(self.file.read(8), np.int64)[0])
+        self.file.seek(-8 * (n + 1), os.SEEK_END)
+        self.ends = np.frombuffer(self.file.read(8 * n), np.int64).tolist()
+
+    def blocks(self, reverse=False):
+        spans = list(itertools.pairwise([0, *self.ends]))
+        for start, end in reversed(spans) if reverse else spans:
+            self.file.seek(start)
+            yield self.file.read(end - start).decode()
+
+
+def _fork_formatter(formatted, rows, direct, side) -> int:
+    """Fork a child that writes the blocks of rows to direct, their mirrored
+    blocks to side and then the ends of both, and exits; returns its pid.
+
+    The child never returns into the caller and never flushes the stdio
+    buffers it inherits: it leaves by os._exit, with status 0 once its
+    files are complete and 1 on any error.
+    """
+    pid = os.fork()
+    if pid:
+        return pid
+    status = 1
+    try:
+        for text in formatted(rows, side):
+            direct.append(text)
+        direct.save_ends()
+        side.save_ends()
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _check_child(status, rows):
+    """OSError unless the formatter child of rows exited with status 0."""
+    code = os.waitstatus_to_exitcode(status)
+    if code:
+        how = f"exited with status {code}" if code > 0 else f"was killed by signal {-code}"
+        raise OSError(f"the formatter of field.csv rows q{rows.start}..q{rows.stop - 1} {how}")
 
 
 def _mirrors(even, odd, k, m) -> bool:

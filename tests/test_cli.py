@@ -1,12 +1,15 @@
 """The command-line contract: exit codes, config errors, deterministic files."""
 
+import errno
 import json
 import math
 import os
+import signal
 import stat
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
@@ -571,22 +574,184 @@ def _c1_wave(n_q, mesh_points=201):
     return build_wave(result, 0.01, n_q), result.branch.flow
 
 
-def test_field_csv_memory_is_about_one_block(tmp_path):
-    """Peak memory of writing field.csv stays within a few q-blocks of text."""
+def test_field_csv_memory_is_about_one_block(tmp_path, monkeypatch):
+    """Peak memory of writing field.csv stays within a few q-blocks of text,
+    whether this process formats every row or reads a child's blocks back."""
     n_q = 64
     fld, flow = _c1_wave(n_q, mesh_points=2001)
-    rows = cli._FieldRows(fld, flow, str(tmp_path))
     path = tmp_path / "field.csv"
-    tracemalloc.start()
-    try:
-        write_csv(str(path), FIELD_HEADER, rows)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    block = (os.path.getsize(path) - len(",".join(FIELD_HEADER)) - 1) / n_q
-    assert block > 0.5e6
-    # Holding the mirrored rows' text in memory, not in the side file, breaks this.
-    assert peak < 8 * block
+    for cpus in (1, 3):
+        _use_cpus(monkeypatch, cpus)
+        rows = cli._FieldRows(fld, flow, str(tmp_path))
+        tracemalloc.start()
+        try:
+            write_csv(str(path), FIELD_HEADER, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = (os.path.getsize(path) - len(",".join(FIELD_HEADER)) - 1) / n_q
+        assert block > 0.5e6
+        # Holding the mirrored rows' text in memory, not in the side file, breaks this.
+        assert peak < 8 * block
+
+
+# -- field.csv on several CPUs ---------------------------------------------------
+
+
+def _use_cpus(monkeypatch, n):
+    """Make _FieldRows split its rows into n ranges, n - 1 of them forked."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    assert cli._usable_cpus() == n
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+def _in_child(action):
+    """cli._mirrors that does action() first in a forked formatter only."""
+    mirrors = cli._mirrors
+    parent = os.getpid()
+
+    def patched(*args):
+        if os.getpid() != parent:
+            action()
+        return mirrors(*args)
+
+    return patched
+
+
+def test_row_ranges():
+    assert cli._row_ranges(9, 2) == [range(0, 4), range(4, 9)]
+    assert cli._row_ranges(9, 3) == [range(0, 3), range(3, 6), range(6, 9)]
+    assert cli._row_ranges(3, 8) == [range(0, 1), range(1, 2), range(2, 3)]
+    assert cli._row_ranges(9, 0) == [range(0, 9)]
+
+
+def test_row_ranges_without_fork(monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    assert cli._row_ranges(9, 4) == [range(0, 9)]
+
+
+@pytest.mark.parametrize("n_q", [16, 17, 32, 33])
+def test_field_csv_is_the_same_on_any_cpu_count(tmp_path, monkeypatch, n_q):
+    fld, flow = _c1_wave(n_q)
+    files = set()
+    for cpus in (1, 2, 3):
+        _use_cpus(monkeypatch, cpus)
+        path = tmp_path / f"field_{cpus}.csv"
+        write_csv(str(path), FIELD_HEADER, cli._FieldRows(fld, flow, str(tmp_path)))
+        files.add(path.read_bytes())
+    assert len(files) == 1
+    assert _read_lines(path, ",".join(FIELD_HEADER)) == _field_lines(fld, flow)
+    assert sorted(os.listdir(tmp_path)) == ["field_1.csv", "field_2.csv", "field_3.csv"]
+    assert _no_child_left()
+
+
+def test_uneven_field_is_the_same_on_any_cpu_count(tmp_path, monkeypatch):
+    # Rows 0 .. 8 are formatted: ranges 0-3 and 4-8 on two CPUs, 0-2, 3-5 and
+    # 6-8 on three.  The pairs (1, 15) and (6, 10) fail the mirror check, one
+    # in this process's range and one in a child's; (5, 11) has v = nan and
+    # -nan, whose text is "nan" in both.
+    n_q = 16
+    fld, flow = _c1_wave(n_q)
+    h, h_q = fld.h.copy(), fld.h_q.copy()
+    for m in (15, 10):
+        h[m] = np.nextafter(h[m], np.inf)
+    h_q[5, 1], h_q[11, 1] = math.nan, -math.nan
+    fld = replace(fld, h=h, h_q=h_q)
+    expected = _field_lines(fld, flow)
+    for cpus in (1, 2, 3):
+        _use_cpus(monkeypatch, cpus)
+        path = tmp_path / "uneven.csv"
+        write_csv(str(path), FIELD_HEADER, cli._FieldRows(fld, flow, str(tmp_path)))
+        assert _read_lines(path, ",".join(FIELD_HEADER)) == expected
+    assert _no_child_left()
+
+
+def _raise():
+    raise RuntimeError("formatter failed")
+
+
+def _kill():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+@pytest.mark.parametrize("action, how", [(_raise, "exited with status 1"), (_kill, "killed by signal 9")])
+def test_failed_formatter_child_exits_3(tmp_path, monkeypatch, capsys, action, how):
+    _use_cpus(monkeypatch, 3)
+    monkeypatch.setattr(cli, "_mirrors", _in_child(action))
+    out = tmp_path / "out"
+    argv = ("reconstruct", "--amplitude", "0.01", "--out", str(out))
+    assert _run(tmp_path, dict(C1, reconstruct={"n_q": 16}), *argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"output error: {out}: the formatter of field.csv rows q")
+    assert how in err
+    assert os.listdir(out) == []  # no field.csv, no .tmp_* file
+    assert _no_child_left()
+
+
+def test_early_close_kills_the_formatter_children(tmp_path, monkeypatch):
+    _use_cpus(monkeypatch, 3)
+    monkeypatch.setattr(cli, "_mirrors", _in_child(lambda: time.sleep(60)))
+    fld, flow = _c1_wave(16)
+    blocks = iter(cli._FieldRows(fld, flow, str(tmp_path)))
+    t0 = time.perf_counter()
+    next(blocks)
+    blocks.close()
+    assert time.perf_counter() - t0 < 30
+    assert _no_child_left()
+    assert os.listdir(tmp_path) == []
+
+
+def test_failed_write_of_field_csv_leaves_no_child(tmp_path, monkeypatch):
+    _use_cpus(monkeypatch, 3)
+    fdopen = os.fdopen
+
+    class Full:
+        """The staged file, full once two chunks are written."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def writelines(self, chunks):
+            for i, chunk in enumerate(chunks):
+                if i == 2:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                self.fh.write(chunk)
+
+    monkeypatch.setattr(os, "fdopen", lambda *args, **kwargs: Full(fdopen(*args, **kwargs)))
+    fld, flow = _c1_wave(16)
+    # The exception, held here, keeps the frames of the write alive: the
+    # children must be gone all the same.
+    with pytest.raises(OSError, match="No space") as excinfo:
+        write_csv(str(tmp_path / "field.csv"), FIELD_HEADER, cli._FieldRows(fld, flow, str(tmp_path)))
+    assert excinfo.traceback
+    assert _no_child_left()
+    assert os.listdir(tmp_path) == []
+
+
+def test_failed_rename_of_field_csv_leaves_no_child(tmp_path, monkeypatch, capsys):
+    _use_cpus(monkeypatch, 3)
+
+    def failing(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(os, "replace", failing)
+    out = tmp_path / "out"
+    argv = ("reconstruct", "--amplitude", "0.01", "--out", str(out))
+    assert _run(tmp_path, dict(C1, reconstruct={"n_q": 16}), *argv) == 3
+    assert capsys.readouterr().err == f"output error: {out}: rename failed\n"
+    assert os.listdir(out) == []
+    assert _no_child_left()
 
 
 def test_outputs_follow_the_umask(tmp_path):
@@ -877,6 +1042,36 @@ def test_cli_import_leaves_out_scipy_linalg(tmp_path):
         env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))},
     )
     assert out.stdout.split("\n") == ["False", "False 0", ""]
+
+
+_NO_MULTIPROCESSING = """
+import sys
+import rotwave.cli
+
+def loaded():
+    return sorted(m for m in ("multiprocessing", "concurrent.futures") if m in sys.modules)
+
+before = loaded()
+argv = ["reconstruct", "--config", sys.argv[1], "--amplitude", "0.01", "--out", sys.argv[2]]
+code = rotwave.cli.main(argv)
+print(before, loaded(), code)
+"""
+
+
+def test_reconstruct_leaves_out_multiprocessing(tmp_path):
+    # field.csv is formatted in children forked with os alone: neither
+    # package is loaded at start-up or by a reconstruct run.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(C1, reconstruct={"n_q": 16})))
+    out = subprocess.run(
+        [sys.executable, "-c", _NO_MULTIPROCESSING, str(path), str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))},
+    )
+    assert out.stdout == "[] [] 0\n"
+    assert (tmp_path / "out" / "field.csv").exists()
 
 
 def _inertia_sweeps(monkeypatch, tmp_path, config, *argv):
