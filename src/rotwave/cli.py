@@ -12,7 +12,8 @@ errors of sweep, raised before the output directory is made: a swept
 parameter that the quantity does not read (lambda for criteria or
 lambda_star, depth_frak for mu, lambda_star or onset, p0 for onset; see
 run_sweep), and a gamma sweep on a profile that is not of constant
-vorticity.
+vorticity.  A forked sweep worker that fails or is killed changes no exit
+code: its rows are solved again in the calling process (see run_sweep).
 """
 
 from __future__ import annotations
@@ -518,54 +519,113 @@ class _FieldRows:
                 if 0 < k < m:
                     side.append(block(m, mirror(k, m, columns)))
 
+        def fill(rows, direct, side):
+            """A child's work: the blocks of rows, then the ends of both files."""
+            for block_text in formatted(rows, side):
+                direct.append(block_text)
+            direct.save_ends()
+            side.save_ends()
+
         first, *rest = _row_ranges(n_q // 2 + 1, _usable_cpus())
-        files = []  # this process's mirrored blocks, then each child's blocks and mirrored blocks
-        children = {}  # pid -> its rows, until reaped
-        try:
-            # Every file is made before the first fork, while none has a
-            # buffer holding data.
-            for _ in range(1 + 2 * len(rest)):
-                files.append(_BlockFile(self.directory))
+        with _Children() as children:
+            # This process's mirrored blocks, then each child's blocks and mirrored blocks.
+            files = [children.block_file(self.directory) for _ in range(1 + 2 * len(rest))]
             forked = list(zip(files[1::2], files[2::2]))  # (direct, mirrored) of each child
-            for rows, (direct, side) in zip(rest, forked):
-                children[_fork_formatter(formatted, rows, direct, side)] = rows
+            pids = [
+                children.fork(f"the formatter of field.csv rows q{rows.start}..q{rows.stop - 1}", fill, rows, *pair)
+                for rows, pair in zip(rest, forked)
+            ]
             yield from formatted(first, files[0])
-            for pid, (direct, side) in zip(list(children), forked):
-                _check_child(os.waitpid(pid, 0)[1], children.pop(pid))
+            for pid, (direct, side) in zip(pids, forked):
+                children.join(pid)
                 direct.load_ends()
                 side.load_ends()
                 yield from direct.blocks()
             # From row n_q - 1 down: the last range's mirrored blocks first.
             for side in reversed(files[::2]):
                 yield from side.blocks(reverse=True)
-        finally:
-            if children:
-                import signal  # only to stop the children of an early close
-
-                for pid in children:
-                    try:
-                        os.kill(pid, signal.SIGKILL)
-                        os.waitpid(pid, 0)
-                    except OSError:  # reaped already, by a wait on any child
-                        pass
-            for f in files:
-                f.file.close()
 
 
 def _usable_cpus() -> int:
-    """The CPUs this process may run on; field.csv is formatted on each."""
+    """The CPUs this process may run on; field.csv and sweep rows use each."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # not on Linux
         return os.cpu_count() or 1
 
 
+def _n_workers(n_jobs, n_cpus) -> int:
+    """One per CPU and at most one a job; one where os.fork does not exist."""
+    return max(1, min(n_cpus, n_jobs)) if hasattr(os, "fork") else 1
+
+
 def _row_ranges(n_rows, n_cpus):
-    """n_rows split into contiguous ranges, one per CPU and at most one a row;
-    a single range where os.fork does not exist."""
-    n = max(1, min(n_cpus, n_rows)) if hasattr(os, "fork") else 1
+    """n_rows split into contiguous ranges, one per worker (_n_workers)."""
+    n = _n_workers(n_rows, n_cpus)
     bounds = [n_rows * i // n for i in range(n + 1)]
     return [range(a, b) for a, b in itertools.pairwise(bounds)]
+
+
+class _Children:
+    """Forked children, each with the text that names it in an error, and
+    the temporary files they write.
+
+    On leaving the with block, every child not yet joined is killed and
+    reaped and every file is closed, whether the work that forked them
+    returns, raises or, as a generator, is closed early.
+    """
+
+    def __init__(self):
+        self.names = {}  # pid -> name, until joined
+        self.files = []
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        if self.names:
+            import signal  # only to stop the children of an early stop
+
+            for pid in self.names:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+                except OSError:  # reaped already, by a wait on any child
+                    pass
+        for f in self.files:
+            f.file.close()
+
+    def block_file(self, directory):
+        """A new _BlockFile in directory.  Make each one before the first
+        fork, while none has a buffer holding data."""
+        self.files.append(_BlockFile(directory))
+        return self.files[-1]
+
+    def fork(self, name, work, *args) -> int:
+        """Fork a child that calls work(*args) and exits; returns its pid.
+
+        The child never returns into the caller and never flushes the stdio
+        buffers it inherits: it leaves by os._exit, with status 0 once work
+        has returned and 1 on any error.
+        """
+        pid = os.fork()
+        if pid:
+            self.names[pid] = name
+            return pid
+        status = 1
+        try:
+            work(*args)
+            status = 0
+        finally:
+            os._exit(status)
+
+    def join(self, pid):
+        """Reap child pid; OSError naming it unless it exited with status 0."""
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        name = self.names.pop(pid)
+        if code:
+            how = f"exited with status {code}" if code > 0 else f"was killed by signal {-code}"
+            raise OSError(f"{name} {how}")
 
 
 class _BlockFile:
@@ -599,36 +659,6 @@ class _BlockFile:
         for start, end in reversed(spans) if reverse else spans:
             self.file.seek(start)
             yield self.file.read(end - start).decode()
-
-
-def _fork_formatter(formatted, rows, direct, side) -> int:
-    """Fork a child that writes the blocks of rows to direct, their mirrored
-    blocks to side and then the ends of both, and exits; returns its pid.
-
-    The child never returns into the caller and never flushes the stdio
-    buffers it inherits: it leaves by os._exit, with status 0 once its
-    files are complete and 1 on any error.
-    """
-    pid = os.fork()
-    if pid:
-        return pid
-    status = 1
-    try:
-        for text in formatted(rows, side):
-            direct.append(text)
-        direct.save_ends()
-        side.save_ends()
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _check_child(status, rows):
-    """OSError unless the formatter child of rows exited with status 0."""
-    code = os.waitstatus_to_exitcode(status)
-    if code:
-        how = f"exited with status {code}" if code > 0 else f"was killed by signal {-code}"
-        raise OSError(f"the formatter of field.csv rows q{rows.start}..q{rows.stop - 1} {how}")
 
 
 def _mirrors(even, odd, k, m) -> bool:
@@ -742,6 +772,7 @@ _CRITERIA_COLUMNS = ["theta", "p1", *(f"{c}_{part}" for c in _CRITERIA for part 
 # Each sweep quantity: the parameters it reads, then its value columns.  A
 # quantity that reads lambda is evaluated at each swept lambda, so it needs a
 # lambda sweep; sweeping a parameter the quantity does not read is an error.
+# mu, lambda_star and onset rows are spread over the usable CPUs (run_sweep).
 _SWEEP_QUANTITIES = {
     "mu": (("lambda", "gamma", "d", "g", "p0"), ["mu"]),
     "criteria": (("gamma", "d", "g", "p0", "depth_frak"), _CRITERIA_COLUMNS),
@@ -783,6 +814,18 @@ def run_sweep(config: RunConfig, param_specs: Sequence[str], quantity: Optional[
     A mu or onset row is a lambda of the Branch of its row config, at fixed
     p0 for mu and calibrated for onset: rows that differ only in lambda
     share a branch, and each is seeded from the nearest lambda solved on it.
+
+    Rows that solve eigenproblems are spread over the usable CPUs in groups:
+    each lambda_star row, an independent search, is a group, and mu and
+    onset rows are grouped by branch, whose rows one process solves in grid
+    order with the seeds of a serial run.  The groups are dealt round-robin
+    to one worker per CPU, at most one a group (_n_workers): this process
+    is the first, and each other one a forked child that writes its rows,
+    as finished _fmt lines with their ok flags, to an unlinked temporary
+    file in out_dir.  The lines are merged by row index, so sweep.csv is
+    byte-identical on any CPU count.  The rows of a worker that fails or is
+    killed are solved again here: it never changes what the sweep writes or
+    raises.  criteria rows, closed forms cheaper than a fork, never fork.
     """
     if not 1 <= len(param_specs) <= 2:
         raise ConfigError("sweep needs one or two --param specs", "/sweep/param")
@@ -808,23 +851,59 @@ def run_sweep(config: RunConfig, param_specs: Sequence[str], quantity: Optional[
     header = names + value_cols + ["error"]
     os.makedirs(out_dir, exist_ok=True)
 
-    rows = []
-    n_ok = 0
-    branches = {}
+    rows = []  # (swept values, lambda, row config, error), in grid order
+    groups = {}  # group key -> indices of its rows
     for combo in itertools.product(*(vals for _, vals in parsed)):
         overrides = dict(zip(names, combo))
         lam = overrides.pop("lambda", None)
         try:
-            row_cfg = _sweep_row_config(config, overrides)
-            values = _sweep_values(row_cfg, quantity, lam, branches)
-            rows.append(list(combo) + values + [None])
-            n_ok += 1
+            row_cfg, error = _sweep_row_config(config, overrides), None
         except (Error, ValueError) as exc:
-            rows.append(list(combo) + [None] * len(value_cols) + [str(exc)])
-    write_csv(os.path.join(out_dir, "sweep.csv"), header, rows)
-    if rows and n_ok == 0:
-        return 4
-    return 0
+            row_cfg, error = None, str(exc)
+        # A lambda_star row is a group of its own; other rows group by branch.
+        key = len(rows) if quantity == "lambda_star" or row_cfg is None else row_cfg
+        groups.setdefault(key, []).append(len(rows))
+        rows.append((combo, lam, row_cfg, error))
+
+    def solve(indices):
+        """(ok, line) of each row of indices, in order."""
+        branches = {}
+        for i in indices:
+            combo, lam, row_cfg, error = rows[i]
+            values = [None] * len(value_cols)
+            if error is None:
+                try:
+                    values = _sweep_values(row_cfg, quantity, lam, branches)
+                except (Error, ValueError) as exc:
+                    error = str(exc)
+            yield error is None, ",".join(map(_fmt, [*combo, *values, error])) + "\n"
+
+    def fill(indices, out):
+        """A child's work: its rows' lines, each after its ok flag."""
+        for ok, line in solve(indices):
+            out.append(f"{ok:d}{line}")
+        out.save_ends()
+
+    groups = list(groups.values())
+    n = 1 if quantity == "criteria" else _n_workers(len(groups), _usable_cpus())
+    mine, *theirs = [[i for group in groups[w::n] for i in group] for w in range(n)]
+    results = [None] * len(rows)
+    with _Children() as children:
+        files = [children.block_file(out_dir) for _ in theirs]
+        pids = [children.fork("a sweep worker", fill, *job) for job in zip(theirs, files)]
+        for i, result in zip(mine, solve(mine)):
+            results[i] = result
+        for pid, indices, out in zip(pids, theirs, files):
+            try:
+                children.join(pid)
+                out.load_ends()
+                done = [(block[0] == "1", block[1:]) for block in out.blocks()]
+            except OSError:  # a failed worker: its rows are solved here
+                done = solve(indices)
+            for i, result in zip(indices, done):
+                results[i] = result
+    write_csv(os.path.join(out_dir, "sweep.csv"), header, [line for _, line in results])
+    return 4 if rows and not any(ok for ok, _ in results) else 0
 
 
 def _sweep_values(row_cfg: RunConfig, quantity: str, lam, branches: dict) -> list:

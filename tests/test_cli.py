@@ -599,7 +599,8 @@ def test_field_csv_memory_is_about_one_block(tmp_path, monkeypatch):
 
 
 def _use_cpus(monkeypatch, n):
-    """Make _FieldRows split its rows into n ranges, n - 1 of them forked."""
+    """Make _FieldRows split its rows into n ranges and run_sweep deal its
+    groups to n workers, n - 1 of them forked (fewer with fewer rows)."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
     assert cli._usable_cpus() == n
 
@@ -610,15 +611,14 @@ def _no_child_left():
     return True
 
 
-def _in_child(action):
-    """cli._mirrors that does action() first in a forked formatter only."""
-    mirrors = cli._mirrors
+def _in_child(action, fn):
+    """fn that does action() first in a forked child only."""
     parent = os.getpid()
 
     def patched(*args):
         if os.getpid() != parent:
             action()
-        return mirrors(*args)
+        return fn(*args)
 
     return patched
 
@@ -682,7 +682,7 @@ def _kill():
 @pytest.mark.parametrize("action, how", [(_raise, "exited with status 1"), (_kill, "killed by signal 9")])
 def test_failed_formatter_child_exits_3(tmp_path, monkeypatch, capsys, action, how):
     _use_cpus(monkeypatch, 3)
-    monkeypatch.setattr(cli, "_mirrors", _in_child(action))
+    monkeypatch.setattr(cli, "_mirrors", _in_child(action, cli._mirrors))
     out = tmp_path / "out"
     argv = ("reconstruct", "--amplitude", "0.01", "--out", str(out))
     assert _run(tmp_path, dict(C1, reconstruct={"n_q": 16}), *argv) == 3
@@ -695,7 +695,7 @@ def test_failed_formatter_child_exits_3(tmp_path, monkeypatch, capsys, action, h
 
 def test_early_close_kills_the_formatter_children(tmp_path, monkeypatch):
     _use_cpus(monkeypatch, 3)
-    monkeypatch.setattr(cli, "_mirrors", _in_child(lambda: time.sleep(60)))
+    monkeypatch.setattr(cli, "_mirrors", _in_child(lambda: time.sleep(60), cli._mirrors))
     fld, flow = _c1_wave(16)
     blocks = iter(cli._FieldRows(fld, flow, str(tmp_path)))
     t0 = time.perf_counter()
@@ -842,6 +842,7 @@ def eigen_solves(monkeypatch):
 
     for module in (spectral, bifurcation):
         monkeypatch.setattr(module, "principal_eigen", counted)
+    _use_cpus(monkeypatch, 1)  # every sweep row solved here, where it is counted
     return solves
 
 
@@ -919,6 +920,7 @@ def reuse(monkeypatch):
     monkeypatch.setattr(laminar._Pieces, "__init__", counted_pieces)
     monkeypatch.setattr(laminar._Pieces, "powers", counted_powers)
     monkeypatch.setattr(bifurcation, "calibrate_mass_flux", counted_calibrate)
+    _use_cpus(monkeypatch, 1)  # every sweep row solved here, where it is counted
     return counts, gradings
 
 
@@ -1020,6 +1022,165 @@ def test_onset_caps_mesh_points_at_1201(tmp_path):
     assert files[801] != files[1201]
 
 
+# -- sweep rows on several CPUs ----------------------------------------------------
+
+
+# The benchmark's sweep (perfbench/workloads.py): three lambda_star rows.
+BENCH_SWEEP = (dict(C1, numerics={"mesh_points": 1001}), ["gamma:-1:1:3"], "lambda_star")
+
+
+def _sweep_files(tmp_path, name, config, grids, quantity):
+    """(exit code, bytes of sweep.csv) of one sweep, whose output directory
+    must hold nothing else."""
+    out = tmp_path / name
+    params = [arg for grid in grids for arg in ("--param", grid)]
+    code = _run(tmp_path, config, "sweep", *params, "--quantity", quantity, "--out", str(out))
+    assert os.listdir(out) == ["sweep.csv"]
+    return code, (out / "sweep.csv").read_bytes()
+
+
+def _counting_forks(monkeypatch):
+    """The forks this process makes from now on, one list item each."""
+    fork, forks = os.fork, []
+
+    def counted():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+@pytest.mark.parametrize(
+    "config, grids, quantity, code, n_groups",
+    [
+        (*BENCH_SWEEP, 0, 3),
+        # One distribution: the rows share its mesh levels in a serial run.
+        (C1, ["p0:-3:-1:4"], "lambda_star", 0, 4),
+        (C1, ["gamma:-1.2:-0.8:3", "lambda:1.25:1.5:4"], "mu", 0, 3),
+        (ONSET_TABULATED, ["d:0.8:1.2:3", "lambda:1.2:2:5"], "onset", 0, 3),
+        # gamma = 0: every row fails, on two branches.
+        (dict(C1, vorticity={"kind": "constant", "gamma": 0}), ["lambda:0.5:2:4", "d:0.8:1.2:2"], "onset", 4, 2),
+        (TABULATED, ["g:1:9:3", "p0:-3:-1:2"], "criteria", 0, 1),
+    ],
+    ids=["benchmark", "p0", "mu", "onset", "irrotational_onset", "criteria"],
+)
+def test_sweep_is_the_same_on_any_cpu_count(tmp_path, monkeypatch, config, grids, quantity, code, n_groups):
+    forks = _counting_forks(monkeypatch)
+    solved, values = [], cli._sweep_values  # rows solved in this process
+    monkeypatch.setattr(cli, "_sweep_values", lambda *args: solved.append(1) or values(*args))
+    runs = set()
+    for cpus in (1, 2, 3):
+        _use_cpus(monkeypatch, cpus)
+        forks.clear()
+        solved.clear()
+        runs.add(_sweep_files(tmp_path, f"cpus_{cpus}", config, grids, quantity))
+        # One worker per CPU, at most one a group; this process is the first,
+        # and a child's rows are not solved again here.
+        assert len(forks) == min(cpus, n_groups) - 1
+        n_rows = len((tmp_path / f"cpus_{cpus}" / "sweep.csv").read_text().splitlines()) - 1
+        assert (len(solved) < n_rows) == bool(forks)
+        assert _no_child_left()
+    assert len(runs) == 1
+    assert runs.pop()[0] == code
+
+
+@pytest.mark.parametrize(
+    "config, grids, quantity",
+    [
+        (ONSET_PIECEWISE, ["lambda:1.5:2.5:5"], "onset"),
+        (C1, ["lambda:1.05:1.5:5"], "mu"),
+        (TABULATED, ["g:1:9:3", "p0:-3:-1:2"], "criteria"),
+    ],
+    ids=["onset", "mu", "criteria"],
+)
+def test_sweep_of_one_group_does_not_fork(tmp_path, monkeypatch, config, grids, quantity):
+    # One branch, or closed forms: every row is solved in this process.
+    def no_fork():
+        raise OSError(errno.EAGAIN, "fork refused")
+
+    _use_cpus(monkeypatch, 3)
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert _sweep_files(tmp_path, "out", config, grids, quantity)[0] == 0
+
+
+@pytest.mark.parametrize("action", [_raise, _kill], ids=["raises", "killed"])
+def test_failed_sweep_worker_changes_nothing(tmp_path, monkeypatch, action):
+    # Its rows are solved again in this process, with the same function.
+    _use_cpus(monkeypatch, 1)
+    serial = _sweep_files(tmp_path, "serial", *BENCH_SWEEP)
+    _use_cpus(monkeypatch, 3)
+    forks = _counting_forks(monkeypatch)
+    monkeypatch.setattr(cli, "_sweep_values", _in_child(action, cli._sweep_values))
+    assert _sweep_files(tmp_path, "failed", *BENCH_SWEEP) == serial
+    assert serial[0] == 0
+    assert len(forks) == 2
+    assert _no_child_left()
+
+
+class Escaped(Exception):
+    """An exception that no layer of the CLI catches."""
+
+
+def test_exception_escaping_a_sweep_row_propagates(tmp_path, monkeypatch):
+    def escaping(*args):
+        raise Escaped("row failed")
+
+    monkeypatch.setattr(cli, "_sweep_values", escaping)
+    for cpus in (1, 3):
+        _use_cpus(monkeypatch, cpus)
+        out = tmp_path / f"cpus_{cpus}"
+        argv = ("sweep", "--param", "gamma:-1:1:3", "--quantity", "lambda_star", "--out", str(out))
+        with pytest.raises(Escaped, match="row failed"):
+            _run(tmp_path, C1, *argv)
+        assert os.listdir(out) == []
+        assert _no_child_left()
+
+
+_FORKED_SWEEP = """
+import os
+import sys
+
+os.sched_getaffinity = lambda pid: {0, 1}
+fork, forks = os.fork, []
+
+def counted():
+    forks.append(1)
+    return fork()
+
+os.fork = counted
+import rotwave.cli
+
+code = rotwave.cli.main(sys.argv[1:])
+print(len(forks), code)
+"""
+
+
+def test_sweep_is_byte_identical_across_blas_threads(tmp_path):
+    # A sweep worker, unlike a formatter of field.csv, makes BLAS calls (the
+    # element integrals' matrix products) after the fork.  A deadlock in the
+    # child's BLAS would hang the sweep: the timeout catches it.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(BENCH_SWEEP[0]))
+    outs = {}
+    for threads in ("1", "2"):
+        env = {
+            **os.environ,
+            "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__)),
+            "OPENBLAS_NUM_THREADS": threads,
+        }
+        outs[threads] = out = tmp_path / f"threads_{threads}"
+        argv = ["sweep", "--config", str(path), "--param", BENCH_SWEEP[1][0], "--quantity", BENCH_SWEEP[2]]
+        run = subprocess.run(
+            [sys.executable, "-c", _FORKED_SWEEP, *argv, "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == "1 0\n"  # one worker forked, exit 0
+    assert set(_files(outs["1"])) == {"sweep.csv"}
+    assert _files(outs["1"]) == _files(outs["2"])
+
+
 _SCIPY_LINALG = """
 import sys
 import rotwave.cli
@@ -1045,33 +1206,44 @@ def test_cli_import_leaves_out_scipy_linalg(tmp_path):
 
 
 _NO_MULTIPROCESSING = """
+import os
 import sys
+
+os.sched_getaffinity = lambda pid: {0, 1}
 import rotwave.cli
 
 def loaded():
-    return sorted(m for m in ("multiprocessing", "concurrent.futures") if m in sys.modules)
+    return sorted(m for m in ("multiprocessing", "concurrent.futures", "signal") if m in sys.modules)
 
 before = loaded()
-argv = ["reconstruct", "--config", sys.argv[1], "--amplitude", "0.01", "--out", sys.argv[2]]
-code = rotwave.cli.main(argv)
+code = rotwave.cli.main(sys.argv[1:])
 print(before, loaded(), code)
 """
 
 
 def test_reconstruct_leaves_out_multiprocessing(tmp_path):
-    # field.csv is formatted in children forked with os alone: neither
-    # package is loaded at start-up or by a reconstruct run.
+    # field.csv rows and sweep rows go to children forked with os alone:
+    # neither package, nor signal (loaded only to kill a child left by an
+    # early stop), is loaded at start-up or by a reconstruct or sweep run.
+    # Both runs use two CPUs, so both fork.
     path = tmp_path / "config.json"
     path.write_text(json.dumps(dict(C1, reconstruct={"n_q": 16})))
-    out = subprocess.run(
-        [sys.executable, "-c", _NO_MULTIPROCESSING, str(path), str(tmp_path / "out")],
-        capture_output=True,
-        text=True,
-        check=True,
-        env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))},
-    )
-    assert out.stdout == "[] [] 0\n"
-    assert (tmp_path / "out" / "field.csv").exists()
+    runs = {
+        "reconstruct": ["--amplitude", "0.01"],
+        "sweep": ["--param", "gamma:-1:1:3", "--quantity", "lambda_star"],
+    }
+    for command, argv in runs.items():
+        out = tmp_path / command
+        run = subprocess.run(
+            [sys.executable, "-c", _NO_MULTIPROCESSING, command, "--config", str(path), *argv, "--out", str(out)],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))},
+        )
+        assert run.stdout == "[] [] 0\n"
+    assert (tmp_path / "reconstruct" / "field.csv").exists()
+    assert (tmp_path / "sweep" / "sweep.csv").exists()
 
 
 def _inertia_sweeps(monkeypatch, tmp_path, config, *argv):
@@ -1085,6 +1257,7 @@ def _inertia_sweeps(monkeypatch, tmp_path, config, *argv):
 
     for module in (numerics, spectral):
         monkeypatch.setattr(module, "count_pencil_eigenvalues_below", counted)
+    _use_cpus(monkeypatch, 1)  # every sweep row solved here, where it is counted
     assert _run(tmp_path, config, *argv, "--out", str(tmp_path / "out")) == 0
     return len(sweeps)
 
