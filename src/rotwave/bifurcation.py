@@ -268,7 +268,7 @@ def transversality_integral(point: BifurcationPoint) -> float:
     """
     lam = point.lambda_star
     # The mode lives on the refined level, whose rule the eigen solve cached.
-    nodes, rule = _mesh_levels(point.branch.profile, lam, point.branch.mesh_points)[2]
+    nodes, rule = _mesh_levels(point.branch.profile, lam, point.branch.mesh_points)[1]
     M = point.mode.M
     slope = np.diff(M) / np.diff(nodes)
 

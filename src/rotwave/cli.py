@@ -196,7 +196,8 @@ def parse_config(text) -> RunConfig:
         p0      relative mass flux, < 0
     vorticity (required), by its kind
         constant            gamma: any number
-        piecewise_constant  breakpoints: strictly increasing inside (-1, 0);
+        piecewise_constant  breakpoints: increasing by at least 1e-9,
+                            inside (-1, 0);
                             values: one more than the breakpoints
         tabulated           nodes: at least two, strictly increasing from -1
                             to 0; values: one per node

@@ -14,7 +14,12 @@ class NoSignChange(Error):
 
 
 class EigenFailure(Error):
-    """An eigenpair could not be computed to the requested residual."""
+    """An eigenpair could not be computed or certified; ``sigma``, when set,
+    is an upper bound of the smallest eigenvalue."""
+
+    def __init__(self, message, sigma=None):
+        super().__init__(message)
+        self.sigma = sigma
 
 
 class OutOfDomain(Error):

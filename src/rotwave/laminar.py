@@ -157,6 +157,8 @@ def lambda_of_min_head(
 
     Solves integral (lambda0 + Gamma)^(-3/2) ds = p0^2 / (g d^3); the left
     side decreases strictly from +infinity to 0, so a bracket always exists.
+    Brent stops at root_tol max(1, |hi|), or at 1e-6 of the bracket's lower
+    end above the floor where finer, so lambda0 - floor keeps its digits.
     """
     target = flow.p0**2 / (flow.g * flow.d**3)
     floor = profile.min_lambda
@@ -182,7 +184,7 @@ def lambda_of_min_head(
         hi = floor + (hi - floor) * 4.0
         if hi - floor > cap:
             raise BracketFailure("no sign change up to the expansion cap")
-    return bracketed_root(f, lo, hi, x_tol=root_tol * max(1.0, abs(hi)))
+    return bracketed_root(f, lo, hi, x_tol=min(root_tol * max(1.0, abs(hi)), 1e-6 * (lo - floor)))
 
 
 class _DepthConstraint:

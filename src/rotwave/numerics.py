@@ -1,12 +1,11 @@
 """Scalar numerics: brackets, bracketed roots and tridiagonal eigenpairs.
 
-The shifted solves of the Rayleigh quotient iteration use odd-even cyclic
-reduction (Hockney, J. ACM 12, 1965; Buzbee, Golub and Nielson, SIAM J.
-Numer. Anal. 7, 1970), vectorised in numpy, so no command imports
-scipy.linalg.  The reduction does not pivot: a zero pivot, an overflow or a
-non-finite entry raises FloatingPointError, and the iteration then stops as
-it does at an exact eigenvalue; the M-matrix certificate and the inertia
-counts judge every result.
+Shifted tridiagonal systems are solved by odd-even cyclic reduction
+(Hockney, J. ACM 12, 1965; Buzbee, Golub and Nielson, SIAM J. Numer. Anal.
+7, 1970), vectorised in numpy, so no command imports scipy.linalg.  The
+reduction does not pivot, and the signs of its pivots tell whether the
+matrix is positive definite; a zero pivot, an overflow or a non-finite
+entry raises FloatingPointError.
 
 Integrals are not computed here: the laminar integrals have exact piecewise
 forms (laminar.py) and every per-element integral goes through
@@ -118,26 +117,18 @@ def bracketed_root(
     raise NonConvergence(f"no root to tolerance within {max_iter} iterations")
 
 
-def _normalize_surface(v: np.ndarray) -> np.ndarray:
-    """Scale so the last entry is 1 when it is not (numerically) zero."""
-    v = np.asarray(v, dtype=float)
-    if abs(v[-1]) > 1e-12 * np.max(np.abs(v)):
-        return v / v[-1]
-    v = v / np.linalg.norm(v)
-    if v[np.argmax(np.abs(v))] < 0:
-        v = -v
-    return v
-
-
-def _solve_tridiagonal(d: np.ndarray, e: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Solve T x = f for the symmetric tridiagonal T with diagonal d and
-    off-diagonal e, by odd-even cyclic reduction without pivoting.
+def _solve_tridiagonal(d: np.ndarray, e: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, bool]:
+    """(x, definite): T x = f solved for the symmetric tridiagonal T with
+    diagonal d and off-diagonal e by odd-even cyclic reduction without
+    pivoting, and whether T is positive definite.
 
     The system is padded with identity rows to 2^k - 1 unknowns, so that
     every level keeps the odd-numbered unknowns of the one before and has
-    2^j - 1 of them; eliminating the even-numbered ones keeps T symmetric.
-    Call under np.errstate(divide="raise", invalid="raise", over="raise")
-    to turn a zero pivot into FloatingPointError.
+    2^j - 1 of them.  A level is a block LDL^T step on the even-numbered
+    unknowns, so by Haynsworth's inertia additivity T is positive definite
+    exactly when every pivot is > 0.  Call under np.errstate(divide="raise",
+    invalid="raise", over="raise") to turn a zero pivot into
+    FloatingPointError.
     """
     n = len(d)
     m = (1 << n.bit_length()) - 1
@@ -155,6 +146,7 @@ def _solve_tridiagonal(d: np.ndarray, e: np.ndarray, f: np.ndarray) -> np.ndarra
         d = d[1::2] - rl * el - rr * er
         f = f[1::2] - rl * f_even[:-1] - rr * f_even[1:]
         e = -rr[:-1] * el[1:]
+    definite = bool(np.concatenate([d, *(level[0] for level in levels)]).min() > 0.0)
     x = f / d
     for d_even, f_even, el, er in reversed(levels):
         x_even = f_even.copy()
@@ -165,7 +157,7 @@ def _solve_tridiagonal(d: np.ndarray, e: np.ndarray, f: np.ndarray) -> np.ndarra
         out[0::2] = x_even
         out[1::2] = x
         x = out
-    return x[:n]
+    return x[:n], definite
 
 
 def _tridiag_matvec(d: np.ndarray, e: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -173,33 +165,6 @@ def _tridiag_matvec(d: np.ndarray, e: np.ndarray, v: np.ndarray) -> np.ndarray:
     y[:-1] += e * v[1:]
     y[1:] += e * v[:-1]
     return y
-
-
-def count_pencil_eigenvalues_below(
-    dA: np.ndarray, eA: np.ndarray, dB: np.ndarray, eB: np.ndarray, tau: float
-) -> int:
-    """Number of eigenvalues of the tridiagonal pencil (A, B) below tau.
-
-    Sylvester inertia of A - tau B through an LDL^T sweep; B must be SPD.
-    The sweep runs on Python floats, the same IEEE arithmetic as numpy
-    scalars at a third of the cost.
-    """
-    d = (dA - tau * dB).tolist()
-    e = (eA - tau * eB).tolist()
-    count = 0
-    prev = d[0]
-    if prev == 0.0:
-        prev = 1e-300
-    if prev < 0.0:
-        count += 1
-    for di, ei in zip(d[1:], e):
-        cur = di - ei * ei / prev
-        if cur == 0.0:
-            cur = 1e-300
-        if cur < 0.0:
-            count += 1
-        prev = cur
-    return count
 
 
 def _m_matrix_certificate(eA, eB, sigma, delta, v, av, bv) -> bool:
@@ -222,22 +187,20 @@ def smallest_eigenpair_tridiagonal(
     sigma0: float | None,
     v0: np.ndarray | None = None,
 ):
-    """Smallest eigenpair of a symmetric tridiagonal pencil by Rayleigh
-    quotient iteration.
+    """Smallest eigenpair (sigma, v) of a symmetric tridiagonal pencil by
+    Rayleigh quotient iteration, v[-1] = 1, accepted only with a certificate.
 
-    ``sigma0`` (and optionally ``v0``) must come from a trustworthy coarse
-    approximation of the smallest eigenvalue; with ``sigma0`` None the
-    first shift is the Rayleigh quotient of ``v0``.  Each shifted system
-    A - sigma B is solved by _solve_tridiagonal, odd-even cyclic reduction
-    without pivoting.  The iteration stops at the first unit iterate v with
-    ||A v - sigma B v|| <= 1e-14 (||A|| + |sigma| ||B||), where round-off
-    sits near 4e-17, or when a shifted solve fails (a zero pivot, an
-    overflow or a non-finite entry raises FloatingPointError; or the
-    solution is non-finite or zero), since sigma is then an eigenvalue to
-    working precision and the last iterate is kept; it gives up after 30
-    solves.  EigenFailure is raised unless the residual is within 1e-9 of
-    that scale and sigma is certified to be the smallest eigenvalue, so
-    callers can restart from a sharper shift.
+    ``sigma0`` and ``v0`` come from a close approximation; with ``sigma0``
+    None the first shift is the Rayleigh quotient of ``v0``.  The iteration
+    stops at the first unit iterate v with ||A v - sigma B v|| <= 1e-14
+    (||A|| + |sigma| ||B||), where round-off sits near 4e-17, or when a
+    shifted solve (_solve_tridiagonal) fails: FloatingPointError, or a
+    non-finite or zero solution, since sigma is then an eigenvalue to
+    working precision.  It gives up after 30 solves.  EigenFailure is raised
+    unless the residual is within 1e-9 of that scale and the M-matrix
+    certificate proves sigma the smallest eigenvalue; it carries the least
+    Rayleigh quotient met (inf if none), an upper bound of the smallest
+    eigenvalue, for the caller's fallback to start from.
 
     The certificate is that no eigenvalue lies below sigma - delta and at
     least one below sigma + delta, with delta = 1e-6 max(1, |sigma|).  With
@@ -248,9 +211,8 @@ def smallest_eigenpair_tridiagonal(
     M-matrix, and being symmetric it is positive definite (Berman and
     Plemmons, Nonnegative Matrices in the Mathematical Sciences, 1994,
     ch. 6); and v^T (A - (sigma + delta) B) v = sum v_i (r_i - delta (B v)_i)
-    < 0.  The tests are as exact in floating point as the LDL^T inertia
-    counts they stand in for.  When one fails, as for a converged higher
-    eigenpair, whose v changes sign, the two inertia counts decide.
+    < 0.  A converged higher eigenpair, whose v changes sign, fails (ii),
+    and (ii) makes v[-1] > 0.
     """
     n = len(dA)
     v = np.ones(n) / np.sqrt(n) if v0 is None else np.asarray(v0, float)
@@ -268,11 +230,12 @@ def smallest_eigenpair_tridiagonal(
     av = _tridiag_matvec(dA, eA, v)
     bv = _tridiag_matvec(dB, eB, v)
     sigma = float(v @ av) / float(v @ bv) if sigma0 is None else float(sigma0)
+    least = sigma if sigma0 is None else np.inf  # the least Rayleigh quotient
     res = residual(sigma, av, bv)
     for _ in range(_RQI_MAX_SOLVES):
         try:
             with np.errstate(divide="raise", invalid="raise", over="raise"):
-                x = _solve_tridiagonal(dA - sigma * dB, eA - sigma * eB, bv)
+                x, _ = _solve_tridiagonal(dA - sigma * dB, eA - sigma * eB, bv)
         except FloatingPointError:
             break  # a zero pivot: sigma is an eigenvalue to working precision
         xn = np.linalg.norm(x)
@@ -282,17 +245,14 @@ def smallest_eigenpair_tridiagonal(
         av = _tridiag_matvec(dA, eA, v)
         bv = _tridiag_matvec(dB, eB, v)
         sigma = float(v @ av) / float(v @ bv)
+        least = min(least, sigma)
         res = residual(sigma, av, bv)
         if res <= _RQI_STOP_TOL:
             break
 
     if res > _RQI_ACCEPT_TOL:
-        raise EigenFailure(f"RQI relative residual {res!r} exceeds tolerance")
+        raise EigenFailure(f"RQI relative residual {res!r} exceeds tolerance", least)
     delta = 1e-6 * max(1.0, abs(sigma))
-    if _m_matrix_certificate(eA, eB, sigma, delta, v, av, bv):
-        return sigma, _normalize_surface(v)
-    if count_pencil_eigenvalues_below(dA, eA, dB, eB, sigma - delta) != 0:
-        raise EigenFailure("RQI converged above the smallest eigenvalue")
-    if count_pencil_eigenvalues_below(dA, eA, dB, eB, sigma + delta) < 1:
-        raise EigenFailure("inertia count does not confirm the eigenvalue")
-    return sigma, _normalize_surface(v)
+    if not _m_matrix_certificate(eA, eB, sigma, delta, v, av, bv):
+        raise EigenFailure("no M-matrix certificate that RQI found the smallest eigenvalue", least)
+    return sigma, v / v[-1]

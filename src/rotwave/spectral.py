@@ -7,13 +7,14 @@ Two independent routes to the principal eigenvalue mu(lambda) of
 
 * a piecewise-linear finite element discretization of the variational
   quotient, with every vorticity jump and every minimizer of Gamma placed
-  on the mesh, Richardson extrapolation over a nested refinement, and a
-  tridiagonal Rayleigh-quotient iteration seeded by the solution at a
-  neighbouring lambda, or else by Sylvester-count bisection on a coarse
-  mesh.  The element integrals of a^3 and a N_i N_j are taken once per
-  lambda, on the refined mesh, by contracting a with the reference
-  element's Gauss weights (vorticity.ElementRule); the working mesh sums
-  them over the two halves of each of its elements;
+  on the mesh, and Richardson extrapolation over a nested refinement.  A
+  level is solved by the secular equation of the pencil's rank-one surface
+  term (Golub, SIAM Rev. 15, 1973), unless a seed's Rayleigh-quotient
+  iteration gives a pair with an M-matrix certificate.  The element
+  integrals of a^3 and a N_i N_j are taken once per lambda, on the refined
+  mesh, by contracting a with the reference element's Gauss weights
+  (vorticity.ElementRule); the working mesh sums them over the two halves
+  of each of its elements;
 
 * a Pruefer-angle shooting method integrating theta' = cos^2(theta)/a^3 +
   mu d^2 a sin^2(theta) from theta(-1) = 0.  The surface condition pins
@@ -34,15 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EigenFailure, ZeroDenominator
-from .numerics import (
-    bracket_turn,
-    bracketed_root,
-    count_pencil_eigenvalues_below,
-    smallest_eigenpair_tridiagonal,
-)
+from .numerics import _solve_tridiagonal, bracket_turn, bracketed_root, smallest_eigenpair_tridiagonal
 from .vorticity import ElementRule, FlowParameters, GammaProfile
-
-_COARSE_POINTS = 201
 
 
 @dataclass(frozen=True)
@@ -107,8 +101,8 @@ def refine_mesh(nodes: np.ndarray) -> np.ndarray:
 
 
 def _mesh_levels(profile: GammaProfile, lam: float, mesh_points: int):
-    """The levels of principal_eigen: (coarse nodes, their ElementRule),
-    the working nodes and (refined nodes, their ElementRule).
+    """The levels of principal_eigen: the working nodes and (refined nodes,
+    their ElementRule).
 
     The working level needs no rule of its own: its element integrals are
     restricted from the refined level's (_restrict).  The levels depend on
@@ -122,15 +116,14 @@ def _mesh_levels(profile: GammaProfile, lam: float, mesh_points: int):
     cache = profile._shape.cache
     scale, levels = cache.get(key, (None, None))
     if levels is None:
-        coarse = build_mesh(profile, lam, min(_COARSE_POINTS, mesh_points))
         fine = build_mesh(profile, lam, mesh_points)
         finer = refine_mesh(fine)
-        for nodes in (coarse, fine, finer):
+        for nodes in (fine, finer):
             nodes.setflags(write=False)
-        levels = ((coarse, ElementRule(profile, coarse)), fine, (finer, ElementRule(profile, finer)))
+        levels = (fine, (finer, ElementRule(profile, finer)))
     elif scale != profile._scale:
-        (coarse, rule_c), fine, (finer, rule_2) = levels
-        levels = ((coarse, rule_c.scaled(profile._scale)), fine, (finer, rule_2.scaled(profile._scale)))
+        fine, (finer, rule) = levels
+        levels = (fine, (finer, rule.scaled(profile._scale)))
     cache[key] = (profile._scale, levels)
     return levels
 
@@ -175,11 +168,11 @@ def _restrict(ints: np.ndarray) -> np.ndarray:
 
 
 def _bands_from_integrals(ints, h: np.ndarray, flow: FlowParameters):
-    """Tridiagonal (A, B) bands from per-element integrals.
+    """Tridiagonal (A0, B) bands from per-element integrals.
 
-    A = p0^2 * (a^3-weighted stiffness) - g d^3 at the surface node;
-    B = p0^2 d^2 * (a-weighted mass).  Node 0 (the bed) is still included;
-    solvers drop it to enforce M(-1) = 0.
+    A0 = p0^2 * (a^3-weighted stiffness), A0 - g d^3 at the surface node
+    being the pencil's A; B = p0^2 d^2 * (a-weighted mass).  Node 0 (the
+    bed) is still included; solvers drop it to enforce M(-1) = 0.
     """
     s1, m00, m01, m11 = ints
     n = len(h) + 1
@@ -196,7 +189,6 @@ def _bands_from_integrals(ints, h: np.ndarray, flow: FlowParameters):
     p0sq = flow.p0**2
     dA = p0sq * dK
     eA = p0sq * eK
-    dA[-1] -= flow.g * flow.d**3
     dB = p0sq * flow.d**2 * dM
     eB = p0sq * flow.d**2 * eM
     return dA, eA, dB, eB
@@ -208,7 +200,9 @@ def assemble(
     """Tridiagonal (A, B) bands of the quotient on the given mesh."""
     nodes = np.asarray(nodes, dtype=float)
     ints = _element_integrals(ElementRule(profile, nodes), lam)
-    return _bands_from_integrals(ints, np.diff(nodes), flow)
+    dA, eA, dB, eB = _bands_from_integrals(ints, np.diff(nodes), flow)
+    dA[-1] -= flow.g * flow.d**3
+    return dA, eA, dB, eB
 
 
 def _quotient_from_integrals(ints, h, M, flow) -> float:
@@ -230,70 +224,74 @@ def _quotient_from_integrals(ints, h, M, flow) -> float:
     return num / (p0sq * flow.d**2 * mass)
 
 
-def _bisect_smallest(dA, eA, dB, eB):
-    """Shifts next to the smallest pencil eigenvalue, by Sylvester-count
-    bisection of one bracket.
+def _secular_level(flow, ints, h, dA0, eA, dB, eB, start=0.0):
+    """(mu, M) of one level by the secular equation of its surface term;
+    (dA0, eA, dB, eB) are the bands of (A0, B) without the bed node.
 
-    O(n) per step and BLAS-free.  Yields the bracket's midpoint twice: at
-    width 1e-3 relative, which places a Rayleigh quotient iteration started
-    there in the smallest eigenvalue's basin, and, should the caller ask
-    again, after narrowing the same bracket on to 1e-12, which puts the
-    shift next to that eigenvalue when the first one led the iteration to
-    a larger one.  The second shift is the one a fresh walk to 1e-12 would
-    give, since both take the same midpoints.  With no eigenvalue bracketed
-    within 1e14 of 0, bracket_turn raises BracketFailure at the first shift.
+    With c = g d^3 and s(mu) = e_n^T (A0 - mu B)^-1 e_n, mu_1 is the root of
+    c s = 1 below lambda_1(A0, B), and by interlacing mu_1 <= lambda_1(A0,
+    B) <= mu_2.  A step solves (A0 - mu B) x = e_n and moves to the
+    element-energy quotient q of x: Newton's step on 1/s - c, q = mu +
+    (s - c s^2) / s', without that cancellation.  Every q is a Rayleigh
+    quotient, so q >= mu_1, and 1/s is concave and decreasing, so from above
+    the iterates fall monotonically to mu_1.  A bracket guards the steps:
+    lo is a shift where A0 - mu B is positive definite (by the pivots of
+    _solve_tridiagonal) and q > mu, so lo < mu_1; at hi the matrix is
+    indefinite or q <= mu, so hi >= mu_1.  A step that leaves the bracket
+    bisects it.  The iteration starts at ``start`` <= 0, where A0 - mu B is
+    positive definite, and stops at a step of at most 1e-14 max(1, |mu|),
+    returning q and the surface-normalized x with the bed node M(-1) = 0;
+    it gives up after 200 solves.
     """
-    def count(tau):
-        return count_pencil_eigenvalues_below(dA, eA, dB, eB, tau)
+    e_n = np.zeros(len(dA0))
+    e_n[-1] = 1.0
+    mu, lo, hi, pair = start, -np.inf, np.inf, None
+    for _ in range(200):
+        try:
+            with np.errstate(divide="raise", invalid="raise", over="raise"):
+                x, definite = _solve_tridiagonal(dA0 - mu * dB, eA - mu * eB, e_n)
+        except FloatingPointError:
+            definite = False
+        if definite:
+            M = np.concatenate([[0.0], x / x[-1]])
+            pair = (_quotient_from_integrals(ints, h, M, flow), M)
+        if definite and pair[0] > mu:
+            lo = mu
+        else:
+            hi = mu
+        step = pair[0] if definite and lo <= pair[0] <= hi else 0.5 * (lo + hi)
+        if pair is not None and abs(step - mu) <= 1e-14 * max(1.0, abs(mu)):
+            return pair
+        if not np.isfinite(step):
+            raise EigenFailure(f"secular iteration lost its bracket at mu = {mu!r}")
+        mu = step
+    raise EigenFailure("secular iteration did not converge in 200 solves")
 
-    lo, hi = bracket_turn(lambda tau: count(tau) >= 1, 1e14)
-    for rel_tol in (1e-3, 1e-12):
-        while hi - lo > rel_tol * max(1.0, abs(lo), abs(hi)):
-            mid = 0.5 * (lo + hi)
-            if count(mid) >= 1:
-                hi = mid
-            else:
-                lo = mid
-        yield 0.5 * (lo + hi)
 
+def _solve_level(flow, nodes, ints, seed=None):
+    """(mu, M) of one mesh level, whose pencil comes from its element
+    integrals ``ints``: mu is the element-energy quotient of the
+    surface-normalized M (so its Rayleigh identity is exact), and M
+    includes the bed node M(-1) = 0.
 
-def _solve_level(flow, lam, nodes, ints, seed=None):
-    """One mesh level: banded Rayleigh-quotient iteration on its pencil,
-    assembled from the level's element integrals ``ints``.
-
-    ``seed`` is (sigma0, v0) from a coarser level or a neighbouring lambda;
-    sigma0 None starts from the Rayleigh quotient of v0 on this pencil.
-    Without a seed, the shift is the first of _bisect_smallest on this
-    level's pencil.  When an iteration fails its residual or inertia check,
-    it restarts from the next shift of that one bracket: first the 1e-3
-    one (if not yet taken), then the 1e-12 one, after which the failure
-    stands.  A seed fails just above the admissibility floor, where the
-    mode is a thin layer that a mode at another lambda cannot resolve; mu_1
-    is then large and negative, and the first restart usually suffices.
-    A's only negative part is the rank-one surface term -g d^3 e_n e_n^T,
-    so the pencil has at most one negative eigenvalue, and a negative mu_1
-    lies at least |mu_1| below mu_2, far outside the 1e-3 bracket.  Where
-    the layer is narrower than the elements (mu_1 near -1e9 at 1e-5 above
-    the floor), the iterate from that shift can still leave for a larger
-    eigenvalue, so the 1e-12 stage stays.
-    Returns (mu, M_full) where mu is the element-energy quotient of the
-    surface-normalized eigenfunction (the value whose Rayleigh identity is
-    exact) and M_full includes the bed node M(-1) = 0.
+    ``seed`` is (sigma0, v0) from the working level or a neighbouring
+    lambda (sigma0 None: the Rayleigh quotient of v0).  With a seed, the
+    Rayleigh-quotient iteration's pair is kept when the M-matrix certificate
+    proves it principal.  Otherwise, as just above the admissibility floor,
+    where the mode is a layer that a mode at another lambda cannot resolve,
+    the secular equation solves the level, from the iteration's least
+    Rayleigh quotient (an upper bound of mu_1) where that is below 0.
     """
     h = np.diff(nodes)
-    pencil = [band[1:] for band in _bands_from_integrals(ints, h, flow)]
-    shifts = _bisect_smallest(*pencil)
+    dA0, eA, dB, eB = (band[1:] for band in _bands_from_integrals(ints, h, flow))
     if seed is None:
-        seed = (next(shifts), None)
-    while True:
-        try:
-            _, v = smallest_eigenpair_tridiagonal(*pencil, *seed)
-            break
-        except EigenFailure:
-            sigma = next(shifts, None)
-            if sigma is None:
-                raise
-            seed = (sigma, None)
+        return _secular_level(flow, ints, h, dA0, eA, dB, eB)
+    dA = dA0.copy()
+    dA[-1] -= flow.g * flow.d**3
+    try:
+        _, v = smallest_eigenpair_tridiagonal(dA, eA, dB, eB, *seed)
+    except EigenFailure as exc:
+        return _secular_level(flow, ints, h, dA0, eA, dB, eB, min(0.0, exc.sigma))
     M = np.concatenate([[0.0], v])
     return _quotient_from_integrals(ints, h, M, flow), M
 
@@ -307,40 +305,29 @@ def principal_eigen(
 ) -> ModeSolution:
     """Principal eigenpair (mu(lambda), M) of the mode-equation quotient.
 
-    A coarse inertia-count bisection seeds a tridiagonal Rayleigh-quotient
-    iteration on the working mesh and its uniform refinement; the two
-    levels give a Richardson-extrapolated ``mu_refined`` while the stored M
-    and ``mu`` come from the finer level.  M is normalized to M(0) = 1.
+    The working mesh is solved from ``near`` or, without it, by the secular
+    equation, and its pair seeds its uniform refinement (_solve_level).
+    The two levels give a Richardson-extrapolated ``mu_refined`` while the
+    stored M and ``mu`` come from the finer level.  M(0) = 1.
     Each lambda takes one quadrature pass, on the refined level: the
     working level's element integrals are restricted from it (_restrict),
     so its pencil is the refined one's on the nested P1 space, its
     eigenvalue is not below the refined one, and ``mu_refined`` <= ``mu``.
-    The mesh levels and the coarse and refined element quadrature are built
-    once per distribution, mesh size and grading (see _mesh_levels), not
-    once per lambda or flow.
+    The mesh levels and the refined element quadrature are built once per
+    distribution, mesh size and grading (see _mesh_levels), not once per
+    lambda or flow.
 
     ``near`` is a solution at a neighbouring lambda, on this profile or
-    another.  With one, the coarse level is skipped: the working level
-    starts from near.M interpolated to its nodes and that vector's Rayleigh
-    quotient, and should that iteration fail its residual or inertia check
-    it restarts as every level does (see _solve_level): from a bisection
-    of that level's pencil to 1e-3 relative, and only if that fails too
-    from the same bracket narrowed to 1e-12.  The coarse level and
-    ``near`` only ever seed, so ``near`` changes the result by no more than
-    the iteration's stopping tolerance.
+    another, whose M interpolated to the working nodes seeds that level.
+    It only ever seeds, so it changes the result by no more than the
+    iterations' stopping tolerances.
     """
     profile.require_admissible(lam)
-    (coarse, rule_c), fine, (finer, rule_2) = _mesh_levels(profile, lam, mesh_points)
-    ints_2 = _element_integrals(rule_2, lam)
-    if near is None:
-        mu_c, m_c = _solve_level(flow, lam, coarse, _element_integrals(rule_c, lam))
-        seed = (mu_c, np.interp(fine[1:], coarse, m_c))
-    else:
-        seed = (None, np.interp(fine[1:], near.nodes, near.M))
-    mu_f, m_f = _solve_level(flow, lam, fine, _restrict(ints_2), seed)
-    mu_2, m_2 = _solve_level(
-        flow, lam, finer, ints_2, (mu_f, np.interp(finer[1:], fine, m_f))
-    )
+    fine, (finer, rule) = _mesh_levels(profile, lam, mesh_points)
+    ints_2 = _element_integrals(rule, lam)
+    seed = None if near is None else (None, np.interp(fine[1:], near.nodes, near.M))
+    mu_f, m_f = _solve_level(flow, fine, _restrict(ints_2), seed)
+    mu_2, m_2 = _solve_level(flow, finer, ints_2, (mu_f, np.interp(finer[1:], fine, m_f)))
     mu_refined = mu_2 + (mu_2 - mu_f) / 3.0
     return ModeSolution(lam=lam, mu=mu_2, mu_refined=mu_refined, nodes=finer, M=m_2)
 

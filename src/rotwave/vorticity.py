@@ -61,7 +61,8 @@ class FlowParameters:
 class VorticityDistribution:
     """gamma(p) on [-1, 0]: constant, piecewise constant, or tabulated.
 
-    Piecewise-constant values are right-continuous at the breakpoints.
+    Piecewise-constant values are right-continuous at the breakpoints,
+    which lie at least 1e-9 apart: closer jumps leave a sliver element.
     Tabulated profiles interpolate linearly between strictly increasing
     nodes running from -1 to 0.  Every number must be finite.  A broken
     rule raises InvalidParameter naming the field.  ``_shape``, built on
@@ -109,8 +110,8 @@ class VorticityDistribution:
                 raise InvalidParameter("need len(values) == len(breakpoints) + 1", "values")
             _require_finite(bps, "breakpoints")
             _require_finite(self.values, "values")
-            if any(b2 <= b1 for b1, b2 in zip(bps, bps[1:])):
-                raise InvalidParameter("breakpoints must be strictly increasing", "breakpoints")
+            if any(b2 - b1 < 1e-9 for b1, b2 in zip(bps, bps[1:])):
+                raise InvalidParameter("breakpoints must increase by at least 1e-9", "breakpoints")
             if bps and not (-1.0 < bps[0] and bps[-1] < 0.0):
                 raise InvalidParameter("breakpoints must lie inside (-1, 0)", "breakpoints")
         elif self.kind == "tabulated":

@@ -43,3 +43,17 @@ def failing_probes(monkeypatch):
         return solve(profile, flow, lam, **kwargs)
 
     monkeypatch.setattr(bifurcation, "principal_eigen", failing)
+
+
+def spaced_breakpoints():
+    """Hypothesis strategy: one to three sorted piecewise-constant break
+    points in [-0.95, -0.05], at least the 1e-9 apart that
+    VorticityDistribution asks of them."""
+    from hypothesis import strategies as st
+
+    interior = st.floats(-0.95, -0.05, allow_subnormal=False)
+    return (
+        st.lists(interior, min_size=1, max_size=3, unique=True)
+        .map(sorted)
+        .filter(lambda bps: all(b - a >= 1e-9 for a, b in zip(bps, bps[1:])))
+    )

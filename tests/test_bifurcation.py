@@ -325,7 +325,7 @@ def test_transversality_reuses_the_refined_rule(monkeypatch):
     monkeypatch.setattr(ElementRule, "__init__", counted)
     T = transversality_integral(pt)
     assert built == []
-    monkeypatch.setattr(bifurcation, "_mesh_levels", lambda *args: [None, None, (nodes, fresh)])
+    monkeypatch.setattr(bifurcation, "_mesh_levels", lambda *args: [None, (nodes, fresh)])
     assert transversality_integral(pt) == T
 
 

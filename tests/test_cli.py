@@ -113,7 +113,7 @@ def test_reconstruct_without_a_bifurcation_says_so(tmp_path, capsys):
 
 # C1 at the default mesh: the stagnation bound of build_wave is the same for
 # every even n_q, whose grid holds q = 0 and q = -pi where cos q = +-1.
-C1_CRITICAL_S = 0.6424715853802794
+C1_CRITICAL_S = 0.6424715853802796
 
 
 def test_reconstruct_past_the_stagnation_bound_exits_4(tmp_path, capsys):
@@ -121,7 +121,7 @@ def test_reconstruct_past_the_stagnation_bound_exits_4(tmp_path, capsys):
     out = tmp_path / "out"
     argv = ("reconstruct", "--amplitude", repr(1.01 * C1_CRITICAL_S), "--out", str(out))
     assert _run(tmp_path, config, *argv) == 4
-    assert capsys.readouterr().err == '{"error": "stagnation", "critical_s": 0.6424715853802794}\n'
+    assert capsys.readouterr().err == '{"error": "stagnation", "critical_s": 0.6424715853802796}\n'
     assert os.listdir(out) == []
 
 
@@ -139,7 +139,7 @@ def test_lambda_star_sweep_row_without_a_bifurcation(tmp_path):
     assert _run(tmp_path, C1, *argv) == 0
     weak, strong = _read_csv(out / "sweep.csv")
     assert weak == {
-        "g": "0.0001", "lambda_star": "", "lambda0": "1.0000000024554268", "mu_residual": "", "error": ""
+        "g": "0.0001", "lambda_star": "", "lambda0": "1.00000000249975", "mu_residual": "", "error": ""
     }
     assert strong["lambda_star"] != "" and strong["error"] == ""
 
@@ -298,6 +298,12 @@ def test_sweep_with_every_row_failing_exits_4(tmp_path):
                 "kind": "piecewise_constant", "breakpoints": [-0.5], "values": [math.nan, -1],
             }),
             "/vorticity/values/0",
+        ),
+        (
+            dict(C1, vorticity={
+                "kind": "piecewise_constant", "breakpoints": [-0.5, -0.499999999999], "values": [0.5, -2, -1],
+            }),
+            "/vorticity/breakpoints",
         ),
     ],
 )
@@ -776,6 +782,28 @@ def test_analyze_with_a_jump_off_the_binary_grid(tmp_path):
     assert _run(tmp_path, config, "analyze", "--out", str(tmp_path / "out")) == 0
 
 
+@pytest.mark.parametrize(
+    "vorticity",
+    [
+        # Gamma least at -0.5 and at a zero of gamma 8.7e-11 above it.
+        {"kind": "tabulated", "nodes": [-1, -0.5, 0], "values": [0, 1.7376806623501901e-10, -1]},
+        {"kind": "piecewise_constant", "breakpoints": [-1e-10], "values": [-1, 3]},
+    ],
+    ids=["tabulated_zero_next_to_a_knot", "jump_1e-10_below_the_surface"],
+)
+def test_analyze_with_a_sliver_element_exits_0(tmp_path, vorticity):
+    # Both exited 4 while a failed iteration fell back to inertia counts on
+    # the sliver element's pencil; the secular equation needs none, and
+    # Pruefer shooting confirms mu(lambda*) = -1.
+    config = {"flow": {"d": 1, "g": 1, "p0": -1}, "vorticity": vorticity}
+    out = tmp_path / "out"
+    assert _run(tmp_path, config, "analyze", "--out", str(out)) == 0
+    lam = json.loads((out / "report.json").read_text())["lambda_star"]
+    cfg = parse_config(json.dumps(config))
+    profile = GammaProfile.from_distribution(cfg.vorticity, cfg.flow)
+    assert spectral.shooting_mu(profile, cfg.flow, lam) == pytest.approx(-1.0, abs=1e-6)
+
+
 def test_criteria_with_numpy_scalars(tmp_path, capsys):
     assert _run(tmp_path, TABULATED, "criteria") == 0
     report = json.loads(capsys.readouterr().out)
@@ -874,10 +902,10 @@ ONSET_PIECEWISE = {
 @pytest.fixture
 def reuse(monkeypatch):
     """Count ElementRule builds, GammaProfile builds, the mesh gradings asked
-    for, coarse bisections, laminar piece geometries and passes over their
-    pieces, and the most passes one calibration took."""
+    for, unseeded level solves, laminar piece geometries and passes over
+    their pieces, and the most passes one calibration took."""
     counts, gradings = Counter(), set()
-    init, bisect, graded = vorticity.ElementRule.__init__, spectral._bisect_smallest, spectral._graded
+    init, solve_level, graded = vorticity.ElementRule.__init__, spectral._solve_level, spectral._graded
     from_distribution = vars(GammaProfile)["from_distribution"].__func__
     pieces, powers, calibrate = laminar._Pieces.__init__, laminar._Pieces.powers, bifurcation.calibrate_mass_flux
 
@@ -899,10 +927,9 @@ def reuse(monkeypatch):
         counts["rules"] += 1
         init(self, *args)
 
-    def counted_bisect(*args):
-        # A generator too, so a bisection counts once its first shift is taken.
-        counts["bisections"] += 1
-        yield from bisect(*args)
+    def counted_solve_level(flow, nodes, ints, seed=None):
+        counts["unseeded"] += seed is None
+        return solve_level(flow, nodes, ints, seed)
 
     def counted_profile(cls, *args):
         counts["profiles"] += 1
@@ -914,7 +941,7 @@ def reuse(monkeypatch):
         return grade
 
     monkeypatch.setattr(vorticity.ElementRule, "__init__", counted_init)
-    monkeypatch.setattr(spectral, "_bisect_smallest", counted_bisect)
+    monkeypatch.setattr(spectral, "_solve_level", counted_solve_level)
     monkeypatch.setattr(spectral, "_graded", recorded_graded)
     monkeypatch.setattr(GammaProfile, "from_distribution", classmethod(counted_profile))
     monkeypatch.setattr(laminar._Pieces, "__init__", counted_pieces)
@@ -955,17 +982,17 @@ def _sweep(tmp_path, config, grids, *quantity):
 )
 def test_onset_rows_share_mesh_levels_and_seed_each_other(tmp_path, reuse, config, grids, n_rows, n_branches):
     # Rows of one g and d differ only in lambda: they are one branch, whose
-    # first lambda alone runs a coarse bisection, every other one being
-    # seeded from the eigenpair of the nearest lambda solved on it.  Every
-    # branch shares the mesh levels of the distribution's shape (2 rules per
-    # grading: the working level has none) and the calibration's piece geometry, built once for every
-    # depth: one GammaProfile per row, no reference flow.  Each calibration
-    # takes at most 8 passes over the pieces: the edge value, the Newton
-    # steps and the residual.
+    # first lambda alone solves its working level unseeded, every other one
+    # being seeded from the eigenpair of the nearest lambda solved on it.
+    # Every branch shares the mesh levels of the distribution's shape (1
+    # rule per grading: the working level has none) and the calibration's
+    # piece geometry, built once for every depth: one GammaProfile per row,
+    # no reference flow.  Each calibration takes at most 8 passes over the
+    # pieces: the edge value, the Newton steps and the residual.
     counts, gradings = reuse
     rows = _sweep(tmp_path, config, grids, "--quantity", "onset")
-    assert counts["rules"] <= 2 * len(gradings)
-    assert counts["bisections"] == n_branches
+    assert counts["rules"] <= len(gradings)
+    assert counts["unseeded"] == n_branches
     assert counts["pieces"] == 1
     assert counts["profiles"] == n_rows
     assert 0 < counts["calibration_passes"] <= 8
@@ -993,7 +1020,7 @@ def test_onset_rows_do_not_depend_on_the_sweep_direction(tmp_path):
 
 def test_mu_sweep_rows_seed_each_other(tmp_path, reuse):
     # One branch per gamma, in either parameter order: one GammaProfile, one
-    # coarse bisection and 3 rules per grading each.
+    # unseeded working-level solve and 1 rule per grading each.
     counts, gradings = reuse
     for grids, n_rows, n_branches in [
         (["lambda:1.05:1.5:5"], 5, 1),
@@ -1004,8 +1031,8 @@ def test_mu_sweep_rows_seed_each_other(tmp_path, reuse):
         gradings.clear()
         rows = _sweep(tmp_path, C1, grids)
         assert counts["profiles"] == n_branches
-        assert counts["rules"] <= 2 * len(gradings) * n_branches
-        assert counts["bisections"] == n_branches
+        assert counts["rules"] <= len(gradings) * n_branches
+        assert counts["unseeded"] == n_branches
         assert len(rows) == n_rows
         _rows_match_unseeded_solves(C1, rows, C1["numerics"]["mesh_points"])
 
@@ -1246,27 +1273,28 @@ def test_reconstruct_leaves_out_multiprocessing(tmp_path):
     assert (tmp_path / "sweep" / "sweep.csv").exists()
 
 
-def _inertia_sweeps(monkeypatch, tmp_path, config, *argv):
-    """Inertia sweeps of one command, which must exit 0."""
-    sweeps = []
-    count = numerics.count_pencil_eigenvalues_below
+def _shifted_solves(monkeypatch, tmp_path, config, *argv):
+    """Shifted tridiagonal solves of one command, which must exit 0: those
+    of the Rayleigh-quotient iteration and of the secular equation."""
+    solves = []
+    solve = numerics._solve_tridiagonal
 
     def counted(*args):
-        sweeps.append(args[-1])
-        return count(*args)
+        solves.append(len(args[0]))
+        return solve(*args)
 
     for module in (numerics, spectral):
-        monkeypatch.setattr(module, "count_pencil_eigenvalues_below", counted)
+        monkeypatch.setattr(module, "_solve_tridiagonal", counted)
     _use_cpus(monkeypatch, 1)  # every sweep row solved here, where it is counted
     assert _run(tmp_path, config, *argv, "--out", str(tmp_path / "out")) == 0
-    return len(sweeps)
+    return len(solves)
 
 
-def test_analyze_inertia_sweeps(monkeypatch, tmp_path):
-    # Neighbour seeds skip the coarse bisection of every solve but the first
-    # of the command, grid included: 12 sweeps here, 343 when every solve
-    # began with one.
-    assert _inertia_sweeps(monkeypatch, tmp_path, C1, *ANALYZE) <= 20
+def test_analyze_shifted_solves(monkeypatch, tmp_path):
+    # Neighbour seeds leave the secular equation to the first solve of the
+    # command and to fallbacks: 75 solves here.  With a coarse level and
+    # inertia counts it took 75 solves and 12 inertia sweeps.
+    assert _shifted_solves(monkeypatch, tmp_path, C1, *ANALYZE) <= 85
 
 
 @pytest.mark.parametrize(
@@ -1277,16 +1305,17 @@ def test_analyze_inertia_sweeps(monkeypatch, tmp_path):
             ("sweep", "--param", "gamma:-1:1:3", "--quantity", "lambda_star"),
             90,
         ),
-        (dict(C1, vorticity={"kind": "constant", "gamma": 0}, numerics={}), ANALYZE, 80),
+        (dict(C1, vorticity={"kind": "constant", "gamma": 0}, numerics={}), ANALYZE, 130),
     ],
     ids=["gamma_sweep", "irrotational"],
 )
-def test_near_floor_restarts_inertia_sweeps(monkeypatch, tmp_path, config, argv, cap):
+def test_near_floor_fallbacks_shifted_solves(monkeypatch, tmp_path, config, argv, cap):
     # For gamma >= 0 the probe just above the floor fails its iteration from
-    # the neighbour seed, its mode being a thin surface layer.  Its restart
-    # stops at the 1e-3 bisection of the level's pencil: 88 and 78 sweeps,
-    # against 148 and 172 when every restart narrowed to 1e-12.
-    assert _inertia_sweeps(monkeypatch, tmp_path, config, *argv) <= cap
+    # the neighbour seed, its mode being a thin surface layer, and falls back
+    # to the secular equation: 78 and 116 solves.  With a coarse level and
+    # inertia counts they took 72 solves and 88 inertia sweeps, and 102
+    # solves and 78 inertia sweeps.
+    assert _shifted_solves(monkeypatch, tmp_path, config, *argv) <= cap
 
 
 _NO_SCIPY = """

@@ -8,12 +8,7 @@ import scipy.optimize
 
 from rotwave import VorticityDistribution, find_lambda_star, lambda_of_min_head, numerics, spectral
 from rotwave.errors import BracketFailure, EigenFailure, NoSignChange
-from rotwave.numerics import (
-    bracket_turn,
-    bracketed_root,
-    count_pencil_eigenvalues_below,
-    smallest_eigenpair_tridiagonal,
-)
+from rotwave.numerics import bracket_turn, bracketed_root, smallest_eigenpair_tridiagonal
 
 from conftest import make_branch, make_profile
 
@@ -96,18 +91,6 @@ def test_bracket_turn_probes_the_step_past_the_cap():
     assert bracket_turn(lambda x: x >= 200.0, 100.0) == (64.0, 256.0)
 
 
-def test_bisection_out_of_range_raises_bracket_failure():
-    # One unknown with eigenvalue 1e16, past the 1e14 cap of the walk.
-    # The walk runs when the first shift is taken; the second narrows the
-    # same bracket.
-    one = np.ones(1)
-    with pytest.raises(BracketFailure):
-        next(spectral._bisect_smallest(1e16 * one, np.zeros(0), one, np.zeros(0)))
-    rough, tight = spectral._bisect_smallest(1e13 * one, np.zeros(0), one, np.zeros(0))
-    assert rough == pytest.approx(1e13, rel=1e-3)
-    assert tight == pytest.approx(1e13, rel=1e-12)
-
-
 # -- smallest_eigenpair_tridiagonal ------------------------------------------
 
 
@@ -165,7 +148,8 @@ def test_solve_tridiagonal_matches_lapack(n):
     # Each side of the padding to 2^k - 1 unknowns.  The SPD stiffness, and
     # the same pencil shifted just above its smallest eigenvalue, as the
     # Rayleigh quotient iteration shifts it: there the solution is nearly
-    # an eigenvector, whose direction must come out right.
+    # an eigenvector, whose direction must come out right.  The unshifted
+    # stiffness is reported positive definite.
     dA, eA, dB, f = _stiffness_pencil(n)
     s = 1.0 / np.sqrt(dB)
     lowest = scipy.linalg.eigh_tridiagonal(
@@ -174,7 +158,8 @@ def test_solve_tridiagonal_matches_lapack(n):
     for sigma in (0.0, lowest * (1.0 + 1e-8), lowest * (1.0 + 1e-12)):
         d = dA - sigma * dB
         with np.errstate(divide="raise", invalid="raise", over="raise"):
-            x = numerics._solve_tridiagonal(d, eA, f)
+            x, definite = numerics._solve_tridiagonal(d, eA, f)
+        assert definite or sigma != 0.0
         if n <= 200:
             ref = np.linalg.solve(_dense(d, eA), f)
         else:  # the dense matrix would take 128 MB
@@ -205,12 +190,12 @@ def test_solve_tridiagonal_zero_pivot_raises(d, e, f):
 
 
 def test_eigen_diagonal():
-    mu, v = smallest_eigenpair_tridiagonal(
-        np.array([1.0, 5.0]), np.zeros(1), np.ones(2), np.zeros(1), 0.9
-    )
-    assert mu == pytest.approx(1.0)
-    assert abs(v[0]) == pytest.approx(1.0)
-    assert v[1] == pytest.approx(0.0, abs=1e-12)
+    # Zero off-diagonals fail the certificate's strict Z-matrix test (i):
+    # the iteration converges to 1, and the failure carries that quotient
+    # for the caller's fallback to start from.
+    with pytest.raises(EigenFailure, match="no M-matrix certificate") as failure:
+        smallest_eigenpair_tridiagonal(np.array([1.0, 5.0]), np.zeros(1), np.ones(2), np.zeros(1), 0.9)
+    assert failure.value.sigma == pytest.approx(1.0, rel=1e-14)
 
 
 def _p2_pair_dirichlet():
@@ -247,7 +232,7 @@ def test_eigen_scaling_invariance():
 def test_eigen_surface_normalization():
     rng = np.random.default_rng(7)
     dA = rng.standard_normal(6)
-    eA = rng.standard_normal(5)
+    eA = -np.abs(rng.standard_normal(5))  # a Z-matrix, as the finite element A is
     dB = np.ones(6)
     eB = np.zeros(5)
     A = _dense(dA, eA)
@@ -262,7 +247,7 @@ def test_tridiagonal_matches_dense():
     rng = np.random.default_rng(3)
     n = 50
     dA = rng.uniform(1.0, 2.0, n)
-    eA = rng.uniform(-0.5, 0.5, n - 1)
+    eA = rng.uniform(-0.5, -0.01, n - 1)
     dB = rng.uniform(0.5, 1.5, n)
     eB = np.zeros(n - 1)
     ref = scipy.linalg.eigh(
@@ -270,18 +255,32 @@ def test_tridiagonal_matches_dense():
     )[0]
     mu, v = smallest_eigenpair_tridiagonal(dA, eA, dB, eB, ref + 1e-3)
     assert mu == pytest.approx(ref, rel=1e-10)
-    below = count_pencil_eigenvalues_below(dA, eA, dB, eB, mu - 1e-8)
-    assert below == 0
+    assert _definite(dA, eA, dB, eB, mu - 1e-8)
 
 
-def test_count_pencil_eigenvalues():
-    dA = np.array([1.0, 2.0, 3.0])
-    eA = np.zeros(2)
-    dB = np.ones(3)
-    eB = np.zeros(2)
-    assert count_pencil_eigenvalues_below(dA, eA, dB, eB, 0.5) == 0
-    assert count_pencil_eigenvalues_below(dA, eA, dB, eB, 2.5) == 2
-    assert count_pencil_eigenvalues_below(dA, eA, dB, eB, 10.0) == 3
+def _definite(dA, eA, dB, eB, tau):
+    """Whether A - tau B is positive definite, by the pivots of the cyclic
+    reduction; a zero pivot counts as not definite."""
+    try:
+        with np.errstate(divide="raise", invalid="raise", over="raise"):
+            return numerics._solve_tridiagonal(dA - tau * dB, eA - tau * eB, np.ones(len(dA)))[1]
+    except FloatingPointError:
+        return False
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 64, 300])
+def test_pivot_signs_match_dense_inertia(n):
+    # The reduction is LDL^T of a symmetric permutation, so its pivots are
+    # all > 0 exactly when the dense spectrum is: at shifts between
+    # eigenvalues, below all of them and above all of them.
+    dA, eA, dB, _ = _stiffness_pencil(n)
+    w = scipy.linalg.eigh(_dense(dA, eA), np.diag(dB), eigvals_only=True)
+    gaps = 0.5 * (w[:-1] + w[1:])
+    for tau in (w[0] - 1.0, *gaps[:3], w[-1] + 1.0):
+        assert _definite(dA, eA, dB, np.zeros(n - 1), tau) == (tau < w[0])
+    # a diagonal pencil with eigenvalues 1, 2, 3
+    d, e = np.array([1.0, 2.0, 3.0]), np.zeros(2)
+    assert [_definite(d, e, np.ones(3), e, tau) for tau in (0.5, 1.5, 2.5, 10.0)] == [True, False, False, False]
 
 
 # -- the M-matrix certificate ---------------------------------------------------
@@ -318,8 +317,9 @@ def test_certificate_declines_a_second_eigenpair(pencil, certificates):
         bands = _c1_pencil()
     w, vecs = scipy.linalg.eigh(_dense(bands[0], bands[1]), _dense(bands[2], bands[3]))
     second, v0 = w[1], vecs[:, 1] / np.linalg.norm(vecs[:, 1])
-    with pytest.raises(EigenFailure, match="converged above the smallest eigenvalue"):
+    with pytest.raises(EigenFailure, match="no M-matrix certificate") as failure:
         smallest_eigenpair_tridiagonal(*bands, second * (1.0 + 1e-6), v0 + 1e-3)
+    assert failure.value.sigma == pytest.approx(second, rel=1e-10)
     [(ok, sigma)] = certificates
     assert not ok
     assert sigma == pytest.approx(second, rel=1e-10)
@@ -341,7 +341,10 @@ _PROFILES = {
 
 @pytest.mark.parametrize("name", sorted(_PROFILES))
 def test_certificate_agrees_with_inertia_counts(name, monkeypatch, certificates):
-    # Every principal_eigen solve runs levels of 201, 2001 and 4001 nodes.
+    # Unseeded, principal_eigen solves its 2001-node level by the secular
+    # equation and runs the iteration on the 4001-node level alone.  What a
+    # certificate accepts, the inertia of A - (sigma -+ delta) B confirms,
+    # read from the signs of the cyclic reduction's pivots.
     gamma, flow_kwargs = _PROFILES[name]
     prof, flow = make_profile(gamma, **flow_kwargs)
     result = find_lambda_star(make_branch(gamma, **flow_kwargs))
@@ -361,8 +364,8 @@ def test_certificate_agrees_with_inertia_counts(name, monkeypatch, certificates)
     assert len(pencils) == len(certificates)
     accepted = [(p, sigma) for p, (ok, sigma) in zip(pencils, certificates) if ok]
     assert len(accepted) >= len(pencils) // 2
-    assert {len(p[0]) for p, _ in accepted} == {200, 2000, 4000}
+    assert {len(p[0]) for p, _ in accepted} == {4000}
     for pencil, sigma in accepted:
         delta = 1e-6 * max(1.0, abs(sigma))
-        assert count_pencil_eigenvalues_below(*pencil, sigma - delta) == 0
-        assert count_pencil_eigenvalues_below(*pencil, sigma + delta) >= 1
+        assert _definite(*pencil, sigma - delta)
+        assert not _definite(*pencil, sigma + delta)

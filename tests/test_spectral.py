@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from rotwave.spectral import (
 )
 from rotwave.vorticity import ElementRule
 
-from conftest import make_branch, make_profile
+from conftest import make_branch, make_profile, spaced_breakpoints
 
 
 def _pinned():
@@ -279,10 +280,12 @@ def test_flux_continuity_at_jumps():
 
 @pytest.mark.parametrize(
     "gamma, lam, most",
-    [(-1.0, 1.01, 6), (0.0, 0.01, 20)],  # 90 and 43 before the residual stop
+    # 8 and 12; with a coarse level and inertia counts, 4 and 15 solves.
+    [(-1.0, 1.01, 10), (0.0, 0.01, 20)],
 )
 def test_principal_eigen_banded_solves(monkeypatch, gamma, lam, most):
-    # The iteration stops at the first iterate whose residual is at round-off.
+    # The secular iteration stops at a step at round-off, and the refined
+    # level's iteration at the first iterate whose residual is.
     prof, flow = make_profile(gamma, d=1.0, g=9.81, p0=-2.0)
     solves = []
     solve = numerics._solve_tridiagonal
@@ -291,7 +294,8 @@ def test_principal_eigen_banded_solves(monkeypatch, gamma, lam, most):
         solves.append(args)
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(numerics, "_solve_tridiagonal", counted)
+    for module in (numerics, spectral):
+        monkeypatch.setattr(module, "_solve_tridiagonal", counted)
     principal_eigen(prof, flow, lam, mesh_points=2001)
     assert len(solves) <= most
 
@@ -309,20 +313,20 @@ def test_mesh_segments_end_on_jumps():
 
 @pytest.mark.parametrize("mesh_points", [1001, 2001])
 def test_level_solve_matches_dense_near_floor(mesh_points):
-    # Irrotational C0 at lambda = 0.01: seeded from the coarse level, the
-    # iteration settles on a larger eigenvalue, and the level solve has to
-    # restart from a bisection of its own pencil.
+    # Irrotational C0 at lambda = 0.01: seeded from the solution on a
+    # 201-point mesh, the iteration settles on a larger eigenvalue, and the
+    # level solve falls back to the secular equation of its own pencil.
     prof, flow = make_profile(0.0, d=1.0, g=9.81, p0=-2.0)
     lam = 0.01
     coarse = build_mesh(prof, lam, 201)
-    mu_c, m_c = _solve_level(flow, lam, coarse, _element_integrals(ElementRule(prof, coarse), lam))
+    mu_c, m_c = _solve_level(flow, coarse, _element_integrals(ElementRule(prof, coarse), lam))
     nodes = build_mesh(prof, lam, mesh_points)
     seed = (mu_c, np.interp(nodes[1:], coarse, m_c))
     dA, eA, dB, eB = (band[1:] for band in assemble(prof, flow, lam, nodes))
     with pytest.raises(EigenFailure):
         smallest_eigenpair_tridiagonal(dA, eA, dB, eB, *seed)
 
-    mu, M = _solve_level(flow, lam, nodes, _element_integrals(ElementRule(prof, nodes), lam), seed)
+    mu, M = _solve_level(flow, nodes, _element_integrals(ElementRule(prof, nodes), lam), seed)
     A = np.diag(dA) + np.diag(eA, 1) + np.diag(eA, -1)
     B = np.diag(dB) + np.diag(eB, 1) + np.diag(eB, -1)
     ref = scipy.linalg.eigh(A, B, eigvals_only=True, subset_by_index=[0, 0])[0]
@@ -457,28 +461,28 @@ def test_seeded_solve_equals_unseeded(name):
             _same_eigen(principal_eigen(prof, flow, lam, near=near), plain[lam])
 
 
-def _record_stages(monkeypatch):
-    """Record, in order, the stage of each shift taken from _bisect_smallest:
-    0 for its 1e-3 shift, 1 for its 1e-12 one."""
-    stages = []
-    bisect = spectral._bisect_smallest
+def _record_secular(monkeypatch):
+    """Record the number of unknowns of each level that the secular
+    equation solves."""
+    sizes = []
+    secular = spectral._secular_level
 
-    def recorded(*args):
-        for stage, sigma in enumerate(bisect(*args)):
-            stages.append(stage)
-            yield sigma
+    def recorded(flow, ints, h, *rest):
+        sizes.append(len(h))
+        return secular(flow, ints, h, *rest)
 
-    monkeypatch.setattr(spectral, "_bisect_smallest", recorded)
-    return stages
+    monkeypatch.setattr(spectral, "_secular_level", recorded)
+    return sizes
 
 
 def test_misleading_seed_takes_the_fallback(monkeypatch):
-    # A mode of another profile, a vector with interior zeros, or the mode at
-    # lambda0 seeding C0 just above its floor leads the iteration astray; the
-    # working level then restarts from a bisection of its own pencil to 1e-3,
-    # with no coarse level solved and no narrowing to 1e-12, and finds the
-    # principal pair.
-    stages = _record_stages(monkeypatch)
+    # A mode of another profile, a vector with interior zeros, the mode at
+    # lambda0 seeding C0 just above its floor, or constant gamma = 1 (d = g
+    # = 1, p0 = -1) at 1e-5 above its floor seeded from its mode at
+    # lambda = 1 (1001 points), leads the working level's iteration astray;
+    # that level then falls back to the secular equation of its own pencil
+    # and finds the principal pair, which then seeds the refined level.
+    sizes = _record_secular(monkeypatch)
     c1, flow = make_profile(-1.0, d=1.0, g=9.81, p0=-2.0)
     c0, _ = make_profile(0.0, d=1.0, g=9.81, p0=-2.0)
     lam = c1.min_lambda + 1e-3
@@ -487,109 +491,144 @@ def test_misleading_seed_takes_the_fallback(monkeypatch):
     wavy = ModeSolution(
         lam=lam, mu=0.0, mu_refined=0.0, nodes=nodes, M=np.sin(2.5 * np.pi * (nodes + 1.0))
     )
-    cases = [(c1, lam, other), (c1, lam, wavy), (c0, 1e-3, principal_eigen(c0, flow, 1.8))]
-    for prof, lam, near in cases:
-        plain = principal_eigen(prof, flow, lam)
-        stages.clear()
-        _same_eigen(principal_eigen(prof, flow, lam, near=near), plain)
-        assert stages == [0]
-
-
-def test_restart_narrows_its_one_bracket_to_1e12(monkeypatch):
-    # Constant gamma = 1 (d = g = 1, p0 = -1) at 1e-5 above its floor, seeded
-    # from its mode at lambda = 1, on 1001 points: the working level's
-    # iteration fails from the seed and from the 1e-3 shift, and succeeds
-    # from the same bracket narrowed to 1e-12.  Narrowing it, rather than
-    # walking a fresh bracket, costs at most the 1e-3 iteration's two
-    # inertia checks over a restart that bisects to 1e-12 at once.
-    prof, flow = make_profile(1.0, d=1.0, g=1.0, p0=-1.0)
-    lam = prof.min_lambda + 1e-5 * max(1.0, abs(prof.min_lambda))
-    plain = principal_eigen(prof, flow, lam, mesh_points=1001)
-    near = principal_eigen(prof, flow, prof.min_lambda + 1.0, mesh_points=1001)
-    sweeps = []
-    count = numerics.count_pencil_eigenvalues_below
-
-    def counted(*args):
-        sweeps.append(args[-1])
-        return count(*args)
-
-    for module in (numerics, spectral):
-        monkeypatch.setattr(module, "count_pencil_eigenvalues_below", counted)
-    stages = _record_stages(monkeypatch)
-    _same_eigen(principal_eigen(prof, flow, lam, mesh_points=1001, near=near), plain)
-    assert stages == [0, 1]
-    narrowed = len(sweeps)
-
-    def tight_at_once(*pencil):
-        # One walk of a fresh bracket straight to 1e-12.
-        def count(tau):
-            return spectral.count_pencil_eigenvalues_below(*pencil, tau)
-
-        lo, hi = numerics.bracket_turn(lambda tau: count(tau) >= 1, 1e14)
-        while hi - lo > 1e-12 * max(1.0, abs(lo), abs(hi)):
-            mid = 0.5 * (lo + hi)
-            lo, hi = (lo, mid) if count(mid) >= 1 else (mid, hi)
-        yield 0.5 * (lo + hi)
-
-    monkeypatch.setattr(spectral, "_bisect_smallest", tight_at_once)
-    sweeps.clear()
-    _same_eigen(principal_eigen(prof, flow, lam, mesh_points=1001, near=near), plain)
-    assert narrowed <= len(sweeps) + 2
+    g1, flow1 = make_profile(1.0, d=1.0, g=1.0, p0=-1.0)
+    thin = g1.min_lambda + 1e-5 * max(1.0, abs(g1.min_lambda))
+    cases = [
+        (c1, flow, lam, 2001, other),
+        (c1, flow, lam, 2001, wavy),
+        (c0, flow, 1e-3, 2001, principal_eigen(c0, flow, 1.8)),
+        (g1, flow1, thin, 1001, principal_eigen(g1, flow1, g1.min_lambda + 1.0, mesh_points=1001)),
+    ]
+    for prof, fl, lam, points, near in cases:
+        plain = principal_eigen(prof, fl, lam, mesh_points=points)
+        sizes.clear()
+        _same_eigen(principal_eigen(prof, fl, lam, mesh_points=points, near=near), plain)
+        assert sizes[0] == points - 1
 
 
 _LAYER_VALUES = st.floats(-3.0, 3.0, allow_subnormal=False)
 
 
 @st.composite
-def _layered_pencils(draw):
-    """Pencils of random constant and piecewise-constant profiles, at lambda
-    from 1e-6 to 10 times max(1, |floor|) above the floor, on the solver's
-    meshes."""
+def _layered_levels(draw):
+    """(flow, nodes, element integrals) of a level of a random constant or
+    piecewise-constant profile, at lambda from 1e-6 to 10 times
+    max(1, |floor|) above the floor, on the solver's meshes."""
     if draw(st.booleans()):
         dist = VorticityDistribution.const(draw(_LAYER_VALUES))
     else:
-        interior = st.floats(-0.95, -0.05, allow_subnormal=False)
-        bps = sorted(draw(st.lists(interior, min_size=1, max_size=3, unique=True)))
+        bps = draw(spaced_breakpoints())
         values = draw(st.lists(_LAYER_VALUES, min_size=len(bps) + 1, max_size=len(bps) + 1))
         dist = VorticityDistribution.piecewise_constant(bps, values)
     prof, flow = make_profile(
         dist, d=draw(st.floats(0.5, 1.5)), g=draw(st.floats(0.1, 10.0)), p0=-draw(st.floats(0.3, 3.0))
     )
     lam = prof.min_lambda + 10.0 ** draw(st.floats(-6.0, 1.0)) * max(1.0, abs(prof.min_lambda))
-    nodes = build_mesh(prof, lam, draw(st.sampled_from([201, 1001])))
-    return [band[1:] for band in assemble(prof, flow, lam, nodes)]
+    nodes = build_mesh(prof, lam, draw(st.sampled_from([201, 401])))
+    return flow, nodes, _element_integrals(ElementRule(prof, nodes), lam)
+
+
+def _dense(d, e):
+    return np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+
+
+def _secular_quotients(flow, nodes, ints):
+    """(mu, M) of the secular level solve, and the quotient of every
+    definite shift, in order."""
+    h = np.diff(nodes)
+    bands = [band[1:] for band in spectral._bands_from_integrals(ints, h, flow)]
+    quotient, quotients = spectral._quotient_from_integrals, []
+
+    def recorded(*args):
+        quotients.append(quotient(*args))
+        return quotients[-1]
+
+    with mock.patch.object(spectral, "_quotient_from_integrals", recorded):
+        mu, M = spectral._secular_level(flow, ints, h, *bands)
+    return mu, M, quotients
+
+
+def _dense_spectrum(flow, nodes, ints):
+    """(mu_1, mu_2) of the pencil, and the least and the largest
+    eigenvalues of (A0, B), by dense eigh."""
+    dA0, eA, dB, eB = (band[1:] for band in spectral._bands_from_integrals(ints, np.diff(nodes), flow))
+    A0, B = _dense(dA0, eA), _dense(dB, eB)
+    A = A0.copy()
+    A[-1, -1] -= flow.g * flow.d**3
+    mu1, mu2 = scipy.linalg.eigh(A, B, eigvals_only=True, subset_by_index=[0, 1])
+    w0 = scipy.linalg.eigh(A0, B, eigvals_only=True)
+    return mu1, mu2, w0[0], w0[-1]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(_layered_pencils())
-def test_pencil_has_at_most_one_negative_eigenvalue(pencil):
+@given(_layered_levels())
+def test_secular_level_matches_dense_eigh(level):
     # A = p0^2 K - g d^3 e_n e_n^T with K positive definite: a rank-one
-    # negative part, so at most one negative eigenvalue, which is what lets
-    # a 1e-3 bisection seed the restart of a failed iteration.
-    assert numerics.count_pencil_eigenvalues_below(*pencil, 0.0) <= 1
+    # negative part, so mu_1 <= lambda_1(A0) <= mu_2 and the pencil has at
+    # most one negative eigenvalue.  The secular root is mu_1, and its
+    # quotients never rise nor fall below mu_1.  Dense eigh is itself off
+    # by about eps times the largest eigenvalue: 5e-10 of mu_1 and 8e-17 of
+    # the largest were seen where the secular root and the tridiagonal
+    # iteration agreed to 1e-15.
+    mu1, mu2, lam1, top = _dense_spectrum(*level)
+    tol = 1e-10 * max(1.0, abs(mu1)) + 1e-15 * top
+    assert mu1 <= lam1 + tol and lam1 <= mu2 + tol
+    mu, M, quotients = _secular_quotients(*level)
+    assert abs(mu - mu1) <= tol
+    assert M[0] == 0.0 and M[-1] == 1.0
+    assert min(quotients) >= mu1 - tol
+    assert all(b <= a + 1e-14 * max(1.0, abs(a)) for a, b in zip(quotients, quotients[1:]))
+
+
+def test_secular_level_brackets_a_root_next_to_the_pole(monkeypatch):
+    # gamma = 0, d = 0.5, g = 1, p0 = -2 at lambda = 1: mu_1 = 9.618 lies
+    # just under lambda_1(A0) = 9.870, the pole of s.  Newton's step from 0
+    # lands past the pole twice, where A0 - mu B is indefinite, and halving
+    # mu without a bracket oscillated; the bracket bisects instead.
+    prof, flow = make_profile(0.0, d=0.5, g=1.0, p0=-2.0)
+    nodes = build_mesh(prof, 1.0, 201)
+    ints = _element_integrals(ElementRule(prof, nodes), 1.0)
+    mu1, _mu2, lam1, _top = _dense_spectrum(flow, nodes, ints)
+    assert 9.6 < mu1 < lam1 < 9.9
+    solve, definite = spectral._solve_tridiagonal, []
+
+    def recorded(*args):
+        x, ok = solve(*args)
+        definite.append(ok)
+        return x, ok
+
+    monkeypatch.setattr(spectral, "_solve_tridiagonal", recorded)
+    mu, _M, quotients = _secular_quotients(flow, nodes, ints)
+    assert abs(mu - mu1) <= 1e-10 * mu1
+    assert definite.count(False) == 2 and quotients[0] > lam1
+    assert all(b <= a for a, b in zip(quotients, quotients[1:]))
 
 
 @pytest.mark.parametrize("name, lam", [("C0", 0.01), ("C1", 1.01), ("P", None), ("T", None)])
 def test_every_level_returns_a_converged_pair(monkeypatch, name, lam):
     # On C0 at lambda = 0.01 LAPACK met an exact zero pivot on the
-    # 4000-unknown level, and the iterate kept had a relative residual of 1e-11.
+    # 4000-unknown level, and the iterate kept had a relative residual of
+    # 1e-11.  Both levels, the secular one and the iterated one, return a
+    # pair at round-off.
     gamma, flow_args = _PROFILES[name]
     prof, flow = make_profile(gamma, **flow_args)
     if lam is None:
         lam = find_lambda_star(make_branch(gamma, **flow_args)).lambda_star
     residuals = []
-    solve = spectral.smallest_eigenpair_tridiagonal
+    solve = spectral._solve_level
 
-    def recorded(dA, eA, dB, eB, *seed):
-        sigma, v = solve(dA, eA, dB, eB, *seed)
-        v = v / np.linalg.norm(v)
-        r = numerics._tridiag_matvec(dA, eA, v) - sigma * numerics._tridiag_matvec(dB, eB, v)
+    def recorded(flow, nodes, ints, *seed):
+        mu, M = solve(flow, nodes, ints, *seed)
+        dA, eA, dB, eB = (band[1:] for band in spectral._bands_from_integrals(ints, np.diff(nodes), flow))
+        dA[-1] -= flow.g * flow.d**3
+        v = M[1:] / np.linalg.norm(M[1:])
+        r = numerics._tridiag_matvec(dA, eA, v) - mu * numerics._tridiag_matvec(dB, eB, v)
         norm_a = np.max(np.abs(dA)) + 2.0 * np.max(np.abs(eA))
         norm_b = np.max(np.abs(dB)) + 2.0 * np.max(np.abs(eB))
-        residuals.append(np.linalg.norm(r) / (norm_a + abs(sigma) * norm_b))
-        return sigma, v
+        residuals.append(np.linalg.norm(r) / (norm_a + abs(mu) * norm_b))
+        return mu, M
 
-    monkeypatch.setattr(spectral, "smallest_eigenpair_tridiagonal", recorded)
+    monkeypatch.setattr(spectral, "_solve_level", recorded)
     principal_eigen(prof, flow, lam)
-    assert len(residuals) >= 3
+    assert len(residuals) == 2
     assert max(residuals) <= 1e-14

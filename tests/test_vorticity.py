@@ -23,6 +23,11 @@ def test_eval_out_of_domain():
 def test_distribution_validation():
     with pytest.raises(ValueError):
         VorticityDistribution.piecewise_constant([-0.5, -0.7], [1.0, 2.0, 3.0])
+    # Jumps closer than 1e-9 leave the mesh a sliver element.
+    for gap in (1e-15, 1e-10, 0.999e-9):
+        with pytest.raises(ValueError, match="at least 1e-9"):
+            VorticityDistribution.piecewise_constant([-0.5, -0.5 + gap], [1.0, -2.0, -1.0])
+    VorticityDistribution.piecewise_constant([-0.5, -0.5 + 1.001e-9], [1.0, -2.0, -1.0])
     with pytest.raises(ValueError):
         VorticityDistribution.piecewise_constant([-0.5], [1.0])
     with pytest.raises(ValueError):
