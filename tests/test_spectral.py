@@ -476,12 +476,11 @@ def _record_secular(monkeypatch):
 
 
 def test_misleading_seed_takes_the_fallback(monkeypatch):
-    # A mode of another profile, a vector with interior zeros, the mode at
-    # lambda0 seeding C0 just above its floor, or constant gamma = 1 (d = g
-    # = 1, p0 = -1) at 1e-5 above its floor seeded from its mode at
-    # lambda = 1 (1001 points), leads the working level's iteration astray;
-    # that level then falls back to the secular equation of its own pencil
-    # and finds the principal pair, which then seeds the refined level.
+    # A mode of another profile, a vector with interior zeros, or the mode
+    # at lambda0 seeding C0 just above its floor leads the working level's
+    # iteration astray; that level then falls back to the secular equation
+    # of its own pencil and finds the principal pair, which then seeds the
+    # refined level.
     sizes = _record_secular(monkeypatch)
     c1, flow = make_profile(-1.0, d=1.0, g=9.81, p0=-2.0)
     c0, _ = make_profile(0.0, d=1.0, g=9.81, p0=-2.0)
@@ -491,19 +490,47 @@ def test_misleading_seed_takes_the_fallback(monkeypatch):
     wavy = ModeSolution(
         lam=lam, mu=0.0, mu_refined=0.0, nodes=nodes, M=np.sin(2.5 * np.pi * (nodes + 1.0))
     )
-    g1, flow1 = make_profile(1.0, d=1.0, g=1.0, p0=-1.0)
-    thin = g1.min_lambda + 1e-5 * max(1.0, abs(g1.min_lambda))
-    cases = [
-        (c1, flow, lam, 2001, other),
-        (c1, flow, lam, 2001, wavy),
-        (c0, flow, 1e-3, 2001, principal_eigen(c0, flow, 1.8)),
-        (g1, flow1, thin, 1001, principal_eigen(g1, flow1, g1.min_lambda + 1.0, mesh_points=1001)),
-    ]
-    for prof, fl, lam, points, near in cases:
-        plain = principal_eigen(prof, fl, lam, mesh_points=points)
+    cases = [(c1, lam, other), (c1, lam, wavy), (c0, 1e-3, principal_eigen(c0, flow, 1.8))]
+    for prof, lam, near in cases:
+        plain = principal_eigen(prof, flow, lam)
         sizes.clear()
-        _same_eigen(principal_eigen(prof, fl, lam, mesh_points=points, near=near), plain)
-        assert sizes[0] == points - 1
+        _same_eigen(principal_eigen(prof, flow, lam, near=near), plain)
+        assert sizes[0] == 2000
+
+
+def test_restart_narrows_its_one_bracket_to_1e12(monkeypatch):
+    # Constant gamma = 1 (d = g = 1, p0 = -1) at 1e-5 above its floor, seeded
+    # from its mode at lambda = 1, on 1001 points: the working level's
+    # iteration fails from the seed, and that level restarts once, by the
+    # secular equation from the iteration's least Rayleigh quotient (below
+    # 0), whose bracket narrows until a step is at most 1e-14 of mu.
+    # Starting from that quotient, rather than from 0 as an unseeded level
+    # does, costs no more shifted solves.
+    prof, flow = make_profile(1.0, d=1.0, g=1.0, p0=-1.0)
+    lam = prof.min_lambda + 1e-5 * max(1.0, abs(prof.min_lambda))
+    near = principal_eigen(prof, flow, prof.min_lambda + 1.0, mesh_points=1001)
+    starts, solves = [], []
+    secular, solve = spectral._secular_level, spectral._solve_tridiagonal
+
+    def recorded(flow, ints, h, dA0, eA, dB, eB, start=0.0):
+        starts.append((len(h), start))
+        solves.append(0)
+        return secular(flow, ints, h, dA0, eA, dB, eB, start)
+
+    def counted(*args):
+        solves[-1] += 1
+        return solve(*args)
+
+    monkeypatch.setattr(spectral, "_secular_level", recorded)
+    monkeypatch.setattr(spectral, "_solve_tridiagonal", counted)
+    plain = principal_eigen(prof, flow, lam, mesh_points=1001)
+    assert starts[0] == (1000, 0.0)
+    fresh = solves[0]
+    starts.clear()
+    solves.clear()
+    _same_eigen(principal_eigen(prof, flow, lam, mesh_points=1001, near=near), plain)
+    assert starts[0][0] == 1000 and starts[0][1] < 0.0
+    assert solves[0] <= fresh
 
 
 _LAYER_VALUES = st.floats(-3.0, 3.0, allow_subnormal=False)
