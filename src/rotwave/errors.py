@@ -14,12 +14,7 @@ class NoSignChange(Error):
 
 
 class EigenFailure(Error):
-    """An eigenpair could not be computed or certified; ``sigma``, when set,
-    is an upper bound of the smallest eigenvalue."""
-
-    def __init__(self, message, sigma=None):
-        super().__init__(message)
-        self.sigma = sigma
+    """The secular iteration of a mesh level or Pruefer shooting failed."""
 
 
 class OutOfDomain(Error):

@@ -1,11 +1,11 @@
-"""Scalar numerics: brackets, bracketed roots and tridiagonal eigenpairs.
+"""Scalar numerics: brackets, bracketed roots and shifted tridiagonal solves.
 
 Shifted tridiagonal systems are solved by odd-even cyclic reduction
 (Hockney, J. ACM 12, 1965; Buzbee, Golub and Nielson, SIAM J. Numer. Anal.
 7, 1970), vectorised in numpy, so no command imports scipy.linalg.  The
-reduction does not pivot, and the signs of its pivots tell whether the
-matrix is positive definite; a zero pivot, an overflow or a non-finite
-entry raises FloatingPointError.
+reduction does not pivot, and it counts the matrix's negative eigenvalues
+as its negative pivots; a zero pivot, an overflow or a non-finite entry
+raises FloatingPointError.
 
 Integrals are not computed here: the laminar integrals have exact piecewise
 forms (laminar.py) and every per-element integral goes through
@@ -18,15 +18,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import BracketFailure, EigenFailure, NonConvergence, NoSignChange
+from .errors import BracketFailure, NonConvergence, NoSignChange
 
 _EPS = float(np.finfo(float).eps)
-
-# Rayleigh quotient iteration: stop and accept on the residual relative to
-# ||A|| + |sigma| ||B||, and give up after a fixed number of shifted solves.
-_RQI_STOP_TOL = 1e-14
-_RQI_ACCEPT_TOL = 1e-9
-_RQI_MAX_SOLVES = 30
 
 
 def bracket_turn(turned: Callable[[float], bool], cap: float) -> tuple[float, float]:
@@ -117,18 +111,17 @@ def bracketed_root(
     raise NonConvergence(f"no root to tolerance within {max_iter} iterations")
 
 
-def _solve_tridiagonal(d: np.ndarray, e: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, bool]:
-    """(x, definite): T x = f solved for the symmetric tridiagonal T with
+@np.errstate(divide="raise", invalid="raise", over="raise")
+def _solve_tridiagonal(d: np.ndarray, e: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, int]:
+    """(x, negatives): T x = f solved for the symmetric tridiagonal T with
     diagonal d and off-diagonal e by odd-even cyclic reduction without
-    pivoting, and whether T is positive definite.
+    pivoting, and the number of negative eigenvalues of T.
 
     The system is padded with identity rows to 2^k - 1 unknowns, so that
     every level keeps the odd-numbered unknowns of the one before and has
     2^j - 1 of them.  A level is a block LDL^T step on the even-numbered
-    unknowns, so by Haynsworth's inertia additivity T is positive definite
-    exactly when every pivot is > 0.  Call under np.errstate(divide="raise",
-    invalid="raise", over="raise") to turn a zero pivot into
-    FloatingPointError.
+    unknowns, so by Haynsworth's inertia additivity T has as many negative
+    eigenvalues as negative pivots.  A zero pivot raises FloatingPointError.
     """
     n = len(d)
     m = (1 << n.bit_length()) - 1
@@ -146,7 +139,7 @@ def _solve_tridiagonal(d: np.ndarray, e: np.ndarray, f: np.ndarray) -> tuple[np.
         d = d[1::2] - rl * el - rr * er
         f = f[1::2] - rl * f_even[:-1] - rr * f_even[1:]
         e = -rr[:-1] * el[1:]
-    definite = bool(np.concatenate([d, *(level[0] for level in levels)]).min() > 0.0)
+    negatives = int(np.count_nonzero(np.concatenate([d, *(level[0] for level in levels)]) < 0.0))
     x = f / d
     for d_even, f_even, el, er in reversed(levels):
         x_even = f_even.copy()
@@ -157,7 +150,7 @@ def _solve_tridiagonal(d: np.ndarray, e: np.ndarray, f: np.ndarray) -> tuple[np.
         out[0::2] = x_even
         out[1::2] = x
         x = out
-    return x[:n], definite
+    return x[:n], negatives
 
 
 def _tridiag_matvec(d: np.ndarray, e: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -165,94 +158,3 @@ def _tridiag_matvec(d: np.ndarray, e: np.ndarray, v: np.ndarray) -> np.ndarray:
     y[:-1] += e * v[1:]
     y[1:] += e * v[:-1]
     return y
-
-
-def _m_matrix_certificate(eA, eB, sigma, delta, v, av, bv) -> bool:
-    """Whether (sigma, v) passes the three tests of the M-matrix certificate
-    stated in smallest_eigenpair_tridiagonal."""
-    if v[-1] < 0.0:
-        v, av, bv = -v, -av, -bv
-    return bool(
-        np.all(eA - (sigma - delta) * eB < 0.0)
-        and np.all(v > 0.0)
-        and np.all(np.abs(av - sigma * bv) < delta * bv)
-    )
-
-
-def smallest_eigenpair_tridiagonal(
-    dA: np.ndarray,
-    eA: np.ndarray,
-    dB: np.ndarray,
-    eB: np.ndarray,
-    sigma0: float | None,
-    v0: np.ndarray | None = None,
-):
-    """Smallest eigenpair (sigma, v) of a symmetric tridiagonal pencil by
-    Rayleigh quotient iteration, v[-1] = 1, accepted only with a certificate.
-
-    ``sigma0`` and ``v0`` come from a close approximation; with ``sigma0``
-    None the first shift is the Rayleigh quotient of ``v0``.  The iteration
-    stops at the first unit iterate v with ||A v - sigma B v|| <= 1e-14
-    (||A|| + |sigma| ||B||), where round-off sits near 4e-17, or when a
-    shifted solve (_solve_tridiagonal) fails: FloatingPointError, or a
-    non-finite or zero solution, since sigma is then an eigenvalue to
-    working precision.  It gives up after 30 solves.  EigenFailure is raised
-    unless the residual is within 1e-9 of that scale and the M-matrix
-    certificate proves sigma the smallest eigenvalue; it carries the least
-    Rayleigh quotient met (inf if none), an upper bound of the smallest
-    eigenvalue, for the caller's fallback to start from.
-
-    The certificate is that no eigenvalue lies below sigma - delta and at
-    least one below sigma + delta, with delta = 1e-6 max(1, |sigma|).  With
-    v signed so that v[-1] > 0 and r = A v - sigma B v, it holds when three
-    entry-wise tests pass: (i) every off-diagonal of A - (sigma - delta) B
-    is < 0, (ii) v > 0 and (iii) |r| < delta B v.  Then A - (sigma - delta) B
-    is a Z-matrix that maps v > 0 to r + delta B v > 0, hence a nonsingular
-    M-matrix, and being symmetric it is positive definite (Berman and
-    Plemmons, Nonnegative Matrices in the Mathematical Sciences, 1994,
-    ch. 6); and v^T (A - (sigma + delta) B) v = sum v_i (r_i - delta (B v)_i)
-    < 0.  A converged higher eigenpair, whose v changes sign, fails (ii),
-    and (ii) makes v[-1] > 0.
-    """
-    n = len(dA)
-    v = np.ones(n) / np.sqrt(n) if v0 is None else np.asarray(v0, float)
-    nrm = np.linalg.norm(v)
-    if nrm == 0.0:
-        raise ValueError("v0 must be nonzero")
-    v = v / nrm
-    norm_a = np.max(np.abs(dA)) + 2.0 * np.max(np.abs(eA), initial=0.0)
-    norm_b = np.max(np.abs(dB)) + 2.0 * np.max(np.abs(eB), initial=0.0)
-
-    def residual(sigma, av, bv):
-        """||A v - sigma B v|| relative to ||A|| + |sigma| ||B||."""
-        return np.linalg.norm(av - sigma * bv) / (norm_a + abs(sigma) * norm_b + 1e-300)
-
-    av = _tridiag_matvec(dA, eA, v)
-    bv = _tridiag_matvec(dB, eB, v)
-    sigma = float(v @ av) / float(v @ bv) if sigma0 is None else float(sigma0)
-    least = sigma if sigma0 is None else np.inf  # the least Rayleigh quotient
-    res = residual(sigma, av, bv)
-    for _ in range(_RQI_MAX_SOLVES):
-        try:
-            with np.errstate(divide="raise", invalid="raise", over="raise"):
-                x, _ = _solve_tridiagonal(dA - sigma * dB, eA - sigma * eB, bv)
-        except FloatingPointError:
-            break  # a zero pivot: sigma is an eigenvalue to working precision
-        xn = np.linalg.norm(x)
-        if not np.isfinite(xn) or xn == 0.0:
-            break  # likewise
-        v = x / xn
-        av = _tridiag_matvec(dA, eA, v)
-        bv = _tridiag_matvec(dB, eB, v)
-        sigma = float(v @ av) / float(v @ bv)
-        least = min(least, sigma)
-        res = residual(sigma, av, bv)
-        if res <= _RQI_STOP_TOL:
-            break
-
-    if res > _RQI_ACCEPT_TOL:
-        raise EigenFailure(f"RQI relative residual {res!r} exceeds tolerance", least)
-    delta = 1e-6 * max(1.0, abs(sigma))
-    if not _m_matrix_certificate(eA, eB, sigma, delta, v, av, bv):
-        raise EigenFailure("no M-matrix certificate that RQI found the smallest eigenvalue", least)
-    return sigma, v / v[-1]

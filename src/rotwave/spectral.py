@@ -10,7 +10,7 @@ Two independent routes to the principal eigenvalue mu(lambda) of
   on the mesh, and Richardson extrapolation over a nested refinement.  A
   level is solved by the secular equation of the pencil's rank-one surface
   term (Golub, SIAM Rev. 15, 1973), unless a seed's Rayleigh-quotient
-  iteration gives a pair with an M-matrix certificate.  The element
+  iteration gives a pair certified principal (_solve_level).  The element
   integrals of a^3 and a N_i N_j are taken once per lambda, on the refined
   mesh, by contracting a with the reference element's Gauss weights
   (vorticity.ElementRule); the working mesh sums them over the two halves
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EigenFailure, ZeroDenominator
-from .numerics import _solve_tridiagonal, bracket_turn, bracketed_root, smallest_eigenpair_tridiagonal
+from .numerics import _solve_tridiagonal, _tridiag_matvec, bracket_turn, bracketed_root
 from .vorticity import ElementRule, FlowParameters, GammaProfile
 
 
@@ -248,8 +248,8 @@ def _secular_level(flow, ints, h, dA0, eA, dB, eB, start=0.0):
     mu, lo, hi, pair = start, -np.inf, np.inf, None
     for _ in range(200):
         try:
-            with np.errstate(divide="raise", invalid="raise", over="raise"):
-                x, definite = _solve_tridiagonal(dA0 - mu * dB, eA - mu * eB, e_n)
+            x, negatives = _solve_tridiagonal(dA0 - mu * dB, eA - mu * eB, e_n)
+            definite = negatives == 0
         except FloatingPointError:
             definite = False
         if definite:
@@ -268,32 +268,75 @@ def _secular_level(flow, ints, h, dA0, eA, dB, eB, start=0.0):
     raise EigenFailure("secular iteration did not converge in 200 solves")
 
 
+def _residual_bound(flow, ints, v, r) -> float:
+    """rho = (sum r_i^2 / beta_i / sum beta_i v_i^2)^(1/2): for r = A v - q B v
+    on a level's pencil (A, B), some eigenvalue lies within rho of q.
+
+    That distance is at most ||r||_(B^-1) / ||v||_B (Parlett, The Symmetric
+    Eigenvalue Problem, 1998, Thm 4.5.1, for L^-1 A L^-T with B = L L^T),
+    and B >= diag(beta), beta_i summing the least eigenvalues of the element
+    mass matrices at node i.
+    """
+    m00, m01, m11 = ints[1:]  # B assembles these times p0^2 d^2
+    least = 0.5 * (m00 + m11 - np.sqrt((m00 - m11) ** 2 + 4.0 * m01 * m01))
+    beta = least + np.append(least[1:], 0.0)
+    return math.sqrt((r * r / beta).sum() / (beta @ (v * v))) / (flow.p0**2 * flow.d**2)
+
+
 def _solve_level(flow, nodes, ints, seed=None):
     """(mu, M) of one mesh level, whose pencil comes from its element
     integrals ``ints``: mu is the element-energy quotient of the
     surface-normalized M (so its Rayleigh identity is exact), and M
     includes the bed node M(-1) = 0.
 
-    ``seed`` is (sigma0, v0) from the working level or a neighbouring
-    lambda (sigma0 None: the Rayleigh quotient of v0).  With a seed, the
-    Rayleigh-quotient iteration's pair is kept when the M-matrix certificate
-    proves it principal.  Otherwise, as just above the admissibility floor,
-    where the mode is a layer that a mode at another lambda cannot resolve,
-    the secular equation solves the level, from the iteration's least
-    Rayleigh quotient (an upper bound of mu_1) where that is below 0.
+    ``seed`` is (sigma0, v0) from the working level or a neighbouring lambda
+    (sigma0 None: the Rayleigh quotient of v0), and starts a
+    Rayleigh-quotient iteration of at most 30 solves.  It stops at the first
+    unit iterate v with |A v - q B v| <= 1e-14 (|A| + |q| |B|), round-off
+    being near 4e-17, and keeps the pair when q + rho < L (rho from
+    _residual_bound, L the largest of 0 and the shifts whose reduction has
+    one negative pivot).  Both bound mu_2 from below: 0 by interlacing (see
+    _secular_level; A0 is positive definite), such a shift by Sylvester's
+    law of inertia.  So the eigenvalue within rho of q is mu_1, and as q >=
+    mu_1, mu_1 lies in [q - rho, q].  Otherwise, and with no seed, as just
+    above the admissibility floor, where the mode is a layer that a mode at
+    another lambda cannot resolve, the secular equation solves the level,
+    from the iteration's least Rayleigh quotient (an upper bound of mu_1)
+    where that is below 0.
     """
     h = np.diff(nodes)
     dA0, eA, dB, eB = (band[1:] for band in _bands_from_integrals(ints, h, flow))
-    if seed is None:
-        return _secular_level(flow, ints, h, dA0, eA, dB, eB)
-    dA = dA0.copy()
-    dA[-1] -= flow.g * flow.d**3
-    try:
-        _, v = smallest_eigenpair_tridiagonal(dA, eA, dB, eB, *seed)
-    except EigenFailure as exc:
-        return _secular_level(flow, ints, h, dA0, eA, dB, eB, min(0.0, exc.sigma))
-    M = np.concatenate([[0.0], v])
-    return _quotient_from_integrals(ints, h, M, flow), M
+    least = 0.0
+    if seed is not None:
+        dA = dA0.copy()
+        dA[-1] -= flow.g * flow.d**3
+        norm_a = np.max(np.abs(dA)) + 2.0 * np.max(np.abs(eA))
+        norm_b = np.max(np.abs(dB)) + 2.0 * np.max(np.abs(eB))
+        sigma, v = seed
+        v = v / np.linalg.norm(v)
+        av, bv = _tridiag_matvec(dA, eA, v), _tridiag_matvec(dB, eB, v)
+        if sigma is None:
+            sigma = float(v @ av) / float(v @ bv)
+            least = min(least, sigma)
+        bound = 0.0
+        for _ in range(30):
+            try:
+                x, negatives = _solve_tridiagonal(dA - sigma * dB, eA - sigma * eB, bv)
+            except FloatingPointError:
+                break
+            if negatives == 1:
+                bound = max(bound, sigma)
+            v = x / np.linalg.norm(x)
+            av, bv = _tridiag_matvec(dA, eA, v), _tridiag_matvec(dB, eB, v)
+            sigma = float(v @ av) / float(v @ bv)
+            least = min(least, sigma)
+            r = av - sigma * bv
+            if np.linalg.norm(r) / (norm_a + abs(sigma) * norm_b) <= 1e-14:
+                if sigma + _residual_bound(flow, ints, v, r) < bound:
+                    M = np.concatenate([[0.0], v / v[-1]])
+                    return _quotient_from_integrals(ints, h, M, flow), M
+                break
+    return _secular_level(flow, ints, h, dA0, eA, dB, eB, least)
 
 
 def principal_eigen(
@@ -306,16 +349,16 @@ def principal_eigen(
     """Principal eigenpair (mu(lambda), M) of the mode-equation quotient.
 
     The working mesh is solved from ``near`` or, without it, by the secular
-    equation, and its pair seeds its uniform refinement (_solve_level).
-    The two levels give a Richardson-extrapolated ``mu_refined`` while the
-    stored M and ``mu`` come from the finer level.  M(0) = 1.
-    Each lambda takes one quadrature pass, on the refined level: the
-    working level's element integrals are restricted from it (_restrict),
-    so its pencil is the refined one's on the nested P1 space, its
-    eigenvalue is not below the refined one, and ``mu_refined`` <= ``mu``.
-    The mesh levels and the refined element quadrature are built once per
-    distribution, mesh size and grading (see _mesh_levels), not once per
-    lambda or flow.
+    equation, and its pair seeds its uniform refinement; each level's pair
+    is proven principal (_solve_level).  The two levels give a
+    Richardson-extrapolated ``mu_refined``, while the stored M (M(0) = 1)
+    and ``mu`` come from the finer level.  Each lambda takes one
+    quadrature pass, on the refined level: the working level's element
+    integrals are restricted from it (_restrict), so its pencil is the
+    refined one's on the nested P1 space, its eigenvalue is not below the
+    refined one, and ``mu_refined`` <= ``mu``.  The mesh levels and the
+    refined element quadrature are built once per distribution, mesh size
+    and grading (see _mesh_levels), not once per lambda or flow.
 
     ``near`` is a solution at a neighbouring lambda, on this profile or
     another, whose M interpolated to the working nodes seeds that level.

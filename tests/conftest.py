@@ -1,8 +1,11 @@
+import contextlib
 import math
+from unittest import mock
 
+import numpy as np
 import pytest
 
-from rotwave import Branch, FlowParameters, GammaProfile, VorticityDistribution, bifurcation
+from rotwave import Branch, FlowParameters, GammaProfile, VorticityDistribution, bifurcation, numerics, spectral
 from rotwave.errors import EigenFailure
 
 
@@ -57,3 +60,42 @@ def spaced_breakpoints():
         .map(sorted)
         .filter(lambda bps: all(b - a >= 1e-9 for a, b in zip(bps, bps[1:])))
     )
+
+
+def pencil_bands(flow, nodes, ints):
+    """Bands (dA, eA, dB, eB) of a level's pencil (A, B), bed node left out."""
+    dA, eA, dB, eB = (band[1:] for band in spectral._bands_from_integrals(ints, np.diff(nodes), flow))
+    dA[-1] -= flow.g * flow.d**3
+    return dA, eA, dB, eB
+
+
+@contextlib.contextmanager
+def certified_levels():
+    """Record every spectral level solve made in the block: the bands
+    (dA, eA, dB, eB) of its pencil (A, B), the matvec quotient q and the
+    residual bound rho of the pair its Rayleigh-quotient iteration converged
+    to (None without one), and whether the secular equation solved it."""
+    levels = []
+    solve_level, residual_bound, secular_level = (
+        spectral._solve_level,
+        spectral._residual_bound,
+        spectral._secular_level,
+    )
+
+    def level(flow, nodes, ints, seed=None):
+        levels.append(dict(bands=pencil_bands(flow, nodes, ints), pair=None, secular=False))
+        return solve_level(flow, nodes, ints, seed)
+
+    def bound(flow, ints, v, r):
+        dA, eA, dB, eB = levels[-1]["bands"]
+        q = (v @ numerics._tridiag_matvec(dA, eA, v)) / (v @ numerics._tridiag_matvec(dB, eB, v))
+        rho = residual_bound(flow, ints, v, r)
+        levels[-1]["pair"] = (q, rho)
+        return rho
+
+    def secular(*args):
+        levels[-1]["secular"] = True
+        return secular_level(*args)
+
+    with mock.patch.multiple(spectral, _solve_level=level, _residual_bound=bound, _secular_level=secular):
+        yield levels

@@ -1297,6 +1297,28 @@ def test_analyze_shifted_solves(monkeypatch, tmp_path):
     assert _shifted_solves(monkeypatch, tmp_path, C1, *ANALYZE) <= 85
 
 
+def test_analyze_certifies_modes_that_vanish_toward_the_bed(monkeypatch, tmp_path):
+    # The benchmark's seed-0 piecewise analyze, on 2001 points.  Its modes
+    # fall to 1e-6 of their surface value at the bed, where an entry-wise
+    # residual test declined 3 converged pairs: 3 secular fallbacks and 79
+    # solves.  The certificate keeps them, so the secular equation solves
+    # only the command's first, unseeded level: 73 solves.
+    config = {
+        "flow": {"d": 1, "g": 1, "p0": -1},
+        "vorticity": {"kind": "piecewise_constant", "breakpoints": [-0.578125], "values": [0.65625, -1.90625]},
+    }
+    secular = []
+    solve = spectral._secular_level
+
+    def recorded(*args):
+        secular.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(spectral, "_secular_level", recorded)
+    assert _shifted_solves(monkeypatch, tmp_path, config, *ANALYZE) <= 74
+    assert len(secular) == 1
+
+
 @pytest.mark.parametrize(
     "config, argv, cap",
     [

@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -7,10 +6,11 @@ import scipy.linalg
 import scipy.optimize
 
 from rotwave import VorticityDistribution, find_lambda_star, lambda_of_min_head, numerics, spectral
-from rotwave.errors import BracketFailure, EigenFailure, NoSignChange
-from rotwave.numerics import bracket_turn, bracketed_root, smallest_eigenpair_tridiagonal
+from rotwave.errors import BracketFailure, NoSignChange
+from rotwave.numerics import bracket_turn, bracketed_root
+from rotwave.vorticity import ElementRule
 
-from conftest import make_branch, make_profile
+from conftest import certified_levels, make_branch, make_profile, pencil_bands
 
 
 # -- bracketed_root ----------------------------------------------------------
@@ -91,45 +91,11 @@ def test_bracket_turn_probes_the_step_past_the_cap():
     assert bracket_turn(lambda x: x >= 200.0, 100.0) == (64.0, 256.0)
 
 
-# -- smallest_eigenpair_tridiagonal ------------------------------------------
-
-
-def _bands(m):
-    return np.diag(m).copy(), np.diag(m, 1).copy()
+# -- cyclic reduction ------------------------------------------------------------
 
 
 def _dense(d, e):
     return np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
-
-
-def test_eigen_1x1():
-    mu, v = smallest_eigenpair_tridiagonal(
-        np.array([2.0]), np.zeros(0), np.array([1.0]), np.zeros(0), 1.9
-    )
-    assert mu == pytest.approx(2.0)
-    assert v == pytest.approx([1.0])
-
-
-def test_eigen_1x1_stops_at_a_singular_shift(monkeypatch):
-    solves = []
-    solve = numerics._solve_tridiagonal
-
-    def counted(*args, **kwargs):
-        solves.append(args)
-        return solve(*args, **kwargs)
-
-    monkeypatch.setattr(numerics, "_solve_tridiagonal", counted)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        mu, v = smallest_eigenpair_tridiagonal(
-            np.array([2.0]), np.zeros(0), np.array([1.0]), np.zeros(0), 2.0
-        )
-    assert mu == 2.0
-    assert v == pytest.approx([1.0])
-    assert len(solves) == 1
-
-
-# -- cyclic reduction ------------------------------------------------------------
 
 
 def _stiffness_pencil(n):
@@ -149,7 +115,7 @@ def test_solve_tridiagonal_matches_lapack(n):
     # the same pencil shifted just above its smallest eigenvalue, as the
     # Rayleigh quotient iteration shifts it: there the solution is nearly
     # an eigenvector, whose direction must come out right.  The unshifted
-    # stiffness is reported positive definite.
+    # stiffness has no negative pivot.
     dA, eA, dB, f = _stiffness_pencil(n)
     s = 1.0 / np.sqrt(dB)
     lowest = scipy.linalg.eigh_tridiagonal(
@@ -157,9 +123,8 @@ def test_solve_tridiagonal_matches_lapack(n):
     )[0]
     for sigma in (0.0, lowest * (1.0 + 1e-8), lowest * (1.0 + 1e-12)):
         d = dA - sigma * dB
-        with np.errstate(divide="raise", invalid="raise", over="raise"):
-            x, definite = numerics._solve_tridiagonal(d, eA, f)
-        assert definite or sigma != 0.0
+        x, negatives = numerics._solve_tridiagonal(d, eA, f)
+        assert negatives == 0 or sigma != 0.0
         if n <= 200:
             ref = np.linalg.solve(_dense(d, eA), f)
         else:  # the dense matrix would take 128 MB
@@ -182,147 +147,68 @@ def test_solve_tridiagonal_matches_lapack(n):
     ],
 )
 def test_solve_tridiagonal_zero_pivot_raises(d, e, f):
-    # No pivoting: a zero pivot raises under the errstate the iteration uses.
+    # No pivoting: a zero pivot raises, whatever the caller's errstate.
     args = (np.array(d), np.array(e), np.array(f))
-    with np.errstate(divide="raise", invalid="raise", over="raise"):
-        with pytest.raises(FloatingPointError):
-            numerics._solve_tridiagonal(*args)
+    with pytest.raises(FloatingPointError):
+        numerics._solve_tridiagonal(*args)
 
 
-def test_eigen_diagonal():
-    # Zero off-diagonals fail the certificate's strict Z-matrix test (i):
-    # the iteration converges to 1, and the failure carries that quotient
-    # for the caller's fallback to start from.
-    with pytest.raises(EigenFailure, match="no M-matrix certificate") as failure:
-        smallest_eigenpair_tridiagonal(np.array([1.0, 5.0]), np.zeros(1), np.ones(2), np.zeros(1), 0.9)
-    assert failure.value.sigma == pytest.approx(1.0, rel=1e-14)
-
-
-def _p2_pair_dirichlet():
-    """3x3 stiffness/mass of -u'' = mu u on (0, 1), u(0) = u(1) = 0,
-    discretized with two quadratic elements (3 interior nodes); both
-    matrices are tridiagonal."""
-    h = 0.5
-    k_loc = np.array([[7.0, -8.0, 1.0], [-8.0, 16.0, -8.0], [1.0, -8.0, 7.0]]) / (3.0 * h)
-    m_loc = np.array([[4.0, 2.0, -1.0], [2.0, 16.0, 2.0], [-1.0, 2.0, 4.0]]) * h / 30.0
-    K = np.zeros((5, 5))
-    M = np.zeros((5, 5))
-    for e, sl in ((0, slice(0, 3)), (1, slice(2, 5))):
-        K[sl, sl] += k_loc
-        M[sl, sl] += m_loc
-    return K[1:4, 1:4], M[1:4, 1:4]
-
-
-def test_eigen_dirichlet_laplacian_vs_pi_squared():
-    K, M = _p2_pair_dirichlet()
-    mu, v = smallest_eigenpair_tridiagonal(*_bands(K), *_bands(M), 9.0)
-    # independent oracle: dense solve of the same pencil
-    ref = np.min(scipy.linalg.eigh(K, M, eigvals_only=True))
-    assert mu == pytest.approx(ref, rel=1e-12)
-    assert abs(mu - math.pi**2) <= 0.05 * math.pi**2
-
-
-def test_eigen_scaling_invariance():
-    K, M = _p2_pair_dirichlet()
-    mu1, _ = smallest_eigenpair_tridiagonal(*_bands(K), *_bands(M), 9.0)
-    mu2, _ = smallest_eigenpair_tridiagonal(*_bands(4.0 * K), *_bands(4.0 * M), 9.0)
-    assert mu1 == pytest.approx(mu2, rel=1e-12)
-
-
-def test_eigen_surface_normalization():
-    rng = np.random.default_rng(7)
-    dA = rng.standard_normal(6)
-    eA = -np.abs(rng.standard_normal(5))  # a Z-matrix, as the finite element A is
-    dB = np.ones(6)
-    eB = np.zeros(5)
-    A = _dense(dA, eA)
-    ref = scipy.linalg.eigh(A, eigvals_only=True)[0]
-    mu, v = smallest_eigenpair_tridiagonal(dA, eA, dB, eB, ref + 1e-3)
-    assert v[-1] == pytest.approx(1.0)
-    res = np.linalg.norm(A @ v - mu * v)
-    assert res <= 1e-8 * np.linalg.norm(A, np.inf) * np.linalg.norm(v)
-
-
-def test_tridiagonal_matches_dense():
-    rng = np.random.default_rng(3)
-    n = 50
-    dA = rng.uniform(1.0, 2.0, n)
-    eA = rng.uniform(-0.5, -0.01, n - 1)
-    dB = rng.uniform(0.5, 1.5, n)
-    eB = np.zeros(n - 1)
-    ref = scipy.linalg.eigh(
-        _dense(dA, eA), np.diag(dB), eigvals_only=True, subset_by_index=[0, 0]
-    )[0]
-    mu, v = smallest_eigenpair_tridiagonal(dA, eA, dB, eB, ref + 1e-3)
-    assert mu == pytest.approx(ref, rel=1e-10)
-    assert _definite(dA, eA, dB, eB, mu - 1e-8)
-
-
-def _definite(dA, eA, dB, eB, tau):
-    """Whether A - tau B is positive definite, by the pivots of the cyclic
-    reduction; a zero pivot counts as not definite."""
+def _negatives(dA, eA, dB, eB, tau):
+    """Negative pivots of the cyclic reduction of A - tau B; None at a zero
+    pivot."""
     try:
-        with np.errstate(divide="raise", invalid="raise", over="raise"):
-            return numerics._solve_tridiagonal(dA - tau * dB, eA - tau * eB, np.ones(len(dA)))[1]
+        return numerics._solve_tridiagonal(dA - tau * dB, eA - tau * eB, np.ones(len(dA)))[1]
     except FloatingPointError:
-        return False
+        return None
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 64, 300])
 def test_pivot_signs_match_dense_inertia(n):
-    # The reduction is LDL^T of a symmetric permutation, so its pivots are
-    # all > 0 exactly when the dense spectrum is: at shifts between
-    # eigenvalues, below all of them and above all of them.
+    # The reduction is LDL^T of a symmetric permutation, so it has as many
+    # negative pivots as the pencil has eigenvalues below the shift: below
+    # all of them, between any two neighbours and above all of them.
     dA, eA, dB, _ = _stiffness_pencil(n)
     w = scipy.linalg.eigh(_dense(dA, eA), np.diag(dB), eigvals_only=True)
-    gaps = 0.5 * (w[:-1] + w[1:])
-    for tau in (w[0] - 1.0, *gaps[:3], w[-1] + 1.0):
-        assert _definite(dA, eA, dB, np.zeros(n - 1), tau) == (tau < w[0])
+    for tau in (w[0] - 1.0, *(0.5 * (w[:-1] + w[1:])), w[-1] + 1.0):
+        assert _negatives(dA, eA, dB, np.zeros(n - 1), tau) == np.count_nonzero(w < tau)
     # a diagonal pencil with eigenvalues 1, 2, 3
     d, e = np.array([1.0, 2.0, 3.0]), np.zeros(2)
-    assert [_definite(d, e, np.ones(3), e, tau) for tau in (0.5, 1.5, 2.5, 10.0)] == [True, False, False, False]
+    assert [_negatives(d, e, np.ones(3), e, tau) for tau in (0.5, 1.5, 2.5, 10.0)] == [0, 1, 2, 3]
 
 
-# -- the M-matrix certificate ---------------------------------------------------
+# -- the certificate of the principal pair ----------------------------------------
 
 
-@pytest.fixture
-def certificates(monkeypatch):
-    """(accepted, sigma) of every certificate the eigen solver asks for."""
-    seen = []
-    certify = numerics._m_matrix_certificate
-
-    def recorded(eA, eB, sigma, *rest):
-        ok = certify(eA, eB, sigma, *rest)
-        seen.append((ok, sigma))
-        return ok
-
-    monkeypatch.setattr(numerics, "_m_matrix_certificate", recorded)
-    return seen
-
-
-def _c1_pencil():
-    prof, flow = make_profile(-1.0, d=1.0, g=9.81, p0=-2.0)
-    lam = 1.5
-    nodes = spectral.build_mesh(prof, lam, 201)
-    return [band[1:] for band in spectral.assemble(prof, flow, lam, nodes)]
-
-
-@pytest.mark.parametrize("pencil", ["p2", "c1"])
-def test_certificate_declines_a_second_eigenpair(pencil, certificates):
-    if pencil == "p2":
-        K, M = _p2_pair_dirichlet()
-        bands = [*_bands(K), *_bands(M)]
+def _level(name):
+    """(flow, nodes, element integrals) of a 201-point level: C1 at
+    lambda = 1.5, or P (one jump) at 0.5 above its floor."""
+    if name == "c1":
+        prof, flow = make_profile(-1.0, d=1.0, g=9.81, p0=-2.0)
+        lam = 1.5
     else:
-        bands = _c1_pencil()
-    w, vecs = scipy.linalg.eigh(_dense(bands[0], bands[1]), _dense(bands[2], bands[3]))
+        prof, flow = make_profile(VorticityDistribution.piecewise_constant([-0.5], [0.5, -2.0]), p0=-1.0)
+        lam = prof.min_lambda + 0.5
+    nodes = spectral.build_mesh(prof, lam, 201)
+    return flow, nodes, spectral._element_integrals(ElementRule(prof, nodes), lam)
+
+
+@pytest.mark.parametrize("name", ["c1", "p"])
+def test_certificate_declines_a_second_eigenpair(name):
+    # Seeded next to the second eigenpair, the iteration converges to it.
+    # Its quotient lies within rho of mu_2, so no shift below mu_2 bounds it
+    # from above, and the secular equation returns mu_1 instead.
+    flow, nodes, ints = _level(name)
+    dA, eA, dB, eB = pencil_bands(flow, nodes, ints)
+    w, vecs = scipy.linalg.eigh(_dense(dA, eA), _dense(dB, eB))
     second, v0 = w[1], vecs[:, 1] / np.linalg.norm(vecs[:, 1])
-    with pytest.raises(EigenFailure, match="no M-matrix certificate") as failure:
-        smallest_eigenpair_tridiagonal(*bands, second * (1.0 + 1e-6), v0 + 1e-3)
-    assert failure.value.sigma == pytest.approx(second, rel=1e-10)
-    [(ok, sigma)] = certificates
-    assert not ok
-    assert sigma == pytest.approx(second, rel=1e-10)
+    with certified_levels() as levels:
+        mu, M = spectral._solve_level(flow, nodes, ints, (second * (1.0 + 1e-6), v0 + 1e-3))
+    [level] = levels
+    q, rho = level["pair"]
+    assert q == pytest.approx(second, rel=1e-10)
+    assert level["secular"]
+    assert mu == pytest.approx(w[0], rel=1e-10)
+    assert M[0] == 0.0 and M[-1] == 1.0
 
 
 _PROFILES = {
@@ -340,32 +226,27 @@ _PROFILES = {
 
 
 @pytest.mark.parametrize("name", sorted(_PROFILES))
-def test_certificate_agrees_with_inertia_counts(name, monkeypatch, certificates):
+def test_certificate_agrees_with_inertia_counts(name):
     # Unseeded, principal_eigen solves its 2001-node level by the secular
-    # equation and runs the iteration on the 4001-node level alone.  What a
-    # certificate accepts, the inertia of A - (sigma -+ delta) B confirms,
-    # read from the signs of the cyclic reduction's pivots.
+    # equation and runs the iteration on the 4001-node level alone, which
+    # converges every time.  What a certificate accepts, mu_1 in
+    # [q - rho, q] and mu_2 > q + rho, the inertia of A - (q -+ (rho +
+    # delta)) B confirms, read from the negative pivots of the cyclic
+    # reduction.
     gamma, flow_kwargs = _PROFILES[name]
     prof, flow = make_profile(gamma, **flow_kwargs)
     result = find_lambda_star(make_branch(gamma, **flow_kwargs))
     lambdas = (prof.min_lambda + 1e-3, result.lambda_star, lambda_of_min_head(prof, flow))
-
-    pencils = []
-    solve = spectral.smallest_eigenpair_tridiagonal
-
-    def solving(*args):
-        pencils.append(args[:4])
-        return solve(*args)
-
-    monkeypatch.setattr(spectral, "smallest_eigenpair_tridiagonal", solving)
-    certificates.clear()
-    for lam in lambdas:
-        spectral.principal_eigen(prof, flow, lam)
-    assert len(pencils) == len(certificates)
-    accepted = [(p, sigma) for p, (ok, sigma) in zip(pencils, certificates) if ok]
-    assert len(accepted) >= len(pencils) // 2
-    assert {len(p[0]) for p, _ in accepted} == {4000}
-    for pencil, sigma in accepted:
-        delta = 1e-6 * max(1.0, abs(sigma))
-        assert _definite(*pencil, sigma - delta)
-        assert not _definite(*pencil, sigma + delta)
+    with certified_levels() as levels:
+        for lam in lambdas:
+            spectral.principal_eigen(prof, flow, lam)
+    assert [len(level["bands"][0]) for level in levels] == [2000, 4000] * len(lambdas)
+    iterated = levels[1::2]
+    assert all(level["pair"] is not None for level in iterated)
+    accepted = [level for level in iterated if not level["secular"]]
+    assert len(accepted) >= len(iterated) // 2
+    for level in accepted:
+        q, rho = level["pair"]
+        delta = 1e-6 * max(1.0, abs(q))
+        assert _negatives(*level["bands"], q - rho - delta) == 0
+        assert _negatives(*level["bands"], q + rho + delta) == 1

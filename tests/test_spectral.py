@@ -18,8 +18,8 @@ from rotwave import (
     shooting_mu,
 )
 from rotwave import bifurcation, numerics, spectral
-from rotwave.errors import EigenFailure, NonAdmissibleLambda, ZeroDenominator
-from rotwave.numerics import bracketed_root, smallest_eigenpair_tridiagonal
+from rotwave.errors import NonAdmissibleLambda, ZeroDenominator
+from rotwave.numerics import bracketed_root
 from rotwave.spectral import (
     ModeSolution,
     _element_integrals,
@@ -31,7 +31,7 @@ from rotwave.spectral import (
 )
 from rotwave.vorticity import ElementRule
 
-from conftest import make_branch, make_profile, spaced_breakpoints
+from conftest import certified_levels, make_branch, make_profile, pencil_bands, spaced_breakpoints
 
 
 def _pinned():
@@ -323,10 +323,9 @@ def test_level_solve_matches_dense_near_floor(mesh_points):
     nodes = build_mesh(prof, lam, mesh_points)
     seed = (mu_c, np.interp(nodes[1:], coarse, m_c))
     dA, eA, dB, eB = (band[1:] for band in assemble(prof, flow, lam, nodes))
-    with pytest.raises(EigenFailure):
-        smallest_eigenpair_tridiagonal(dA, eA, dB, eB, *seed)
-
-    mu, M = _solve_level(flow, nodes, _element_integrals(ElementRule(prof, nodes), lam), seed)
+    with certified_levels() as levels:
+        mu, M = spectral._solve_level(flow, nodes, _element_integrals(ElementRule(prof, nodes), lam), seed)
+    assert levels[0]["secular"]
     A = np.diag(dA) + np.diag(eA, 1) + np.diag(eA, -1)
     B = np.diag(dB) + np.diag(eB, 1) + np.diag(eB, -1)
     ref = scipy.linalg.eigh(A, B, eigvals_only=True, subset_by_index=[0, 0])[0]
@@ -515,14 +514,14 @@ def test_restart_narrows_its_one_bracket_to_1e12(monkeypatch):
     def recorded(flow, ints, h, dA0, eA, dB, eB, start=0.0):
         starts.append((len(h), start))
         solves.append(0)
-        return secular(flow, ints, h, dA0, eA, dB, eB, start)
+        with mock.patch.object(spectral, "_solve_tridiagonal", counted):
+            return secular(flow, ints, h, dA0, eA, dB, eB, start)
 
     def counted(*args):
         solves[-1] += 1
         return solve(*args)
 
     monkeypatch.setattr(spectral, "_secular_level", recorded)
-    monkeypatch.setattr(spectral, "_solve_tridiagonal", counted)
     plain = principal_eigen(prof, flow, lam, mesh_points=1001)
     assert starts[0] == (1000, 0.0)
     fresh = solves[0]
@@ -607,6 +606,30 @@ def test_secular_level_matches_dense_eigh(level):
     assert all(b <= a + 1e-14 * max(1.0, abs(a)) for a, b in zip(quotients, quotients[1:]))
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_layered_levels())
+def test_certified_level_matches_dense_eigh(level):
+    # Seeded from the principal vector of dense eigh, scaled by 1 + p/100,
+    # the Rayleigh-quotient iteration converges to mu_1 and the certificate
+    # keeps its pair: mu_1 lies in [q - rho, q] and mu_2 above q + rho.  The
+    # tolerance is the secular test's.
+    flow, nodes, ints = level
+    mu1, mu2, _lam1, top = _dense_spectrum(*level)
+    tol = 1e-10 * max(1.0, abs(mu1)) + 1e-15 * top
+    dA, eA, dB, eB = pencil_bands(flow, nodes, ints)
+    v1 = scipy.linalg.eigh(_dense(dA, eA), _dense(dB, eB), subset_by_index=[0, 0])[1][:, 0]
+    seed = (None, v1 / v1[-1] * (1.0 + 1e-2 * nodes[1:]))
+    with certified_levels() as levels:
+        mu, M = spectral._solve_level(flow, nodes, ints, seed)
+    [record] = levels
+    assert not record["secular"]
+    q, rho = record["pair"]
+    assert abs(mu - mu1) <= tol and abs(q - mu1) <= tol
+    assert q - rho <= mu1 + tol
+    assert mu2 > q + rho
+    assert M[0] == 0.0 and M[-1] == 1.0
+
+
 def test_secular_level_brackets_a_root_next_to_the_pole(monkeypatch):
     # gamma = 0, d = 0.5, g = 1, p0 = -2 at lambda = 1: mu_1 = 9.618 lies
     # just under lambda_1(A0) = 9.870, the pole of s.  Newton's step from 0
@@ -620,9 +643,9 @@ def test_secular_level_brackets_a_root_next_to_the_pole(monkeypatch):
     solve, definite = spectral._solve_tridiagonal, []
 
     def recorded(*args):
-        x, ok = solve(*args)
-        definite.append(ok)
-        return x, ok
+        x, negatives = solve(*args)
+        definite.append(negatives == 0)
+        return x, negatives
 
     monkeypatch.setattr(spectral, "_solve_tridiagonal", recorded)
     mu, _M, quotients = _secular_quotients(flow, nodes, ints)
