@@ -211,6 +211,47 @@ def test_certificate_declines_a_second_eigenpair(name):
     assert M[0] == 0.0 and M[-1] == 1.0
 
 
+def _seeded_from_dense(name):
+    """The level of ``name``, its dense pencil (A, B) and mu_1 by dense eigh,
+    and (mu, M) and the record of its level solve seeded 1e-3 above mu_1
+    with the principal vector shifted by 1e-3."""
+    flow, nodes, ints = _level(name)
+    dA, eA, dB, eB = pencil_bands(flow, nodes, ints)
+    A, B = _dense(dA, eA), _dense(dB, eB)
+    w, vecs = scipy.linalg.eigh(A, B, subset_by_index=[0, 0])
+    v0 = vecs[:, 0] / np.linalg.norm(vecs[:, 0])
+    with certified_levels() as levels:
+        mu, M = spectral._solve_level(flow, nodes, ints, (w[0] + 1e-3, v0 + 1e-3))
+    [level] = levels
+    return A, B, w[0], mu, M, level
+
+
+def test_eigen_surface_normalization():
+    # The certified pair comes back normalized at the surface, M(0) = 1,
+    # with the bed node M(-1) = 0, and M is an eigenvector of the pencil.
+    for name in ("c1", "p"):
+        A, B, _ref, mu, M, level = _seeded_from_dense(name)
+        assert not level["secular"]
+        assert M[-1] == 1.0 and M[0] == 0.0
+        v = M[1:]
+        res = np.linalg.norm(A @ v - mu * (B @ v))
+        scale = np.linalg.norm(A, np.inf) + abs(mu) * np.linalg.norm(B, np.inf)
+        assert res <= 1e-8 * scale * np.linalg.norm(v)
+
+
+def test_tridiagonal_matches_dense():
+    # The iteration converges to the least eigenvalue of dense eigh, and the
+    # inertia of A - tau B puts no eigenvalue below mu and one just above.
+    for name in ("c1", "p"):
+        A, B, ref, mu, _M, level = _seeded_from_dense(name)
+        assert not level["secular"]
+        assert mu == pytest.approx(ref, rel=1e-10)
+        delta = 1e-8 * max(1.0, abs(mu))
+        bands = level["bands"]
+        assert _negatives(*bands, mu - delta) == 0
+        assert _negatives(*bands, mu + delta) == 1
+
+
 _PROFILES = {
     "C1": (-1.0, dict(d=1.0, g=9.81, p0=-2.0)),
     "C0": (0.0, dict(d=1.0, g=9.81, p0=-2.0)),
