@@ -8,8 +8,8 @@ with weak-form residual diagnostics.
 
 A ``Branch`` is one laminar family, at fixed p0 or with p0 recalibrated at
 each lambda to fixed mean depth: called with lambda it returns (flow,
-ModeSolution), solving each lambda once, seeded from the nearest lambda
-solved.  ``find_lambda_star`` reads every mu through a branch of fixed p0
+ModeSolution), solving each lambda once, seeded from the two nearest
+lambdas solved.  ``find_lambda_star`` reads every mu through a branch of fixed p0
 and returns it on its result, where ``analyze`` reads the mu_curve.csv grid.
 
 The supported interface is the ``rotwave`` command line (``rotwave.cli``)

@@ -13,6 +13,7 @@ calibrated at each lambda to fixed mean depth.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
@@ -45,8 +46,9 @@ class Branch:
     the unit-depth normalization (calibrate_mass_flux): the family of fixed
     mean depth.  Called with lambda, it returns (flow, ModeSolution) there,
     mode.mu_refined being mu(lambda).  Each lambda is solved once, its eigen
-    solve seeded (``near``) from the mode of the solved lambda nearest to
-    it; the calibrated p0 depends on lambda alone.  Every flow is the one
+    solve seeded (``near``) from the modes of the two solved lambdas nearest
+    to it, nearest first, whose secant predicts its mode (principal_eigen);
+    the calibrated p0 depends on lambda alone.  Every flow is the one
     shape of the distribution at its own scale 2 d^2 / p0, so the
     calibration's piece geometry is built once per distribution, and the
     eigen solves' mesh levels once per distribution, mesh size and grading:
@@ -78,9 +80,7 @@ class Branch:
                 profile = GammaProfile.from_distribution(self.dist, flow)
             else:
                 flow, profile = self.flow, self.profile
-            near = min(
-                (mode for _, mode in self.solved.values()), key=lambda m: abs(m.lam - lam), default=None
-            )
+            near = heapq.nsmallest(2, (mode for _, mode in self.solved.values()), key=lambda m: abs(m.lam - lam))
             mode = principal_eigen(profile, flow, lam, mesh_points=self.mesh_points, near=near)
             hit = self.solved[lam] = flow, mode
         return hit
@@ -268,12 +268,13 @@ def transversality_integral(point: BifurcationPoint) -> float:
     """
     lam = point.lambda_star
     # The mode lives on the refined level, whose rule the eigen solve cached.
-    nodes, rule = _mesh_levels(point.branch.profile, lam, point.branch.mesh_points)[1]
+    profile = point.branch.profile
+    nodes, rule = _mesh_levels(profile, lam, point.branch.mesh_points)[1]
     M = point.mode.M
     slope = np.diff(M) / np.diff(nodes)
 
     def weighted(q):
-        a = np.sqrt(lam + q.gamma)
+        a = np.sqrt(lam + profile._scale * q.unscaled)
         m = M[:-1][q.elements] * q.n0 + M[1:][q.elements] * (1.0 - q.n0)
         yield q.w * m * m / a
         yield q.w * a

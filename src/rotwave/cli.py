@@ -814,7 +814,8 @@ def run_sweep(config: RunConfig, param_specs: Sequence[str], quantity: Optional[
     constant vorticity, is a ConfigError raised before any row is solved.
     A mu or onset row is a lambda of the Branch of its row config, at fixed
     p0 for mu and calibrated for onset: rows that differ only in lambda
-    share a branch, and each is seeded from the nearest lambda solved on it.
+    share a branch, and each is seeded from the two nearest lambdas solved
+    on it.
 
     Rows that solve eigenproblems are spread over the usable CPUs in groups:
     each lambda_star row, an independent search, is a group, and mu and

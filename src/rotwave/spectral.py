@@ -10,11 +10,14 @@ Two independent routes to the principal eigenvalue mu(lambda) of
   on the mesh, and Richardson extrapolation over a nested refinement.  A
   level is solved by the secular equation of the pencil's rank-one surface
   term (Golub, SIAM Rev. 15, 1973), unless a seed's Rayleigh-quotient
-  iteration gives a pair certified principal (_solve_level).  The element
-  integrals of a^3 and a N_i N_j are taken once per lambda, on the refined
-  mesh, by contracting a with the reference element's Gauss weights
-  (vorticity.ElementRule); the working mesh sums them over the two halves
-  of each of its elements;
+  iteration gives a pair certified principal (_solve_level).  The working
+  level is seeded from the modes of neighbouring lambdas, by their secant
+  where two share its mesh (_working_seed), and the refined level from the
+  working pair's P1 prolongation.  The element integrals of a^3 and
+  a N_i N_j are taken once per lambda, on the refined mesh, by contracting
+  a with the reference element's Gauss weights (vorticity.ElementRule),
+  whose p0-free points serve every flow of the distribution; the working
+  mesh sums them over the two halves of each of its elements;
 
 * a Pruefer-angle shooting method integrating theta' = cos^2(theta)/a^3 +
   mu d^2 a sin^2(theta) from theta(-1) = 0.  The surface condition pins
@@ -31,6 +34,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -106,38 +110,38 @@ def _mesh_levels(profile: GammaProfile, lam: float, mesh_points: int):
 
     The working level needs no rule of its own: its element integrals are
     restricted from the refined level's (_restrict).  The levels depend on
-    lambda only through the grading of build_mesh and on d and p0 only
-    through the scale of Gamma, so they are kept in the cache of the
-    distribution's shape per (mesh_points, grading), at the scale last
-    asked for.  The node arrays are shared by every ModeSolution on them,
-    so read-only.
+    lambda only through the grading of build_mesh and not on d or p0 (the
+    rule holds the p0-free primitive, which _element_integrals scales), so
+    they are kept in the cache of the distribution's shape per
+    (mesh_points, grading).  The node arrays are shared by every
+    ModeSolution on them, so read-only.
     """
     key = ("mesh levels", mesh_points, _graded(profile, lam))
     cache = profile._shape.cache
-    scale, levels = cache.get(key, (None, None))
+    levels = cache.get(key)
     if levels is None:
         fine = build_mesh(profile, lam, mesh_points)
         finer = refine_mesh(fine)
         for nodes in (fine, finer):
             nodes.setflags(write=False)
-        levels = (fine, (finer, ElementRule(profile, finer)))
-    elif scale != profile._scale:
-        fine, (finer, rule) = levels
-        levels = (fine, (finer, rule.scaled(profile._scale)))
-    cache[key] = (profile._scale, levels)
+        levels = cache[key] = (fine, (finer, ElementRule(profile, finer)))
     return levels
 
 
-def _element_integrals(rule: ElementRule, lam: float) -> np.ndarray:
-    """Per-element integrals of a^3 and of a against the P1 basis products.
+def _element_integrals(rule: ElementRule, lam: float, scale: float) -> np.ndarray:
+    """Per-element integrals of a^3 and of a against the P1 basis products,
+    for the profile of ``rule``'s distribution with scale 2 d^2 / p0.
 
     Returns the rows (s1, m00, m01, m11) with s1 = int a^3 and
-    m.. = int a N_i N_j on each element.  On regular elements that is one
-    sqrt pass over the points and two contractions with the reference
-    element's weights, scaled by h; the substituted elements next to a
-    minimizer sum their own weights point by point.
+    m.. = int a N_i N_j on each element.  a = sqrt(lambda + scale U) at the
+    points, U being the rule's ``unscaled``, rounded as lambda +
+    GammaProfile.primitive is.  On regular elements that is one sqrt pass
+    over the points and two contractions with the reference element's
+    weights, scaled by h; the substituted elements next to a minimizer sum
+    their own weights point by point.
     """
-    a = lam + rule.regular.gamma
+    a = scale * rule.regular.unscaled
+    a += lam
     np.sqrt(a, out=a)
     out = np.empty((4, a.shape[1]))
     out[1:] = rule.mass_weights @ a
@@ -147,7 +151,7 @@ def _element_integrals(rule: ElementRule, lam: float) -> np.ndarray:
     out *= rule.h
     sub = rule.substituted
     if len(sub.elements):
-        a = np.sqrt(lam + sub.gamma)
+        a = np.sqrt(lam + scale * sub.unscaled)
         out[0, sub.elements] = np.sum(sub.w * (a * a * a), axis=0)
         out[1:, sub.elements] = np.sum(sub.mass * a, axis=1)
     return out
@@ -199,7 +203,7 @@ def assemble(
 ):
     """Tridiagonal (A, B) bands of the quotient on the given mesh."""
     nodes = np.asarray(nodes, dtype=float)
-    ints = _element_integrals(ElementRule(profile, nodes), lam)
+    ints = _element_integrals(ElementRule(profile, nodes), lam, profile._scale)
     dA, eA, dB, eB = _bands_from_integrals(ints, np.diff(nodes), flow)
     dA[-1] -= flow.g * flow.d**3
     return dA, eA, dB, eB
@@ -239,13 +243,17 @@ def _secular_level(flow, ints, h, dA0, eA, dB, eB, start=0.0):
     _solve_tridiagonal) and q > mu, so lo < mu_1; at hi the matrix is
     indefinite or q <= mu, so hi >= mu_1.  A step that leaves the bracket
     bisects it.  The iteration starts at ``start`` <= 0, where A0 - mu B is
-    positive definite, and stops at a step of at most 1e-14 max(1, |mu|),
-    returning q and the surface-normalized x with the bed node M(-1) = 0;
-    it gives up after 200 solves.
+    positive definite.  It stops when the step it predicts after the one
+    just found, that step times its ratio to the step before (or the step
+    itself, if it did not shrink), is at most 1e-14 max(1, |mu|): Newton's
+    steps shrink quadratically, so the next quotient would agree with q to
+    round-off, and that confirming solve is saved.  It returns the last
+    solve's q and the surface-normalized x with the bed node M(-1) = 0,
+    and gives up after 200 solves.
     """
     e_n = np.zeros(len(dA0))
     e_n[-1] = 1.0
-    mu, lo, hi, pair = start, -np.inf, np.inf, None
+    mu, lo, hi, pair, last = start, -np.inf, np.inf, None, 0.0
     for _ in range(200):
         try:
             x, negatives = _solve_tridiagonal(dA0 - mu * dB, eA - mu * eB, e_n)
@@ -259,12 +267,13 @@ def _secular_level(flow, ints, h, dA0, eA, dB, eB, start=0.0):
             lo = mu
         else:
             hi = mu
-        step = pair[0] if definite and lo <= pair[0] <= hi else 0.5 * (lo + hi)
-        if pair is not None and abs(step - mu) <= 1e-14 * max(1.0, abs(mu)):
-            return pair
-        if not np.isfinite(step):
+        new = pair[0] if definite and lo <= pair[0] <= hi else 0.5 * (lo + hi)
+        if not np.isfinite(new):
             raise EigenFailure(f"secular iteration lost its bracket at mu = {mu!r}")
-        mu = step
+        step = new - mu
+        if pair is not None and step * step <= 1e-14 * max(1.0, abs(mu)) * max(abs(last), abs(step)):
+            return pair
+        mu, last = new, step
     raise EigenFailure("secular iteration did not converge in 200 solves")
 
 
@@ -289,7 +298,7 @@ def _solve_level(flow, nodes, ints, seed=None):
     surface-normalized M (so its Rayleigh identity is exact), and M
     includes the bed node M(-1) = 0.
 
-    ``seed`` is (sigma0, v0) from the working level or a neighbouring lambda
+    ``seed`` is (sigma0, v0) from the working level or neighbouring lambdas
     (sigma0 None: the Rayleigh quotient of v0), and starts a
     Rayleigh-quotient iteration of at most 30 solves.  It stops at the first
     unit iterate v with |A v - q B v| <= 1e-14 (|A| + |q| |B|), round-off
@@ -298,11 +307,14 @@ def _solve_level(flow, nodes, ints, seed=None):
     one negative pivot).  Both bound mu_2 from below: 0 by interlacing (see
     _secular_level; A0 is positive definite), such a shift by Sylvester's
     law of inertia.  So the eigenvalue within rho of q is mu_1, and as q >=
-    mu_1, mu_1 lies in [q - rho, q].  Otherwise, and with no seed, as just
-    above the admissibility floor, where the mode is a layer that a mode at
-    another lambda cannot resolve, the secular equation solves the level,
-    from the iteration's least Rayleigh quotient (an upper bound of mu_1)
-    where that is below 0.
+    mu_1, mu_1 lies in [q - rho, q].  When q + rho >= L, one more reduction,
+    of A - (q + 2 rho) B, puts q + 2 rho into L if it has one negative
+    pivot.  A shift whose reduction has more than one lies above mu_2, so
+    the iteration heads for another pair and stops there.  Otherwise, and
+    with no seed, as just above the admissibility floor, where the mode is a
+    layer that a mode at another lambda cannot resolve, the secular equation
+    solves the level, from the iteration's least Rayleigh quotient (an upper
+    bound of mu_1) where that is below 0.
     """
     h = np.diff(nodes)
     dA0, eA, dB, eB = (band[1:] for band in _bands_from_integrals(ints, h, flow))
@@ -324,6 +336,8 @@ def _solve_level(flow, nodes, ints, seed=None):
                 x, negatives = _solve_tridiagonal(dA - sigma * dB, eA - sigma * eB, bv)
             except FloatingPointError:
                 break
+            if negatives > 1:
+                break
             if negatives == 1:
                 bound = max(bound, sigma)
             v = x / np.linalg.norm(x)
@@ -332,11 +346,41 @@ def _solve_level(flow, nodes, ints, seed=None):
             least = min(least, sigma)
             r = av - sigma * bv
             if np.linalg.norm(r) / (norm_a + abs(sigma) * norm_b) <= 1e-14:
-                if sigma + _residual_bound(flow, ints, v, r) < bound:
+                rho = _residual_bound(flow, ints, v, r)
+                above = sigma + 2.0 * rho
+                if sigma + rho >= bound:
+                    try:
+                        if _solve_tridiagonal(dA - above * dB, eA - above * eB, bv)[1] == 1:
+                            bound = above
+                    except FloatingPointError:
+                        pass
+                if sigma + rho < bound:
                     M = np.concatenate([[0.0], v / v[-1]])
                     return _quotient_from_integrals(ints, h, M, flow), M
                 break
     return _secular_level(flow, ints, h, dA0, eA, dB, eB, least)
+
+
+def _working_seed(lam, fine, finer, near):
+    """Seed (None, v0) of the working level ``fine`` from the modes ``near``
+    (nearest lambda first), or None without one.
+
+    Two modes a and b on this lambda's refined mesh ``finer`` (the very
+    array, as the mesh levels' cache shares it) give the secant prediction
+
+        M(lambda) = M_a + (lambda - lambda_a) (M_a - M_b) / (lambda_a - lambda_b)
+
+    (Allgower & Georg, Introduction to Numerical Continuation Methods,
+    1990), read at the working nodes, which refine_mesh keeps at even
+    indices.  Otherwise, as across the grading switch near the floor, the
+    nearest mode interpolated to the working nodes seeds the level.
+    """
+    if len(near) > 1 and near[0].nodes is finer and near[1].nodes is finer and near[0].lam != near[1].lam:
+        a, b = near[0].M[2::2], near[1].M[2::2]
+        return None, a + (lam - near[0].lam) / (near[0].lam - near[1].lam) * (a - b)
+    if near:
+        return None, np.interp(fine[1:], near[0].nodes, near[0].M)
+    return None
 
 
 def principal_eigen(
@@ -344,15 +388,16 @@ def principal_eigen(
     flow: FlowParameters,
     lam: float,
     mesh_points: int = 2001,
-    near: ModeSolution | None = None,
+    near: Sequence[ModeSolution] = (),
 ) -> ModeSolution:
     """Principal eigenpair (mu(lambda), M) of the mode-equation quotient.
 
-    The working mesh is solved from ``near`` or, without it, by the secular
-    equation, and its pair seeds its uniform refinement; each level's pair
-    is proven principal (_solve_level).  The two levels give a
-    Richardson-extrapolated ``mu_refined``, while the stored M (M(0) = 1)
-    and ``mu`` come from the finer level.  Each lambda takes one
+    The working mesh is solved from ``near`` (_working_seed) or, without
+    it, by the secular equation, and the exact P1 prolongation of its pair
+    (the P of _restrict: midpoint averages) seeds its uniform refinement;
+    each level's pair is proven principal (_solve_level).  The two levels
+    give a Richardson-extrapolated ``mu_refined``, while the stored M
+    (M(0) = 1) and ``mu`` come from the finer level.  Each lambda takes one
     quadrature pass, on the refined level: the working level's element
     integrals are restricted from it (_restrict), so its pencil is the
     refined one's on the nested P1 space, its eigenvalue is not below the
@@ -360,17 +405,19 @@ def principal_eigen(
     refined element quadrature are built once per distribution, mesh size
     and grading (see _mesh_levels), not once per lambda or flow.
 
-    ``near`` is a solution at a neighbouring lambda, on this profile or
-    another, whose M interpolated to the working nodes seeds that level.
-    It only ever seeds, so it changes the result by no more than the
-    iterations' stopping tolerances.
+    ``near`` holds up to two solutions at neighbouring lambdas, nearest
+    first, on this profile or others of the family (a branch at fixed
+    mean depth changes p0 with lambda).  They only ever seed, so they
+    change the result by no more than the iterations' stopping tolerances.
     """
     profile.require_admissible(lam)
     fine, (finer, rule) = _mesh_levels(profile, lam, mesh_points)
-    ints_2 = _element_integrals(rule, lam)
-    seed = None if near is None else (None, np.interp(fine[1:], near.nodes, near.M))
-    mu_f, m_f = _solve_level(flow, fine, _restrict(ints_2), seed)
-    mu_2, m_2 = _solve_level(flow, finer, ints_2, (mu_f, np.interp(finer[1:], fine, m_f)))
+    ints_2 = _element_integrals(rule, lam, profile._scale)
+    mu_f, m_f = _solve_level(flow, fine, _restrict(ints_2), _working_seed(lam, fine, finer, near))
+    prolonged = np.empty(len(finer))
+    prolonged[0::2] = m_f
+    prolonged[1::2] = 0.5 * (m_f[:-1] + m_f[1:])
+    mu_2, m_2 = _solve_level(flow, finer, ints_2, (mu_f, prolonged[1:]))
     mu_refined = mu_2 + (mu_2 - mu_f) / 3.0
     return ModeSolution(lam=lam, mu=mu_2, mu_refined=mu_refined, nodes=finer, M=m_2)
 
@@ -390,7 +437,7 @@ def rayleigh_quotient(
     """
     profile.require_admissible(lam)
     nodes = np.asarray(nodes, dtype=float)
-    ints = _element_integrals(ElementRule(profile, nodes), lam)
+    ints = _element_integrals(ElementRule(profile, nodes), lam, profile._scale)
     return _quotient_from_integrals(ints, np.diff(nodes), np.asarray(M, dtype=float), flow)
 
 

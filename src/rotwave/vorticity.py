@@ -11,9 +11,8 @@ GammaProfile is that shape at one scale.
 
 from __future__ import annotations
 
-import copy
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -281,18 +280,18 @@ class QuadraturePoints:
     per element, so that summing over the points adds whole rows.
 
     ``w`` holds the weights (Jacobian included), ``unscaled`` integral_0^p
-    gamma at the points p, ``gamma`` Gamma there and ``n0`` the P1 basis
-    function of the element's left node, all of shape (points, elements);
-    n1 = 1 - n0 is that of its right node.  ``mass`` stacks the lambda-free
-    mass weights w n0 n0, w n0 n1 and w n1 n1 on substituted points, and is
-    None on regular ones, whose mass integrals contract the reference
-    element's weights (ElementRule.mass_weights) instead.
+    gamma at the points p (Gamma there is the profile's scale 2 d^2 / p0
+    times it) and ``n0`` the P1 basis function of the element's left node,
+    all of shape (points, elements); n1 = 1 - n0 is that of its right
+    node.  ``mass`` stacks the lambda-free mass weights w n0 n0, w n0 n1
+    and w n1 n1 on substituted points, and is None on regular ones, whose
+    mass integrals contract the reference element's weights
+    (ElementRule.mass_weights) instead.
     """
 
     elements: np.ndarray
     w: np.ndarray
     unscaled: np.ndarray
-    gamma: np.ndarray
     n0: np.ndarray
     mass: Optional[np.ndarray] = None
 
@@ -305,8 +304,10 @@ class ElementRule:
     sqrt(|p - p*|) at a minimizer p* of Gamma as lambda nears the floor.
     Each element gets 8-point Gauss; an element that ends at a minimizer
     gets 12-point Gauss in t = sqrt(|p - p*|) instead.  Nothing stored
-    depends on lambda, and only Gamma on d and p0 (see ``scaled``): the
-    arrays are built once per rule, one row per quadrature point.
+    depends on lambda, d or p0: Gamma at the points is the profile's scale
+    times ``unscaled``, formed where an integrand needs it, so one rule
+    serves every flow of its distribution.  The arrays are built once per
+    rule, one row per quadrature point.
 
     A regular element is the reference element scaled by its width ``h``,
     so for f at its points the integral of f over element e is
@@ -338,14 +339,6 @@ class ElementRule:
         w = 0.5 * width * _SUB_W[:, None] * 2.0 * t
         self.substituted = _points(profile, sub, x, w, lo[sub], hi[sub], h[sub], with_mass=True)
 
-    def scaled(self, scale: float) -> "ElementRule":
-        """This rule for the profile of its distribution with scale
-        2 d^2 / p0: Gamma is that times ``unscaled``, every other array shared."""
-        out = copy.copy(self)
-        out.regular = replace(self.regular, gamma=scale * self.regular.unscaled)
-        out.substituted = replace(self.substituted, gamma=scale * self.substituted.unscaled)
-        return out
-
     def integrate(self, weighted) -> np.ndarray:
         """Per-element integrals, one row per integrand.
 
@@ -371,7 +364,6 @@ def _points(profile, elements, x, w, lo, hi, h, with_mass=False) -> QuadraturePo
         elements=elements,
         w=w,
         unscaled=unscaled,
-        gamma=profile._scale * unscaled,
         n0=n0,
         mass=mass,
     )

@@ -113,7 +113,7 @@ def test_reconstruct_without_a_bifurcation_says_so(tmp_path, capsys):
 
 # C1 at the default mesh: the stagnation bound of build_wave is the same for
 # every even n_q, whose grid holds q = 0 and q = -pi where cos q = +-1.
-C1_CRITICAL_S = 0.6424715853802796
+C1_CRITICAL_S = 0.6424715853802797
 
 
 def test_reconstruct_past_the_stagnation_bound_exits_4(tmp_path, capsys):
@@ -121,7 +121,7 @@ def test_reconstruct_past_the_stagnation_bound_exits_4(tmp_path, capsys):
     out = tmp_path / "out"
     argv = ("reconstruct", "--amplitude", repr(1.01 * C1_CRITICAL_S), "--out", str(out))
     assert _run(tmp_path, config, *argv) == 4
-    assert capsys.readouterr().err == '{"error": "stagnation", "critical_s": 0.6424715853802796}\n'
+    assert capsys.readouterr().err == '{"error": "stagnation", "critical_s": 0.6424715853802797}\n'
     assert os.listdir(out) == []
 
 
@@ -1292,9 +1292,11 @@ def _shifted_solves(monkeypatch, tmp_path, config, *argv):
 
 def test_analyze_shifted_solves(monkeypatch, tmp_path):
     # Neighbour seeds leave the secular equation to the first solve of the
-    # command and to fallbacks: 75 solves here.  With a coarse level and
-    # inertia counts it took 75 solves and 12 inertia sweeps.
-    assert _shifted_solves(monkeypatch, tmp_path, C1, *ANALYZE) <= 85
+    # command and to fallbacks, and the secant of two neighbours' modes
+    # seeds most working levels close enough for one Rayleigh-quotient
+    # step: 69 solves here, 75 from the nearest mode alone.  With a coarse
+    # level and inertia counts it took 75 solves and 12 inertia sweeps.
+    assert _shifted_solves(monkeypatch, tmp_path, C1, *ANALYZE) <= 73
 
 
 def test_analyze_certifies_modes_that_vanish_toward_the_bed(monkeypatch, tmp_path):
@@ -1302,7 +1304,7 @@ def test_analyze_certifies_modes_that_vanish_toward_the_bed(monkeypatch, tmp_pat
     # fall to 1e-6 of their surface value at the bed, where an entry-wise
     # residual test declined 3 converged pairs: 3 secular fallbacks and 79
     # solves.  The certificate keeps them, so the secular equation solves
-    # only the command's first, unseeded level: 73 solves.
+    # only the command's first, unseeded level: 61 solves.
     config = {
         "flow": {"d": 1, "g": 1, "p0": -1},
         "vorticity": {"kind": "piecewise_constant", "breakpoints": [-0.578125], "values": [0.65625, -1.90625]},
@@ -1315,7 +1317,7 @@ def test_analyze_certifies_modes_that_vanish_toward_the_bed(monkeypatch, tmp_pat
         return solve(*args)
 
     monkeypatch.setattr(spectral, "_secular_level", recorded)
-    assert _shifted_solves(monkeypatch, tmp_path, config, *ANALYZE) <= 74
+    assert _shifted_solves(monkeypatch, tmp_path, config, *ANALYZE) <= 65
     assert len(secular) == 1
 
 
@@ -1325,19 +1327,30 @@ def test_analyze_certifies_modes_that_vanish_toward_the_bed(monkeypatch, tmp_pat
         (
             dict(C1, numerics={"mesh_points": 1001}),
             ("sweep", "--param", "gamma:-1:1:3", "--quantity", "lambda_star"),
-            90,
+            73,
         ),
-        (dict(C1, vorticity={"kind": "constant", "gamma": 0}, numerics={}), ANALYZE, 130),
+        (dict(C1, vorticity={"kind": "constant", "gamma": 0}, numerics={}), ANALYZE, 100),
     ],
     ids=["gamma_sweep", "irrotational"],
 )
 def test_near_floor_fallbacks_shifted_solves(monkeypatch, tmp_path, config, argv, cap):
     # For gamma >= 0 the probe just above the floor fails its iteration from
     # the neighbour seed, its mode being a thin surface layer, and falls back
-    # to the secular equation: 78 and 116 solves.  With a coarse level and
-    # inertia counts they took 72 solves and 88 inertia sweeps, and 102
+    # to the secular equation: 69 and 96 solves.  The iteration stops at its
+    # first shift above mu_2, and a pair at mu = 0, as at lambda0 on C0, is
+    # certified by the pivots of A - (q + 2 rho) B.  With a coarse level
+    # and inertia counts they took 72 solves and 88 inertia sweeps, and 102
     # solves and 78 inertia sweeps.
     assert _shifted_solves(monkeypatch, tmp_path, config, *argv) <= cap
+
+
+def test_onset_shifted_solves(monkeypatch, tmp_path):
+    # The benchmark's seed-0 piecewise onset command: 17 lambdas of one
+    # branch at fixed mean depth on one mesh, so every row after the second
+    # is seeded by the secant of its two nearest modes: 40 solves, 56 from
+    # the nearest mode alone.
+    argv = ("sweep", "--param", "lambda:1.5:2.5:17", "--quantity", "onset")
+    assert _shifted_solves(monkeypatch, tmp_path, ONSET_PIECEWISE, *argv) <= 44
 
 
 _NO_SCIPY = """

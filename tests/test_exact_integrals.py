@@ -229,7 +229,7 @@ def test_shared_mesh_levels_hold_each_profiles_primitive(dist, flows, margin):
             prof = GammaProfile.from_distribution(dist, FlowParameters(d, 1.0, -b))
             _, (_, rule) = spectral._mesh_levels(prof, _admissible(prof, margin), 201)
             for q in (rule.regular, rule.substituted):
-                assert np.all(q.gamma == prof.primitive(at[id(q.w)]))
+                assert np.all(prof._scale * q.unscaled == prof.primitive(at[id(q.w)]))
     assert len(at) == 2 * len(dist._shape.cache)
 
 

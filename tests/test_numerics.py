@@ -189,24 +189,46 @@ def _level(name):
         prof, flow = make_profile(VorticityDistribution.piecewise_constant([-0.5], [0.5, -2.0]), p0=-1.0)
         lam = prof.min_lambda + 0.5
     nodes = spectral.build_mesh(prof, lam, 201)
-    return flow, nodes, spectral._element_integrals(ElementRule(prof, nodes), lam)
+    return flow, nodes, spectral._element_integrals(ElementRule(prof, nodes), lam, prof._scale)
 
 
 @pytest.mark.parametrize("name", ["c1", "p"])
 def test_certificate_declines_a_second_eigenpair(name):
-    # Seeded next to the second eigenpair, the iteration converges to it.
-    # Its quotient lies within rho of mu_2, so no shift below mu_2 bounds it
-    # from above, and the secular equation returns mu_1 instead.
+    # Seeded just below the second eigenpair, every shift has one negative
+    # pivot and the iteration converges to that pair.  Its quotient lies
+    # within rho of mu_2, so no shift below mu_2 bounds it from above, nor
+    # does q + 2 rho, whose reduction has two negative pivots, and the
+    # secular equation returns mu_1 instead.
     flow, nodes, ints = _level(name)
     dA, eA, dB, eB = pencil_bands(flow, nodes, ints)
     w, vecs = scipy.linalg.eigh(_dense(dA, eA), _dense(dB, eB))
     second, v0 = w[1], vecs[:, 1] / np.linalg.norm(vecs[:, 1])
     with certified_levels() as levels:
-        mu, M = spectral._solve_level(flow, nodes, ints, (second * (1.0 + 1e-6), v0 + 1e-3))
+        mu, M = spectral._solve_level(flow, nodes, ints, (second - 1e-6 * abs(second), v0 + 1e-6))
     [level] = levels
     q, rho = level["pair"]
     assert q == pytest.approx(second, rel=1e-10)
+    assert _negatives(dA, eA, dB, eB, q + 2.0 * rho) == 2
     assert level["secular"]
+    assert mu == pytest.approx(w[0], rel=1e-10)
+    assert M[0] == 0.0 and M[-1] == 1.0
+
+
+@pytest.mark.parametrize("name", ["c1", "p"])
+def test_iteration_stops_at_a_shift_above_the_second_eigenvalue(name):
+    # Seeded just above mu_2, the first reduction has two negative pivots:
+    # the iteration is heading for a pair other than the principal one, so
+    # it stops there, without converging, and the secular equation returns
+    # mu_1.
+    flow, nodes, ints = _level(name)
+    dA, eA, dB, eB = pencil_bands(flow, nodes, ints)
+    w, vecs = scipy.linalg.eigh(_dense(dA, eA), _dense(dB, eB))
+    second, v0 = w[1], vecs[:, 1] / np.linalg.norm(vecs[:, 1])
+    assert _negatives(dA, eA, dB, eB, second + 1e-6 * abs(second)) == 2
+    with certified_levels() as levels:
+        mu, M = spectral._solve_level(flow, nodes, ints, (second + 1e-6 * abs(second), v0 + 1e-3))
+    [level] = levels
+    assert level["pair"] is None and level["secular"]
     assert mu == pytest.approx(w[0], rel=1e-10)
     assert M[0] == 0.0 and M[-1] == 1.0
 

@@ -4,7 +4,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rotwave import (
@@ -239,17 +239,17 @@ def test_solves_each_lambda_once_seeded_from_the_nearest(monkeypatch):
     solve = bifurcation.principal_eigen
 
     def recorded(profile, flow, lam, **kwargs):
-        near = kwargs["near"]
-        calls.append((lam, None if near is None else near.lam))
+        calls.append((lam, [mode.lam for mode in kwargs["near"]]))
         return solve(profile, flow, lam, **kwargs)
 
     monkeypatch.setattr(bifurcation, "principal_eigen", recorded)
     branch = _pinned_branch(201)
     first = branch(1.0)
-    for lam in (0.5, 0.9, 1.0, 0.5):
+    for lam in (0.5, 0.9, 1.0, 0.5, 0.6):
         branch(lam)
-    assert calls == [(1.0, None), (0.5, 1.0), (0.9, 1.0)]
-    assert list(branch.solved) == [1.0, 0.5, 0.9]
+    # The two nearest solved lambdas, nearest first.
+    assert calls == [(1.0, []), (0.5, [1.0]), (0.9, [1.0, 0.5]), (0.6, [0.5, 0.9])]
+    assert list(branch.solved) == [1.0, 0.5, 0.9, 0.6]
     assert branch(1.0) is first
 
 
@@ -280,12 +280,13 @@ def test_flux_continuity_at_jumps():
 
 @pytest.mark.parametrize(
     "gamma, lam, most",
-    # 8 and 12; with a coarse level and inertia counts, 4 and 15 solves.
+    # 7 and 11; with a coarse level and inertia counts, 4 and 15 solves.
     [(-1.0, 1.01, 10), (0.0, 0.01, 20)],
 )
 def test_principal_eigen_banded_solves(monkeypatch, gamma, lam, most):
-    # The secular iteration stops at a step at round-off, and the refined
-    # level's iteration at the first iterate whose residual is.
+    # The secular iteration stops where the step it predicts is at
+    # round-off (6 solves on C1), and the refined level's iteration at the
+    # first iterate whose residual is.
     prof, flow = make_profile(gamma, d=1.0, g=9.81, p0=-2.0)
     solves = []
     solve = numerics._solve_tridiagonal
@@ -319,12 +320,12 @@ def test_level_solve_matches_dense_near_floor(mesh_points):
     prof, flow = make_profile(0.0, d=1.0, g=9.81, p0=-2.0)
     lam = 0.01
     coarse = build_mesh(prof, lam, 201)
-    mu_c, m_c = _solve_level(flow, coarse, _element_integrals(ElementRule(prof, coarse), lam))
+    mu_c, m_c = _solve_level(flow, coarse, _element_integrals(ElementRule(prof, coarse), lam, prof._scale))
     nodes = build_mesh(prof, lam, mesh_points)
     seed = (mu_c, np.interp(nodes[1:], coarse, m_c))
     dA, eA, dB, eB = (band[1:] for band in assemble(prof, flow, lam, nodes))
     with certified_levels() as levels:
-        mu, M = spectral._solve_level(flow, nodes, _element_integrals(ElementRule(prof, nodes), lam), seed)
+        mu, M = spectral._solve_level(flow, nodes, _element_integrals(ElementRule(prof, nodes), lam, prof._scale), seed)
     assert levels[0]["secular"]
     A = np.diag(dA) + np.diag(eA, 1) + np.diag(eA, -1)
     B = np.diag(dB) + np.diag(eB, 1) + np.diag(eB, -1)
@@ -357,14 +358,14 @@ def _integral_case(name, mesh_points=401):
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(8)
 
 
-def _point_sums(q, lam, regular):
+def _point_sums(q, lam, scale, regular):
     """Weight times integrand summed point by point: a^3 and a N_i N_j.
 
     On regular points N_0 = (1 - xi) / 2 at the Gauss nodes xi; (hi - x) / h
     at the rounded points would be off by ulp(x) / h, 1e-11 relative on the
     graded elements next to the floor.
     """
-    a = np.sqrt(lam + q.gamma)
+    a = np.sqrt(lam + scale * q.unscaled)
     n0 = np.broadcast_to(0.5 * (1.0 - _GAUSS_X)[:, None], a.shape) if regular else q.n0
     n1 = 1.0 - n0
     return [np.sum(v, axis=0) for v in (q.w * a**3, q.w * n0 * n0 * a, q.w * n0 * n1 * a, q.w * n1 * n1 * a)]
@@ -378,9 +379,9 @@ def test_contracted_element_integrals_are_the_point_sums(name):
     rule = ElementRule(prof, nodes)
     sub = rule.substituted
     assert len(sub.elements) > 0 and rule.regular.mass is None
-    ref = np.array(_point_sums(rule.regular, lam, True))
-    ref[:, sub.elements] = _point_sums(sub, lam, False)
-    ints = _element_integrals(rule, lam)
+    ref = np.array(_point_sums(rule.regular, lam, prof._scale, True))
+    ref[:, sub.elements] = _point_sums(sub, lam, prof._scale, False)
+    ints = _element_integrals(rule, lam, prof._scale)
     assert np.all(ref > 0.0)
     assert np.all(np.abs(ints - ref) <= 1e-12 * ref)
 
@@ -416,7 +417,7 @@ def test_restricted_integrals_are_the_composite_rule_on_the_working_mesh(name):
     # 1/2 at their shared node: its integrals are sums of theirs.
     prof, lam, nodes = _integral_case(name, 201)
     finer = refine_mesh(nodes)
-    restricted = _restrict(_element_integrals(ElementRule(prof, finer), lam))
+    restricted = _restrict(_element_integrals(ElementRule(prof, finer), lam, prof._scale))
     ref = np.array([_composite(prof, lam, *finer[2 * e : 2 * e + 3]) for e in range(len(nodes) - 1)]).T
     assert restricted.shape == ref.shape
     assert np.all(ref > 0.0)
@@ -457,7 +458,46 @@ def test_seeded_solve_equals_unseeded(name):
     for lam in lams:
         close = principal_eigen(prof, flow, lam + 1e-3)
         for near in (*plain.values(), close):
-            _same_eigen(principal_eigen(prof, flow, lam, near=near), plain[lam])
+            _same_eigen(principal_eigen(prof, flow, lam, near=(near,)), plain[lam])
+
+
+@st.composite
+def _two_neighbours(draw):
+    """(profile, flow, lambda, its two neighbours, nearest first, and
+    whether they share its mesh): both above or both below it, one on each
+    side, or both across the grading switch of build_mesh from it."""
+    gamma, flow_args = _PROFILES[draw(st.sampled_from(sorted(_PROFILES)))]
+    prof, flow = make_profile(gamma, **flow_args)
+    scale = max(1.0, abs(prof.min_lambda))
+    steps = [draw(st.floats(0.005, 0.2)) for _ in range(2)]
+    case = draw(st.sampled_from(["above", "below", "each side", "across"]))
+    if case == "across":
+        # The switch sits 1e-3 scale above the floor (spectral._graded).
+        side = draw(st.sampled_from([-1.0, 1.0]))
+        margins = [1e-3 * scale * (1.0 + side * x) for x in (draw(st.floats(0.005, 0.3)), *steps)]
+        margins[1:] = [2e-3 * scale - m for m in margins[1:]]
+    else:
+        m = 10.0 ** draw(st.floats(-5.0, 0.5)) * scale
+        signs = {"above": (1, 1), "below": (-1, -1), "each side": (-1, 1)}[case]
+        margins = [m, m * (1.0 + signs[0] * steps[0]), m * (1.0 + signs[1] * (steps[0] + steps[1]))]
+    lam, *others = (prof.min_lambda + m for m in margins)
+    same_mesh = [spectral._graded(prof, x) for x in others] == [spectral._graded(prof, lam)] * 2
+    assume(same_mesh == (case != "across"))
+    return prof, flow, lam, sorted(others, key=lambda x: abs(x - lam)), same_mesh
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_two_neighbours())
+def test_secant_seeded_solve_equals_unseeded(case):
+    # Two neighbours on this lambda's mesh seed its working level with the
+    # secant of their modes; across the grading switch the nearest one is
+    # interpolated instead.  Either way the result is the unseeded one to
+    # the stopping tolerances.
+    prof, flow, lam, others, same_mesh = case
+    plain = principal_eigen(prof, flow, lam, mesh_points=401)
+    near = [principal_eigen(prof, flow, x, mesh_points=401) for x in others]
+    assert all((mode.nodes is plain.nodes) == same_mesh for mode in near)
+    _same_eigen(principal_eigen(prof, flow, lam, mesh_points=401, near=near), plain)
 
 
 def _record_secular(monkeypatch):
@@ -493,7 +533,7 @@ def test_misleading_seed_takes_the_fallback(monkeypatch):
     for prof, lam, near in cases:
         plain = principal_eigen(prof, flow, lam)
         sizes.clear()
-        _same_eigen(principal_eigen(prof, flow, lam, near=near), plain)
+        _same_eigen(principal_eigen(prof, flow, lam, near=(near,)), plain)
         assert sizes[0] == 2000
 
 
@@ -527,7 +567,7 @@ def test_restart_narrows_its_one_bracket_to_1e12(monkeypatch):
     fresh = solves[0]
     starts.clear()
     solves.clear()
-    _same_eigen(principal_eigen(prof, flow, lam, mesh_points=1001, near=near), plain)
+    _same_eigen(principal_eigen(prof, flow, lam, mesh_points=1001, near=(near,)), plain)
     assert starts[0][0] == 1000 and starts[0][1] < 0.0
     assert solves[0] <= fresh
 
@@ -551,7 +591,7 @@ def _layered_levels(draw):
     )
     lam = prof.min_lambda + 10.0 ** draw(st.floats(-6.0, 1.0)) * max(1.0, abs(prof.min_lambda))
     nodes = build_mesh(prof, lam, draw(st.sampled_from([201, 401])))
-    return flow, nodes, _element_integrals(ElementRule(prof, nodes), lam)
+    return flow, nodes, _element_integrals(ElementRule(prof, nodes), lam, prof._scale)
 
 
 def _dense(d, e):
@@ -630,6 +670,44 @@ def test_certified_level_matches_dense_eigh(level):
     assert M[0] == 0.0 and M[-1] == 1.0
 
 
+def test_secular_level_stops_on_its_predicted_step():
+    # C1 at lambda = 1.01, the working level of 2001 points, unseeded: the
+    # quotients fall to -8.5590717295555 and -8.5590717295622 in 6 solves.
+    # That last step squared over the one before is far below the 1e-14
+    # tolerance, so Newton's quadratic rate makes a seventh solve, at the
+    # returned mu, only confirm it to round-off.
+    prof, flow = make_profile(-1.0, d=1.0, g=9.81, p0=-2.0)
+    fine, (_finer, rule) = spectral._mesh_levels(prof, 1.01, 2001)
+    ints = _restrict(_element_integrals(rule, 1.01, prof._scale))
+    mu, _M, quotients = _secular_quotients(flow, fine, ints)
+    assert len(quotients) == 6 and mu == quotients[-1]
+    h = np.diff(fine)
+    dA0, eA, dB, eB = (band[1:] for band in spectral._bands_from_integrals(ints, h, flow))
+    e_n = np.zeros(len(dA0))
+    e_n[-1] = 1.0
+    x, negatives = numerics._solve_tridiagonal(dA0 - mu * dB, eA - mu * eB, e_n)
+    q = spectral._quotient_from_integrals(ints, h, np.concatenate([[0.0], x / x[-1]]), flow)
+    assert negatives == 0 and abs(q - mu) <= 1e-14 * abs(mu)
+
+
+def test_pair_at_mu_zero_is_certified_by_one_pivot_count():
+    # C0 at lambda0, where mu = 0: the refined level's iteration converges to
+    # q = -2.1e-9 with rho = 2.0e-8, so q + rho lies above 0 and above its
+    # one shift, the working level's mu = 9.9e-16, and neither bounds mu_2
+    # from above it.  The reduction of A - (q + 2 rho) B has one negative
+    # pivot, which puts mu_2 above q + 2 rho: the level keeps its pair
+    # rather than paying the secular fallback.
+    prof, flow = make_profile(0.0, d=1.0, g=9.81, p0=-2.0)
+    lam0 = lambda_of_min_head(prof, flow)
+    with certified_levels() as levels:
+        mode = principal_eigen(prof, flow, lam0)
+    working, refined = levels
+    q, rho = refined["pair"]
+    assert working["secular"] and not refined["secular"]
+    assert q + rho > max(0.0, mode.mu)
+    assert abs(mode.mu_refined) <= 1e-14
+
+
 def test_secular_level_brackets_a_root_next_to_the_pole(monkeypatch):
     # gamma = 0, d = 0.5, g = 1, p0 = -2 at lambda = 1: mu_1 = 9.618 lies
     # just under lambda_1(A0) = 9.870, the pole of s.  Newton's step from 0
@@ -637,7 +715,7 @@ def test_secular_level_brackets_a_root_next_to_the_pole(monkeypatch):
     # mu without a bracket oscillated; the bracket bisects instead.
     prof, flow = make_profile(0.0, d=0.5, g=1.0, p0=-2.0)
     nodes = build_mesh(prof, 1.0, 201)
-    ints = _element_integrals(ElementRule(prof, nodes), 1.0)
+    ints = _element_integrals(ElementRule(prof, nodes), 1.0, prof._scale)
     mu1, _mu2, lam1, _top = _dense_spectrum(flow, nodes, ints)
     assert 9.6 < mu1 < lam1 < 9.9
     solve, definite = spectral._solve_tridiagonal, []
