@@ -16,7 +16,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .laminar import (
     lambda_of_min_head,
 )
 from .numerics import bracketed_root
-from .spectral import ModeSolution, _mesh_levels, principal_eigen
+from .spectral import ModeSolution, _energies, _mesh_levels, principal_eigen
 from .vorticity import (
     FlowParameters,
     GammaProfile,
@@ -114,15 +114,11 @@ class NoBifurcation:
     branch: Branch
 
 
-def find_lambda_star(
-    branch: Branch,
-    root_tol: float = 1e-10,
-    margin_schedule: Sequence[float] = DEFAULT_MARGINS,
-) -> Union[BifurcationPoint, NoBifurcation]:
+def find_lambda_star(branch: Branch, root_tol: float = 1e-10) -> Union[BifurcationPoint, NoBifurcation]:
     """Solve mu(lambda*) = -1 on (floor, lambda0) of a branch of fixed p0,
     or report NoBifurcation.
 
-    mu is probed at floor + eps for the decreasing margin schedule; the
+    mu is probed at floor + eps for the decreasing DEFAULT_MARGINS; the
     first probe with mu <= -1 gives the lower bracket end (monotonicity of
     mu where negative makes the left edge the infimum, so deeper probes
     cannot be missed).  A probe that fails raises its error: a numerical
@@ -138,7 +134,7 @@ def find_lambda_star(
         return branch(lam)[1].mu_refined
 
     mu_at_lam0 = mu(lam0)
-    probes = [floor + min(eps, 0.5 * (lam0 - floor)) for eps in margin_schedule]
+    probes = [floor + min(eps, 0.5 * (lam0 - floor)) for eps in DEFAULT_MARGINS]
     lam_lo = None
     inf_mu = math.inf
     lam_at_inf = lam0
@@ -265,21 +261,15 @@ def transversality_integral(point: BifurcationPoint) -> float:
     T = -(pi/2) int a^-1 M^2 dp - (3 pi / d^2) int a M_p^2 dp, the
     quadratic form certifying that the eigenvalue crosses -1 transversally
     (the factors pi are the q-averages of cos^2 and sin^2 over a period).
+    Both integrals are element energies (spectral._energies) of the element
+    integrals of a and a^-1 N_i N_j, taken by the pencil's kernel
+    (ElementRule.integrals).
     """
     lam = point.lambda_star
     # The mode lives on the refined level, whose rule the eigen solve cached.
     profile = point.branch.profile
     nodes, rule = _mesh_levels(profile, lam, point.branch.mesh_points)[1]
-    M = point.mode.M
-    slope = np.diff(M) / np.diff(nodes)
-
-    def weighted(q):
-        a = np.sqrt(lam + profile._scale * q.unscaled)
-        m = M[:-1][q.elements] * q.n0 + M[1:][q.elements] * (1.0 - q.n0)
-        yield q.w * m * m / a
-        yield q.w * a
-
-    int_inv, int_a = rule.integrate(weighted)
-    i1 = float(np.sum(int_inv))
-    i2 = float(np.sum(int_a * slope * slope))
-    return -0.5 * math.pi * i1 - 3.0 * math.pi * i2 / point.branch.d**2
+    a, a_sub = rule.a(lam, profile._scale)
+    ints = rule.integrals(a, 1.0 / a, a_sub, 1.0 / a_sub)
+    stiff, mass = _energies(ints, np.diff(nodes), point.mode.M)
+    return -0.5 * math.pi * mass - 3.0 * math.pi * stiff / point.branch.d**2

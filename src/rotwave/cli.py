@@ -32,7 +32,6 @@ import numpy as np
 
 from . import __version__
 from .bifurcation import (
-    DEFAULT_MARGINS,
     BifurcationPoint,
     Branch,
     NoBifurcation,
@@ -59,21 +58,12 @@ from .vorticity import FlowParameters, GammaProfile, VorticityDistribution, hold
 class NumericsOptions:
     mesh_points: int = 2001
     root_tol: float = 1e-10
-    lambda_margin_schedule: tuple = DEFAULT_MARGINS
 
     def __post_init__(self):
         if not (self.mesh_points >= 201 and self.mesh_points % 2 == 1):
             raise InvalidParameter("mesh_points must be an odd integer >= 201", "mesh_points")
         if not self.root_tol > 0.0:
             raise InvalidParameter("root_tol must be > 0", "root_tol")
-        margins = self.lambda_margin_schedule
-        if not margins or any(not m > 0.0 for m in margins) or any(
-            b >= a for a, b in zip(margins, margins[1:])
-        ):
-            raise InvalidParameter(
-                "lambda_margin_schedule must be a decreasing list of positive margins",
-                "lambda_margin_schedule",
-            )
 
 
 @dataclass(frozen=True)
@@ -104,10 +94,7 @@ class CriteriaOptions:
 # list is a list of numbers.  The value rules live in the constructors.
 _SECTIONS = {
     "flow": (FlowParameters, {"d": float, "g": float, "p0": float}),
-    "numerics": (
-        NumericsOptions,
-        {"mesh_points": int, "root_tol": float, "lambda_margin_schedule": list},
-    ),
+    "numerics": (NumericsOptions, {"mesh_points": int, "root_tol": float}),
     "reconstruct": (ReconstructOptions, {"amplitude": float, "n_q": int}),
     "criteria": (CriteriaOptions, {"alpha": float, "depth_frak": float}),
 }
@@ -202,11 +189,9 @@ def parse_config(text) -> RunConfig:
         tabulated           nodes: at least two, strictly increasing from -1
                             to 0; values: one per node
     numerics
-        mesh_points             2001; odd, >= 201; sweep --quantity onset
-                                caps it at 1201
-        root_tol                1e-10; > 0
-        lambda_margin_schedule  [1e-2, 1e-3, ..., 1e-8]; positive, strictly
-                                decreasing
+        mesh_points 2001; odd, >= 201; sweep --quantity onset caps it
+                    at 1201
+        root_tol    1e-10; > 0
     reconstruct
         amplitude   0.0; >= 0; the default and the rule for --amplitude
         n_q         256; >= 16
@@ -386,11 +371,7 @@ def build_criteria_report(config: RunConfig, profile: GammaProfile) -> dict:
 def _analysis(config: RunConfig):
     flow = config.flow
     branch = Branch(config.vorticity, flow.d, flow.g, config.numerics.mesh_points, flow.p0)
-    return find_lambda_star(
-        branch,
-        root_tol=config.numerics.root_tol,
-        margin_schedule=config.numerics.lambda_margin_schedule,
-    )
+    return find_lambda_star(branch, root_tol=config.numerics.root_tol)
 
 
 def run_analyze(config: RunConfig, out_dir: str) -> int:

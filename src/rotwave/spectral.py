@@ -14,10 +14,11 @@ Two independent routes to the principal eigenvalue mu(lambda) of
   level is seeded from the modes of neighbouring lambdas, by their secant
   where two share its mesh (_working_seed), and the refined level from the
   working pair's P1 prolongation.  The element integrals of a^3 and
-  a N_i N_j are taken once per lambda, on the refined mesh, by contracting
-  a with the reference element's Gauss weights (vorticity.ElementRule),
-  whose p0-free points serve every flow of the distribution; the working
-  mesh sums them over the two halves of each of its elements;
+  a N_i N_j are taken once per lambda, on the refined mesh, by
+  ElementRule.integrals, the one element-integral kernel (transversality
+  uses it too), whose p0-free points serve every flow of the
+  distribution; the working mesh sums them over the two halves of each of
+  its elements;
 
 * a Pruefer-angle shooting method integrating theta' = cos^2(theta)/a^3 +
   mu d^2 a sin^2(theta) from theta(-1) = 0.  The surface condition pins
@@ -130,31 +131,12 @@ def _mesh_levels(profile: GammaProfile, lam: float, mesh_points: int):
 
 def _element_integrals(rule: ElementRule, lam: float, scale: float) -> np.ndarray:
     """Per-element integrals of a^3 and of a against the P1 basis products,
-    for the profile of ``rule``'s distribution with scale 2 d^2 / p0.
-
-    Returns the rows (s1, m00, m01, m11) with s1 = int a^3 and
-    m.. = int a N_i N_j on each element.  a = sqrt(lambda + scale U) at the
-    points, U being the rule's ``unscaled``, rounded as lambda +
-    GammaProfile.primitive is.  On regular elements that is one sqrt pass
-    over the points and two contractions with the reference element's
-    weights, scaled by h; the substituted elements next to a minimizer sum
-    their own weights point by point.
+    for the profile of ``rule``'s distribution with scale 2 d^2 / p0: the
+    rows (s1, m00, m01, m11) of ElementRule.integrals, with s1 = int a^3
+    and m.. = int a N_i N_j on each element.
     """
-    a = scale * rule.regular.unscaled
-    a += lam
-    np.sqrt(a, out=a)
-    out = np.empty((4, a.shape[1]))
-    out[1:] = rule.mass_weights @ a
-    a3 = a * a
-    a3 *= a
-    out[0] = rule.weights @ a3
-    out *= rule.h
-    sub = rule.substituted
-    if len(sub.elements):
-        a = np.sqrt(lam + scale * sub.unscaled)
-        out[0, sub.elements] = np.sum(sub.w * (a * a * a), axis=0)
-        out[1:, sub.elements] = np.sum(sub.mass * a, axis=1)
-    return out
+    a, a_sub = rule.a(lam, scale)
+    return rule.integrals(a * a * a, a, a_sub * a_sub * a_sub, a_sub)
 
 
 def _restrict(ints: np.ndarray) -> np.ndarray:
@@ -209,8 +191,9 @@ def assemble(
     return dA, eA, dB, eB
 
 
-def _quotient_from_integrals(ints, h, M, flow) -> float:
-    """Quotient of a nodal P1 function from element-wise energies.
+def _energies(ints, h, M) -> tuple[float, float]:
+    """(int f M'^2, int g M^2) of the nodal P1 function M from the rows
+    (int f, int g N0 N0, int g N0 N1, int g N1 N1) of ElementRule.integrals.
 
     Summing positive per-element energies avoids the cancellation that the
     assembled 1/h-scaled matrix entries would introduce.
@@ -220,7 +203,12 @@ def _quotient_from_integrals(ints, h, M, flow) -> float:
     stiff = float(np.sum(s1 * slope * slope))
     v0 = M[:-1]
     v1 = M[1:]
-    mass = float(np.sum(m00 * v0 * v0 + 2.0 * m01 * v0 * v1 + m11 * v1 * v1))
+    return stiff, float(np.sum(m00 * v0 * v0 + 2.0 * m01 * v0 * v1 + m11 * v1 * v1))
+
+
+def _quotient_from_integrals(ints, h, M, flow) -> float:
+    """Quotient of a nodal P1 function from element-wise energies (_energies)."""
+    stiff, mass = _energies(ints, h, M)
     if mass <= 1e-300:
         raise ZeroDenominator("mass quadratic form vanished")
     p0sq = flow.p0**2

@@ -274,28 +274,6 @@ class GammaProfile:
             )
 
 
-@dataclass(frozen=True)
-class QuadraturePoints:
-    """Quadrature points of some elements, one row per point and one column
-    per element, so that summing over the points adds whole rows.
-
-    ``w`` holds the weights (Jacobian included), ``unscaled`` integral_0^p
-    gamma at the points p (Gamma there is the profile's scale 2 d^2 / p0
-    times it) and ``n0`` the P1 basis function of the element's left node,
-    all of shape (points, elements); n1 = 1 - n0 is that of its right
-    node.  ``mass`` stacks the lambda-free mass weights w n0 n0, w n0 n1
-    and w n1 n1 on substituted points, and is None on regular ones, whose
-    mass integrals contract the reference element's weights
-    (ElementRule.mass_weights) instead.
-    """
-
-    elements: np.ndarray
-    w: np.ndarray
-    unscaled: np.ndarray
-    n0: np.ndarray
-    mass: Optional[np.ndarray] = None
-
-
 class ElementRule:
     """The quadrature for every per-element integral on a mesh of [-1, 0].
 
@@ -304,10 +282,16 @@ class ElementRule:
     sqrt(|p - p*|) at a minimizer p* of Gamma as lambda nears the floor.
     Each element gets 8-point Gauss; an element that ends at a minimizer
     gets 12-point Gauss in t = sqrt(|p - p*|) instead.  Nothing stored
-    depends on lambda, d or p0: Gamma at the points is the profile's scale
-    times ``unscaled``, formed where an integrand needs it, so one rule
-    serves every flow of its distribution.  The arrays are built once per
-    rule, one row per quadrature point.
+    depends on lambda, d or p0: ``unscaled`` holds integral_0^p gamma at the
+    points, one row per Gauss point and one column per element, and Gamma
+    there is the profile's scale 2 d^2 / p0 times it, formed in ``a``, so
+    one rule serves every flow of its distribution.  The ``sub`` elements,
+    next to a minimizer, keep their own points: ``sub_w`` the weights
+    (Jacobian included), ``sub_mass`` the lambda-free mass weights
+    w N0 N0, w N0 N1 and w N1 N1, and ``sub_unscaled``, all of shape
+    (points, len(sub)).  ``integrals`` is the one kernel: every
+    per-element integral, of the pencil and of transversality, is its
+    contraction of integrand values at these points.
 
     A regular element is the reference element scaled by its width ``h``,
     so for f at its points the integral of f over element e is
@@ -327,46 +311,38 @@ class ElementRule:
         mins = np.asarray(profile.minimizers)
         left = np.min(np.abs(lo[:, None] - mins), axis=1) < _TOUCH
         right = np.min(np.abs(hi[:, None] - mins), axis=1) < _TOUCH
-        sub = np.nonzero(left | right)[0]
+        self.sub = sub = np.nonzero(left | right)[0]
+        self.unscaled = profile._shape.unscaled(0.5 * (lo + hi) + 0.5 * h * _GAUSS_X[:, None])
 
-        x = 0.5 * (lo + hi) + 0.5 * h * _GAUSS_X[:, None]
-        w = 0.5 * h * _GAUSS_W[:, None]
-        self.regular = _points(profile, np.arange(len(h)), x, w, lo, hi, h)
-
-        width = np.sqrt(h[sub])
+        lo, hi, h = lo[sub], hi[sub], h[sub]
+        width = np.sqrt(h)
         t = 0.5 * width * (_SUB_X[:, None] + 1.0)
-        x = np.where(left[sub], lo[sub] + t * t, hi[sub] - t * t)
-        w = 0.5 * width * _SUB_W[:, None] * 2.0 * t
-        self.substituted = _points(profile, sub, x, w, lo[sub], hi[sub], h[sub], with_mass=True)
+        x = np.where(left[sub], lo + t * t, hi - t * t)
+        self.sub_w = w = width * _SUB_W[:, None] * t
+        n0, n1 = (hi - x) / h, (x - lo) / h
+        self.sub_mass = np.stack([w * n0 * n0, w * n0 * n1, w * n1 * n1])
+        self.sub_unscaled = profile._shape.unscaled(x)
 
-    def integrate(self, weighted) -> np.ndarray:
-        """Per-element integrals, one row per integrand.
+    def a(self, lam: float, scale: float):
+        """a = sqrt(lambda + scale U) at the regular and at the substituted
+        points, rounded as lambda + GammaProfile.primitive is."""
+        a = scale * self.unscaled
+        a += lam
+        np.sqrt(a, out=a)
+        return a, np.sqrt(lam + scale * self.sub_unscaled)
 
-        ``weighted(q)`` yields, integrand by integrand, weight times
-        integrand at the points of a QuadraturePoints ``q``, each of shape
-        (points, elements).
-        """
-        out = np.array([np.sum(v, axis=0) for v in weighted(self.regular)])
-        sub = self.substituted
-        if len(sub.elements):
-            out[:, sub.elements] = [np.sum(v, axis=0) for v in weighted(sub)]
+    def integrals(self, f, g, f_sub, g_sub) -> np.ndarray:
+        """The rows (int f, int g N0 N0, int g N0 N1, int g N1 N1) on each
+        element, from integrands f and g at the regular points and f_sub and
+        g_sub at the substituted ones."""
+        out = np.empty((4, len(self.h)))
+        out[1:] = self.mass_weights @ g
+        out[0] = self.weights @ f
+        out *= self.h
+        if len(self.sub):
+            out[0, self.sub] = np.sum(self.sub_w * f_sub, axis=0)
+            out[1:, self.sub] = np.sum(self.sub_mass * g_sub, axis=1)
         return out
-
-
-def _points(profile, elements, x, w, lo, hi, h, with_mass=False) -> QuadraturePoints:
-    n0 = (hi - x) / h
-    unscaled = profile._shape.unscaled(x)
-    mass = None
-    if with_mass:
-        n1 = (x - lo) / h
-        mass = np.stack([w * n0 * n0, w * n0 * n1, w * n1 * n1])
-    return QuadraturePoints(
-        elements=elements,
-        w=w,
-        unscaled=unscaled,
-        n0=n0,
-        mass=mass,
-    )
 
 
 def _poly_tables(dist: VorticityDistribution):

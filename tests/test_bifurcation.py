@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from rotwave import (
     transversality_integral,
 )
 
-from rotwave import bifurcation
+from rotwave import bifurcation, spectral
 from rotwave.cli import build_criteria_report, main, parse_config
 from rotwave.errors import DegenerateConstraint, EigenFailure, NoSolution
 from rotwave.vorticity import ElementRule
@@ -292,8 +293,6 @@ def test_transversality_pinned_value():
 
 
 def test_transversality_quadratic_scaling():
-    from dataclasses import replace
-
     pt, prof, flow = _pinned_point()
     T1 = transversality_integral(pt)
     doubled = replace(pt, mode=replace(pt.mode, M=2.0 * pt.mode.M))
@@ -327,6 +326,66 @@ def test_transversality_reuses_the_refined_rule(monkeypatch):
     assert built == []
     monkeypatch.setattr(bifurcation, "_mesh_levels", lambda *args: [None, (nodes, fresh)])
     assert transversality_integral(pt) == T
+
+
+_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(8)
+_SUB_X, _SUB_W = np.polynomial.legendre.leggauss(12)
+
+
+def _transversality_by_points(point):
+    """T summed point by point: weight times a^-1 m^2 and a M'^2 at the
+    points ElementRule places (8-point Gauss, or 12-point Gauss in
+    t = sqrt(|p - p*|) on an element with an end at a minimizer p*), with
+    the mode's P1 interpolant m = M0 n0 + M1 (1 - n0), n0 = (hi - x) / h."""
+    branch, lam, M = point.branch, point.lambda_star, point.mode.M
+    profile, nodes = branch.profile, point.mode.nodes
+    lo, hi = nodes[:-1], nodes[1:]
+    h = hi - lo
+    mins = np.asarray(profile.minimizers)
+    left = np.min(np.abs(lo[:, None] - mins), axis=1) < 1e-14
+    right = np.min(np.abs(hi[:, None] - mins), axis=1) < 1e-14
+    x = 0.5 * (lo + hi) + 0.5 * h * _GAUSS_X[:, None]
+    w = 0.5 * h * _GAUSS_W[:, None]
+    t = 0.5 * np.sqrt(h) * (_SUB_X[:, None] + 1.0)
+    x_sub = np.where(left, lo + t * t, hi - t * t)
+    w_sub = 0.5 * np.sqrt(h) * _SUB_W[:, None] * 2.0 * t
+    inv, stiff = 0.0, 0.0
+    for e in range(len(h)):
+        xe, we = (x_sub[:, e], w_sub[:, e]) if left[e] or right[e] else (x[:, e], w[:, e])
+        a = profile.a(lam, xe)
+        n0 = (hi[e] - xe) / h[e]
+        m = M[e] * n0 + M[e + 1] * (1.0 - n0)
+        inv += np.sum(we * m * m / a)
+        stiff += np.sum(we * a) * ((M[e + 1] - M[e]) / h[e]) ** 2
+    return -0.5 * math.pi * inv - 3.0 * math.pi * stiff / branch.d**2
+
+
+_TRANSVERSALITY_CASES = {
+    "C1": (-1.0, dict(d=1.0, g=9.81, p0=-2.0)),
+    "P": (VorticityDistribution.piecewise_constant([-0.5], [0.5, -2.0]), dict(d=1.0, g=1.0, p0=-1.0)),
+    "T": (VorticityDistribution.tabulated([-1.0, -0.5, 0.0], [-1.2, -0.3, -1.5]), dict(d=1.0, g=9.81, p0=-2.0)),
+    "C1_graded": (-1.0, dict(d=1.0, g=9.81, p0=-2.0)),
+}
+
+
+@pytest.mark.parametrize("name", list(_TRANSVERSALITY_CASES))
+def test_transversality_is_the_point_sum(name):
+    # The contracted element integrals of a and 1/a N_i N_j give T as the
+    # point sums over the interpolated mode do.  C1_graded takes the mode 1e-6
+    # above the floor, where the mesh is graded toward the minimizer at the
+    # bed, in place of the crossing's.
+    gamma, flow = _TRANSVERSALITY_CASES[name]
+    pt = find_lambda_star(make_branch(gamma, mesh_points=401, **flow))
+    assert isinstance(pt, BifurcationPoint)
+    if name.endswith("graded"):
+        lam = pt.branch.profile.min_lambda + 1e-6
+        pt = replace(pt, lambda_star=lam, mode=pt.branch(lam)[1])
+    rule = bifurcation._mesh_levels(pt.branch.profile, pt.lambda_star, 401)[1][1]
+    assert len(rule.sub) > 0
+    assert spectral._graded(pt.branch.profile, pt.lambda_star) == name.endswith("graded")
+    ref = _transversality_by_points(pt)
+    assert ref < 0.0
+    assert abs(transversality_integral(pt) - ref) <= 1e-14 * abs(ref)
 
 
 # -- fixed-mean-depth family ---------------------------------------------------------

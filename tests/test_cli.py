@@ -181,6 +181,14 @@ def test_config_error_exits_3(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_margin_schedule_is_an_unknown_key(tmp_path, capsys):
+    bad = dict(C1, numerics={"lambda_margin_schedule": [1e-2, 1e-3]})
+    assert _run(tmp_path, bad, "analyze", "--out", str(tmp_path / "out")) == 3
+    err = capsys.readouterr().err
+    assert "unknown key" in err and "/numerics/lambda_margin_schedule" in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["analyze", "reconstruct"])
 def test_unusable_out_exits_3(tmp_path, capsys, monkeypatch, command):
     # A file where the output directory should be: refused before any solve.
@@ -305,6 +313,9 @@ def test_sweep_with_every_row_failing_exits_4(tmp_path):
             }),
             "/vorticity/breakpoints",
         ),
+        # The margins of the lambda* probes are fixed: a schedule that was
+        # valid while it was a key is refused like any unknown key.
+        (dict(C1, numerics={"lambda_margin_schedule": [1e-2]}), "/numerics/lambda_margin_schedule"),
     ],
 )
 def test_config_error_pointers(config, pointer):
@@ -839,7 +850,7 @@ CRITERIA_SWEEP = ("sweep", "--param", "g:1:9:2", "--quantity", "criteria")
     [
         (C1, ANALYZE, "numerics", "mesh_points", 203),
         (C1, ANALYZE, "numerics", "root_tol", 1e-3),
-        (WEAK, ANALYZE, "numerics", "lambda_margin_schedule", [0.1]),
+        (C1, ANALYZE, "criteria", "alpha", 0.5),
         (C1, RECONSTRUCT, "reconstruct", "amplitude", 0.01),
         (dict(C1, reconstruct={"amplitude": 0.01}), RECONSTRUCT, "reconstruct", "n_q", 16),
         (dict(TABULATED, numerics={"mesh_points": 201}), CRITERIA_SWEEP, "criteria", "alpha", 0.5),

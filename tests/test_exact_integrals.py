@@ -20,7 +20,6 @@ from rotwave import (
     laminar,
     lambda_of_min_head,
     spectral,
-    vorticity,
 )
 from rotwave.errors import DegenerateConstraint, NoSolution
 from rotwave.laminar import _DepthConstraint, _pieces, _Pieces
@@ -216,21 +215,23 @@ def test_shared_mesh_levels_hold_each_profiles_primitive(dist, flows, margin):
     # shape; at each profile's scale, Gamma is its primitive at every
     # quadrature point.  Knots a few ulps apart give build_mesh a sliver
     # element (see CHANGES.md).
-    knots = dist._shape.knots
-    assume(np.min(np.diff(knots)) > 1e-6)
-    points, at = vorticity._points, {}
+    shape = dist._shape
+    assume(np.min(np.diff(shape.knots)) > 1e-6)
+    unscaled, at = shape.unscaled, {}
 
-    def recording(profile, elements, x, w, *rest, **options):
-        at[id(w)] = x
-        return points(profile, elements, x, w, *rest, **options)
+    def recording(p):
+        out = unscaled(p)
+        at[id(out)] = p, out  # holding out keeps its id unique
+        return out
 
-    with mock.patch.object(vorticity, "_points", recording):
-        for d, b in flows:
-            prof = GammaProfile.from_distribution(dist, FlowParameters(d, 1.0, -b))
-            _, (_, rule) = spectral._mesh_levels(prof, _admissible(prof, margin), 201)
-            for q in (rule.regular, rule.substituted):
-                assert np.all(prof._scale * q.unscaled == prof.primitive(at[id(q.w)]))
-    assert len(at) == 2 * len(dist._shape.cache)
+    for d, b in flows:
+        prof = GammaProfile.from_distribution(dist, FlowParameters(d, 1.0, -b))
+        lam = _admissible(prof, margin)
+        with mock.patch.object(shape, "unscaled", recording):
+            _, (_, rule) = spectral._mesh_levels(prof, lam, 201)
+        for u in (rule.unscaled, rule.sub_unscaled):
+            assert np.all(prof._scale * u == prof.primitive(at[id(u)][0]))
+    assert len(at) == 2 * len(shape.cache)
 
 
 @PROPERTY

@@ -358,17 +358,24 @@ def _integral_case(name, mesh_points=401):
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(8)
 
 
-def _point_sums(q, lam, scale, regular):
-    """Weight times integrand summed point by point: a^3 and a N_i N_j.
+def _point_sums(prof, lam, nodes):
+    """Weight times integrand summed point by point on each element, at the
+    points of _half: the rows a^3 and a N_i N_j, and the indices of the
+    substituted elements.
 
-    On regular points N_0 = (1 - xi) / 2 at the Gauss nodes xi; (hi - x) / h
+    On regular elements N_0 = (1 - xi) / 2 at the Gauss nodes xi; (hi - x) / h
     at the rounded points would be off by ulp(x) / h, 1e-11 relative on the
-    graded elements next to the floor.
+    graded elements next to the floor.  Substituted elements take
+    (hi - x) / h, as their mass weights do.
     """
-    a = np.sqrt(lam + scale * q.unscaled)
-    n0 = np.broadcast_to(0.5 * (1.0 - _GAUSS_X)[:, None], a.shape) if regular else q.n0
-    n1 = 1.0 - n0
-    return [np.sum(v, axis=0) for v in (q.w * a**3, q.w * n0 * n0 * a, q.w * n0 * n1 * a, q.w * n1 * n1 * a)]
+    rows, substituted = [], []
+    for lo, hi in zip(nodes[:-1], nodes[1:]):
+        x, w, _ = _half(prof, lo, hi)
+        substituted.append(len(x) != len(_GAUSS_X))
+        n0 = (hi - x) / (hi - lo) if substituted[-1] else 0.5 * (1.0 - _GAUSS_X)
+        a, n1 = prof.a(lam, x), 1.0 - n0
+        rows.append([np.sum(w * f) for f in (a**3, n0 * n0 * a, n0 * n1 * a, n1 * n1 * a)])
+    return np.array(rows).T, np.nonzero(substituted)[0]
 
 
 @pytest.mark.parametrize("name", list(_INTEGRAL_CASES))
@@ -377,10 +384,8 @@ def test_contracted_element_integrals_are_the_point_sums(name):
     # by h; substituted ones (an end at a minimizer) sum point by point.
     prof, lam, nodes = _integral_case(name)
     rule = ElementRule(prof, nodes)
-    sub = rule.substituted
-    assert len(sub.elements) > 0 and rule.regular.mass is None
-    ref = np.array(_point_sums(rule.regular, lam, prof._scale, True))
-    ref[:, sub.elements] = _point_sums(sub, lam, prof._scale, False)
+    ref, sub = _point_sums(prof, lam, nodes)
+    assert len(sub) > 0 and np.array_equal(rule.sub, sub)
     ints = _element_integrals(rule, lam, prof._scale)
     assert np.all(ref > 0.0)
     assert np.all(np.abs(ints - ref) <= 1e-12 * ref)
