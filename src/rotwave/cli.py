@@ -14,6 +14,8 @@ lambda_star, depth_frak for mu, lambda_star or onset, p0 for onset; see
 run_sweep), and a gamma sweep on a profile that is not of constant
 vorticity.  A forked sweep worker that fails or is killed changes no exit
 code: its rows are solved again in the calling process (see run_sweep).
+Forked field.csv formatters and sweep workers hand their text back in
+unlinked temporary files that carry their own block lengths (_BlockFile).
 """
 
 from __future__ import annotations
@@ -430,10 +432,11 @@ class _FieldRows:
 
     Rows k and n_q - k mirror each other (q_{n_q - k} = -q_k), and
     build_wave makes y, h and u - c even in q and v odd, bit for bit.  So
-    only rows 0 .. n_q // 2 are formatted: once a pair is checked bit for
-    bit, row n_q - k reuses row k's y, h and u_rel text and its v text with
-    the sign flipped.  A pair that fails the check, as in a hand-built
-    field, is formatted afresh.
+    only rows 0 .. n_q // 2 are formatted, and row n_q - k is written from
+    row k's y, h and u_rel text and its v text with the sign flipped.  The
+    constructor refuses with ValueError, before any fork, a field whose
+    mirrored rows differ in any bit or whose v holds a NaN, whose text has
+    no sign to flip.
 
     The formatted rows are split into one contiguous range per usable CPU
     (_usable_cpus; one range where os.fork does not exist).  This process
@@ -459,7 +462,12 @@ class _FieldRows:
         self.fld = fld
         self.p0 = flow.p0
         self.directory = directory
-        self.columns = physical_fields(fld, flow)
+        self.columns = y, u_rel, v = physical_fields(fld, flow)
+        # Rows k = 1, 2, ... against their mirrors n_q - k, for every 0 < k < n_q - k.
+        k, m = slice(1, (len(y) + 1) // 2), slice(None, len(y) // 2, -1)
+        pairs = [(c[k], c[m]) for c in (y, fld.h, u_rel)] + [(v[k], -v[m])]
+        if np.isnan(v).any() or not all(np.array_equal(a.view(np.int64), b.view(np.int64)) for a, b in pairs):
+            raise ValueError("field.csv needs y, h and u_rel even in q bit for bit, and v odd without NaN")
 
     def __len__(self):
         return self.fld.h.size
@@ -467,61 +475,44 @@ class _FieldRows:
     def __iter__(self):
         fld = self.fld
         y, u_rel, v = self.columns
-        even = (y, fld.h, u_rel)
         p = list(map(repr, fld.p_nodes.tolist()))
         # psi is the last cell, so its text carries the line end.
         psi = [f"{t}\n" for t in map(repr, (self.p0 * fld.p_nodes).tolist())]
         q = list(map(repr, fld.q_nodes.tolist()))
         n_q = len(q)
 
-        def text(i):
-            # Held while row n_q - i is made from it.  The y, h and u_rel
-            # cells, which the two rows share, are one string a line: half
-            # as many objects held at once.
-            cells = zip(*(map(repr, c[i].tolist()) for c in even))
-            return list(map(",".join, cells)), list(map(repr, v[i].tolist()))
-
-        def mirror(k, m, columns):
-            """Row m's text: row k's, with v's sign flipped, where the pair checks out."""
-            if not _mirrors(even, v, k, m):
-                return text(m)
-            same, v_text = columns
-            return same, (t[1:] if t[0] == "-" else "-" + t for t in v_text)
-
-        def block(i, columns):
-            cells = zip(itertools.repeat(q[i]), p, itertools.repeat(q[i]), *columns, psi)
+        def block(i, same, v_text):
+            cells = zip(itertools.repeat(q[i]), p, itertools.repeat(q[i]), same, v_text, psi)
             return "".join(map(",".join, cells))
 
         def formatted(rows, side):
             """The blocks of rows, in order; their mirrored blocks go to side."""
             for k in rows:
-                columns = text(k)
-                yield block(k, columns)
-                m = n_q - k
-                if 0 < k < m:
-                    side.append(block(m, mirror(k, m, columns)))
+                # Held while row n_q - k is made from it.  The y, h and u_rel
+                # cells, which the two rows share, are one string a line: half
+                # as many objects held at once.
+                same = list(map(",".join, zip(*(map(repr, c[k].tolist()) for c in (y, fld.h, u_rel)))))
+                v_text = list(map(repr, v[k].tolist()))
+                yield block(k, same, v_text)
+                if 0 < k < n_q - k:
+                    side.append(block(n_q - k, same, (t[1:] if t[0] == "-" else "-" + t for t in v_text)))
 
         def fill(rows, direct, side):
-            """A child's work: the blocks of rows, then the ends of both files."""
+            """A child's work: the blocks of rows."""
             for block_text in formatted(rows, side):
                 direct.append(block_text)
-            direct.save_ends()
-            side.save_ends()
 
         first, *rest = _row_ranges(n_q // 2 + 1, _usable_cpus())
         with _Children() as children:
             # This process's mirrored blocks, then each child's blocks and mirrored blocks.
             files = [children.block_file(self.directory) for _ in range(1 + 2 * len(rest))]
-            forked = list(zip(files[1::2], files[2::2]))  # (direct, mirrored) of each child
             pids = [
                 children.fork(f"the formatter of field.csv rows q{rows.start}..q{rows.stop - 1}", fill, rows, *pair)
-                for rows, pair in zip(rest, forked)
+                for rows, *pair in zip(rest, files[1::2], files[2::2])
             ]
             yield from formatted(first, files[0])
-            for pid, (direct, side) in zip(pids, forked):
+            for pid, direct in zip(pids, files[1::2]):
                 children.join(pid)
-                direct.load_ends()
-                side.load_ends()
                 yield from direct.blocks()
             # From row n_q - 1 down: the last range's mirrored blocks first.
             for side in reversed(files[::2]):
@@ -579,7 +570,8 @@ class _Children:
 
     def block_file(self, directory):
         """A new _BlockFile in directory.  Make each one before the first
-        fork, while none has a buffer holding data."""
+        fork, while none has a buffer holding data: every child flushes
+        them all as it leaves."""
         self.files.append(_BlockFile(directory))
         return self.files[-1]
 
@@ -588,7 +580,8 @@ class _Children:
 
         The child never returns into the caller and never flushes the stdio
         buffers it inherits: it leaves by os._exit, with status 0 once work
-        has returned and 1 on any error.
+        has returned and the block files are flushed, so that the parent
+        reads what work appended to them, and 1 on any error.
         """
         pid = os.fork()
         if pid:
@@ -597,6 +590,8 @@ class _Children:
         status = 1
         try:
             work(*args)
+            for f in self.files:
+                f.file.flush()
             status = 0
         finally:
             os._exit(status)
@@ -613,48 +608,32 @@ class _Children:
 class _BlockFile:
     """Blocks of text in an unlinked temporary file, read back one at a time.
 
-    ends holds the offset at which each block ends.  A forked child writes
-    them after its blocks, with their count last, so that the parent can
-    read them back (load_ends).
+    Each block is stored as its UTF-8 bytes followed by their count in 8
+    bytes, so the file describes itself: blocks() walks the counts back
+    from its end.  A file that a forked child has written and flushed is
+    read as one written here, with no second step.
     """
 
     def __init__(self, directory):
         self.file = tempfile.TemporaryFile(dir=directory)
-        self.ends = []
 
     def append(self, block: str):
-        self.file.write(block.encode())
-        self.ends.append(self.file.tell())
-
-    def save_ends(self):
-        self.file.write(np.array([*self.ends, len(self.ends)], np.int64).tobytes())
-        self.file.flush()
-
-    def load_ends(self):
-        self.file.seek(-8, os.SEEK_END)
-        n = int(np.frombuffer(self.file.read(8), np.int64)[0])
-        self.file.seek(-8 * (n + 1), os.SEEK_END)
-        self.ends = np.frombuffer(self.file.read(8 * n), np.int64).tolist()
+        """Add block at the end, also after a read."""
+        data = block.encode()
+        self.file.seek(0, os.SEEK_END)
+        self.file.writelines([data, len(data).to_bytes(8, "little")])
 
     def blocks(self, reverse=False):
-        spans = list(itertools.pairwise([0, *self.ends]))
-        for start, end in reversed(spans) if reverse else spans:
+        """The blocks, first to last or, with reverse, last to first."""
+        # Where each block's record ends, from the last one back to 0.
+        ends = [self.file.seek(0, os.SEEK_END)]
+        while ends[-1]:
+            self.file.seek(ends[-1] - 8)
+            ends.append(ends[-1] - 8 - int.from_bytes(self.file.read(8), "little"))
+        spans = [(start, end - 8) for end, start in itertools.pairwise(ends)]
+        for start, end in spans if reverse else reversed(spans):
             self.file.seek(start)
             yield self.file.read(end - start).decode()
-
-
-def _mirrors(even, odd, k, m) -> bool:
-    """Whether row m of each even array equals row k bit for bit, and row m
-    of odd is row k negated bit for bit (no NaN: its text has no sign)."""
-
-    def same(a, b):
-        return np.array_equal(a.view(np.int64), b.view(np.int64))
-
-    return (
-        all(same(c[k], c[m]) for c in even)
-        and not np.isnan(odd[k]).any()
-        and same(odd[k], -odd[m])
-    )
 
 
 def run_reconstruct(config: RunConfig, amplitudes: Sequence[float], out_dir: str) -> int:
@@ -865,7 +844,6 @@ def run_sweep(config: RunConfig, param_specs: Sequence[str], quantity: Optional[
         """A child's work: its rows' lines, each after its ok flag."""
         for ok, line in solve(indices):
             out.append(f"{ok:d}{line}")
-        out.save_ends()
 
     groups = list(groups.values())
     n = 1 if quantity == "criteria" else _n_workers(len(groups), _usable_cpus())
@@ -879,7 +857,6 @@ def run_sweep(config: RunConfig, param_specs: Sequence[str], quantity: Optional[
         for pid, indices, out in zip(pids, theirs, files):
             try:
                 children.join(pid)
-                out.load_ends()
                 done = [(block[0] == "1", block[1:]) for block in out.blocks()]
             except OSError:  # a failed worker: its rows are solved here
                 done = solve(indices)

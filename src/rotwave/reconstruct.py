@@ -33,10 +33,10 @@ class WaveField:
     odd, all exactly: rows k and n_q - k agree bit for bit.  Nothing
     else is stored: x = q and psi = p0 p are the grid itself, and
     physical_fields derives y, u - c and v.  field.csv relies on the
-    symmetry to reuse the text of row k in row n_q - k, but checks it pair
-    by pair, so a field built by hand is written correctly too.  Rows k and
-    n_q - k are always formatted by the same process, one per CPU, so the
-    file's bytes do not depend on how many CPUs share its rows.
+    symmetry to write row n_q - k from the text of row k, and refuses a
+    field without it.  Rows k and n_q - k are always formatted by the same
+    process, one per CPU, so the file's bytes do not depend on how many
+    CPUs share its rows.
     """
 
     lam: float

@@ -1,6 +1,7 @@
 """The command-line contract: exit codes, config errors, deterministic files."""
 
 import errno
+import functools
 import json
 import math
 import os
@@ -16,10 +17,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rotwave import bifurcation, cli, laminar, numerics, spectral, vorticity
 from rotwave.cli import main, parse_config, write_csv, write_json
-from rotwave.errors import ConfigError
+from rotwave.errors import ConfigError, StagnationAtAmplitude
 from rotwave.reconstruct import build_wave, physical_fields
 from rotwave.vorticity import GammaProfile
 
@@ -572,17 +575,44 @@ def test_field_csv_is_the_field_cell_by_cell(tmp_path, monkeypatch, config):
         ]
         assert _read_lines(out / "surface.csv", "x,eta") == expected
 
-    # A hand-built field one ulp off in row n_q - 3 only: the pair (3, n_q - 3)
-    # no longer mirrors, and row n_q - 3 must not reuse the text of row 3.
-    # The pair (5, n_q - 5) has v = nan and -nan, whose text is "nan" in both.
-    h = fld.h.copy()
-    h[n_q - 3] = np.nextafter(h[n_q - 3], np.inf)
-    h_q = fld.h_q.copy()
-    h_q[5, 1], h_q[n_q - 5, 1] = math.nan, -math.nan
-    fld = replace(fld, h=h, h_q=h_q)
-    path = tmp_path / "uneven.csv"
-    write_csv(str(path), FIELD_HEADER, cli._FieldRows(fld, flow, str(tmp_path)))
-    assert _read_lines(path, ",".join(FIELD_HEADER)) == _field_lines(fld, flow)
+
+@functools.cache
+def _crossing(name):
+    """The bifurcation point of C1, P or T and the amplitude at which its
+    first-order wave stagnates (build_wave's critical_s)."""
+    config = {"C1": C1, "P": PIECEWISE, "T": TABULATED}[name]
+    result = cli._analysis(parse_config(json.dumps(config)))
+    with pytest.raises(StagnationAtAmplitude) as stagnation:
+        build_wave(result, 1e9, 16)
+    return result, stagnation.value.critical_s
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(["C1", "P", "T"]), n_q=st.integers(16, 65), fraction=st.floats(0.0, 0.9))
+@example(name="C1", n_q=16, fraction=0.0)
+@example(name="T", n_q=17, fraction=0.0)
+def test_wave_fields_mirror_bit_for_bit(name, n_q, fraction):
+    """What _FieldRows writes row n_q - k from: rows k and n_q - k of every
+    field build_wave makes, for 0 < k < n_q - k, agree bit for bit in h,
+    h_p, y and u - c and are negated bit for bit in h_q and v, and v holds
+    no NaN."""
+    result, critical_s = _crossing(name)
+    s = fraction * critical_s
+    fld = build_wave(result, s, n_q)
+    y, u_rel, v = physical_fields(fld, result.branch.flow)
+    k = np.arange(1, (n_q + 1) // 2)
+    assert np.all(k < n_q - k) and len(k) == (n_q - 1) // 2
+
+    def bits(a):
+        return a.view(np.int64)
+
+    for c in (fld.h, fld.h_p, y, u_rel):
+        assert np.array_equal(bits(c[k]), bits(c[n_q - k]))
+    for c in (fld.h_q, v):
+        assert np.array_equal(bits(c[k]), bits(-c[n_q - k]))
+    assert not np.isnan(v).any()
+    if s == 0:
+        assert set(map(repr, v.ravel().tolist())) <= {"0.0", "-0.0"}
 
 
 def _c1_wave(n_q, mesh_points=201):
@@ -652,6 +682,46 @@ def test_row_ranges_without_fork(monkeypatch):
     assert cli._row_ranges(9, 4) == [range(0, 9)]
 
 
+def test_block_file_round_trips(tmp_path):
+    with cli._Children() as children:
+        f = children.block_file(str(tmp_path))
+        assert list(f.blocks()) == list(f.blocks(reverse=True)) == []
+        f.append("")
+        assert list(f.blocks()) == [""]
+        # Lengths are in bytes, not characters: "é" is two of them.
+        blocks = ["", *(f"é,{i}\n" * i for i in range(1, 40)), "", "x" * 100_000, ""]
+        for b in blocks:
+            f.append(b)
+        assert list(f.blocks()) == ["", *blocks]
+        assert list(f.blocks(reverse=True)) == [*reversed(blocks), ""]
+
+
+def test_block_file_of_a_child_is_read_after_join(tmp_path):
+    blocks = [f"{i},é\n" * i for i in range(50)]
+
+    def fill(out):  # _Children.fork flushes the file
+        for b in blocks:
+            out.append(b)
+
+    with cli._Children() as children:
+        mine, theirs = (children.block_file(str(tmp_path)) for _ in range(2))
+        pid = children.fork("a block writer", fill, theirs)
+        # This process's own side file, as _FieldRows fills it meanwhile.
+        for b in blocks[:30]:
+            mine.append(b)
+        children.join(pid)
+        assert list(theirs.blocks()) == blocks
+        assert list(theirs.blocks(reverse=True)) == blocks[::-1]
+        # Read, stopped early, then appended to: the new blocks go at the end.
+        assert next(mine.blocks(reverse=True)) == blocks[29]
+        for b in blocks[30:]:
+            mine.append(b)
+        assert list(mine.blocks(reverse=True)) == blocks[::-1]
+        assert list(mine.blocks()) == blocks
+    assert _no_child_left()
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("n_q", [16, 17, 32, 33])
 def test_field_csv_is_the_same_on_any_cpu_count(tmp_path, monkeypatch, n_q):
     fld, flow = _c1_wave(n_q)
@@ -667,24 +737,35 @@ def test_field_csv_is_the_same_on_any_cpu_count(tmp_path, monkeypatch, n_q):
     assert _no_child_left()
 
 
-def test_uneven_field_is_the_same_on_any_cpu_count(tmp_path, monkeypatch):
+def test_uneven_field_is_refused_on_any_cpu_count(tmp_path, monkeypatch):
     # Rows 0 .. 8 are formatted: ranges 0-3 and 4-8 on two CPUs, 0-2, 3-5 and
-    # 6-8 on three.  The pairs (1, 15) and (6, 10) fail the mirror check, one
-    # in this process's range and one in a child's; (5, 11) has v = nan and
-    # -nan, whose text is "nan" in both.
+    # 6-8 on three.  Each case breaks the mirror symmetry that build_wave
+    # gives rows k and n_q - k in one pair, in this process's range or in a
+    # child's, or puts a NaN in v, whose text has no sign to flip.
     n_q = 16
     fld, flow = _c1_wave(n_q)
-    h, h_q = fld.h.copy(), fld.h_q.copy()
-    for m in (15, 10):
-        h[m] = np.nextafter(h[m], np.inf)
-    h_q[5, 1], h_q[11, 1] = math.nan, -math.nan
-    fld = replace(fld, h=h, h_q=h_q)
-    expected = _field_lines(fld, flow)
+
+    h, h_bed, h_p_bed = fld.h.copy(), fld.h.copy(), fld.h_p.copy()
+    v_even, nan_pair, nan_row = fld.h_q.copy(), fld.h_q.copy(), fld.h_q.copy()  # v = p0 h_q / (1 + h_p)
+    h[15] = np.nextafter(h[15], np.inf)  # h and y of the pair (1, 15)
+    # The bed cells, where y = -d and h_q = 0: h alone, then u_rel alone.
+    h_bed[10, 0] = np.nextafter(0.0, 1.0)
+    h_p_bed[12, 0] += 1e-9
+    v_even[9] = v_even[7]  # v of row 9 equal to row 7's, not its negation
+    nan_pair[5, 1], nan_pair[11, 1] = math.nan, -math.nan  # text "nan" in both
+    nan_row[8, 1] = math.nan  # q = 0: a row that is its own mirror
+    cases = [
+        replace(fld, h=h),
+        replace(fld, h=h_bed),
+        replace(fld, h_p=h_p_bed),
+        *(replace(fld, h_q=h_q) for h_q in (v_even, nan_pair, nan_row)),
+    ]
     for cpus in (1, 2, 3):
         _use_cpus(monkeypatch, cpus)
-        path = tmp_path / "uneven.csv"
-        write_csv(str(path), FIELD_HEADER, cli._FieldRows(fld, flow, str(tmp_path)))
-        assert _read_lines(path, ",".join(FIELD_HEADER)) == expected
+        for uneven in cases:
+            with pytest.raises(ValueError, match="even in q bit for bit"):
+                write_csv(str(tmp_path / "uneven.csv"), FIELD_HEADER, cli._FieldRows(uneven, flow, str(tmp_path)))
+    assert os.listdir(tmp_path) == []
     assert _no_child_left()
 
 
@@ -699,7 +780,7 @@ def _kill():
 @pytest.mark.parametrize("action, how", [(_raise, "exited with status 1"), (_kill, "killed by signal 9")])
 def test_failed_formatter_child_exits_3(tmp_path, monkeypatch, capsys, action, how):
     _use_cpus(monkeypatch, 3)
-    monkeypatch.setattr(cli, "_mirrors", _in_child(action, cli._mirrors))
+    monkeypatch.setattr(cli._BlockFile, "append", _in_child(action, cli._BlockFile.append))
     out = tmp_path / "out"
     argv = ("reconstruct", "--amplitude", "0.01", "--out", str(out))
     assert _run(tmp_path, dict(C1, reconstruct={"n_q": 16}), *argv) == 3
@@ -712,7 +793,7 @@ def test_failed_formatter_child_exits_3(tmp_path, monkeypatch, capsys, action, h
 
 def test_early_close_kills_the_formatter_children(tmp_path, monkeypatch):
     _use_cpus(monkeypatch, 3)
-    monkeypatch.setattr(cli, "_mirrors", _in_child(lambda: time.sleep(60), cli._mirrors))
+    monkeypatch.setattr(cli._BlockFile, "append", _in_child(lambda: time.sleep(60), cli._BlockFile.append))
     fld, flow = _c1_wave(16)
     blocks = iter(cli._FieldRows(fld, flow, str(tmp_path)))
     t0 = time.perf_counter()
