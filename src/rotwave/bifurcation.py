@@ -26,7 +26,7 @@ from .laminar import (
     lambda_of_min_head,
 )
 from .numerics import bracketed_root
-from .spectral import ModeSolution, _energies, _mesh_levels, principal_eigen
+from .spectral import ModeSolution, _energies, principal_eigen
 from .vorticity import (
     FlowParameters,
     GammaProfile,
@@ -263,13 +263,11 @@ def transversality_integral(point: BifurcationPoint) -> float:
     (the factors pi are the q-averages of cos^2 and sin^2 over a period).
     Both integrals are element energies (spectral._energies) of the element
     integrals of a and a^-1 N_i N_j, taken by the pencil's kernel
-    (ElementRule.integrals).
+    (ElementRule.integrals), on the rule the mode was solved on.
     """
-    lam = point.lambda_star
-    # The mode lives on the refined level, whose rule the eigen solve cached.
-    profile = point.branch.profile
-    nodes, rule = _mesh_levels(profile, lam, point.branch.mesh_points)[1]
-    a, a_sub = rule.a(lam, profile._scale)
+    mode = point.mode
+    rule = mode._rule
+    a, a_sub = rule.a(point.lambda_star, point.branch.profile._scale)
     ints = rule.integrals(a, 1.0 / a, a_sub, 1.0 / a_sub)
-    stiff, mass = _energies(ints, np.diff(nodes), point.mode.M)
+    stiff, mass = _energies(ints, np.diff(mode.nodes), mode.M)
     return -0.5 * math.pi * mass - 3.0 * math.pi * stiff / point.branch.d**2

@@ -5,17 +5,17 @@ in shortest round-trip form, line endings are '\\n', files are staged to a
 temporary path and atomically renamed, and reports carry no timestamps.
 
 Exit codes: 0 success, 2 no bifurcation, 3 config error, an output
-directory that cannot be created or written, a forked formatter of
-field.csv that fails or is killed (see _FieldRows) or, for criteria, a
-stdout that cannot be written, 4 numerical failure.  Among the config
+directory that cannot be created or written or, for criteria, a stdout
+that cannot be written, 4 numerical failure.  Among the config
 errors of sweep, raised before the output directory is made: a swept
 parameter that the quantity does not read (lambda for criteria or
 lambda_star, depth_frak for mu, lambda_star or onset, p0 for onset; see
 run_sweep), and a gamma sweep on a profile that is not of constant
 vorticity.  A forked sweep worker that fails or is killed changes no exit
 code: its rows are solved again in the calling process (see run_sweep).
-Forked field.csv formatters and sweep workers hand their text back in
-unlinked temporary files that carry their own block lengths (_BlockFile).
+Forked sweep workers hand their text back in unlinked temporary files that
+carry their own block lengths (_BlockFile).  field.csv is formatted in the
+calling process alone (see _FieldRows).
 """
 
 from __future__ import annotations
@@ -191,8 +191,10 @@ def parse_config(text) -> RunConfig:
         tabulated           nodes: at least two, strictly increasing from -1
                             to 0; values: one per node
     numerics
-        mesh_points 2001; odd, >= 201; sweep --quantity onset caps it
-                    at 1201
+        mesh_points 2001; odd, >= 201; the nodes in p of the working mesh,
+                    which the eigen solve refines once, and the p-node
+                    count of field.csv; sweep --quantity onset caps it at
+                    1201
         root_tol    1e-10; > 0
     reconstruct
         amplitude   0.0; >= 0; the default and the rule for --amplitude
@@ -318,7 +320,7 @@ def write_csv(path: str, header: Sequence[str], rows):
         _atomic_write(path, itertools.chain([",".join(header) + "\n"], map(line, rows)))
     finally:
         # A generator of rows stops here even when a write fails, so the
-        # children of _FieldRows are gone before write_csv returns or raises.
+        # side file of _FieldRows is closed before write_csv returns or raises.
         getattr(rows, "close", lambda: None)()
 
 
@@ -424,6 +426,11 @@ def run_analyze(config: RunConfig, out_dir: str) -> int:
 class _FieldRows:
     """field.csv rows as finished text, one q-block of n_p lines at a time.
 
+    The rows are on the working mesh, the mesh_points nodes of build_mesh:
+    refine_mesh keeps them bit for bit at the even p indices of the
+    refined mesh that the field lives on.  So columns 0, 2, 4, ... of the
+    field are written, each cell the field's own at its (q, p).
+
     Cells are the shortest round-trip text of _fmt, formatted by column from
     one call of physical_fields.  q is constant within a block, so its text
     is formatted once per block and written in both the q and the x cell
@@ -434,24 +441,14 @@ class _FieldRows:
     build_wave makes y, h and u - c even in q and v odd, bit for bit.  So
     only rows 0 .. n_q // 2 are formatted, and row n_q - k is written from
     row k's y, h and u_rel text and its v text with the sign flipped.  The
-    constructor refuses with ValueError, before any fork, a field whose
-    mirrored rows differ in any bit or whose v holds a NaN, whose text has
-    no sign to flip.
+    constructor refuses with ValueError a field whose mirrored rows differ
+    in any bit of a written column, or whose written v holds a NaN, whose
+    text has no sign to flip.
 
-    The formatted rows are split into one contiguous range per usable CPU
-    (_usable_cpus; one range where os.fork does not exist).  This process
-    yields the blocks of the first range as it makes them; each further
-    range is formatted by a forked child, which writes its blocks to
-    unlinked temporary files in directory and exits.  The mirrored blocks
-    are made in the order n_q - 1, n_q - 2, ..., so they too go to such a
-    file and are read back in reverse.  Every file is read back one block at
-    a time, so memory stays at about one block.  A child that fails or is
-    killed raises OSError once it is reaped; a child still running when the
-    iteration stops early is killed.  No child outlives the iteration.
-    The children are forked, not spawned: a fresh interpreter would import
-    numpy and rotwave again, about 0.28 s, which is more than they save, and
-    a forked child shares the columns without copying them.  A child runs
-    this formatting only, with no BLAS call, and leaves by os._exit.
+    The mirrored blocks are made in the order n_q - 1, n_q - 2, ..., so they
+    go to an unlinked temporary file in directory (_BlockFile) and are read
+    back in reverse, one block at a time: memory stays at about one block.
+    The file is closed when the iteration ends or is stopped early.
 
     len() is the row count: perfbench's tracer counts the rows given to
     write_csv with len(), and a block of text does not say how many rows it
@@ -459,7 +456,8 @@ class _FieldRows:
     """
 
     def __init__(self, fld, flow, directory):
-        self.fld = fld
+        working = {name: getattr(fld, name)[:, ::2] for name in ("h", "h_q", "h_p")}
+        self.fld = fld = replace(fld, p_nodes=fld.p_nodes[::2], **working)
         self.p0 = flow.p0
         self.directory = directory
         self.columns = y, u_rel, v = physical_fields(fld, flow)
@@ -485,9 +483,9 @@ class _FieldRows:
             cells = zip(itertools.repeat(q[i]), p, itertools.repeat(q[i]), same, v_text, psi)
             return "".join(map(",".join, cells))
 
-        def formatted(rows, side):
-            """The blocks of rows, in order; their mirrored blocks go to side."""
-            for k in rows:
+        side = _BlockFile(self.directory)
+        with side.file:
+            for k in range(n_q // 2 + 1):
                 # Held while row n_q - k is made from it.  The y, h and u_rel
                 # cells, which the two rows share, are one string a line: half
                 # as many objects held at once.
@@ -496,31 +494,12 @@ class _FieldRows:
                 yield block(k, same, v_text)
                 if 0 < k < n_q - k:
                     side.append(block(n_q - k, same, (t[1:] if t[0] == "-" else "-" + t for t in v_text)))
-
-        def fill(rows, direct, side):
-            """A child's work: the blocks of rows."""
-            for block_text in formatted(rows, side):
-                direct.append(block_text)
-
-        first, *rest = _row_ranges(n_q // 2 + 1, _usable_cpus())
-        with _Children() as children:
-            # This process's mirrored blocks, then each child's blocks and mirrored blocks.
-            files = [children.block_file(self.directory) for _ in range(1 + 2 * len(rest))]
-            pids = [
-                children.fork(f"the formatter of field.csv rows q{rows.start}..q{rows.stop - 1}", fill, rows, *pair)
-                for rows, *pair in zip(rest, files[1::2], files[2::2])
-            ]
-            yield from formatted(first, files[0])
-            for pid, direct in zip(pids, files[1::2]):
-                children.join(pid)
-                yield from direct.blocks()
-            # From row n_q - 1 down: the last range's mirrored blocks first.
-            for side in reversed(files[::2]):
-                yield from side.blocks(reverse=True)
+            # From row n_q - 1 down.
+            yield from side.blocks(reverse=True)
 
 
 def _usable_cpus() -> int:
-    """The CPUs this process may run on; field.csv and sweep rows use each."""
+    """The CPUs this process may run on; sweep rows use each."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # not on Linux
@@ -530,13 +509,6 @@ def _usable_cpus() -> int:
 def _n_workers(n_jobs, n_cpus) -> int:
     """One per CPU and at most one a job; one where os.fork does not exist."""
     return max(1, min(n_cpus, n_jobs)) if hasattr(os, "fork") else 1
-
-
-def _row_ranges(n_rows, n_cpus):
-    """n_rows split into contiguous ranges, one per worker (_n_workers)."""
-    n = _n_workers(n_rows, n_cpus)
-    bounds = [n_rows * i // n for i in range(n + 1)]
-    return [range(a, b) for a, b in itertools.pairwise(bounds)]
 
 
 class _Children:

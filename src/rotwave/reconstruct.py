@@ -2,8 +2,10 @@
 
 The reconstruction lives on the flattened rectangle [-pi, pi] x [-1, 0]:
 q is a uniform periodic grid (the +pi column is identified with -pi and
-omitted), p is inherited from the eigenfunction mesh so M is never
-interpolated.  A WaveField is a frozen value: h, h_q and h_p on that grid,
+omitted), p is inherited from the eigenfunction's refined mesh so M is
+never interpolated.  field.csv samples that grid at its even p indices,
+the nodes of the working mesh (cli._FieldRows); the residuals and the
+surface profile read the whole grid.  A WaveField is a frozen value: h, h_q and h_p on that grid,
 exactly even (h, h_p) and odd (h_q) in q.  The rest is derived, not stored:
 the inverse semi-hodograph map x = q, y = d (h + p), the stream function
 psi = p0 p, and the velocities u - c = p0 / (d (1 + h_p)) and
@@ -34,9 +36,7 @@ class WaveField:
     else is stored: x = q and psi = p0 p are the grid itself, and
     physical_fields derives y, u - c and v.  field.csv relies on the
     symmetry to write row n_q - k from the text of row k, and refuses a
-    field without it.  Rows k and n_q - k are always formatted by the same
-    process, one per CPU, so the file's bytes do not depend on how many
-    CPUs share its rows.
+    field without it.
     """
 
     lam: float

@@ -34,8 +34,8 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -52,6 +52,8 @@ class ModeSolution:
     (so the quotient identity holds to round-off); ``mu_refined`` is the
     Richardson-extrapolated eigenvalue used for curves and root finding.
     M holds the P1 eigenfunction at ``nodes``, bed node M(-1) = 0 included.
+    ``_rule`` is the ElementRule of ``nodes`` that the solve integrated on,
+    kept for transversality; it takes no part in equality or repr.
     """
 
     lam: float
@@ -59,6 +61,7 @@ class ModeSolution:
     mu_refined: float
     nodes: np.ndarray
     M: np.ndarray
+    _rule: Optional[ElementRule] = field(default=None, compare=False, repr=False)
 
 
 def _graded(profile: GammaProfile, lam: float) -> bool:
@@ -407,7 +410,7 @@ def principal_eigen(
     prolonged[1::2] = 0.5 * (m_f[:-1] + m_f[1:])
     mu_2, m_2 = _solve_level(flow, finer, ints_2, (mu_f, prolonged[1:]))
     mu_refined = mu_2 + (mu_2 - mu_f) / 3.0
-    return ModeSolution(lam=lam, mu=mu_2, mu_refined=mu_refined, nodes=finer, M=m_2)
+    return ModeSolution(lam=lam, mu=mu_2, mu_refined=mu_refined, nodes=finer, M=m_2, _rule=rule)
 
 
 def rayleigh_quotient(

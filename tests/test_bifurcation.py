@@ -23,7 +23,7 @@ from rotwave import (
     transversality_integral,
 )
 
-from rotwave import bifurcation, spectral
+from rotwave import spectral
 from rotwave.cli import build_criteria_report, main, parse_config
 from rotwave.errors import DegenerateConstraint, EigenFailure, NoSolution
 from rotwave.vorticity import ElementRule
@@ -308,11 +308,12 @@ def test_transversality_negative_rotational():
 
 
 def test_transversality_reuses_the_refined_rule(monkeypatch):
-    # The mode's nodes are the refined level's, so the rule the eigen solve
-    # cached serves: no ElementRule is built, and T is the one a rule built
-    # afresh on those nodes gives, bit for bit.
+    # The mode carries the refined level's rule, the one the eigen solve
+    # cached: no ElementRule is built, and T is the one a rule built afresh
+    # on the mode's nodes gives, bit for bit.
     pt = find_lambda_star(make_branch(-1.0, g=9.81, p0=-2.0, mesh_points=801))
     nodes = pt.mode.nodes
+    assert pt.mode._rule is spectral._mesh_levels(pt.branch.profile, pt.lambda_star, 801)[1][1]
     fresh = ElementRule(pt.branch.profile, nodes)
     init = ElementRule.__init__
     built = []
@@ -324,8 +325,11 @@ def test_transversality_reuses_the_refined_rule(monkeypatch):
     monkeypatch.setattr(ElementRule, "__init__", counted)
     T = transversality_integral(pt)
     assert built == []
-    monkeypatch.setattr(bifurcation, "_mesh_levels", lambda *args: [None, (nodes, fresh)])
-    assert transversality_integral(pt) == T
+    # The rule is no part of the mode's value.
+    rebuilt = replace(pt, mode=replace(pt.mode, _rule=fresh))
+    assert rebuilt.mode == pt.mode
+    assert transversality_integral(rebuilt) == T
+    assert built == []
 
 
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(8)
@@ -380,7 +384,8 @@ def test_transversality_is_the_point_sum(name):
     if name.endswith("graded"):
         lam = pt.branch.profile.min_lambda + 1e-6
         pt = replace(pt, lambda_star=lam, mode=pt.branch(lam)[1])
-    rule = bifurcation._mesh_levels(pt.branch.profile, pt.lambda_star, 401)[1][1]
+    rule = pt.mode._rule
+    assert rule is spectral._mesh_levels(pt.branch.profile, pt.lambda_star, 401)[1][1]
     assert len(rule.sub) > 0
     assert spectral._graded(pt.branch.profile, pt.lambda_star) == name.endswith("graded")
     ref = _transversality_by_points(pt)

@@ -10,7 +10,6 @@ import stat
 import subprocess
 import sys
 import tempfile
-import time
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
@@ -525,7 +524,8 @@ FIELD_HEADER = ["q", "p", "x", "y", "h", "u_rel", "v", "psi"]
 
 
 def _field_lines(fld, flow):
-    """field.csv's lines below the header, made cell by cell with _fmt."""
+    """field.csv's lines below the header, made cell by cell with _fmt from
+    the whole field at its even p indices, the working mesh's nodes."""
     y, u_rel, v = physical_fields(fld, flow)
     return [
         ",".join(
@@ -534,6 +534,7 @@ def _field_lines(fld, flow):
         )
         for i, q in enumerate(fld.q_nodes)
         for j, p in enumerate(fld.p_nodes)
+        if j % 2 == 0
     ]
 
 
@@ -560,12 +561,18 @@ def test_field_csv_is_the_field_cell_by_cell(tmp_path, monkeypatch, config):
         assert _run(tmp_path, case, *argv) == 0
 
         # The first amplitude's field, built apart from run_reconstruct.
-        result = cli._analysis(parse_config(json.dumps(case)))
+        cfg = parse_config(json.dumps(case))
+        result = cli._analysis(cfg)
         flow = result.branch.flow
         fld = build_wave(result, s, n_q)
         lines = _read_lines(out / "field.csv", ",".join(FIELD_HEADER))
         assert lines == _field_lines(fld, flow)
         assert rows_counted["field.csv"] == len(lines)
+        # The p column is the working mesh, bit for bit.
+        mesh = spectral.build_mesh(result.branch.profile, result.lambda_star, cfg.numerics.mesh_points)
+        assert len(lines) == n_q * len(mesh)
+        p_column = np.array([float(line.split(",")[1]) for line in lines[: len(mesh)]])
+        assert np.array_equal(p_column, mesh)
         if s == 0:
             assert {line.split(",")[6] for line in lines} == {"0.0", "-0.0"}
 
@@ -621,33 +628,30 @@ def _c1_wave(n_q, mesh_points=201):
     return build_wave(result, 0.01, n_q), result.branch.flow
 
 
-def test_field_csv_memory_is_about_one_block(tmp_path, monkeypatch):
-    """Peak memory of writing field.csv stays within a few q-blocks of text,
-    whether this process formats every row or reads a child's blocks back."""
+def test_field_csv_memory_is_about_one_block(tmp_path):
+    """Peak memory of writing field.csv stays within a few q-blocks of text."""
     n_q = 64
-    fld, flow = _c1_wave(n_q, mesh_points=2001)
+    fld, flow = _c1_wave(n_q, mesh_points=4001)
     path = tmp_path / "field.csv"
-    for cpus in (1, 3):
-        _use_cpus(monkeypatch, cpus)
-        rows = cli._FieldRows(fld, flow, str(tmp_path))
-        tracemalloc.start()
-        try:
-            write_csv(str(path), FIELD_HEADER, rows)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        block = (os.path.getsize(path) - len(",".join(FIELD_HEADER)) - 1) / n_q
-        assert block > 0.5e6
-        # Holding the mirrored rows' text in memory, not in the side file, breaks this.
-        assert peak < 8 * block
+    rows = cli._FieldRows(fld, flow, str(tmp_path))
+    tracemalloc.start()
+    try:
+        write_csv(str(path), FIELD_HEADER, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = (os.path.getsize(path) - len(",".join(FIELD_HEADER)) - 1) / n_q
+    assert block > 0.5e6
+    # Holding the mirrored rows' text in memory, not in the side file, breaks this.
+    assert peak < 8 * block
 
 
-# -- field.csv on several CPUs ---------------------------------------------------
+# -- forked workers and field.csv's side file ----------------------------------------
 
 
 def _use_cpus(monkeypatch, n):
-    """Make _FieldRows split its rows into n ranges and run_sweep deal its
-    groups to n workers, n - 1 of them forked (fewer with fewer rows)."""
+    """Make run_sweep deal its groups to n workers, n - 1 of them forked
+    (fewer with fewer groups)."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
     assert cli._usable_cpus() == n
 
@@ -668,18 +672,6 @@ def _in_child(action, fn):
         return fn(*args)
 
     return patched
-
-
-def test_row_ranges():
-    assert cli._row_ranges(9, 2) == [range(0, 4), range(4, 9)]
-    assert cli._row_ranges(9, 3) == [range(0, 3), range(3, 6), range(6, 9)]
-    assert cli._row_ranges(3, 8) == [range(0, 1), range(1, 2), range(2, 3)]
-    assert cli._row_ranges(9, 0) == [range(0, 9)]
-
-
-def test_row_ranges_without_fork(monkeypatch):
-    monkeypatch.delattr(os, "fork")
-    assert cli._row_ranges(9, 4) == [range(0, 9)]
 
 
 def test_block_file_round_trips(tmp_path):
@@ -706,7 +698,7 @@ def test_block_file_of_a_child_is_read_after_join(tmp_path):
     with cli._Children() as children:
         mine, theirs = (children.block_file(str(tmp_path)) for _ in range(2))
         pid = children.fork("a block writer", fill, theirs)
-        # This process's own side file, as _FieldRows fills it meanwhile.
+        # This process's own file, as run_sweep's first worker would fill one.
         for b in blocks[:30]:
             mine.append(b)
         children.join(pid)
@@ -722,26 +714,10 @@ def test_block_file_of_a_child_is_read_after_join(tmp_path):
     assert os.listdir(tmp_path) == []
 
 
-@pytest.mark.parametrize("n_q", [16, 17, 32, 33])
-def test_field_csv_is_the_same_on_any_cpu_count(tmp_path, monkeypatch, n_q):
-    fld, flow = _c1_wave(n_q)
-    files = set()
-    for cpus in (1, 2, 3):
-        _use_cpus(monkeypatch, cpus)
-        path = tmp_path / f"field_{cpus}.csv"
-        write_csv(str(path), FIELD_HEADER, cli._FieldRows(fld, flow, str(tmp_path)))
-        files.add(path.read_bytes())
-    assert len(files) == 1
-    assert _read_lines(path, ",".join(FIELD_HEADER)) == _field_lines(fld, flow)
-    assert sorted(os.listdir(tmp_path)) == ["field_1.csv", "field_2.csv", "field_3.csv"]
-    assert _no_child_left()
-
-
-def test_uneven_field_is_refused_on_any_cpu_count(tmp_path, monkeypatch):
-    # Rows 0 .. 8 are formatted: ranges 0-3 and 4-8 on two CPUs, 0-2, 3-5 and
-    # 6-8 on three.  Each case breaks the mirror symmetry that build_wave
-    # gives rows k and n_q - k in one pair, in this process's range or in a
-    # child's, or puts a NaN in v, whose text has no sign to flip.
+def test_uneven_field_is_refused(tmp_path):
+    # Rows 0 .. 8 are formatted.  Each case breaks, in a written column (an
+    # even p index), the mirror symmetry that build_wave gives rows k and
+    # n_q - k in one pair, or puts a NaN in v, whose text has no sign to flip.
     n_q = 16
     fld, flow = _c1_wave(n_q)
 
@@ -752,21 +728,26 @@ def test_uneven_field_is_refused_on_any_cpu_count(tmp_path, monkeypatch):
     h_bed[10, 0] = np.nextafter(0.0, 1.0)
     h_p_bed[12, 0] += 1e-9
     v_even[9] = v_even[7]  # v of row 9 equal to row 7's, not its negation
-    nan_pair[5, 1], nan_pair[11, 1] = math.nan, -math.nan  # text "nan" in both
-    nan_row[8, 1] = math.nan  # q = 0: a row that is its own mirror
+    nan_pair[5, 2], nan_pair[11, 2] = math.nan, -math.nan  # text "nan" in both
+    nan_row[8, 2] = math.nan  # q = 0: a row that is its own mirror
     cases = [
         replace(fld, h=h),
         replace(fld, h=h_bed),
         replace(fld, h_p=h_p_bed),
         *(replace(fld, h_q=h_q) for h_q in (v_even, nan_pair, nan_row)),
     ]
-    for cpus in (1, 2, 3):
-        _use_cpus(monkeypatch, cpus)
-        for uneven in cases:
-            with pytest.raises(ValueError, match="even in q bit for bit"):
-                write_csv(str(tmp_path / "uneven.csv"), FIELD_HEADER, cli._FieldRows(uneven, flow, str(tmp_path)))
+    for uneven in cases:
+        with pytest.raises(ValueError, match="even in q bit for bit"):
+            write_csv(str(tmp_path / "uneven.csv"), FIELD_HEADER, cli._FieldRows(uneven, flow, str(tmp_path)))
     assert os.listdir(tmp_path) == []
-    assert _no_child_left()
+
+    # The same breaks in column 1, which is not written, change no byte.
+    odd = {"h": fld.h.copy(), "h_q": fld.h_q.copy()}
+    odd["h"][15, 1] = np.nextafter(odd["h"][15, 1], np.inf)
+    odd["h_q"][8, 1] = math.nan
+    for name, fields in (("even", fld), ("odd", replace(fld, **odd))):
+        write_csv(str(tmp_path / f"{name}.csv"), FIELD_HEADER, cli._FieldRows(fields, flow, str(tmp_path)))
+    assert (tmp_path / "odd.csv").read_bytes() == (tmp_path / "even.csv").read_bytes()
 
 
 def _raise():
@@ -777,30 +758,18 @@ def _kill():
     os.kill(os.getpid(), signal.SIGKILL)
 
 
-@pytest.mark.parametrize("action, how", [(_raise, "exited with status 1"), (_kill, "killed by signal 9")])
-def test_failed_formatter_child_exits_3(tmp_path, monkeypatch, capsys, action, how):
-    _use_cpus(monkeypatch, 3)
-    monkeypatch.setattr(cli._BlockFile, "append", _in_child(action, cli._BlockFile.append))
-    out = tmp_path / "out"
-    argv = ("reconstruct", "--amplitude", "0.01", "--out", str(out))
-    assert _run(tmp_path, dict(C1, reconstruct={"n_q": 16}), *argv) == 3
-    err = capsys.readouterr().err
-    assert err.startswith(f"output error: {out}: the formatter of field.csv rows q")
-    assert how in err
-    assert os.listdir(out) == []  # no field.csv, no .tmp_* file
-    assert _no_child_left()
-
-
-def test_early_close_kills_the_formatter_children(tmp_path, monkeypatch):
-    _use_cpus(monkeypatch, 3)
-    monkeypatch.setattr(cli._BlockFile, "append", _in_child(lambda: time.sleep(60), cli._BlockFile.append))
+def test_early_close_leaves_no_file(tmp_path, monkeypatch):
+    # Stopped, as write_csv stops the rows when a write fails, once the
+    # mirrored block of row n_q - 1 is in the side file: the side file is
+    # closed, and no file is left.
+    side_files, make = [], tempfile.TemporaryFile
+    monkeypatch.setattr(tempfile, "TemporaryFile", lambda **kwargs: side_files.append(make(**kwargs)) or side_files[-1])
     fld, flow = _c1_wave(16)
     blocks = iter(cli._FieldRows(fld, flow, str(tmp_path)))
-    t0 = time.perf_counter()
-    next(blocks)
+    next(blocks), next(blocks), next(blocks)
+    assert len(side_files) == 1 and side_files[0].tell() > 0
     blocks.close()
-    assert time.perf_counter() - t0 < 30
-    assert _no_child_left()
+    assert side_files[0].closed
     assert os.listdir(tmp_path) == []
 
 
