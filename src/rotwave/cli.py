@@ -429,13 +429,15 @@ class _FieldRows:
     The rows are on the working mesh, the mesh_points nodes of build_mesh:
     refine_mesh keeps them bit for bit at the even p indices of the
     refined mesh that the field lives on.  So columns 0, 2, 4, ... of the
-    field are written, each cell the field's own at its (q, p).
+    field are written, each cell the field's own at its (q, p).  Only what
+    is written is kept, on the working mesh: h and the y, u_rel and v of
+    one call of physical_fields, not the field itself, so the caller's
+    reference is the field's last.
 
-    Cells are the shortest round-trip text of _fmt, formatted by column from
-    one call of physical_fields.  q is constant within a block, so its text
-    is formatted once per block and written in both the q and the x cell
-    (x = q); p and psi = p0 p are the same row in every block, so each is
-    formatted once per file.
+    Cells are the shortest round-trip text of _fmt, formatted by column.  q
+    is constant within a block, so its text is formatted once per block and
+    written in both the q and the x cell (x = q); p and psi = p0 p are the
+    same row in every block, so each is formatted once per file.
 
     Rows k and n_q - k mirror each other (q_{n_q - k} = -q_k), and
     build_wave makes y, h and u - c even in q and v odd, bit for bit.  So
@@ -456,27 +458,30 @@ class _FieldRows:
     """
 
     def __init__(self, fld, flow, directory):
-        working = {name: getattr(fld, name)[:, ::2] for name in ("h", "h_q", "h_p")}
-        self.fld = fld = replace(fld, p_nodes=fld.p_nodes[::2], **working)
+        columns = {name: getattr(fld, name)[:, ::2] for name in ("h", "h_q", "h_p")}
+        working = replace(fld, p_nodes=fld.p_nodes[::2], **columns)
+        self.q_nodes, self.p_nodes = working.q_nodes, working.p_nodes
         self.p0 = flow.p0
         self.directory = directory
-        self.columns = y, u_rel, v = physical_fields(fld, flow)
+        self.columns = y, u_rel, v = physical_fields(working, flow)
+        # A copy: a view of the field's h would keep all of it alive.
+        self.h = h = working.h.copy()
         # Rows k = 1, 2, ... against their mirrors n_q - k, for every 0 < k < n_q - k.
         k, m = slice(1, (len(y) + 1) // 2), slice(None, len(y) // 2, -1)
-        pairs = [(c[k], c[m]) for c in (y, fld.h, u_rel)] + [(v[k], -v[m])]
+        pairs = [(c[k], c[m]) for c in (y, h, u_rel)] + [(v[k], -v[m])]
         if np.isnan(v).any() or not all(np.array_equal(a.view(np.int64), b.view(np.int64)) for a, b in pairs):
             raise ValueError("field.csv needs y, h and u_rel even in q bit for bit, and v odd without NaN")
 
     def __len__(self):
-        return self.fld.h.size
+        return self.h.size
 
     def __iter__(self):
-        fld = self.fld
+        h = self.h
         y, u_rel, v = self.columns
-        p = list(map(repr, fld.p_nodes.tolist()))
+        p = list(map(repr, self.p_nodes.tolist()))
         # psi is the last cell, so its text carries the line end.
-        psi = [f"{t}\n" for t in map(repr, (self.p0 * fld.p_nodes).tolist())]
-        q = list(map(repr, fld.q_nodes.tolist()))
+        psi = [f"{t}\n" for t in map(repr, (self.p0 * self.p_nodes).tolist())]
+        q = list(map(repr, self.q_nodes.tolist()))
         n_q = len(q)
 
         def block(i, same, v_text):
@@ -489,7 +494,7 @@ class _FieldRows:
                 # Held while row n_q - k is made from it.  The y, h and u_rel
                 # cells, which the two rows share, are one string a line: half
                 # as many objects held at once.
-                same = list(map(",".join, zip(*(map(repr, c[k].tolist()) for c in (y, fld.h, u_rel)))))
+                same = list(map(",".join, zip(*(map(repr, c[k].tolist()) for c in (y, h, u_rel)))))
                 v_text = list(map(repr, v[k].tolist()))
                 yield block(k, same, v_text)
                 if 0 < k < n_q - k:
@@ -612,9 +617,16 @@ def run_reconstruct(config: RunConfig, amplitudes: Sequence[float], out_dir: str
     """Build first-order fields and emit field.csv, surface.csv, residuals.json.
 
     field.csv and surface.csv describe the first requested amplitude;
-    residuals.json lists the weak-form defect norms for every amplitude and
-    a log-log slope fit when several positive amplitudes are given.  Without
-    a bifurcation it writes no file, only inf_mu and lambda_at_inf to stderr.
+    residuals.json lists the weak-form defect norms for every amplitude, in
+    the order given, and a log-log slope fit when several positive
+    amplitudes are given.  Without a bifurcation it writes no file, only
+    inf_mu and lambda_at_inf to stderr.
+
+    Memory is one field plus one integrand array: one WaveField is alive at a
+    time, the written one built last, and weak_residual adds one array of
+    cell integrands.  surface.csv's rows are made and _FieldRows keeps the
+    working-mesh columns it writes before the field is let go, so the files
+    are written from what they hold alone.
     """
     n_q = config.reconstruct.n_q
     amplitudes = [
@@ -629,15 +641,14 @@ def run_reconstruct(config: RunConfig, amplitudes: Sequence[float], out_dir: str
         return 2
     flow = config.flow
 
-    # Only the first field is written; the residuals read h, h_q and h_p.
-    entries = []
-    first_field = None
-    for s in amplitudes:
-        fld = build_wave(result, s, n_q)
+    # Only the first field is written, so it is built last; each field is
+    # let go before the next one is built.
+    entries = [None] * len(amplitudes)
+    for i in [*range(1, len(amplitudes)), 0]:
+        fld = None
+        fld = build_wave(result, amplitudes[i], n_q)
         interior, boundary = weak_residual(fld, result.branch.profile, flow, result.Q_star)
-        entries.append({"s": s, "interior_norm": interior, "boundary_norm": boundary})
-        if first_field is None:
-            first_field = fld
+        entries[i] = {"s": amplitudes[i], "interior_norm": interior, "boundary_norm": boundary}
 
     residuals = {"amplitudes": entries, "slope_fit": None}
     positive = [e for e in entries if e["s"] > 0]
@@ -651,17 +662,12 @@ def run_reconstruct(config: RunConfig, amplitudes: Sequence[float], out_dir: str
             ),
         }
 
-    write_csv(
-        os.path.join(out_dir, "field.csv"),
-        ["q", "p", "x", "y", "h", "u_rel", "v", "psi"],
-        _FieldRows(first_field, flow, out_dir),
-    )
-    eta, _mean = surface_profile(first_field, flow)
-    write_csv(
-        os.path.join(out_dir, "surface.csv"),
-        ["x", "eta"],
-        list(zip(first_field.q_nodes, eta)),
-    )
+    eta, _mean = surface_profile(fld, flow)
+    surface = list(zip(fld.q_nodes, eta))
+    field_rows = _FieldRows(fld, flow, out_dir)
+    del fld
+    write_csv(os.path.join(out_dir, "field.csv"), ["q", "p", "x", "y", "h", "u_rel", "v", "psi"], field_rows)
+    write_csv(os.path.join(out_dir, "surface.csv"), ["x", "eta"], surface)
     write_json(os.path.join(out_dir, "residuals.json"), residuals)
     return 0
 

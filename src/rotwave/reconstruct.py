@@ -12,6 +12,12 @@ psi = p0 p, and the velocities u - c = p0 / (d (1 + h_p)) and
 v = p0 h_q / (1 + h_p), which satisfy v = (u - c) d h_q exactly (the
 streamline-slope identity) and the kinematic surface condition to first
 order.
+
+Memory is one field plus one integrand array: build_wave and
+physical_fields make no full-grid array but those they return, and
+weak_residual keeps one (n_q, n_p - 1) array of cell integrands beside the
+field while it forms the fluxes a block of q rows at a time.
+cli.run_reconstruct holds one field at a time.
 """
 
 from __future__ import annotations
@@ -25,6 +31,10 @@ from .bifurcation import BifurcationPoint
 from .errors import StagnationAtAmplitude
 from .laminar import height_on_mesh
 from .vorticity import FlowParameters, GammaProfile
+
+# Cells per block of q rows in weak_residual: the block's temporaries stay
+# small beside the field, and each numpy call still has work to amortise.
+_BLOCK_CELLS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -71,10 +81,15 @@ def build_wave(point: BifurcationPoint, s: float, n_q: int = 256) -> WaveField:
     mirror = np.minimum(k, n_q - k)
     cosq = np.cos(q[mirror])[:, None]
     sinq = (np.where(k > mirror, -1.0, 1.0) * np.sin(q[mirror]))[:, None]
-    h = H[None, :] + s * cosq * M[None, :]
+    # Each array is its one product, then the laminar part added in place:
+    # x + H is H + x bit for bit, and no full-grid temporary is made.
+    s_cosq = s * cosq
+    h = s_cosq * M[None, :]
+    h += H
     h[:, 0] = 0.0
     h_q = -s * sinq * M[None, :]
-    h_p = H_p[None, :] + s * cosq * M_p[None, :]
+    h_p = s_cosq * M_p[None, :]
+    h_p += H_p
     field = WaveField(lam=lam, q_nodes=q, p_nodes=nodes.copy(), h=h, h_q=h_q, h_p=h_p)
     floor = nonstagnation_check(field)
     if floor <= 0.0:
@@ -96,10 +111,16 @@ def physical_fields(field: WaveField, flow: FlowParameters):
     = (u - c) d h_q.
     """
     d = flow.d
-    y = d * (field.h + field.p_nodes[None, :])
+    # In place, each product with its factors swapped, which keeps its bits:
+    # the three results are the only full-grid arrays made.
+    y = field.h + field.p_nodes[None, :]
+    y *= d
     y[:, 0] = -d
     denom = 1.0 + field.h_p
-    return y, flow.p0 / (d * denom), flow.p0 * field.h_q / denom
+    v = flow.p0 * field.h_q
+    v /= denom
+    denom *= d
+    return y, np.divide(flow.p0, denom, out=denom), v
 
 
 def surface_profile(field: WaveField, flow: FlowParameters):
@@ -115,7 +136,8 @@ def surface_profile(field: WaveField, flow: FlowParameters):
 
 def nonstagnation_check(field: WaveField) -> float:
     """min over the grid of h_p + 1; positive means no stagnation."""
-    return float(np.min(1.0 + field.h_p))
+    # Rounding is monotone, so 1 + min(h_p) is min(1 + h_p) bit for bit.
+    return float(1.0 + np.min(field.h_p))
 
 
 def weak_residual(
@@ -132,30 +154,41 @@ def weak_residual(
     flux faces (Gamma is continuous across vorticity jumps, so faces on
     jump rows are unambiguous).  Surface: the head condition with the
     supplied Q, sampled at the surface nodes.
+
+    Memory: the field plus one integrand array.  The fluxes are formed in
+    blocks of q rows of about _BLOCK_CELLS cells each, and only div^2 times
+    the cell area is kept, in one (n_q, n_p - 1) array summed once at the
+    end: the same array, so the same summation order and the same bits, as
+    forming the whole grid at once.
     """
     d = flow.d
     p0 = flow.p0
-    q = field.q_nodes
     p = field.p_nodes
-    n_q = len(q)
+    n_q = len(field.q_nodes)
     dq = 2.0 * math.pi / n_q
     dp = np.diff(p)
+    area = dq * dp
+    gamma_term = profile.primitive(p) / (2.0 * d * d)
 
-    gamma_term = profile.primitive(p)[None, :] / (2.0 * d * d)
-    one_hp = 1.0 + field.h_p
-    f1 = field.h_q / one_hp
-    f2 = -(1.0 + d * d * field.h_q**2) / (2.0 * d * d * one_hp**2) + gamma_term
+    # Cell [q_i, q_{i+1}] x [p_j, p_{j+1}]; the q direction wraps, so the
+    # last block reads row 0 as its row n_q.
+    density = np.empty((n_q, len(dp)))
+    rows = max(1, _BLOCK_CELLS // len(p))
+    for i in range(0, n_q, rows):
+        j = min(i + rows, n_q)
+        h_q = np.take(field.h_q, range(i, j + 1), axis=0, mode="wrap")
+        one_hp = 1.0 + np.take(field.h_p, range(i, j + 1), axis=0, mode="wrap")
+        f1 = h_q / one_hp
+        f2 = -(1.0 + d * d * h_q**2) / (2.0 * d * d * one_hp**2) + gamma_term
+        # Rows i .. j - 1 and, rolled by one, i + 1 .. j.
+        f1, f1r, f2, f2r = f1[:-1], f1[1:], f2[:-1], f2[1:]
+        flux_q = 0.5 * ((f1r[:, :-1] + f1r[:, 1:]) - (f1[:, :-1] + f1[:, 1:])) * dp
+        flux_p = 0.5 * ((f2[:, 1:] + f2r[:, 1:]) - (f2[:, :-1] + f2r[:, :-1])) * dq
+        div = (flux_q + flux_p) / area
+        density[i:j] = div * div * area
+    interior = math.sqrt(float(np.sum(density)))
 
-    # Cell [q_i, q_{i+1}] x [p_j, p_{j+1}]; the q direction wraps.
-    f1r = np.roll(f1, -1, axis=0)
-    f2r = np.roll(f2, -1, axis=0)
-    flux_q = 0.5 * ((f1r[:, :-1] + f1r[:, 1:]) - (f1[:, :-1] + f1[:, 1:])) * dp[None, :]
-    flux_p = 0.5 * ((f2[:, 1:] + f2r[:, 1:]) - (f2[:, :-1] + f2r[:, :-1])) * dq
-    area = dq * dp[None, :]
-    div = (flux_q + flux_p) / area
-    interior = math.sqrt(float(np.sum(div * div * area)))
-
-    hp_surf = one_hp[:, -1]
+    hp_surf = 1.0 + field.h_p[:, -1]
     hq_surf = field.h_q[:, -1]
     h_surf = field.h[:, -1]
     r_surf = (

@@ -16,6 +16,7 @@ from rotwave import (
     surface_profile,
     weak_residual,
 )
+from rotwave import reconstruct
 from rotwave.errors import StagnationAtAmplitude
 from rotwave.laminar import height_on_mesh
 
@@ -235,6 +236,84 @@ def test_residual_quadratic_in_amplitude():
         norms.append(interior)
     slope = residual_slope(amps, norms)
     assert 1.8 <= slope <= 2.2
+
+
+def _whole_grid_residual(field, profile, flow, Q):
+    """weak_residual's interior norm as one expression over the whole grid:
+    the reference the blocks of q rows must match bit for bit."""
+    d = flow.d
+    n_q = len(field.q_nodes)
+    dq = 2.0 * math.pi / n_q
+    dp = np.diff(field.p_nodes)
+    gamma_term = profile.primitive(field.p_nodes)[None, :] / (2.0 * d * d)
+    one_hp = 1.0 + field.h_p
+    f1 = field.h_q / one_hp
+    f2 = -(1.0 + d * d * field.h_q**2) / (2.0 * d * d * one_hp**2) + gamma_term
+    f1r = np.roll(f1, -1, axis=0)
+    f2r = np.roll(f2, -1, axis=0)
+    flux_q = 0.5 * ((f1r[:, :-1] + f1r[:, 1:]) - (f1[:, :-1] + f1[:, 1:])) * dp[None, :]
+    flux_p = 0.5 * ((f2[:, 1:] + f2r[:, 1:]) - (f2[:, :-1] + f2r[:, :-1])) * dq
+    area = dq * dp[None, :]
+    div = (flux_q + flux_p) / area
+    return math.sqrt(float(np.sum(div * div * area)))
+
+
+def _crossing_point(name):
+    """The crossing of C1, P (one jump at mid-depth) or T (tabulated) at 201 points."""
+    gamma, g, p0 = {
+        "C1": (-1.0, 9.81, -2.0),
+        "P": (VorticityDistribution.piecewise_constant([-0.5], [0.5, -2.0]), 1.0, -1.0),
+        "T": (VorticityDistribution.tabulated([-1.0, -0.5, 0.0], [-1.2, -0.3, -1.5]), 9.81, -2.0),
+    }[name]
+    branch = make_branch(gamma, g=g, p0=p0, mesh_points=201)
+    point = find_lambda_star(branch)
+    assert isinstance(point, BifurcationPoint)
+    return point, branch.profile, branch.flow
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("name", ["C1", "P", "T"])
+def test_in_place_arithmetic_keeps_every_bit(monkeypatch, name):
+    """build_wave, physical_fields, nonstagnation_check and weak_residual
+    against the whole-grid expressions they replace, bit for bit: blocks of
+    1, 5 (which divides none of the n_q), n_q - 1 (a last block of one row,
+    whose rolled row is row 0) and n_q rows (the q wrap inside one block),
+    and the default size."""
+    point, profile, flow = _crossing_point(name)
+    nodes, M = point.mode.nodes, point.mode.M
+    M_p = np.gradient(M, nodes, edge_order=2)
+    H = height_on_mesh(profile, point.lambda_star, nodes)
+    H_p = 1.0 / profile.a(point.lambda_star, nodes) - 1.0
+    for n_q in (16, 17, 33):
+        for s in (0.0, 0.01):
+            field = build_wave(point, s, n_q)
+            k = np.arange(n_q)
+            mirror = np.minimum(k, n_q - k)
+            cosq = np.cos(field.q_nodes[mirror])[:, None]
+            h = H[None, :] + s * cosq * M[None, :]
+            h[:, 0] = 0.0
+            assert np.array_equal(_bits(field.h), _bits(h))
+            assert np.array_equal(_bits(field.h_p), _bits(H_p[None, :] + s * cosq * M_p[None, :]))
+            assert _bits(nonstagnation_check(field)) == _bits(np.min(1.0 + field.h_p))
+
+            y, u_rel, v = physical_fields(field, flow)
+            y_ref = flow.d * (field.h + field.p_nodes[None, :])
+            y_ref[:, 0] = -flow.d
+            denom = 1.0 + field.h_p
+            for got, ref in ((y, y_ref), (u_rel, flow.p0 / (flow.d * denom)), (v, flow.p0 * field.h_q / denom)):
+                assert np.array_equal(_bits(got), _bits(ref))
+
+            reference = _whole_grid_residual(field, profile, flow, point.Q_star)
+            boundary = weak_residual(field, profile, flow, point.Q_star)[1]
+            for rows in (None, 1, 5, n_q - 1, n_q):
+                if rows is not None:
+                    monkeypatch.setattr(reconstruct, "_BLOCK_CELLS", rows * len(nodes))
+                got = weak_residual(field, profile, flow, point.Q_star)
+                assert (got[0].hex(), got[1].hex()) == (reference.hex(), boundary.hex())
+            monkeypatch.undo()
 
 
 def test_residual_slope_helper():
